@@ -11,15 +11,17 @@ Library layout:
 * optimizers: HAO-SCA block-coordinate ascent, E-WMMSE, FP baseline.
 * stats: t/F distributions, tests, effect sizes, confidence intervals.
 * experiments / records: seeded Monte Carlo driver and result files.
-* config / cli: scenario configs, presets, and the batch front end.
+* config / cli: scenario configs, presets, and the batch front end
+  (``holo_isac.cli`` is not imported here, so ``python -m holo_isac.cli``
+  runs it cleanly).
 """
 
 from .geometry import (ArrayGeometry, array_response, element_distance,
                        fresnel_distance, steering_derivative)
 from .channel import (PathComponent, PathSampler, SensingChannelMatrix,
                       SensingTarget, UserChannel, condition_number,
-                      free_space_beta, generate_user_channel, sensing_channel,
-                      spatial_correlation)
+                      echo_amplitude, free_space_beta, generate_user_channel,
+                      sensing_channel, spatial_correlation)
 from .impairments import (ImpairmentChain, PhaseNoiseState, apply_impairments,
                           coupling_matrix, effective_channel, inject_csi_error,
                           iq_coefficients, irr_db, phase_noise_from_dbc,
@@ -31,7 +33,7 @@ from .rates import (Grouping, RateBreakdown, RsNomaSolution, common_interference
 from .sensing import (SensingEvaluation, crlb_closed_form, crlb_lower_bound,
                       crlb_sinr_form, detection_probability, evaluate_sensing,
                       fisher_information, q_function, q_inverse, sensing_sinr,
-                      total_covariance)
+                      sensing_sinrs)
 from .objective import (ConstraintReport, ObjectiveComponents, ObjectiveWeights,
                         QosLimits, check_constraints, composite_objective,
                         critical_correlation, energy_efficiency, jain_fairness,
@@ -52,6 +54,5 @@ from .experiments import (ExperimentPlan, TrialResult, apply_sweep,
                           solve_instance)
 from .records import (read_records, merge_records, write_csv, write_plot_data,
                       write_records, write_stats_report)
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

@@ -180,18 +180,23 @@ def condition_number(matrix: np.ndarray) -> float:
     return float(lam_max / lam_min)
 
 
-def sensing_channel(geom: ArrayGeometry, target: SensingTarget) -> SensingChannelMatrix:
-    """Bistatic rank-one echo channel for a point target.
-
-    Amplitude follows the radar equation,
-    sqrt(rcs * G_tx * G_rx * wavelength^2 / ((4 pi)^3 R^4)), and the two-way
-    phase is -4 pi R / wavelength. The matrix is amplitude * e^{j phase} a a^H
-    with a the near-field response at the target.
-    """
-    amplitude = float(np.sqrt(
+def echo_amplitude(geom: ArrayGeometry, target: SensingTarget) -> float:
+    """Radar-equation echo amplitude
+    sqrt(rcs * G_tx * G_rx * wavelength^2 / ((4 pi)^3 R^4))."""
+    return float(np.sqrt(
         target.rcs * target.gain_tx * target.gain_rx * geom.wavelength**2
         / ((4.0 * np.pi) ** 3 * target.r**4)
     ))
+
+
+def sensing_channel(geom: ArrayGeometry, target: SensingTarget) -> SensingChannelMatrix:
+    """Bistatic rank-one echo channel for a point target.
+
+    Amplitude follows the radar equation (echo_amplitude), and the two-way
+    phase is -4 pi R / wavelength. The matrix is amplitude * e^{j phase} a a^H
+    with a the near-field response at the target.
+    """
+    amplitude = echo_amplitude(geom, target)
     phase = -4.0 * np.pi * target.r / geom.wavelength
     a = array_response(geom, target.theta, target.phi, target.r)
     matrix = amplitude * np.exp(1j * phase) * np.outer(a, a.conj())

@@ -174,6 +174,10 @@ def _execute_plan(args, sweep_axis="none", sweep_values=()) -> int:
     print(f"trials={plan.num_trials} sweep_points={len(plan.grid)} "
           f"algorithms={len(plan.algorithms)} threads={threads}")
     print(f"failures={failures} non_converged={stalled}")
+    if rows and failures == len(rows):
+        print(f"error: every one of the {len(rows)} rows failed",
+              file=sys.stderr)
+        return 1
     return 0
 
 

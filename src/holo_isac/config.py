@@ -23,6 +23,10 @@ SPEED_OF_LIGHT = 3.0e8
 
 ALGORITHM_NAMES = ("hao_sca", "e_wmmse", "fp", "conv_noma")
 
+# The only keys where +inf is a documented setting ("disabled"); every other
+# number must be finite, and NaN is never accepted.
+INF_MEANS_DISABLED = ("limits.crlb_max", "impairments.irr_db")
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -175,6 +179,14 @@ class ScenarioConfig:
 
     # -- validation ---------------------------------------------------
     def validate(self) -> None:
+        for sec_name in _SECTIONS:
+            section = getattr(self, sec_name)
+            for f in fields(section):
+                value = getattr(section, f.name)
+                key = f"{sec_name}.{f.name}"
+                if isinstance(value, float) and not math.isfinite(value) and (
+                        math.isnan(value) or key not in INF_MEANS_DISABLED):
+                    raise ValueError(f"{key} must be a finite number, got {value}")
         g = self.geometry
         if g.mx < 1 or g.my < 1:
             raise ValueError("geometry.mx/geometry.my must be at least 1")
@@ -237,6 +249,9 @@ class ScenarioConfig:
             raise ValueError("experiment.master_seed must be nonnegative")
         if not e.algorithms:
             raise ValueError("experiment.algorithms must not be empty")
+        if len(set(e.algorithms)) != len(e.algorithms):
+            raise ValueError(f"experiment.algorithms lists an algorithm more "
+                             f"than once: {', '.join(e.algorithms)}")
         for name in e.algorithms:
             if name not in ALGORITHM_NAMES:
                 raise ValueError(f"experiment.algorithms: unknown algorithm "

@@ -67,6 +67,8 @@ class ExperimentPlan:
         for name in self.algorithms:
             if name not in ALGORITHM_NAMES:
                 raise ValueError(f"unknown algorithm {name!r}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError("algorithm list names an algorithm more than once")
         if self.sweep_axis not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none" and len(self.sweep_values) == 0:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .rates import RsNomaSolution, rate_breakdown
-from .sensing import crlb_closed_form, detection_probability, sensing_sinr
+from .sensing import crlb_closed_form, detection_probability, q_inverse, sensing_sinrs
 
 
 @dataclass(frozen=True)
@@ -123,10 +123,8 @@ def composite_objective(solution: RsNomaSolution, channels: np.ndarray, targets,
         (unscaled) values.
     """
     bd = rate_breakdown(solution, channels, sigma_n2)
-    util = sum(
-        sensing_utility(sensing_sinr(l, solution, targets, sigma_s2, geom))
-        for l in range(len(targets))
-    )
+    util = sum(sensing_utility(g)
+               for g in sensing_sinrs(solution, targets, sigma_s2, geom))
     power = solution.total_power()
     ee = energy_efficiency(bd.sum_rate, power) if power > 0.0 else 0.0
     fair = jain_fairness(bd.total_rate) if np.any(bd.total_rate > 0.0) else 0.0
@@ -169,10 +167,10 @@ def check_constraints(solution: RsNomaSolution, channels: np.ndarray, targets,
     power_margin = float(limits.p_max - solution.total_power())
     rate_slack = bd.total_rate - limits.r_min
 
-    sinrs = [sensing_sinr(l, solution, targets, sigma_s2, geom)
-             for l in range(len(targets))]
+    sinrs = sensing_sinrs(solution, targets, sigma_s2, geom)
+    q_fa = q_inverse(limits.p_fa) if len(targets) else None
     det_slack = np.array([
-        detection_probability(g, limits.p_fa) - limits.p_d_min for g in sinrs
+        detection_probability(g, limits.p_fa, q_fa) - limits.p_d_min for g in sinrs
     ])
     crlbs = np.array([crlb_closed_form(t, solution, geom, sigma_s2) for t in targets])
     with np.errstate(invalid="ignore"):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import sensing_channel
+from .channel import echo_amplitude
 from .geometry import ArrayGeometry, array_response, steering_derivative
 from .objective import ObjectiveWeights, QosLimits
 from .rates import Grouping, RsNomaSolution, default_grouping
@@ -124,15 +124,20 @@ class _EvalContext:
         self.assign = grouping.assignment
         self.mask = grouping.interference_mask()
         self.members = [grouping.members(g) for g in range(self.num_groups)]
+        # 1.0 where group g's common stream is another group's, seen by user k
+        self.other_groups = (self.assign[:, None]
+                             != np.arange(self.num_groups)[None, :]).astype(float)
 
         self.steer = np.vstack([
             array_response(geom, t.theta, t.phi, t.r) for t in targets
         ]) if len(targets) else np.zeros((0, self.m_total), dtype=complex)
         self.steer_c = self.steer.conj()
-        amp = np.array([sensing_channel(geom, t).amplitude for t in targets])
+        amp = np.array([echo_amplitude(geom, t) for t in targets])
         rcs = np.array([t.rcs for t in targets])
         self.echo_power = rcs * amp**2
         self.num_targets = len(targets)
+        # clutter of target l: the other targets' echoes, summed directly
+        self.other_targets = 1.0 - np.eye(self.num_targets)
 
         # detection constraint folded to a minimum echo SINR
         if limits.p_d_min > limits.p_fa:
@@ -143,11 +148,11 @@ class _EvalContext:
             self.gamma_min = 0.0
         # CRLB numerators c_l with crlb_l = c_l / p_sensing
         if np.isfinite(limits.crlb_max) and self.num_targets:
+            derivs = [steering_derivative(geom, t.theta, t.phi, t.r, mode="fd")
+                      for t in targets]
             self.crlb_num = np.array([
-                sigma_s2 / (2.0 * t.rcs * float(np.real(np.vdot(
-                    steering_derivative(geom, t.theta, t.phi, t.r, mode="fd"),
-                    steering_derivative(geom, t.theta, t.phi, t.r, mode="fd")))))
-                for t in targets
+                sigma_s2 / (2.0 * t.rcs * float(np.real(np.vdot(da, da))))
+                for t, da in zip(targets, derivs)
             ])
         else:
             self.crlb_num = None
@@ -173,32 +178,41 @@ class _EvalContext:
     def shares(self, rho: np.ndarray) -> np.ndarray:
         """Per-user share of the own-group common capacity under rho."""
         out = np.empty(self.k_total)
-        for g in range(self.num_groups):
-            mem = self.members[g]
-            r = rho[mem]
-            tot = r.sum()
-            out[mem] = (r / tot) if tot > 1e-9 else 1.0 / len(mem)
+        for mem in self.members:
+            out[mem] = _group_shares(rho[mem])
         return out
 
-    # -- full evaluation ----------------------------------------------
+    # -- evaluation -----------------------------------------------------
     def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray,
                  shares: np.ndarray | None = None):
         """Penalized composite objective plus every intermediate quantity.
 
-        Callers that hold rho fixed may pass the precomputed share vector to
-        skip its recomputation in hot loops."""
+        The (w, p) stream part is priced first and reprice finishes the
+        split. Callers that hold rho fixed may pass the precomputed share
+        vector to skip its recomputation in hot loops."""
+        if shares is None:
+            shares = self.shares(rho)
+        return self.reprice(self._streams(w, p), shares)
+
+    def _streams(self, w: np.ndarray, p: np.ndarray) -> dict:
+        """Everything that depends on (w, p) alone: stream gains, SINRs and
+        rates, echo SINRs, the sensing utility and the rho-free penalty terms.
+
+        Interference from other groups' commons and echo clutter from other
+        targets are summed over those terms directly, not as a total minus the
+        own term, which would cancel whenever the own term dominates."""
         g, k = self.num_groups, self.k_total
         v = self.hc @ w.T                      # (K, S)
         g2 = np.abs(v) ** 2
         pc, pp, ps = p[:g], p[g:g + k], p[-1]
 
         own_col = self.assign                  # user k's common column
-        all_c = g2[:, :g] @ pc
         own_c = g2[np.arange(k), own_col] * pc[own_col]
+        other_c = (g2[:, :g] * self.other_groups) @ pc
         all_p = g2[:, g:g + k] @ pp
         sense = g2[:, -1] * ps
-        i_common = all_c - own_c + all_p + sense
-        i_private = (all_c - own_c) + (g2[:, g:g + k] * self.mask) @ pp + sense
+        i_common = other_c + all_p + sense
+        i_private = other_c + (g2[:, g:g + k] * self.mask) @ pp + sense
 
         own_p = g2[np.arange(k), g + np.arange(k)] * pp
         d_c = i_common + self.sigma_n2
@@ -207,21 +221,14 @@ class _EvalContext:
         gam_p = own_p / d_p
         c_rate = np.log2(1.0 + gam_c)
         p_rate = np.log2(1.0 + gam_p)
-
-        if shares is None:
-            shares = self.shares(rho)
         group_c = np.array([c_rate[mem].min() for mem in self.members])
-        alloc = group_c[self.assign] * shares
-        total_rate = alloc + p_rate
-        rate_sum = float(total_rate.sum())
 
         if self.num_targets:
             va = self.steer_c @ w.T            # (L, S)
             m2 = np.abs(va) ** 2
             beam_sum = m2 @ p
             echoes = self.echo_power * beam_sum**2
-            tot = echoes.sum()
-            d_l = tot - echoes + self.sigma_s2
+            d_l = self.other_targets @ echoes + self.sigma_s2
             gam_l = echoes / d_l
             util = float(np.sum(np.log2(1.0 + gam_l)))
         else:
@@ -232,7 +239,34 @@ class _EvalContext:
             d_l = np.zeros(0)
             util = 0.0
 
-        ptot = float(p.sum())
+        det_short = np.maximum(0.0, self.gamma_min - gam_l)
+        crlb_pen = 0.0
+        if self.crlb_num is not None:
+            crlb = self.crlb_num / ps if ps > 0.0 else np.full(self.num_targets, np.inf)
+            crlb_short = np.minimum(np.maximum(0.0, crlb / self.limits.crlb_max - 1.0), 1e9)
+            crlb_pen = float(crlb_short @ crlb_short)
+
+        return {
+            "v": v, "g2": g2, "va": va, "m2": m2, "beam_sum": beam_sum,
+            "d_c": d_c, "d_p": d_p, "d_l": d_l, "gam_c": gam_c, "gam_p": gam_p,
+            "gam_l": gam_l, "c_rate": c_rate, "p_rate": p_rate,
+            "group_c": group_c, "util": util, "ptot": float(p.sum()),
+            "det_pen": float(det_short @ det_short), "crlb_pen": crlb_pen,
+        }
+
+    def reprice(self, aux: dict, shares: np.ndarray):
+        """Penalized objective at a new common split over a fixed stream part.
+
+        aux holds the stream part of an evaluation at (w, p); only the
+        allocation, the per-user totals, sum rate, energy efficiency,
+        fairness and the rate penalty depend on the split, so this is O(K).
+        evaluate ends here too, so both give bit-identical values."""
+        k = self.k_total
+        alloc = aux["group_c"][self.assign] * shares
+        total_rate = alloc + aux["p_rate"]
+        rate_sum = float(total_rate.sum())
+
+        ptot = aux["ptot"]
         ee = rate_sum / ptot if ptot > 0.0 else 0.0
         if np.any(total_rate > 0.0):
             fair = float(total_rate.sum() ** 2 / (k * float(total_rate @ total_rate)))
@@ -240,26 +274,18 @@ class _EvalContext:
             fair = 0.0
 
         aw = self.weights.as_array()
-        value = float(aw @ np.array([rate_sum, util, ee, fair]))
+        value = float(aw @ np.array([rate_sum, aux["util"], ee, fair]))
 
         rate_short = np.maximum(0.0, self.limits.r_min - total_rate)
-        det_short = np.maximum(0.0, self.gamma_min - gam_l)
         penalty = self.qos_penalty * (float(rate_short @ rate_short)
-                                      + float(det_short @ det_short))
+                                      + aux["det_pen"])
         if self.crlb_num is not None:
-            crlb = self.crlb_num / ps if ps > 0.0 else np.full(self.num_targets, np.inf)
-            crlb_short = np.minimum(np.maximum(0.0, crlb / self.limits.crlb_max - 1.0), 1e9)
-            penalty += self.qos_penalty * float(crlb_short @ crlb_short)
+            penalty += self.qos_penalty * aux["crlb_pen"]
 
-        aux = {
-            "v": v, "g2": g2, "va": va, "m2": m2, "beam_sum": beam_sum,
-            "d_c": d_c, "d_p": d_p, "d_l": d_l, "gam_c": gam_c, "gam_p": gam_p,
-            "gam_l": gam_l, "c_rate": c_rate, "p_rate": p_rate,
-            "group_c": group_c, "alloc": alloc, "total_rate": total_rate,
-            "rate_sum": rate_sum, "util": util, "ee": ee, "fair": fair,
-            "ptot": ptot, "value": value, "penalty": penalty,
-        }
-        return value - penalty, aux
+        out = dict(aux)
+        out.update(alloc=alloc, total_rate=total_rate, rate_sum=rate_sum,
+                   ee=ee, fair=fair, value=value, penalty=penalty)
+        return value - penalty, out
 
     def violation_norm(self, p, aux) -> float:
         """Euclidean norm of all constraint shortfalls at this iterate."""
@@ -433,6 +459,13 @@ class _EvalContext:
         return grad
 
 
+def _group_shares(r: np.ndarray) -> np.ndarray:
+    """One group's split of its common capacity: rho / sum(rho), or uniform
+    when the group's rho sum is (near) zero."""
+    tot = r.sum()
+    return (r / tot) if tot > 1e-9 else np.full(len(r), 1.0 / len(r))
+
+
 def _normalize_rows(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(w, axis=1)
     out = np.where(norms[:, None] > 1e-300, w / np.maximum(norms, 1e-300)[:, None],
@@ -568,39 +601,45 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
     """Golden-section coordinate maximization of each rho_k on [0, 1].
 
-    Only the common-capacity split depends on rho, so candidates are priced
-    through a reduced objective; a move is kept only when it strictly
-    improves the full objective.
+    w and p stay fixed inside the block and only the common-capacity split
+    depends on rho, so every candidate is priced by ctx.reprice over the
+    stream part of aux0 (O(K), no stream-gain product), with only the moved
+    user's group shares recomputed; that is the value ctx.evaluate would
+    return, bit for bit. A move is kept only when it strictly improves the
+    objective.
     """
     best_rho, best_f, best_aux = rho, f0, aux0
-    for g in range(ctx.num_groups):
-        if len(ctx.members[g]) < 2:
+    best_shares = ctx.shares(rho)
+    for mem in ctx.members:
+        if len(mem) < 2:
             continue  # a lone user owns the whole common capacity regardless
-        for k in ctx.members[g]:
+        for k in mem:
             def f_of(rk: float):
                 cand = best_rho.copy()
                 cand[k] = rk
-                val, aux = ctx.evaluate(w, p, cand)
-                return val, aux, cand
+                shares = best_shares.copy()
+                shares[mem] = _group_shares(cand[mem])
+                val, aux = ctx.reprice(aux0, shares)
+                return val, aux, cand, shares
 
             lo, hi = 0.0, 1.0
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
-            f1, _, _ = f_of(x1)
-            f2, _, _ = f_of(x2)
+            f1 = f_of(x1)[0]
+            f2 = f_of(x2)[0]
             for _ in range(40):
                 if f1 < f2:
                     lo, x1, f1 = x1, x2, f2
                     x2 = lo + _GOLDEN * (hi - lo)
-                    f2, _, _ = f_of(x2)
+                    f2 = f_of(x2)[0]
                 else:
                     hi, x2, f2 = x2, x1, f1
                     x1 = hi - _GOLDEN * (hi - lo)
-                    f1, _, _ = f_of(x1)
+                    f1 = f_of(x1)[0]
             xb = x1 if f1 >= f2 else x2
-            fb, auxb, candb = f_of(xb)
+            fb, auxb, candb, sharesb = f_of(xb)
             if fb > best_f:
-                best_rho, best_f, best_aux = candb, fb, auxb
+                best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
     return best_rho, best_f, best_aux
 
 
@@ -681,15 +720,41 @@ def adaptive_weights(weights: ObjectiveWeights, component_values,
 # Initialization
 # =====================================================================
 
+def _loaded_solve(channels: np.ndarray, coefs, mu: float, x: np.ndarray,
+                  gram: np.ndarray | None = None) -> np.ndarray:
+    """Rows of (A C A^H + mu I_M)^-1 A x, with A = channels^T (columns h_k),
+    C = diag(coefs) and x of shape (K, n).
+
+    When K <= M the push-through identity
+    (A C A^H + mu I_M)^-1 A = A (C A^H A + mu I_K)^-1 turns the M x M system
+    into one K x K solve (gram = A^H A = channels.conj() @ channels.T may be
+    passed in when it is reused); otherwise the M x M system is solved as
+    written.
+    """
+    k_total, m_total = channels.shape
+    coefs = np.asarray(coefs, dtype=float)
+    if k_total <= m_total:
+        if gram is None:
+            gram = channels.conj() @ channels.T
+        inner = coefs[:, None] * gram + mu * np.eye(k_total)
+        return (channels.T @ np.linalg.solve(inner, x)).T
+    outer = (channels.T * coefs) @ channels.conj() + mu * np.eye(m_total)
+    return np.linalg.solve(outer, channels.T @ x).T
+
+
 def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
                  p_max: float, sigma_n2: float) -> RsNomaSolution:
     """Deterministic warm start.
 
     Groups come from default_grouping; common beams point along group-mean
-    channels, private beams are regularized MMSE directions with loading
-    delta = sigma_n2 / p_max, the sensing beam is the RCS-weighted steering
-    mixture, powers split the budget uniformly across the G + K + 1 streams,
-    and every rho starts at 1/2.
+    channels, the sensing beam is the RCS-weighted steering mixture, powers
+    split the budget uniformly across the G + K + 1 streams, and every rho
+    starts at 1/2. Private beams are the regularized MMSE directions
+    (sum_{j != k} h_j h_j^H + delta I)^-1 h_k with loading
+    delta = sigma_n2 / p_max. By Sherman-Morrison each is a positive multiple
+    of (sum_j h_j h_j^H + delta I)^-1 h_k, so all K come from one
+    _loaded_solve: a K x K solve when K <= M, one M x M solve with K
+    right-hand sides otherwise.
     """
     channels = np.asarray(channels, dtype=complex)
     k_total, m_total = channels.shape
@@ -705,13 +770,8 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
         w_common[g] = mean / norm
 
     delta = sigma_n2 / p_max
-    gram = channels.T @ channels.conj()  # sum_k h_k h_k^H, (M, M)
-    w_private = np.empty((k_total, m_total), dtype=complex)
-    for k in range(k_total):
-        a = gram - np.outer(channels[k], channels[k].conj()) \
-            + delta * np.eye(m_total)
-        wk = np.linalg.solve(a, channels[k])
-        w_private[k] = wk / np.linalg.norm(wk)
+    w_private = _loaded_solve(channels, np.ones(k_total), delta, np.eye(k_total))
+    w_private /= np.linalg.norm(w_private, axis=1)[:, None]
 
     if len(targets):
         mix = np.zeros(m_total, dtype=complex)
@@ -843,6 +903,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     w, p, rho = ctx.split_solution(sol)
     v_all = np.sqrt(p)[:, None] * w  # aggregates; row -1 is the sensing beam
     delta = sigma_n2 / limits.p_max
+    gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
 
     # which streams each MSE stage hears (True = interferes or is desired)
     hear_c = np.ones((k_n, ctx.num_streams), dtype=bool)     # common stages
@@ -887,19 +948,16 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         new_v = v_all.copy()
         for j in range(g_n + k_n):
             if j < g_n:
-                hearers_c = np.ones(k_n, dtype=bool)
-                hearers_p = hear_p[:, j]
                 desire = [(k, 0) for k in ctx.members[j]]
             else:
-                hearers_c = np.ones(k_n, dtype=bool)
-                hearers_p = hear_p[:, j]
                 desire = [(j - g_n, 1)]
-            coefs = weights_ku[:, 0] * hearers_c + weights_ku[:, 1] * hearers_p
-            a_mat = (ctx.h.T * coefs) @ ctx.hc + mu * np.eye(ctx.m_total)
-            b = np.zeros(ctx.m_total, dtype=complex)
+            # every user hears stream j at its common stage
+            coefs = weights_ku[:, 0] + weights_ku[:, 1] * hear_p[:, j]
+            # (sum_k coefs_k h_k h_k^H + mu I)^-1 sum_desire om u^* h_k
+            x = np.zeros((k_n, 1), dtype=complex)
             for (k, stage) in desire:
-                b += om[k, stage] * np.conj(u[k, stage]) * h[k]
-            new_v[j] = np.linalg.solve(a_mat, b)
+                x[k, 0] += om[k, stage] * np.conj(u[k, stage])
+            new_v[j] = _loaded_solve(h, coefs, mu, x, gram)[0]
 
         # sensing beam: penalty-gradient step toward the SINR floor
         if ctx.num_targets and ctx.gamma_min > 0.0:

@@ -294,13 +294,16 @@ def rate_breakdown(solution: RsNomaSolution, channels: np.ndarray,
     assign = solution.grouping.assignment
 
     own_c = gc[np.arange(k_total), assign] * solution.p_common[assign]
-    all_c = gc @ solution.p_common
+    # summed over the other groups directly; the total over all groups minus
+    # the own term would cancel whenever the own-group common term dominates
+    other_groups = assign[:, None] != np.arange(solution.num_groups)[None, :]
+    other_c = (gc * other_groups) @ solution.p_common
     all_p = gp @ solution.p_private
     sense = gs * solution.p_sensing
 
-    i_common = all_c - own_c + all_p + sense
+    i_common = other_c + all_p + sense
     mask = solution.grouping.interference_mask()
-    i_private = (all_c - own_c) + (gp * mask) @ solution.p_private + sense
+    i_private = other_c + (gp * mask) @ solution.p_private + sense
 
     own_p = gp[np.arange(k_total), np.arange(k_total)] * solution.p_private
     common_sinr = own_c / (i_common + sigma_n2)

@@ -13,44 +13,59 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SensingTarget, sensing_channel
-from .geometry import ArrayGeometry, steering_derivative
+from .channel import SensingTarget, echo_amplitude
+from .geometry import ArrayGeometry, array_response, steering_derivative
 from .rates import RsNomaSolution
 
 
 # =====================================================================
-# Beam covariance and echo SINR
+# Echo SINR
 # =====================================================================
 
-def total_covariance(solution: RsNomaSolution) -> np.ndarray:
-    """Transmit covariance sum_i p_i w_i w_i^H over every stream.
+def fast_sensing_sinrs(solution: RsNomaSolution, steering: np.ndarray,
+                       echo_power: np.ndarray, sigma_s2: float) -> np.ndarray:
+    """All target SINRs from precomputed steering vectors.
 
-    Powers weight the outer products; Hermitian PSD by construction.
+    steering is the (L, M) matrix of target array responses and echo_power[l]
+    is rcs_l * amplitude_l^2. Since tr(H_l W) = c_l sum_i p_i |a_l^H w_i|^2,
+    the L echo traces reduce to one (L, M) x (M, S) product, and no M x M
+    matrix is formed. Each target's clutter sums the other targets' echoes
+    directly, so a dominant echo never cancels against itself.
     """
     beams = solution.stacked_beams()
     powers = solution.stacked_powers()
-    return (beams.T * powers) @ beams.conj()
+    gains = np.abs(steering.conj() @ beams.T) ** 2  # (L, S)
+    beam_sum = gains @ powers
+    echoes = echo_power * beam_sum**2
+    clutter = (1.0 - np.eye(len(echoes))) @ echoes
+    return echoes / (clutter + sigma_s2)
+
+
+def sensing_sinrs(solution: RsNomaSolution, targets, sigma_s2: float,
+                  geom: ArrayGeometry) -> np.ndarray:
+    """Echo SINR of every target under the current transmit covariance.
+
+    Gamma_l = rcs_l |tr(H_l W)|^2 / (I_cs + sigma_s2) where the cross-target
+    clutter I_cs sums rcs_l' |tr(H_l' W)|^2 over the other targets. Steering
+    vectors and echo amplitudes are computed once per call and the traces go
+    through the rank-one identity of fast_sensing_sinrs.
+    """
+    if sigma_s2 <= 0.0:
+        raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
+    if not len(targets):
+        return np.zeros(0)
+    steering = np.vstack([array_response(geom, t.theta, t.phi, t.r)
+                          for t in targets])
+    echo_power = np.array([t.rcs * echo_amplitude(geom, t) ** 2 for t in targets])
+    return fast_sensing_sinrs(solution, steering, echo_power, sigma_s2)
 
 
 def sensing_sinr(l: int, solution: RsNomaSolution, targets,
                  sigma_s2: float, geom: ArrayGeometry) -> float:
-    """Echo SINR of target l under the current transmit covariance.
-
-    Gamma_l = rcs_l |tr(H_l W)|^2 / (I_cs + sigma_s2) where the cross-target
-    clutter I_cs sums rcs_l' |tr(H_l' W)|^2 over the other targets.
-    """
+    """Echo SINR of target l; one entry of sensing_sinrs."""
     if not 0 <= l < len(targets):
         raise ValueError(f"target index {l} out of range for {len(targets)} targets")
-    if sigma_s2 <= 0.0:
-        raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
-    w_total = total_covariance(solution)
-    echoes = np.array([
-        np.abs(np.trace(sensing_channel(geom, t).matrix @ w_total)) ** 2
-        for t in targets
-    ])
-    rcs = np.array([t.rcs for t in targets])
-    clutter = float(rcs @ echoes - rcs[l] * echoes[l])
-    return float(rcs[l] * echoes[l] / (clutter + sigma_s2))
+    return float(sensing_sinrs(solution, targets, sigma_s2, geom)[l])
 
 
 # =====================================================================
@@ -116,11 +131,13 @@ def q_inverse(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def detection_probability(gamma: float, p_fa: float) -> float:
+def detection_probability(gamma: float, p_fa: float,
+                          q_fa: float | None = None) -> float:
     """Neyman-Pearson detection probability Q(Q^-1(p_fa) - sqrt(2 gamma)).
 
     Zero SINR collapses to the false-alarm floor exactly; the function is
-    strictly increasing in gamma.
+    strictly increasing in gamma. Callers that score many SINRs at one p_fa
+    pass q_fa = q_inverse(p_fa) so the bisection runs once, not per call.
     """
     if gamma < 0.0:
         raise ValueError(f"sensing SINR must be >= 0, got {gamma}")
@@ -128,7 +145,9 @@ def detection_probability(gamma: float, p_fa: float) -> float:
         if not 0.0 < p_fa < 1.0:
             raise ValueError(f"false-alarm rate must be in (0, 1), got {p_fa}")
         return p_fa
-    return q_function(q_inverse(p_fa) - np.sqrt(2.0 * gamma))
+    if q_fa is None:
+        q_fa = q_inverse(p_fa)
+    return q_function(q_fa - np.sqrt(2.0 * gamma))
 
 
 # =====================================================================
@@ -208,12 +227,11 @@ class SensingEvaluation:
 def evaluate_sensing(solution: RsNomaSolution, targets, geom: ArrayGeometry,
                      sigma_s2: float, p_fa: float, p_max: float) -> SensingEvaluation:
     """Bundle SINR, detection probability, and CRLB for every target."""
-    sinr = np.array([
-        sensing_sinr(l, solution, targets, sigma_s2, geom) for l in range(len(targets))
-    ])
+    sinr = sensing_sinrs(solution, targets, sigma_s2, geom)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(sinr)
-    pd = np.array([detection_probability(g, p_fa) for g in sinr])
+    q_fa = q_inverse(p_fa) if len(targets) else None
+    pd = np.array([detection_probability(g, p_fa, q_fa) for g in sinr])
     crlb = np.array([
         crlb_closed_form(t, solution, geom, sigma_s2) for t in targets
     ])
@@ -223,20 +241,3 @@ def evaluate_sensing(solution: RsNomaSolution, targets, geom: ArrayGeometry,
     return SensingEvaluation(sinr=sinr, sinr_db=sinr_db, detection_prob=pd,
                              crlb=crlb, crlb_floor=floor)
 
-
-def fast_sensing_sinrs(solution: RsNomaSolution, steering: np.ndarray,
-                       echo_power: np.ndarray, sigma_s2: float) -> np.ndarray:
-    """All target SINRs from precomputed steering vectors.
-
-    steering is the (L, M) matrix of target array responses and echo_power[l]
-    is rcs_l * amplitude_l^2. Since tr(H_l W) = c_l sum_i p_i |a_l^H w_i|^2,
-    the traces reduce to one matrix product; identical to sensing_sinr up to
-    float roundoff, but cheap enough for optimizer inner loops.
-    """
-    beams = solution.stacked_beams()
-    powers = solution.stacked_powers()
-    gains = np.abs(steering.conj() @ beams.T) ** 2  # (L, S)
-    beam_sum = gains @ powers
-    echoes = echo_power * beam_sum**2
-    total = echoes.sum()
-    return echoes / (total - echoes + sigma_s2)

@@ -1,5 +1,6 @@
 import pytest
 
+from holo_isac import experiments
 from holo_isac.cli import main
 from holo_isac.records import read_records
 
@@ -94,6 +95,33 @@ def test_run_rejects_unknown_algorithm(tiny_cfg_path, tmp_path, capsys):
                  "--out", str(tmp_path / "x"), "--algorithms", "sgd"])
     assert code == 1
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+def test_run_rejects_duplicate_algorithms(tiny_cfg_path, tmp_path, capsys):
+    code = main(["run", "--config", tiny_cfg_path,
+                 "--out", str(tmp_path / "x"), "--algorithms", "fp,fp"])
+    assert code == 1
+    assert "more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--axis", "csi_eps", "--grid", "0.0,0.1"],
+])
+def test_run_and_sweep_fail_when_every_row_failed(tiny_cfg_path, tmp_path,
+                                                  monkeypatch, capsys, command):
+    def broken_solver(*args, **kwargs):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setattr(experiments, "solve_instance", broken_solver)
+    out_dir = tmp_path / "failed"
+    code = main(command + ["--config", tiny_cfg_path, "--out", str(out_dir)])
+    assert code == 1
+    rows = read_records(out_dir / "results.records")
+    assert rows and all(r.failed for r in rows)
+    captured = capsys.readouterr()
+    assert "failures=" in captured.out
+    assert "every one of the" in captured.err
 
 
 def test_run_missing_config_fails(tmp_path, capsys):

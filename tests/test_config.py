@@ -97,6 +97,31 @@ def test_validate_reports_key_paths():
         cfg.validate()
 
 
+@pytest.mark.parametrize("line", [
+    "powers.p_max_dbm = nan",
+    "limits.r_min = nan",
+    "optimizer.epsilon = nan",
+    "limits.crlb_max = nan",
+    "geometry.spacing_over_lambda = inf",
+    "targets.rcs_hi = inf",
+])
+def test_parse_text_rejects_non_finite_numbers(line):
+    key = line.split(" =", 1)[0]
+    with pytest.raises(ValueError, match=key):
+        parse_config_text(line + "\n")
+
+
+def test_inf_still_disables_where_documented():
+    cfg = parse_config_text("limits.crlb_max = inf\nimpairments.irr_db = inf\n")
+    assert cfg.limits.crlb_max == math.inf
+    assert cfg.impairments.irr_db == math.inf
+
+
+def test_parse_text_rejects_duplicate_algorithms():
+    with pytest.raises(ValueError, match="more than once"):
+        parse_config_text("experiment.algorithms = fp, conv_noma, fp\n")
+
+
 # =====================================================================
 # File grammar
 # =====================================================================

@@ -16,7 +16,7 @@ from holo_isac.objective import (
     sum_rate_upper_bound,
 )
 from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
-from holo_isac.sensing import sensing_sinr
+from oracles import dense_sensing_sinr
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -109,7 +109,7 @@ def test_composite_components_match_scalar_routes():
                                        SIGMA_N2, SIGMA_S2)
     bd = rate_breakdown(sol, h, SIGMA_N2)
     assert comps.sum_rate == pytest.approx(bd.sum_rate, rel=1e-12)
-    util = sum(sensing_utility(sensing_sinr(l, sol, targets, SIGMA_S2, geom))
+    util = sum(sensing_utility(dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom))
                for l in range(2))
     assert comps.sensing_utility == pytest.approx(util, rel=1e-12)
     assert comps.energy_efficiency == pytest.approx(

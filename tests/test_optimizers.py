@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from holo_isac.channel import SensingTarget
+from holo_isac.config import preset_config
+from holo_isac.experiments import generate_trial_data
 from holo_isac.geometry import ArrayGeometry
 from holo_isac.objective import (
     ObjectiveWeights,
@@ -13,6 +15,8 @@ from holo_isac.optimizers import (
     ConvergenceTrace,
     OptimizerConfig,
     adaptive_weights,
+    _EvalContext,
+    _loaded_solve,
     beamforming_update,
     e_wmmse_mse_weight,
     e_wmmse_receive_filter,
@@ -25,7 +29,7 @@ from holo_isac.optimizers import (
     run_hao_sca,
     sca_surrogate_gamma,
 )
-from holo_isac.rates import rate_breakdown
+from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -135,6 +139,93 @@ def test_init_single_user_private_is_matched_filter():
     # no other users to suppress, so the MMSE direction collapses onto h
     cos = np.abs(np.vdot(sol.w_private[0], h[0])) / np.linalg.norm(h[0])
     assert cos == pytest.approx(1.0, rel=1e-10)
+
+
+def test_init_private_directions_match_a_well_conditioned_solve():
+    # desk_tiny with every impairment on: each dense leave-one-out matrix
+    # sum_{j != k} h_j h_j^H + delta I has a condition number near 1e15 here
+    cfg = preset_config("desk_tiny")
+    cfg.impairments.coupling_kappa = 0.1
+    cfg.impairments.irr_db = 25.0
+    cfg.impairments.phase_noise_dbc = -25.0
+    data = generate_trial_data(cfg, np.random.default_rng(7))
+    h = data.channels_est
+    sol = init_hao_sca(h, data.targets, cfg.array_geometry(),
+                       cfg.population.num_groups, cfg.p_max_watts,
+                       cfg.sigma_n2_watts)
+    # reference on the channel scaled to unit Frobenius norm, via Woodbury:
+    # (U U^H + delta I)^-1 h_k = (h_k - U (U^H U + delta I)^-1 U^H h_k) / delta
+    scale = np.linalg.norm(h)
+    hs = h / scale
+    delta = cfg.sigma_n2_watts / cfg.p_max_watts / scale**2
+    k_total = h.shape[0]
+    for k in range(k_total):
+        others = np.delete(hs, k, axis=0)
+        inner = others.conj() @ others.T + delta * np.eye(k_total - 1)
+        ref = hs[k] - others.T @ np.linalg.solve(inner, others.conj() @ hs[k])
+        ref /= np.linalg.norm(ref)
+        assert np.max(np.abs(sol.w_private[k] - ref)) < 1e-12
+
+
+def test_loaded_solve_push_through_matches_the_dense_system():
+    rng = np.random.default_rng(53)
+    for k, m in ((3, 8), (8, 3)):
+        h = rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))
+        coefs = rng.uniform(0.1, 2.0, k)
+        x = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
+        dense = (h.T * coefs) @ h.conj() + 0.3 * np.eye(m)
+        ref = np.linalg.solve(dense, h.T @ x).T
+        assert np.allclose(_loaded_solve(h, coefs, 0.3, x), ref,
+                           rtol=1e-12, atol=1e-12)
+
+
+# =====================================================================
+# Evaluation core
+# =====================================================================
+
+def test_reprice_equals_evaluate_bit_for_bit():
+    channels, targets, geom, weights, _ = build_problem(seed=54)
+    limits = QosLimits(p_max=P_MAX, r_min=2.0, p_d_min=0.9, crlb_max=1e-6)
+    sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
+    ctx = _EvalContext(channels, targets, geom, weights, limits, SIGMA_N2,
+                       SIGMA_S2, sol.grouping, 10.0)
+    w, p, rho = ctx.split_solution(sol)
+    _, aux = ctx.evaluate(w, p, rho)
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        cand = rng.uniform(0.0, 1.0, ctx.k_total)
+        cand[rng.uniform(size=ctx.k_total) < 0.2] = 0.0
+        f_full, aux_full = ctx.evaluate(w, p, cand)
+        f_cheap, aux_cheap = ctx.reprice(aux, ctx.shares(cand))
+        assert f_cheap == f_full
+        assert aux_cheap["penalty"] == aux_full["penalty"]
+        assert np.array_equal(aux_cheap["total_rate"], aux_full["total_rate"])
+
+
+def test_other_group_commons_do_not_cancel_against_the_own_common():
+    # user 0 hears its own group's common 1e18 times louder than the other
+    # group's; "all commons minus own" would round the other group's term away
+    grouping = Grouping(assignment=[0, 1], sic_order=[[0], [1]])
+    channels = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    sol = RsNomaSolution(
+        grouping=grouping,
+        w_common=np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex) / [[1.0], [np.sqrt(2.0)]],
+        w_private=np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+        w_sensing=np.array([0.0, 1.0], dtype=complex),
+        p_common=np.array([1e18, 2.0]),
+        p_private=np.array([1.0, 1.0]),
+        p_sensing=1.0,
+        rho=np.array([1.0, 1.0]),
+    )
+    # user 0 private stage: other group's common (0.5 * 2) + noise 1
+    expected = 1.0 / (1.0 + 1.0)
+    bd = rate_breakdown(sol, channels, 1.0)
+    assert bd.private_sinr[0] == pytest.approx(expected, rel=1e-12)
+    ctx = _EvalContext(channels, [], desk_geom(), ObjectiveWeights(),
+                       QosLimits(p_max=1e19), 1.0, 1.0, grouping, 10.0)
+    _, aux = ctx.evaluate(sol.stacked_beams(), sol.stacked_powers(), sol.rho)
+    assert aux["gam_p"][0] == pytest.approx(expected, rel=1e-12)
+    assert aux["gam_c"][1] == pytest.approx(bd.common_sinr[1], rel=1e-12)
 
 
 # =====================================================================

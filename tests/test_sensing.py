@@ -17,8 +17,9 @@ from holo_isac.sensing import (
     q_function,
     q_inverse,
     sensing_sinr,
-    total_covariance,
+    sensing_sinrs,
 )
+from oracles import dense_sensing_sinr, total_covariance
 
 SIGMA_S2 = 10.0 ** (-11.5)
 
@@ -98,9 +99,69 @@ def test_fast_route_matches_trace_route():
     ])
     fast = fast_sensing_sinrs(sol, steering, echo_power, SIGMA_S2)
     slow = np.array([
-        sensing_sinr(l, sol, targets, SIGMA_S2, geom) for l in range(3)
+        dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom) for l in range(3)
     ])
     assert np.allclose(fast, slow, rtol=1e-9)
+
+
+def test_sensing_sinrs_matches_dense_oracle():
+    rng = np.random.default_rng(13)
+    geom = desk_geom()
+    targets = some_targets(3)
+    for _ in range(5):
+        sol = random_solution(rng, geom.m_total)
+        fast = sensing_sinrs(sol, targets, SIGMA_S2, geom)
+        dense = np.array([dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom)
+                          for l in range(3)])
+        assert np.allclose(fast, dense, rtol=1e-12, atol=0.0)
+        for l in range(3):
+            assert sensing_sinr(l, sol, targets, SIGMA_S2, geom) == fast[l]
+    assert sensing_sinrs(sol, [], SIGMA_S2, geom).shape == (0,)
+
+
+def test_sensing_sinrs_finite_for_an_all_but_missed_target():
+    rng = np.random.default_rng(14)
+    geom = desk_geom()
+    targets = some_targets(2)
+    sol = random_solution(rng, geom.m_total)
+    # turn every beam away from target 0: its echo is roundoff-sized
+    a = array_response(geom, targets[0].theta, targets[0].phi, targets[0].r)
+    a = a / np.linalg.norm(a)
+    beams = sol.stacked_beams()
+    beams = beams - np.outer(beams @ a.conj(), a)
+    beams /= np.linalg.norm(beams, axis=1)[:, None]
+    g = sol.num_groups
+    k = sol.num_users
+    sol.w_common, sol.w_private, sol.w_sensing = (
+        beams[:g], beams[g:g + k], beams[-1])
+    fast = sensing_sinrs(sol, targets, SIGMA_S2, geom)
+    assert np.all(np.isfinite(fast)) and np.all(fast >= 0.0)
+    assert fast[0] < 1e-20 * fast[1]
+    # the well-lit target sees the missed one as (almost no) clutter
+    assert fast[1] == pytest.approx(
+        dense_sensing_sinr(1, sol, targets, SIGMA_S2, geom), rel=1e-12)
+
+
+def test_echo_clutter_does_not_cancel_against_a_dominant_echo():
+    # target 1's echo is ~1e16 times target 0's, so "total minus own" loses
+    # target 0's share of target 1's clutter entirely
+    geom = desk_geom()
+    targets = [SensingTarget(theta=0.2, phi=0.5, r=0.6, rcs=1e-16),
+               SensingTarget(theta=-0.4, phi=-1.0, r=0.9, rcs=1.0)]
+    rng = np.random.default_rng(15)
+    sol = random_solution(rng, geom.m_total)
+    steering = np.array([array_response(geom, t.theta, t.phi, t.r)
+                         for t in targets])
+    echo_power = np.array([t.rcs * sensing_channel(geom, t).amplitude ** 2
+                           for t in targets])
+    beam_sum = (np.abs(steering.conj() @ sol.stacked_beams().T) ** 2
+                @ sol.stacked_powers())
+    echoes = echo_power * beam_sum**2
+    sigma_s2 = 1e-6 * echoes[0]     # the weak echo dominates the noise
+    expected = echoes[1] / (echoes[0] + sigma_s2)
+    got = sensing_sinrs(sol, targets, sigma_s2, geom)
+    assert got[1] == pytest.approx(expected, rel=1e-12)
+    assert got[0] == pytest.approx(echoes[0] / (echoes[1] + sigma_s2), rel=1e-12)
 
 
 # =====================================================================
@@ -199,11 +260,11 @@ def test_evaluate_sensing_bundles_scalar_routes():
                           p_max=sol.total_power())
     assert ev.num_targets == 2
     for l in range(2):
-        g = sensing_sinr(l, sol, targets, SIGMA_S2, geom)
+        g = dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom)
         assert ev.sinr[l] == pytest.approx(g, rel=1e-12)
         assert ev.sinr_db[l] == pytest.approx(10.0 * np.log10(g), rel=1e-12)
-        assert ev.detection_prob[l] == pytest.approx(
-            detection_probability(g, 1e-3), rel=1e-12)
+        # the hoisted Q^-1(p_fa) leaves the detection chain bit-identical
+        assert ev.detection_prob[l] == detection_probability(ev.sinr[l], 1e-3)
         assert ev.crlb[l] == pytest.approx(
             crlb_closed_form(targets[l], sol, geom, SIGMA_S2), rel=1e-12)
         assert ev.crlb_floor[l] <= ev.crlb[l]
