@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .rates import RsNomaSolution, rate_breakdown
-from .sensing import crlb_closed_form, detection_probability, q_inverse, sensing_sinrs
+from .sensing import crlb_closed_form, detection_probability, sensing_sinrs
 
 
 @dataclass(frozen=True)
@@ -168,9 +168,8 @@ def check_constraints(solution: RsNomaSolution, channels: np.ndarray, targets,
     rate_slack = bd.total_rate - limits.r_min
 
     sinrs = sensing_sinrs(solution, targets, sigma_s2, geom)
-    q_fa = q_inverse(limits.p_fa) if len(targets) else None
     det_slack = np.array([
-        detection_probability(g, limits.p_fa, q_fa) - limits.p_d_min for g in sinrs
+        detection_probability(g, limits.p_fa) - limits.p_d_min for g in sinrs
     ])
     crlbs = np.array([crlb_closed_form(t, solution, geom, sigma_s2) for t in targets])
     with np.errstate(invalid="ignore"):

@@ -720,26 +720,18 @@ def adaptive_weights(weights: ObjectiveWeights, component_values,
 # Initialization
 # =====================================================================
 
-def _loaded_solve(channels: np.ndarray, coefs, mu: float, x: np.ndarray,
-                  gram: np.ndarray | None = None) -> np.ndarray:
+def _loaded_solve(channels: np.ndarray, gram: np.ndarray, coefs, mu: float,
+                  x: np.ndarray) -> np.ndarray:
     """Rows of (A C A^H + mu I_M)^-1 A x, with A = channels^T (columns h_k),
-    C = diag(coefs) and x of shape (K, n).
+    C = diag(coefs) >= 0, mu > 0 and x of shape (K, n).
 
-    When K <= M the push-through identity
-    (A C A^H + mu I_M)^-1 A = A (C A^H A + mu I_K)^-1 turns the M x M system
-    into one K x K solve (gram = A^H A = channels.conj() @ channels.T may be
-    passed in when it is reused); otherwise the M x M system is solved as
-    written.
+    The push-through identity (A C A^H + mu I_M)^-1 A = A (C A^H A + mu I_K)^-1
+    holds for any K and M, so the M x M system becomes one K x K solve;
+    gram = A^H A = channels.conj() @ channels.T.
     """
-    k_total, m_total = channels.shape
     coefs = np.asarray(coefs, dtype=float)
-    if k_total <= m_total:
-        if gram is None:
-            gram = channels.conj() @ channels.T
-        inner = coefs[:, None] * gram + mu * np.eye(k_total)
-        return (channels.T @ np.linalg.solve(inner, x)).T
-    outer = (channels.T * coefs) @ channels.conj() + mu * np.eye(m_total)
-    return np.linalg.solve(outer, channels.T @ x).T
+    inner = coefs[:, None] * gram + mu * np.eye(len(coefs))
+    return (channels.T @ np.linalg.solve(inner, x)).T
 
 
 def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
@@ -752,9 +744,8 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
     starts at 1/2. Private beams are the regularized MMSE directions
     (sum_{j != k} h_j h_j^H + delta I)^-1 h_k with loading
     delta = sigma_n2 / p_max. By Sherman-Morrison each is a positive multiple
-    of (sum_j h_j h_j^H + delta I)^-1 h_k, so all K come from one
-    _loaded_solve: a K x K solve when K <= M, one M x M solve with K
-    right-hand sides otherwise.
+    of (sum_j h_j h_j^H + delta I)^-1 h_k, so all K come from one K x K
+    _loaded_solve.
     """
     channels = np.asarray(channels, dtype=complex)
     k_total, m_total = channels.shape
@@ -770,7 +761,9 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
         w_common[g] = mean / norm
 
     delta = sigma_n2 / p_max
-    w_private = _loaded_solve(channels, np.ones(k_total), delta, np.eye(k_total))
+    gram = channels.conj() @ channels.T
+    w_private = _loaded_solve(channels, gram, np.ones(k_total), delta,
+                              np.eye(k_total))
     w_private /= np.linalg.norm(w_private, axis=1)[:, None]
 
     if len(targets):
@@ -957,7 +950,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
             x = np.zeros((k_n, 1), dtype=complex)
             for (k, stage) in desire:
                 x[k, 0] += om[k, stage] * np.conj(u[k, stage])
-            new_v[j] = _loaded_solve(h, coefs, mu, x, gram)[0]
+            new_v[j] = _loaded_solve(h, gram, coefs, mu, x)[0]
 
         # sensing beam: penalty-gradient step toward the SINR floor
         if ctx.num_targets and ctx.gamma_min > 0.0:

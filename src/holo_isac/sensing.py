@@ -9,6 +9,7 @@ under 1e-10 absolute.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,13 @@ def q_function(x):
     return float(flat[0]) if xs.ndim == 0 else flat.reshape(xs.shape)
 
 
+@functools.lru_cache(maxsize=64)
 def q_inverse(p: float) -> float:
     """Inverse Gaussian tail function: the x with Q(x) = p.
 
     Bisection on [-40, 40] against q_function (Q is strictly decreasing), so
     the round trip q_function(q_inverse(p)) matches to near machine accuracy.
+    Cached: callers price many SINRs at one false-alarm rate.
 
     Raises:
         ValueError: if p is outside the open interval (0, 1).
@@ -131,13 +134,11 @@ def q_inverse(p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def detection_probability(gamma: float, p_fa: float,
-                          q_fa: float | None = None) -> float:
+def detection_probability(gamma: float, p_fa: float) -> float:
     """Neyman-Pearson detection probability Q(Q^-1(p_fa) - sqrt(2 gamma)).
 
     Zero SINR collapses to the false-alarm floor exactly; the function is
-    strictly increasing in gamma. Callers that score many SINRs at one p_fa
-    pass q_fa = q_inverse(p_fa) so the bisection runs once, not per call.
+    strictly increasing in gamma.
     """
     if gamma < 0.0:
         raise ValueError(f"sensing SINR must be >= 0, got {gamma}")
@@ -145,9 +146,7 @@ def detection_probability(gamma: float, p_fa: float,
         if not 0.0 < p_fa < 1.0:
             raise ValueError(f"false-alarm rate must be in (0, 1), got {p_fa}")
         return p_fa
-    if q_fa is None:
-        q_fa = q_inverse(p_fa)
-    return q_function(q_fa - np.sqrt(2.0 * gamma))
+    return q_function(q_inverse(p_fa) - np.sqrt(2.0 * gamma))
 
 
 # =====================================================================
@@ -230,8 +229,7 @@ def evaluate_sensing(solution: RsNomaSolution, targets, geom: ArrayGeometry,
     sinr = sensing_sinrs(solution, targets, sigma_s2, geom)
     with np.errstate(divide="ignore"):
         sinr_db = 10.0 * np.log10(sinr)
-    q_fa = q_inverse(p_fa) if len(targets) else None
-    pd = np.array([detection_probability(g, p_fa, q_fa) for g in sinr])
+    pd = np.array([detection_probability(g, p_fa) for g in sinr])
     crlb = np.array([
         crlb_closed_form(t, solution, geom, sigma_s2) for t in targets
     ])

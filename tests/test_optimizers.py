@@ -175,7 +175,8 @@ def test_loaded_solve_push_through_matches_the_dense_system():
         x = rng.standard_normal((k, 2)) + 1j * rng.standard_normal((k, 2))
         dense = (h.T * coefs) @ h.conj() + 0.3 * np.eye(m)
         ref = np.linalg.solve(dense, h.T @ x).T
-        assert np.allclose(_loaded_solve(h, coefs, 0.3, x), ref,
+        gram = h.conj() @ h.T
+        assert np.allclose(_loaded_solve(h, gram, coefs, 0.3, x), ref,
                            rtol=1e-12, atol=1e-12)
 
 

@@ -256,14 +256,16 @@ def test_evaluate_sensing_bundles_scalar_routes():
     geom = desk_geom()
     sol = random_solution(rng, geom.m_total)
     targets = some_targets(2)
+    q_inverse.cache_clear()
     ev = evaluate_sensing(sol, targets, geom, SIGMA_S2, p_fa=1e-3,
                           p_max=sol.total_power())
+    # the Q^-1(p_fa) bisection runs once per false-alarm rate, not per target
+    assert q_inverse.cache_info().misses == 1
     assert ev.num_targets == 2
     for l in range(2):
         g = dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom)
         assert ev.sinr[l] == pytest.approx(g, rel=1e-12)
         assert ev.sinr_db[l] == pytest.approx(10.0 * np.log10(g), rel=1e-12)
-        # the hoisted Q^-1(p_fa) leaves the detection chain bit-identical
         assert ev.detection_prob[l] == detection_probability(ev.sinr[l], 1e-3)
         assert ev.crlb[l] == pytest.approx(
             crlb_closed_form(targets[l], sol, geom, SIGMA_S2), rel=1e-12)
