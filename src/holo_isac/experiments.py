@@ -11,6 +11,7 @@ impaired channels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -20,10 +21,10 @@ import numpy as np
 
 from .channel import PathSampler, SensingTarget, generate_user_channel
 from .config import ALGORITHM_NAMES, ScenarioConfig, WeightSection
+from .geometry import ArrayGeometry
 from .impairments import (
     ImpairmentChain,
     coupling_matrix,
-    effective_channel,
     inject_csi_error,
     iq_coefficients,
     phase_noise_from_dbc,
@@ -173,12 +174,22 @@ class TrialData:
     channel_hash: str
 
 
+@functools.lru_cache(maxsize=4)
+def _coupling(geom: ArrayGeometry, kappa: float) -> np.ndarray:
+    """coupling_matrix(geom, [kappa]), conditioning check included, formed
+    once per (geometry, kappa) instead of once per trial. Every trial of a
+    plan shares the array, so it is read-only."""
+    c = coupling_matrix(geom, [kappa])
+    c.flags.writeable = False
+    return c
+
+
 def _impairment_chain(cfg: ScenarioConfig, num_antennas: int,
                       rng: np.random.Generator) -> ImpairmentChain | None:
     imp = cfg.impairments
     coupling = None
     if imp.coupling_kappa != 0.0:
-        coupling = coupling_matrix(cfg.array_geometry(), [imp.coupling_kappa])
+        coupling = _coupling(cfg.array_geometry(), imp.coupling_kappa)
     phase = None
     if imp.phase_noise_dbc > -500.0:
         phase = phase_noise_step(
@@ -228,7 +239,9 @@ def generate_trial_data(cfg: ScenarioConfig,
 
     chain = _impairment_chain(cfg, geom.m_total, rng)
     if chain is not None:
-        h_true = np.vstack([effective_channel(h[i], chain) for i in range(k)])
+        # effective_channel's product per user, with the cascade formed once
+        t_h = chain.transform(geom.m_total).conj().T
+        h_true = np.vstack([t_h @ h[i] for i in range(k)])
     else:
         h_true = h
 
@@ -252,7 +265,8 @@ def generate_trial_data(cfg: ScenarioConfig,
 # Per-trial solve and metric extraction
 # =====================================================================
 
-def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig):
+def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
+                   noma_solution=None):
     """Run one algorithm on one instance; returns (solution, trace).
 
     The hao_sca entry is the full two-start procedure: a run from the
@@ -260,6 +274,11 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig):
     conventional-NOMA point, keeping whichever ends with the better
     objective. The RS problem contains the NOMA point, so the warm leg
     guarantees the RS solution never falls below the NOMA baseline.
+
+    noma_solution, for hao_sca only, is that conventional-NOMA point when
+    the caller already holds it: the solution of
+    solve_instance("conv_noma", ...) on the same instance, which is the same
+    deterministic solve, so passing it changes no result.
     """
     geom = cfg.array_geometry()
     weights = cfg.objective_weights()
@@ -269,12 +288,13 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig):
     groups = cfg.population.num_groups
 
     if algorithm == "hao_sca":
-        sol_n, _ = run_hao_sca(channels, targets, geom, weights, limits,
-                               s2n, s2s, opt, num_groups=groups,
-                               conventional_noma=True)
+        if noma_solution is None:
+            noma_solution, _ = run_hao_sca(
+                channels, targets, geom, weights, limits, s2n, s2s, opt,
+                num_groups=groups, conventional_noma=True)
         sol_w, tr_w = run_hao_sca(channels, targets, geom, weights, limits,
                                   s2n, s2s, opt, num_groups=groups,
-                                  warm_start=sol_n)
+                                  warm_start=noma_solution)
         sol_c, tr_c = run_hao_sca(channels, targets, geom, weights, limits,
                                   s2n, s2s, opt, num_groups=groups)
         if tr_c.objectives[-1] >= tr_w.objectives[-1]:
@@ -345,18 +365,25 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
     seed = np.random.SeedSequence((plan.master_seed, sweep_index, trial_index))
     rng = np.random.default_rng(seed)
     data = generate_trial_data(cfg, rng)
-    out = []
-    for algorithm in plan.algorithms:
+    rows = {}
+    shared = {}
+    # conv_noma first: its solution is the warm start of hao_sca's NOMA leg
+    for algorithm in sorted(plan.algorithms, key=lambda a: a != "conv_noma"):
+        extra = shared if algorithm == "hao_sca" else {}
         try:
             sol, trace = solve_instance(algorithm, data.channels_est,
-                                        data.targets, cfg)
-            out.append(_evaluate_trial(sol, trace, data, cfg, sweep_index,
-                                       sweep_value, algorithm, trial_index))
+                                        data.targets, cfg, **extra)
+            if algorithm == "conv_noma":
+                shared["noma_solution"] = sol
+            rows[algorithm] = _evaluate_trial(sol, trace, data, cfg,
+                                              sweep_index, sweep_value,
+                                              algorithm, trial_index)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):
-            out.append(_failure_result(sweep_index, sweep_value, algorithm,
-                                       trial_index, data.channel_hash,
-                                       len(data.targets)))
-    return out
+            rows[algorithm] = _failure_result(sweep_index, sweep_value,
+                                              algorithm, trial_index,
+                                              data.channel_hash,
+                                              len(data.targets))
+    return [rows[algorithm] for algorithm in plan.algorithms]
 
 
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> list[TrialResult]:

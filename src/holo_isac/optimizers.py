@@ -97,6 +97,25 @@ def sca_surrogate_gamma(w: np.ndarray, w_anchor: np.ndarray, h: np.ndarray,
 # Shared evaluation core
 # =====================================================================
 
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """a @ b over the last axis, for every leading index of a.
+
+    Each row is one BLAS dot, the call a 1-D a @ b makes, so a row gives the
+    same bits whether or not it sits in a stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pow2(x):
+    """x ** 2 of a float64 scalar, or of each entry of an array.
+
+    A float64 scalar squares through libm pow, which can round differently
+    from the x * x that array ** 2 takes, so stacked entries take the scalar
+    route too and match a lone candidate's value."""
+    if np.ndim(x) == 0:
+        return x ** 2
+    return np.array([v ** 2 for v in x])
+
+
 class _EvalContext:
     """Precomputed per-instance quantities plus the fast objective evaluator.
 
@@ -121,12 +140,31 @@ class _EvalContext:
         self.num_groups = grouping.num_groups
         self.qos_penalty = float(qos_penalty)
 
+        g, k = self.num_groups, self.k_total
         self.assign = grouping.assignment
         self.mask = grouping.interference_mask()
-        self.members = [grouping.members(g) for g in range(self.num_groups)]
+        self.members = [grouping.members(gi) for gi in range(g)]
+        self.users = np.arange(k)
+        self.private_cols = g + self.users
+        # users in SIC order, group by group, and each group's first slot
+        self.order = np.concatenate(self.members)
+        self.starts = np.cumsum([0] + [len(mem) for mem in self.members])[:-1]
+        # members of each group, padded with user index K (see _group_sums)
+        width = max(len(mem) for mem in self.members)
+        self.group_slots = np.full((g, width), k)
+        for gi, mem in enumerate(self.members):
+            self.group_slots[gi, :len(mem)] = mem
         # 1.0 where group g's common stream is another group's, seen by user k
         self.other_groups = (self.assign[:, None]
-                             != np.arange(self.num_groups)[None, :]).astype(float)
+                             != np.arange(g)[None, :]).astype(float)
+        # 0/1 tables over the streams: which ones user k hears as interference
+        # at its common stage and at its private stage, and its own private
+        self.hear_c = np.ones((k, self.num_streams))
+        self.hear_c[self.users, self.assign] = 0.0
+        self.hear_p = self.hear_c.copy()
+        self.hear_p[:, g:g + k] = self.mask
+        self.own_or_hear_p = self.hear_p.copy()
+        self.own_or_hear_p[self.users, self.private_cols] = 1.0
 
         self.steer = np.vstack([
             array_response(geom, t.theta, t.phi, t.r) for t in targets
@@ -157,6 +195,23 @@ class _EvalContext:
         else:
             self.crlb_num = None
 
+    @property
+    def weights(self) -> ObjectiveWeights:
+        return self._weights
+
+    @weights.setter
+    def weights(self, value: ObjectiveWeights):
+        self._weights = value
+        self.aw = value.as_array()
+
+    def _group_sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-group sums of a per-user vector, each over the group's members
+        in SIC order, as np.sum(x[members]) adds them. The padding reads a
+        trailing +0.0, which leaves a sum of nonnegative terms unchanged; the
+        two orders part only for unequal groups of eight or more users, where
+        np.sum switches to pairwise summation."""
+        return np.append(x, 0.0)[self.group_slots].sum(axis=-1)
+
     # -- stream slicing helpers ---------------------------------------
     @property
     def num_streams(self) -> int:
@@ -184,60 +239,83 @@ class _EvalContext:
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray,
-                 shares: np.ndarray | None = None):
+                 shares: np.ndarray | None = None, row=None):
         """Penalized composite objective plus every intermediate quantity.
 
         The (w, p) stream part is priced first and reprice finishes the
         split. Callers that hold rho fixed may pass the precomputed share
-        vector to skip its recomputation in hot loops."""
+        vector to skip its recomputation in hot loops.
+
+        row = (j, rows) prices n candidates in one call: w with its row j
+        replaced by each of the n rows in turn. The objective then comes
+        back as an (n,) array and every aux entry gains the candidate axis,
+        except those of _P_ONLY; pick takes one candidate's entries out,
+        equal bit for bit to evaluating that candidate alone."""
         if shares is None:
             shares = self.shares(rho)
-        return self.reprice(self._streams(w, p), shares)
+        return self.reprice(self._streams(w, p, row), shares)
 
-    def _streams(self, w: np.ndarray, p: np.ndarray) -> dict:
+    # aux entries that depend on the powers alone, so a stack shares them
+    _P_ONLY = ("ptot", "crlb_pen")
+
+    @classmethod
+    def pick(cls, aux: dict, i: int) -> dict:
+        """Candidate i's entries of a stacked evaluation."""
+        return {key: value if key in cls._P_ONLY else value[i]
+                for key, value in aux.items()}
+
+    def _streams(self, w: np.ndarray, p: np.ndarray, row=None) -> dict:
         """Everything that depends on (w, p) alone: stream gains, SINRs and
         rates, echo SINRs, the sensing utility and the rho-free penalty terms.
 
         Interference from other groups' commons and echo clutter from other
         targets are summed over those terms directly, not as a total minus the
-        own term, which would cancel whenever the own term dominates."""
+        own term, which would cancel whenever the own term dominates.
+
+        Candidates of a row (see evaluate) share one working copy of w, so
+        memory does not grow with their number; each one's gains are the
+        products a lone evaluation makes, and everything after them is
+        elementwise, reduces along the last axis or is one BLAS call per
+        candidate, so stacking changes no bit."""
         g, k = self.num_groups, self.k_total
-        v = self.hc @ w.T                      # (K, S)
+        if row is None:
+            v = self.hc @ w.T                  # (K, S)
+            va = self.steer_c @ w.T            # (L, S)
+        else:
+            j, rows = row
+            cand = w.copy()
+            v = np.empty((len(rows), k, len(w)), dtype=complex)
+            va = np.empty((len(rows), self.num_targets, len(w)), dtype=complex)
+            for i, r in enumerate(rows):
+                cand[j] = r
+                np.matmul(self.hc, cand.T, out=v[i])
+                np.matmul(self.steer_c, cand.T, out=va[i])
         g2 = np.abs(v) ** 2
         pc, pp, ps = p[:g], p[g:g + k], p[-1]
 
-        own_col = self.assign                  # user k's common column
-        own_c = g2[np.arange(k), own_col] * pc[own_col]
-        other_c = (g2[:, :g] * self.other_groups) @ pc
-        all_p = g2[:, g:g + k] @ pp
-        sense = g2[:, -1] * ps
+        own_c = g2[..., self.users, self.assign] * pc[self.assign]
+        other_c = (g2[..., :g] * self.other_groups) @ pc
+        all_p = g2[..., g:g + k] @ pp
+        sense = g2[..., -1] * ps
         i_common = other_c + all_p + sense
-        i_private = other_c + (g2[:, g:g + k] * self.mask) @ pp + sense
+        i_private = other_c + (g2[..., g:g + k] * self.mask) @ pp + sense
 
-        own_p = g2[np.arange(k), g + np.arange(k)] * pp
+        own_p = g2[..., self.users, self.private_cols] * pp
         d_c = i_common + self.sigma_n2
         d_p = i_private + self.sigma_n2
         gam_c = own_c / d_c
         gam_p = own_p / d_p
         c_rate = np.log2(1.0 + gam_c)
         p_rate = np.log2(1.0 + gam_p)
-        group_c = np.array([c_rate[mem].min() for mem in self.members])
+        group_c = np.minimum.reduceat(c_rate[..., self.order], self.starts,
+                                      axis=-1)
 
-        if self.num_targets:
-            va = self.steer_c @ w.T            # (L, S)
-            m2 = np.abs(va) ** 2
-            beam_sum = m2 @ p
-            echoes = self.echo_power * beam_sum**2
-            d_l = self.other_targets @ echoes + self.sigma_s2
-            gam_l = echoes / d_l
-            util = float(np.sum(np.log2(1.0 + gam_l)))
-        else:
-            va = np.zeros((0, self.num_streams))
-            m2 = va
-            beam_sum = np.zeros(0)
-            gam_l = np.zeros(0)
-            d_l = np.zeros(0)
-            util = 0.0
+        m2 = np.abs(va) ** 2
+        beam_sum = m2 @ p
+        echoes = self.echo_power * beam_sum**2
+        d_l = (self.other_targets @ echoes[..., None])[..., 0] + self.sigma_s2
+        gam_l = echoes / d_l
+        util = np.log2(1.0 + gam_l).sum(axis=-1)
 
         det_short = np.maximum(0.0, self.gamma_min - gam_l)
         crlb_pen = 0.0
@@ -251,7 +329,7 @@ class _EvalContext:
             "d_c": d_c, "d_p": d_p, "d_l": d_l, "gam_c": gam_c, "gam_p": gam_p,
             "gam_l": gam_l, "c_rate": c_rate, "p_rate": p_rate,
             "group_c": group_c, "util": util, "ptot": float(p.sum()),
-            "det_pen": float(det_short @ det_short), "crlb_pen": crlb_pen,
+            "det_pen": _rowdot(det_short, det_short), "crlb_pen": crlb_pen,
         }
 
     def reprice(self, aux: dict, shares: np.ndarray):
@@ -261,31 +339,37 @@ class _EvalContext:
         allocation, the per-user totals, sum rate, energy efficiency,
         fairness and the rate penalty depend on the split, so this is O(K).
         evaluate ends here too, so both give bit-identical values."""
-        k = self.k_total
-        alloc = aux["group_c"][self.assign] * shares
+        f, split = self._split_terms(aux, shares)
+        out = dict(aux)
+        out.update(split)
+        return f, out
+
+    def _split_terms(self, aux: dict, shares: np.ndarray):
+        """reprice's objective and the entries that depend on the split."""
+        alloc = aux["group_c"].take(self.assign, axis=-1) * shares
         total_rate = alloc + aux["p_rate"]
-        rate_sum = float(total_rate.sum())
+        rate_sum = total_rate.sum(axis=-1)
 
         ptot = aux["ptot"]
-        ee = rate_sum / ptot if ptot > 0.0 else 0.0
-        if np.any(total_rate > 0.0):
-            fair = float(total_rate.sum() ** 2 / (k * float(total_rate @ total_rate)))
-        else:
-            fair = 0.0
+        ee = rate_sum / ptot if ptot > 0.0 else 0.0 * rate_sum
+        # rates are >= 0, so a zero sum of squares means all are zero; the
+        # smallest subnormal floor then turns 0 / 0 into a fairness of 0 and
+        # leaves every positive sum of squares as it is
+        sq = np.maximum(_rowdot(total_rate, total_rate), 5e-324)
+        fair = _pow2(rate_sum) / (self.k_total * sq)
 
-        aw = self.weights.as_array()
-        value = float(aw @ np.array([rate_sum, aux["util"], ee, fair]))
+        comps = np.array([rate_sum, aux["util"], ee, fair]).T
+        value = _rowdot(np.ascontiguousarray(comps), self.aw)
 
         rate_short = np.maximum(0.0, self.limits.r_min - total_rate)
-        penalty = self.qos_penalty * (float(rate_short @ rate_short)
+        penalty = self.qos_penalty * (_rowdot(rate_short, rate_short)
                                       + aux["det_pen"])
         if self.crlb_num is not None:
             penalty += self.qos_penalty * aux["crlb_pen"]
 
-        out = dict(aux)
-        out.update(alloc=alloc, total_rate=total_rate, rate_sum=rate_sum,
-                   ee=ee, fair=fair, value=value, penalty=penalty)
-        return value - penalty, out
+        return value - penalty, dict(
+            alloc=alloc, total_rate=total_rate, rate_sum=rate_sum, ee=ee,
+            fair=fair, value=value, penalty=penalty)
 
     def violation_norm(self, p, aux) -> float:
         """Euclidean norm of all constraint shortfalls at this iterate."""
@@ -302,16 +386,10 @@ class _EvalContext:
     def _user_weights(self, aux) -> np.ndarray:
         """Effective per-user weight on a unit rate increase (objective share
         plus any active QoS-shortfall pressure)."""
-        a = self.weights.as_array()
+        a = self.aw
         base = a[0] + (a[2] / aux["ptot"] if aux["ptot"] > 0.0 else 0.0)
         short = np.maximum(0.0, self.limits.r_min - aux["total_rate"])
         return base + 2.0 * self.qos_penalty * short
-
-    def _target_weights(self, aux) -> np.ndarray:
-        a = self.weights.as_array()
-        gam = aux["gam_l"]
-        short = np.maximum(0.0, self.gamma_min - gam)
-        return a[1] / _LN2 / (1.0 + gam) + 2.0 * self.qos_penalty * short
 
     def _common_blend(self, c_rate: np.ndarray) -> np.ndarray:
         """Per-user weight on the group-minimum common rate.
@@ -319,16 +397,20 @@ class _EvalContext:
         At an exact tie any convex combination of member gradients is a valid
         subgradient of the min; softmin weights realize that and keep the
         direction from flip-flopping between near-tied members."""
-        out = np.zeros(self.k_total)
-        for mem in self.members:
-            r = c_rate[mem]
-            lo = float(r.min())
-            tau = max(0.1 * (1.0 + lo), 1e-9)
-            b = np.exp(-(r - lo) / tau)
-            out[mem] = b / b.sum()
-        return out
+        lo = np.minimum.reduceat(c_rate[self.order], self.starts)[self.assign]
+        tau = np.maximum(0.1 * (1.0 + lo), 1e-9)
+        b = np.exp(-(c_rate - lo) / tau)
+        return b / self._group_sums(b)[self.assign]
 
-    def beam_gradient(self, w, p, rho, aux, anchor) -> np.ndarray:
+    def _common_weights(self, aux, shares) -> tuple:
+        """(u, wc): the per-user rate weights and each user's weight on its
+        group's common rate, the group's share-weighted rate weight spread by
+        the softmin blend."""
+        u = self._user_weights(aux)
+        group_u = self._group_sums(u * shares)
+        return u, self._common_blend(aux["c_rate"]) * group_u[self.assign]
+
+    def beam_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
         """Ascent direction for all beamformers.
 
         Same construction as the power gradient: signal quadratics are
@@ -339,41 +421,24 @@ class _EvalContext:
         g, k = self.num_groups, self.k_total
         d_c0, d_p0, d_l0 = anchor
         g2, v = aux["g2"], aux["v"]
-        ar = np.arange(k)
-        own_col = self.assign
+        ar, own_col = self.users, self.assign
 
-        u = self._user_weights(aux)
-        shares = self.shares(rho)
-        group_u = np.zeros(g)
-        for gi in range(g):
-            mem = self.members[gi]
-            group_u[gi] = float(np.sum(u[mem] * shares[mem]))
-        wc = self._common_blend(aux["c_rate"]) * group_u[own_col]
-
+        u, wc = self._common_weights(aux, shares)
         own_c = g2[ar, own_col] * p[own_col]
-        own_p = g2[ar, g + ar] * p[g:g + k]
-
-        # 0/1 tables of which stream is interference to user k at each stage
-        hear_c = np.ones((k, self.num_streams))
-        hear_c[ar, own_col] = 0.0
-        hear_p = np.ones((k, self.num_streams))
-        hear_p[ar, own_col] = 0.0
-        hear_p[:, g:g + k] = self.mask
-        own_sig = np.zeros((k, self.num_streams))
-        own_sig[ar, g + ar] = 1.0
+        own_p = g2[ar, self.private_cols] * p[g:g + k]
 
         cmat = (wc / _LN2)[:, None] * p[None, :] \
-            * (1.0 / (own_c + aux["d_c"])[:, None] - hear_c / d_c0[:, None])
+            * (1.0 / (own_c + aux["d_c"])[:, None] - self.hear_c / d_c0[:, None])
         pmat = (u / _LN2)[:, None] * p[None, :] \
-            * ((own_sig + hear_p) / (own_p + aux["d_p"])[:, None]
-               - hear_p / d_p0[:, None])
+            * (self.own_or_hear_p / (own_p + aux["d_p"])[:, None]
+               - self.hear_p / d_p0[:, None])
         grad = ((cmat + pmat) * v).T @ self.h
 
         if self.num_targets:
             va, beam_sum = aux["va"], aux["beam_sum"]
             d_l, gam_l = aux["d_l"], aux["gam_l"]
             tot = float((self.echo_power * beam_sum**2).sum())
-            a1 = self.weights.as_array()[1]
+            a1 = self.aw[1]
             short = np.maximum(0.0, self.gamma_min - gam_l)
             inv0 = 1.0 / d_l0
             base = a1 / _LN2 * (self.num_targets / (tot + self.sigma_s2)
@@ -385,7 +450,7 @@ class _EvalContext:
             grad += (cs * va).T @ self.steer
         return grad
 
-    def power_gradient(self, w, p, rho, aux, anchor) -> np.ndarray:
+    def power_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
         """Gradient of the linearized-interference composite in the powers.
 
         Signal-plus-interference terms are evaluated at the current powers
@@ -398,16 +463,9 @@ class _EvalContext:
         d_c0, d_p0, d_l0 = anchor
         g2 = aux["g2"]
         grad = np.zeros(self.num_streams)
-        ar = np.arange(k)
-        own_col = self.assign
+        ar, own_col = self.users, self.assign
 
-        u = self._user_weights(aux)
-        shares = self.shares(rho)
-        group_u = np.zeros(g)
-        for gi in range(g):
-            mem = self.members[gi]
-            group_u[gi] = float(np.sum(u[mem] * shares[mem]))
-        wc = self._common_blend(aux["c_rate"]) * group_u[own_col]
+        u, wc = self._common_weights(aux, shares)
 
         # common stage: S+D sums every stream, so its derivative is g2 itself
         own_c = g2[ar, own_col] * p[own_col]
@@ -418,15 +476,10 @@ class _EvalContext:
         np.add.at(grad, own_col, lfac * g2[ar, own_col])
 
         # private stage: own common is cancelled, privates heard per SIC mask
-        own_p = g2[ar, g + ar] * p[g:g + k]
-        dmat = g2.copy()
-        dmat[ar, own_col] = 0.0
-        dmat[:, g:g + k] *= self.mask
-        numer = dmat.copy()
-        numer[ar, g + ar] = g2[ar, g + ar]
+        own_p = g2[ar, self.private_cols] * p[g:g + k]
         pfac = u / _LN2 / (own_p + aux["d_p"])
-        grad += pfac @ numer
-        grad -= (u / _LN2 / d_p0) @ dmat
+        grad += pfac @ (g2 * self.own_or_hear_p)
+        grad -= (u / _LN2 / d_p0) @ (g2 * self.hear_p)
 
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
@@ -434,7 +487,7 @@ class _EvalContext:
             de = (2.0 * self.echo_power * beam_sum)[:, None] * m2
             dt = de.sum(axis=0)
             tot = float((self.echo_power * beam_sum**2).sum())
-            a1 = self.weights.as_array()[1]
+            a1 = self.aw[1]
             if a1 > 0.0:
                 grad += a1 / _LN2 * (self.num_targets * dt / (tot + self.sigma_s2)
                                      - (1.0 / d_l0) @ (dt[None, :] - de))
@@ -443,9 +496,8 @@ class _EvalContext:
                 dgam = (de - gam_l[:, None] * (dt[None, :] - de)) / d_l[:, None]
                 grad += (2.0 * self.qos_penalty * short) @ dgam
 
-        a = self.weights.as_array()
         if aux["ptot"] > 0.0:
-            grad -= a[2] * aux["rate_sum"] / aux["ptot"] ** 2
+            grad -= self.aw[2] * aux["rate_sum"] / aux["ptot"] ** 2
         if self.crlb_num is not None:
             ps = p[-1]
             if ps > 0.0:
@@ -494,7 +546,11 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
 
     A joint step over all rows is tried first; when it is rejected the rows
     are retried one at a time with the same gradient, so streams whose
-    directions conflict cannot deadlock the whole block."""
+    directions conflict cannot deadlock the whole block. A row's up to four
+    backtracking steps all move the same entry iterate, so they are priced
+    together in one stacked ctx.evaluate call, and the first improving step
+    in backtracking order is kept: the iterate, objective and step sizes are
+    those of trying the steps one by one, bit for bit."""
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     best_w, best_f, best_aux = w, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
@@ -505,7 +561,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     row_eta = np.full(w.shape[0], config.step_size)
     joint_ok = True
     for _ in range(config.inner_steps):
-        grad = ctx.beam_gradient(best_w, p, rho, best_aux, anchor)
+        grad = ctx.beam_gradient(best_w, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad[frozen] = 0.0
@@ -537,24 +593,29 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
             for j in np.argsort(-tn):
                 if frozen[j] or tn[j] < 1e-14:
                     continue
-                dir_j = tang[j] / tn[j]
-                step = row_eta[j]
-                for _bt in range(4):
-                    row = best_w[j] + step * dir_j
-                    nr = np.linalg.norm(row)
-                    if nr >= 1e-300:
-                        cand = best_w.copy()
-                        cand[j] = row / nr
-                        f_c, aux_c = ctx.evaluate(cand, p, rho, shares)
-                        if f_c > best_f:
-                            best_w, best_f, best_aux = cand, f_c, aux_c
-                            row_eta[j] = min(step * 1.5, 1.0)
-                            accepted = True
-                            break
-                    step *= config.backtrack
-                if accepted:
-                    break
-                row_eta[j] = max(step, 1e-3)
+                steps = [row_eta[j]]
+                for _bt in range(3):
+                    steps.append(steps[-1] * config.backtrack)
+                steps = np.array(steps)
+                rows = best_w[j] + steps[:, None] * (tang[j] / tn[j])
+                # |row| as np.linalg.norm takes it: real and imaginary dots
+                norms = np.sqrt(_rowdot(rows.real, rows.real)
+                                + _rowdot(rows.imag, rows.imag))
+                live = norms >= 1e-300
+                if live.any():
+                    cands = rows[live] / norms[live, None]
+                    f_c, aux_c = ctx.evaluate(best_w, p, rho, shares,
+                                              row=(j, cands))
+                    better = np.flatnonzero(f_c > best_f)
+                    if better.size:
+                        i = better[0]
+                        best_w = best_w.copy()
+                        best_w[j] = cands[i]
+                        best_f, best_aux = f_c[i], ctx.pick(aux_c, i)
+                        row_eta[j] = min(steps[live][i] * 1.5, 1.0)
+                        accepted = True
+                        break
+                row_eta[j] = max(steps[-1] * config.backtrack, 1e-3)
         if not accepted:
             break
     return best_w, best_f, best_aux
@@ -568,7 +629,7 @@ def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig
     shares = ctx.shares(rho)
     eta = config.step_size
     for _ in range(config.inner_steps):
-        grad = ctx.power_gradient(w, best_p, rho, best_aux, anchor)
+        grad = ctx.power_gradient(w, best_p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:
@@ -614,30 +675,32 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
         if len(mem) < 2:
             continue  # a lone user owns the whole common capacity regardless
         for k in mem:
-            def f_of(rk: float):
+            def probe(rk: float):
                 cand = best_rho.copy()
                 cand[k] = rk
                 shares = best_shares.copy()
                 shares[mem] = _group_shares(cand[mem])
-                val, aux = ctx.reprice(aux0, shares)
-                return val, aux, cand, shares
+                return cand, shares
+
+            def f_of(rk: float):
+                return ctx._split_terms(aux0, probe(rk)[1])[0]
 
             lo, hi = 0.0, 1.0
             x1 = hi - _GOLDEN * (hi - lo)
             x2 = lo + _GOLDEN * (hi - lo)
-            f1 = f_of(x1)[0]
-            f2 = f_of(x2)[0]
+            f1 = f_of(x1)
+            f2 = f_of(x2)
             for _ in range(40):
                 if f1 < f2:
                     lo, x1, f1 = x1, x2, f2
                     x2 = lo + _GOLDEN * (hi - lo)
-                    f2 = f_of(x2)[0]
+                    f2 = f_of(x2)
                 else:
                     hi, x2, f2 = x2, x1, f1
                     x1 = hi - _GOLDEN * (hi - lo)
-                    f1 = f_of(x1)[0]
-            xb = x1 if f1 >= f2 else x2
-            fb, auxb, candb, sharesb = f_of(xb)
+                    f1 = f_of(x1)
+            candb, sharesb = probe(x1 if f1 >= f2 else x2)
+            fb, auxb = ctx.reprice(aux0, sharesb)
             if fb > best_f:
                 best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
     return best_rho, best_f, best_aux

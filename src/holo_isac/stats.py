@@ -193,9 +193,12 @@ def cohens_d(a, b) -> float:
 
 
 def _two_sided_p(t: float, df: float) -> float:
+    """P(|T| >= |t|) = I_{df/(df+t^2)}(df/2, 1/2), taken from the upper tail
+    directly: 1 - CDF would round every p below about 1e-16 to 0."""
     if np.isinf(t):
         return 0.0
-    return max(0.0, min(1.0, 2.0 * (1.0 - t_cdf(abs(t), df))))
+    return min(1.0, regularized_incomplete_beta(0.5 * df, 0.5,
+                                                df / (df + t * t)))
 
 
 def paired_t_test(a, b, confidence: float = 0.95) -> StatTestResult:
@@ -276,7 +279,10 @@ def one_way_anova(groups, confidence: float = 0.95) -> StatTestResult:
         return StatTestResult("anova_f", stat, df1, p, 0.0, np.nan, np.nan,
                              confidence, df2=df2)
     stat = float((ss_between / df1) / (ss_within / df2))
-    p = max(0.0, min(1.0, 1.0 - f_cdf(stat, df1, df2)))
+    # P(F >= stat) = I_{df2/(df2+df1 stat)}(df2/2, df1/2): the upper tail
+    # directly, not 1 - CDF, which is 0 below about 1e-16
+    p = min(1.0, regularized_incomplete_beta(0.5 * df2, 0.5 * df1,
+                                             df2 / (df2 + df1 * stat)))
     eta_sq = float(ss_between / (ss_between + ss_within))
     return StatTestResult("anova_f", stat, df1, p, eta_sq,
                          np.nan, np.nan, confidence, df2=df2)

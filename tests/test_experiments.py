@@ -3,6 +3,8 @@ import pytest
 
 import holo_isac.experiments as experiments
 from holo_isac.config import preset_config
+from holo_isac.impairments import coupling_matrix, effective_channel
+from holo_isac.records import format_record
 from holo_isac.experiments import (
     ExperimentPlan,
     TrialResult,
@@ -26,6 +28,15 @@ def tiny_config(trials=2, algorithms=("fp", "conv_noma")):
 def trial_rng(master_seed, sweep_index, trial_index):
     return np.random.default_rng(
         np.random.SeedSequence((master_seed, sweep_index, trial_index)))
+
+
+def impaired_config(trials=2, algorithms=("fp", "conv_noma")):
+    cfg = tiny_config(trials, algorithms)
+    cfg.impairments.coupling_kappa = 0.1
+    cfg.impairments.irr_db = 25.0
+    cfg.impairments.phase_noise_dbc = -25.0
+    cfg.impairments.csi_eps = 0.1
+    return cfg
 
 
 # =====================================================================
@@ -148,6 +159,25 @@ def test_csi_noise_leaves_true_channels_paired():
         assert err == pytest.approx(0.3, rel=1e-9)
 
 
+def test_impaired_draw_matches_the_per_user_effective_channel():
+    cfg = impaired_config()
+    plain = tiny_config()
+    for trial in range(3):
+        data = generate_trial_data(cfg, trial_rng(23, 0, trial))
+        # the clean draw consumes the stream up to the impairments, which
+        # are then drawn from where generate_trial_data draws them
+        rng = trial_rng(23, 0, trial)
+        h = generate_trial_data(plain, rng).channels_true
+        chain = experiments._impairment_chain(cfg, h.shape[1], rng)
+        per_user = np.vstack([effective_channel(row, chain) for row in h])
+        assert data.channels_true.tobytes() == per_user.tobytes()
+    geom = cfg.array_geometry()
+    c = experiments._coupling(geom, 0.1)
+    assert experiments._coupling(geom, 0.1) is c
+    assert not c.flags.writeable
+    assert np.array_equal(c, coupling_matrix(geom, [0.1]))
+
+
 def test_shared_component_raises_user_correlation():
     plain = tiny_config()
     mixed = tiny_config()
@@ -235,6 +265,26 @@ def test_run_experiment_survives_solver_failure(monkeypatch):
     assert all(r.failed for r in bad)
     assert all(r.objective == 0.0 and not r.converged for r in bad)
     assert all(not r.failed for r in good)
+
+
+def test_shared_noma_solve_leaves_each_algorithm_rows_unchanged(monkeypatch):
+    cfg = impaired_config(trials=2)
+    legs = []
+    real = experiments.run_hao_sca
+
+    def counted(*args, **kwargs):
+        legs.append(kwargs.get("conventional_noma", False))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_hao_sca", counted)
+    both = run_experiment(make_plan(cfg, algorithms=("hao_sca", "conv_noma")))
+    # one NOMA solve per trial, shared by the conv_noma row and hao_sca
+    assert legs.count(True) == 2 and len(legs) == 6
+    for algorithm in ("hao_sca", "conv_noma"):
+        alone = run_experiment(make_plan(cfg, algorithms=(algorithm,)))
+        shared = [r for r in both if r.algorithm == algorithm]
+        assert [format_record(r) for r in shared] == \
+            [format_record(r) for r in alone]
 
 
 def test_result_sort_key():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import holo_isac.optimizers as optimizers
 from holo_isac.channel import SensingTarget
 from holo_isac.config import preset_config
-from holo_isac.experiments import generate_trial_data
+from holo_isac.experiments import generate_trial_data, solve_instance
 from holo_isac.geometry import ArrayGeometry
 from holo_isac.objective import (
     ObjectiveWeights,
@@ -30,6 +31,7 @@ from holo_isac.optimizers import (
     sca_surrogate_gamma,
 )
 from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
+from oracles import sequential_beam_block
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -249,6 +251,88 @@ def test_each_block_never_decreases_objective():
                      SIGMA_N2, SIGMA_S2, cfg)
         after = obj_value(sol, channels, targets, geom, weights)
         assert after >= before - 1e-9
+
+
+def beam_block_entries(monkeypatch):
+    """Every _beam_block entry of short hao_sca solves (all three legs) on
+    impaired desk_tiny and desk_small draws with CSI error."""
+    entries = []
+    real = optimizers._beam_block
+
+    def record(ctx, w, p, rho, f0, aux0, config, frozen_streams=None):
+        entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, config,
+                        frozen_streams))
+        return real(ctx, w, p, rho, f0, aux0, config, frozen_streams)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizers, "_beam_block", record)
+        for preset in ("desk_tiny", "desk_small"):
+            cfg = preset_config(preset)
+            cfg.impairments.coupling_kappa = 0.1
+            cfg.impairments.irr_db = 25.0
+            cfg.impairments.phase_noise_dbc = -25.0
+            cfg.impairments.csi_eps = 0.1
+            cfg.optimizer.max_iters = 2
+            for seed in range(2):
+                data = generate_trial_data(cfg, np.random.default_rng(seed))
+                solve_instance("hao_sca", data.channels_est, data.targets, cfg)
+    return entries
+
+
+def pricing_calls(ctx, block, *args):
+    """block(ctx, *args) with the (w, row) of every ctx.evaluate call
+    recorded; row is None for a single candidate."""
+    calls = []
+    real = ctx.evaluate
+
+    def spy(w, *rest, row=None, **kwargs):
+        calls.append((np.array(w), row))
+        return real(w, *rest, row=row, **kwargs)
+
+    ctx.evaluate = spy
+    try:
+        return block(ctx, *args), calls
+    finally:
+        del ctx.evaluate
+
+
+def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
+    entries = beam_block_entries(monkeypatch)
+    assert len(entries) >= 10
+    fallbacks = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
+        (w1, f1, aux1), calls = pricing_calls(
+            ctx, optimizers._beam_block, w, p, rho, f0, aux0, config, frozen)
+        w2, f2, aux2 = sequential_beam_block(ctx, w, p, rho, f0, aux0, config,
+                                             frozen)
+        assert w1.tobytes() == w2.tobytes() and f1 == f2
+        assert aux1.keys() == aux2.keys()
+        for key in aux1:
+            assert np.asarray(aux1[key]).tobytes() == \
+                np.asarray(aux2[key]).tobytes(), key
+        fallbacks += any(row is not None for _, row in calls)
+    assert fallbacks >= 3
+
+
+def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
+    visited = []
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            beam_block_entries(monkeypatch):
+        one_step = OptimizerConfig(inner_steps=1,
+                                   max_backtracks=config.max_backtracks)
+        _, calls = pricing_calls(ctx, optimizers._beam_block, w, p, rho, f0,
+                                 aux0, one_step, frozen)
+        joint = [c for c, row in calls if row is None]
+        rows = []
+        for base, row in calls:
+            if row is not None:
+                # every call of the step moves one row of the entry iterate
+                assert np.array_equal(base, w)
+                rows.append(row[0])
+        assert len(joint) <= one_step.max_backtracks
+        assert len(rows) == len(set(rows))
+        visited.extend(rows)
+    assert len(visited) >= 3
 
 
 def test_zero_inner_steps_is_identity_for_beams():

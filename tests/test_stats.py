@@ -140,6 +140,23 @@ def test_anova_against_scipy():
     assert 0.0 <= res.effect_size <= 1.0
 
 
+def test_p_values_far_below_machine_epsilon_match_scipy():
+    # 1 - CDF reads 0 for any p below about 1e-16
+    rng = np.random.default_rng(65)
+    a = rng.standard_normal(200)
+    b = a - 1.0 + 0.3 * rng.standard_normal(200)
+    paired = paired_t_test(a, b)
+    ref = scipy.stats.ttest_rel(a, b)
+    assert ref.pvalue < 1e-100
+    assert paired.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+    assert paired.p_display() != P_SENTINEL
+    groups = [rng.standard_normal(50) + mu for mu in (0.0, 3.0, 6.0)]
+    anova = one_way_anova(groups)
+    ref = scipy.stats.f_oneway(*groups)
+    assert ref.pvalue < 1e-50
+    assert anova.p_value == pytest.approx(ref.pvalue, rel=1e-10)
+
+
 def test_anova_degenerate_groups():
     flat = one_way_anova([[1.0, 1.0], [1.0, 1.0]])
     assert flat.statistic == 0.0 and flat.p_value == 1.0
