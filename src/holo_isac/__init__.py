@@ -5,9 +5,10 @@ Library layout:
 * geometry / channel: planar-array steering vectors, multipath user channels,
   bistatic sensing channels.
 * impairments: mutual coupling, phase noise, I/Q imbalance, CSI error.
-* rates: RS-NOMA interference, rates, and common-capacity allocation.
+* rates: RS-NOMA stream pricing (interference, SINR, rate, group split).
 * sensing: echo SINR, detection probability, Fisher information, CRLBs.
-* objective: composite objective, constraint audits, closed-form bounds.
+* objective: the pricing kernel over both, composite objective, constraint
+  audits, closed-form bounds.
 * optimizers: HAO-SCA block-coordinate ascent, E-WMMSE, FP baseline.
 * stats: t/F distributions, tests, effect sizes, confidence intervals.
 * experiments / records: seeded Monte Carlo driver and result files.
@@ -26,10 +27,8 @@ from .impairments import (ImpairmentChain, PhaseNoiseState, apply_impairments,
                           coupling_matrix, effective_channel, inject_csi_error,
                           iq_coefficients, irr_db, phase_noise_from_dbc,
                           phase_noise_init, phase_noise_step, solve_iq_for_irr)
-from .rates import (Grouping, RateBreakdown, RsNomaSolution, common_interference,
-                    common_rate, conventional_noma_view, default_grouping,
-                    group_common_allocation, private_interference, private_rate,
-                    rate_breakdown, sum_rate, user_total_rate)
+from .rates import (Grouping, RateBreakdown, RsNomaSolution,
+                    conventional_noma_view, default_grouping, rate_breakdown)
 from .sensing import (SensingEvaluation, crlb_closed_form, crlb_lower_bound,
                       crlb_sinr_form, detection_probability, evaluate_sensing,
                       fisher_information, q_function, q_inverse, sensing_sinr,
@@ -40,8 +39,7 @@ from .objective import (ConstraintReport, ObjectiveComponents, ObjectiveWeights,
                         rs_gain_lower_bound, sensing_utility,
                         sum_rate_upper_bound)
 from .optimizers import (ConvergenceTrace, OptimizerConfig, adaptive_weights,
-                         beamforming_update, fp_auxiliary, init_hao_sca,
-                         power_update, rho_update, run_e_wmmse, run_fp,
+                         fp_auxiliary, init_hao_sca, run_e_wmmse, run_fp,
                          run_hao_sca, sca_surrogate_gamma)
 from .stats import (StatTestResult, bonferroni, cohens_d, f_cdf, mean_ci,
                     one_way_anova, paired_t_test, t_cdf, t_quantile,

@@ -235,13 +235,10 @@ class ScenarioConfig:
             raise ValueError("limits.crlb_max must be positive")
         if not 0.0 < lim.p_fa < 1.0:
             raise ValueError("limits.p_fa must lie in (0, 1)")
-        o = self.optimizer
-        if o.max_iters < 1 or o.inner_steps < 0 or o.max_backtracks < 1:
-            raise ValueError("optimizer iteration counts out of range")
-        if o.epsilon <= 0.0 or o.step_size <= 0.0 or o.qos_penalty < 0.0:
-            raise ValueError("optimizer.epsilon/step_size/qos_penalty out of range")
-        if not 0.0 < o.backtrack < 1.0:
-            raise ValueError("optimizer.backtrack must lie in (0, 1)")
+        try:
+            self.optimizer_config()
+        except ValueError as exc:
+            raise ValueError(f"optimizer.{exc}") from None
         e = self.experiment
         if e.trials < 2:
             raise ValueError("experiment.trials must be at least 2")

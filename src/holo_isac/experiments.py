@@ -31,10 +31,9 @@ from .impairments import (
     phase_noise_step,
     solve_iq_for_irr,
 )
-from .objective import composite_objective, energy_efficiency, jain_fairness
+from .objective import price_design
 from .optimizers import run_e_wmmse, run_fp, run_hao_sca
-from .rates import rate_breakdown
-from .sensing import evaluate_sensing
+from .sensing import SensingScene
 
 SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
 
@@ -312,16 +311,17 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _evaluate_trial(sol, trace, data: TrialData, cfg: ScenarioConfig,
-                    sweep_index: int, sweep_value, algorithm: str,
-                    trial_index: int) -> TrialResult:
-    geom = cfg.array_geometry()
-    s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
-    bd = rate_breakdown(sol, data.channels_true, s2n)
-    value, _ = composite_objective(sol, data.channels_true, data.targets,
-                                   geom, cfg.objective_weights(), s2n, s2s)
+def _evaluate_trial(sol, trace, data: TrialData, scene: SensingScene,
+                    cfg: ScenarioConfig, sweep_index: int, sweep_value,
+                    algorithm: str, trial_index: int) -> TrialResult:
+    """One row's metrics on the true channels, priced once; scene holds the
+    trial's target tables, shared by its rows."""
+    s2s = cfg.sigma_s2_watts
+    price = price_design(sol, data.channels_true, scene,
+                         cfg.objective_weights(), cfg.sigma_n2_watts, s2s)
+    comps = price.components
     if data.targets:
-        ev = evaluate_sensing(sol, data.targets, geom, s2s,
+        ev = scene.evaluation(price.echo_sinr, sol.p_sensing, s2s,
                               cfg.limits.p_fa, cfg.p_max_watts)
         sinr_db = tuple(float(x) for x in ev.sinr_db)
         det = float(np.mean(ev.detection_prob))
@@ -338,24 +338,28 @@ def _evaluate_trial(sol, trace, data: TrialData, cfg: ScenarioConfig,
         converged=bool(trace.converged),
         monotone=bool(trace.monotone),
         iterations_used=int(trace.iterations_used),
-        objective=float(value),
-        sum_rate=float(bd.sum_rate),
+        objective=price.value,
+        sum_rate=comps.sum_rate,
         sinr_db=sinr_db,
         detection_prob=det,
         crlb=crlb,
-        energy_efficiency=energy_efficiency(bd.sum_rate, sol.total_power()),
-        fairness=jain_fairness(bd.total_rate),
+        energy_efficiency=comps.energy_efficiency,
+        fairness=comps.fairness,
     )
 
 
 def _failure_result(sweep_index, sweep_value, algorithm, trial_index,
                     channel_hash, num_targets) -> TrialResult:
+    """A failed row: its metrics read NaN and its CRLB +inf (no estimate),
+    so a consumer that forgets the failed flag sees no perfect sensing."""
+    nan = math.nan
     return TrialResult(
         sweep_index=sweep_index, sweep_value=sweep_value, algorithm=algorithm,
         trial_index=trial_index, channel_hash=channel_hash, failed=True,
-        converged=False, monotone=False, iterations_used=0, objective=0.0,
-        sum_rate=0.0, sinr_db=tuple(0.0 for _ in range(num_targets)),
-        detection_prob=0.0, crlb=0.0, energy_efficiency=0.0, fairness=0.0)
+        converged=False, monotone=False, iterations_used=0, objective=nan,
+        sum_rate=nan, sinr_db=tuple(nan for _ in range(num_targets)),
+        detection_prob=nan, crlb=math.inf, energy_efficiency=nan,
+        fairness=nan)
 
 
 def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
@@ -365,6 +369,7 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
     seed = np.random.SeedSequence((plan.master_seed, sweep_index, trial_index))
     rng = np.random.default_rng(seed)
     data = generate_trial_data(cfg, rng)
+    scene = SensingScene(data.targets, cfg.array_geometry())
     rows = {}
     shared = {}
     # conv_noma first: its solution is the warm start of hao_sca's NOMA leg
@@ -375,7 +380,7 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
                                         data.targets, cfg, **extra)
             if algorithm == "conv_noma":
                 shared["noma_solution"] = sol
-            rows[algorithm] = _evaluate_trial(sol, trace, data, cfg,
+            rows[algorithm] = _evaluate_trial(sol, trace, data, scene, cfg,
                                               sweep_index, sweep_value,
                                               algorithm, trial_index)
         except (ValueError, RuntimeError, np.linalg.LinAlgError):

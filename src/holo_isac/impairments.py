@@ -209,10 +209,12 @@ class ImpairmentChain:
     iq_mu: np.ndarray | complex | None = None
 
     def transform(self, num_antennas: int) -> np.ndarray:
-        """The full cascade matrix T = D_PN @ D_IQ @ C."""
-        t = np.eye(num_antennas, dtype=complex)
+        """The full cascade matrix T = D_PN @ D_IQ @ C; the diagonal stages
+        scale the rows of a complex copy of C (of I without coupling)."""
         if self.coupling is not None:
-            t = self.coupling @ t
+            t = self.coupling.astype(complex)
+        else:
+            t = np.eye(num_antennas, dtype=complex)
         if self.iq_mu is not None:
             mu = np.broadcast_to(np.asarray(self.iq_mu, dtype=complex), (num_antennas,))
             t = mu[:, None] * t

@@ -3,6 +3,10 @@ performance bounds used as runtime sanity rails.
 
 The objective blends four normalized-weight components: sum rate, sensing
 utility (log2(1 + SINR) per target), energy efficiency, and Jain fairness.
+price_streams and price_split are the one kernel that prices a design point,
+over rates.stream_rates and sensing.echo_sinrs and over any number of
+stacked candidates; the optimizers add their QoS penalty to it, and
+composite_objective, check_constraints and the result rows are views of it.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry
-from .rates import RsNomaSolution, rate_breakdown
-from .sensing import crlb_closed_form, detection_probability, sensing_sinrs
+from .rates import (RsNomaSolution, StreamLayout, allocate, common_shares,
+                    rate_breakdown, stream_gains, stream_rates)
+from .sensing import SensingScene, detection_probability, echo_sinrs
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,113 @@ class ObjectiveComponents:
                          self.energy_efficiency, self.fairness])
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """a @ b over the last axis, for every leading index of a.
+
+    Each row is one BLAS dot, the call a 1-D a @ b makes, so a row gives the
+    same bits whether or not it sits in a stack."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _pow2(x):
+    """x ** 2 of a float64 scalar, or of each entry of an array.
+
+    A float64 scalar squares through libm pow, which can round differently
+    from the x * x that array ** 2 takes, so stacked entries take the scalar
+    route too and match a lone candidate's value."""
+    if np.ndim(x) == 0:
+        return x ** 2
+    return np.array([v ** 2 for v in x])
+
+
+# =====================================================================
+# Pricing kernel
+# =====================================================================
+
+def price_streams(g2: np.ndarray, m2: np.ndarray, p: np.ndarray,
+                  layout: StreamLayout, scene: SensingScene,
+                  sigma_n2: float, sigma_s2: float) -> dict:
+    """Everything that depends on the beams and powers alone.
+
+    g2 and m2 are the user and target gains of every stream
+    (|h_k^H w_s|^2, |a_l^H w_s|^2) and p the stream powers; any leading axes
+    index candidates. Holds the stream denominators, SINRs and rates
+    (rates.stream_rates), the echo SINRs (sensing.echo_sinrs) and the
+    sensing utility sum_l log2(1 + Gamma_l)."""
+    d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c = stream_rates(
+        g2, p, layout, sigma_n2)
+    beam_sum, d_l, gam_l = echo_sinrs(m2, p, scene, sigma_s2)
+    return {
+        "beam_sum": beam_sum, "d_c": d_c, "d_p": d_p, "d_l": d_l,
+        "gam_c": gam_c, "gam_p": gam_p, "gam_l": gam_l, "c_rate": c_rate,
+        "p_rate": p_rate, "group_c": group_c,
+        "util": np.log2(1.0 + gam_l).sum(axis=-1),
+    }
+
+
+def price_split(streams: dict, shares: np.ndarray, assign: np.ndarray,
+                power: float, aw: np.ndarray) -> dict:
+    """The common split and the weighted blend over a priced stream part.
+
+    shares are the per-user shares of the group common capacity, power the
+    transmit power that energy efficiency divides by and aw the component
+    weights. Holds the allocation, per-user total rates, sum rate, energy
+    efficiency, Jain fairness and the blend aw . (sum rate, utility, EE,
+    fairness), each over the leading candidate axes of the stream part."""
+    alloc, total_rate = allocate(streams["group_c"], streams["p_rate"],
+                                 shares, assign)
+    rate_sum = total_rate.sum(axis=-1)
+    ee = rate_sum / power if power > 0.0 else 0.0 * rate_sum
+    # rates are >= 0, so a zero sum of squares means all are zero; the
+    # smallest subnormal floor then turns 0 / 0 into a fairness of 0 and
+    # leaves every positive sum of squares as it is
+    sq = np.maximum(_rowdot(total_rate, total_rate), 5e-324)
+    fair = _pow2(rate_sum) / (total_rate.shape[-1] * sq)
+    comps = np.array([rate_sum, streams["util"], ee, fair]).T
+    return {"alloc": alloc, "total_rate": total_rate, "rate_sum": rate_sum,
+            "ee": ee, "fair": fair,
+            "value": _rowdot(np.ascontiguousarray(comps), aw)}
+
+
+@dataclass
+class DesignPrice:
+    """One design point priced by the kernel (no QoS penalty)."""
+
+    value: float
+    components: ObjectiveComponents
+    total_rate: np.ndarray
+    echo_sinr: np.ndarray
+
+
+def price_design(solution: RsNomaSolution, channels: np.ndarray,
+                 scene: SensingScene, weights: ObjectiveWeights,
+                 sigma_n2: float, sigma_s2: float,
+                 component_scales=None) -> DesignPrice:
+    """Composite objective, its components, the user rates and the echo
+    SINRs of one design point; energy efficiency divides by
+    solution.total_power()."""
+    if sigma_s2 <= 0.0:
+        raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
+    aw = weights.as_array()
+    if component_scales is not None:
+        scales = np.asarray(component_scales, dtype=float)
+        if scales.shape != (4,) or np.any(scales <= 0.0):
+            raise ValueError(f"component scales must be 4 positive values, got {scales}")
+        aw = aw / scales
+    power = solution.total_power()
+    layout = StreamLayout(solution.grouping)
+    g2, m2 = stream_gains(solution, channels, scene.steer)
+    streams = price_streams(g2, m2, solution.stacked_powers(), layout, scene,
+                            sigma_n2, sigma_s2)
+    split = price_split(streams, common_shares(solution.rho, layout.members),
+                        layout.assign, power, aw)
+    comps = ObjectiveComponents(float(split["rate_sum"]), float(streams["util"]),
+                                float(split["ee"]), float(split["fair"]))
+    return DesignPrice(value=float(split["value"]), components=comps,
+                       total_rate=split["total_rate"],
+                       echo_sinr=streams["gam_l"])
+
+
 def composite_objective(solution: RsNomaSolution, channels: np.ndarray, targets,
                         geom: ArrayGeometry, weights: ObjectiveWeights,
                         sigma_n2: float, sigma_s2: float,
@@ -122,21 +234,9 @@ def composite_objective(solution: RsNomaSolution, channels: np.ndarray, targets,
         (value, ObjectiveComponents) pair; the components are the raw
         (unscaled) values.
     """
-    bd = rate_breakdown(solution, channels, sigma_n2)
-    util = sum(sensing_utility(g)
-               for g in sensing_sinrs(solution, targets, sigma_s2, geom))
-    power = solution.total_power()
-    ee = energy_efficiency(bd.sum_rate, power) if power > 0.0 else 0.0
-    fair = jain_fairness(bd.total_rate) if np.any(bd.total_rate > 0.0) else 0.0
-    comps = ObjectiveComponents(bd.sum_rate, float(util), ee, fair)
-    vec = comps.as_array()
-    if component_scales is not None:
-        scales = np.asarray(component_scales, dtype=float)
-        if scales.shape != (4,) or np.any(scales <= 0.0):
-            raise ValueError(f"component scales must be 4 positive values, got {scales}")
-        vec = vec / scales
-    value = float(weights.as_array() @ vec)
-    return value, comps
+    price = price_design(solution, channels, SensingScene(targets, geom),
+                         weights, sigma_n2, sigma_s2, component_scales)
+    return price.value, price.components
 
 
 @dataclass
@@ -167,11 +267,12 @@ def check_constraints(solution: RsNomaSolution, channels: np.ndarray, targets,
     power_margin = float(limits.p_max - solution.total_power())
     rate_slack = bd.total_rate - limits.r_min
 
-    sinrs = sensing_sinrs(solution, targets, sigma_s2, geom)
+    scene = SensingScene(targets, geom)
     det_slack = np.array([
-        detection_probability(g, limits.p_fa) - limits.p_d_min for g in sinrs
+        detection_probability(g, limits.p_fa) - limits.p_d_min
+        for g in scene.sinrs(solution, sigma_s2)
     ])
-    crlbs = np.array([crlb_closed_form(t, solution, geom, sigma_s2) for t in targets])
+    crlbs = scene.crlb(solution.p_sensing, sigma_s2)
     with np.errstate(invalid="ignore"):
         crlb_slack = limits.crlb_max - crlbs
     crlb_slack = np.where(np.isnan(crlb_slack), 0.0, crlb_slack)  # inf - inf

@@ -1,6 +1,8 @@
 """Block-coordinate optimizers for the joint communication/sensing design.
 
-Three solvers share one evaluation core:
+Three solvers climb one penalized objective, priced by _EvalContext over the
+kernel in objective.price_streams / price_split (the pricing the result rows
+use too) with a quadratic QoS penalty added:
 
 * run_hao_sca: block-coordinate ascent on the composite objective. Each block
   (beamformers, powers, split coefficients) moves along the gradient of a
@@ -21,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import echo_amplitude
-from .geometry import ArrayGeometry, array_response, steering_derivative
-from .objective import ObjectiveWeights, QosLimits
-from .rates import Grouping, RsNomaSolution, default_grouping
-from .sensing import q_inverse
+from .geometry import ArrayGeometry, array_response
+from .objective import (ObjectiveWeights, QosLimits, _rowdot, price_split,
+                        price_streams)
+from .rates import (Grouping, RsNomaSolution, StreamLayout, common_shares,
+                    default_grouping, group_shares)
+from .sensing import SensingScene, echo_sinrs, q_inverse
 
 _LN2 = np.log(2.0)
 _MONO_SLACK = 1e-9
@@ -50,12 +53,16 @@ class OptimizerConfig:
     adaptive_weights: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.inner_steps < 0:
-            raise ValueError("max_iters must be >= 1 and inner_steps >= 0")
-        if self.epsilon <= 0.0 or self.step_size <= 0.0:
-            raise ValueError("epsilon and step_size must be > 0")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack factor must be in (0, 1), got {self.backtrack}")
+        for name, ok, rule in (
+                ("max_iters", self.max_iters >= 1, ">= 1"),
+                ("inner_steps", self.inner_steps >= 0, ">= 0"),
+                ("max_backtracks", self.max_backtracks >= 1, ">= 1"),
+                ("epsilon", self.epsilon > 0.0, "> 0"),
+                ("step_size", self.step_size > 0.0, "> 0"),
+                ("backtrack", 0.0 < self.backtrack < 1.0, "in (0, 1)"),
+                ("qos_penalty", self.qos_penalty >= 0.0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -97,31 +104,15 @@ def sca_surrogate_gamma(w: np.ndarray, w_anchor: np.ndarray, h: np.ndarray,
 # Shared evaluation core
 # =====================================================================
 
-def _rowdot(a: np.ndarray, b: np.ndarray):
-    """a @ b over the last axis, for every leading index of a.
-
-    Each row is one BLAS dot, the call a 1-D a @ b makes, so a row gives the
-    same bits whether or not it sits in a stack."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _pow2(x):
-    """x ** 2 of a float64 scalar, or of each entry of an array.
-
-    A float64 scalar squares through libm pow, which can round differently
-    from the x * x that array ** 2 takes, so stacked entries take the scalar
-    route too and match a lone candidate's value."""
-    if np.ndim(x) == 0:
-        return x ** 2
-    return np.array([v ** 2 for v in x])
-
-
 class _EvalContext:
-    """Precomputed per-instance quantities plus the fast objective evaluator.
+    """Per-instance tables plus the penalized objective the solvers climb.
 
     Works on the stacked representation (W rows = unit beamformers in the
     order commons, privates, sensing; p = matching powers; rho = split
-    coefficients) so one complex GEMM prices all stream gains.
+    coefficients) so one complex GEMM prices all stream gains. The pricing
+    itself is the kernel of objective.price_streams / price_split, the same
+    one rate_breakdown, composite_objective and the result rows use; this
+    class adds the QoS penalty, the stacked row candidates and the gradients.
     """
 
     def __init__(self, channels, targets, geom: ArrayGeometry,
@@ -139,43 +130,24 @@ class _EvalContext:
         self.grouping = grouping
         self.num_groups = grouping.num_groups
         self.qos_penalty = float(qos_penalty)
+        self.layout = lay = StreamLayout(grouping)
+        self.scene = SensingScene(targets, geom)
+        self.num_targets = self.scene.num_targets
 
         g, k = self.num_groups, self.k_total
-        self.assign = grouping.assignment
-        self.mask = grouping.interference_mask()
-        self.members = [grouping.members(gi) for gi in range(g)]
-        self.users = np.arange(k)
-        self.private_cols = g + self.users
-        # users in SIC order, group by group, and each group's first slot
-        self.order = np.concatenate(self.members)
-        self.starts = np.cumsum([0] + [len(mem) for mem in self.members])[:-1]
         # members of each group, padded with user index K (see _group_sums)
-        width = max(len(mem) for mem in self.members)
+        width = max(len(mem) for mem in lay.members)
         self.group_slots = np.full((g, width), k)
-        for gi, mem in enumerate(self.members):
+        for gi, mem in enumerate(lay.members):
             self.group_slots[gi, :len(mem)] = mem
-        # 1.0 where group g's common stream is another group's, seen by user k
-        self.other_groups = (self.assign[:, None]
-                             != np.arange(g)[None, :]).astype(float)
         # 0/1 tables over the streams: which ones user k hears as interference
         # at its common stage and at its private stage, and its own private
-        self.hear_c = np.ones((k, self.num_streams))
-        self.hear_c[self.users, self.assign] = 0.0
+        self.hear_c = np.ones((k, lay.num_streams))
+        self.hear_c[lay.users, lay.assign] = 0.0
         self.hear_p = self.hear_c.copy()
-        self.hear_p[:, g:g + k] = self.mask
+        self.hear_p[:, g:g + k] = lay.mask
         self.own_or_hear_p = self.hear_p.copy()
-        self.own_or_hear_p[self.users, self.private_cols] = 1.0
-
-        self.steer = np.vstack([
-            array_response(geom, t.theta, t.phi, t.r) for t in targets
-        ]) if len(targets) else np.zeros((0, self.m_total), dtype=complex)
-        self.steer_c = self.steer.conj()
-        amp = np.array([echo_amplitude(geom, t) for t in targets])
-        rcs = np.array([t.rcs for t in targets])
-        self.echo_power = rcs * amp**2
-        self.num_targets = len(targets)
-        # clutter of target l: the other targets' echoes, summed directly
-        self.other_targets = 1.0 - np.eye(self.num_targets)
+        self.own_or_hear_p[lay.users, lay.private_cols] = 1.0
 
         # detection constraint folded to a minimum echo SINR
         if limits.p_d_min > limits.p_fa:
@@ -186,12 +158,7 @@ class _EvalContext:
             self.gamma_min = 0.0
         # CRLB numerators c_l with crlb_l = c_l / p_sensing
         if np.isfinite(limits.crlb_max) and self.num_targets:
-            derivs = [steering_derivative(geom, t.theta, t.phi, t.r, mode="fd")
-                      for t in targets]
-            self.crlb_num = np.array([
-                sigma_s2 / (2.0 * t.rcs * float(np.real(np.vdot(da, da))))
-                for t, da in zip(targets, derivs)
-            ])
+            self.crlb_num = self.sigma_s2 / (2.0 * self.scene.rcs * self.scene.dn2)
         else:
             self.crlb_num = None
 
@@ -213,10 +180,6 @@ class _EvalContext:
         return np.append(x, 0.0)[self.group_slots].sum(axis=-1)
 
     # -- stream slicing helpers ---------------------------------------
-    @property
-    def num_streams(self) -> int:
-        return self.num_groups + self.k_total + 1
-
     def split_solution(self, solution: RsNomaSolution):
         return solution.stacked_beams(), solution.stacked_powers(), solution.rho.copy()
 
@@ -232,10 +195,7 @@ class _EvalContext:
 
     def shares(self, rho: np.ndarray) -> np.ndarray:
         """Per-user share of the own-group common capacity under rho."""
-        out = np.empty(self.k_total)
-        for mem in self.members:
-            out[mem] = _group_shares(rho[mem])
-        return out
+        return common_shares(rho, self.layout.members)
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray,
@@ -265,72 +225,43 @@ class _EvalContext:
                 for key, value in aux.items()}
 
     def _streams(self, w: np.ndarray, p: np.ndarray, row=None) -> dict:
-        """Everything that depends on (w, p) alone: stream gains, SINRs and
-        rates, echo SINRs, the sensing utility and the rho-free penalty terms.
-
-        Interference from other groups' commons and echo clutter from other
-        targets are summed over those terms directly, not as a total minus the
-        own term, which would cancel whenever the own term dominates.
+        """Everything that depends on (w, p) alone: the gains and the stream
+        part of the kernel (objective.price_streams), plus the rho-free
+        penalty terms.
 
         Candidates of a row (see evaluate) share one working copy of w, so
         memory does not grow with their number; each one's gains are the
         products a lone evaluation makes, and everything after them is
         elementwise, reduces along the last axis or is one BLAS call per
         candidate, so stacking changes no bit."""
-        g, k = self.num_groups, self.k_total
         if row is None:
             v = self.hc @ w.T                  # (K, S)
-            va = self.steer_c @ w.T            # (L, S)
+            va = self.scene.steer_c @ w.T      # (L, S)
         else:
             j, rows = row
             cand = w.copy()
-            v = np.empty((len(rows), k, len(w)), dtype=complex)
+            v = np.empty((len(rows), self.k_total, len(w)), dtype=complex)
             va = np.empty((len(rows), self.num_targets, len(w)), dtype=complex)
             for i, r in enumerate(rows):
                 cand[j] = r
                 np.matmul(self.hc, cand.T, out=v[i])
-                np.matmul(self.steer_c, cand.T, out=va[i])
+                np.matmul(self.scene.steer_c, cand.T, out=va[i])
         g2 = np.abs(v) ** 2
-        pc, pp, ps = p[:g], p[g:g + k], p[-1]
-
-        own_c = g2[..., self.users, self.assign] * pc[self.assign]
-        other_c = (g2[..., :g] * self.other_groups) @ pc
-        all_p = g2[..., g:g + k] @ pp
-        sense = g2[..., -1] * ps
-        i_common = other_c + all_p + sense
-        i_private = other_c + (g2[..., g:g + k] * self.mask) @ pp + sense
-
-        own_p = g2[..., self.users, self.private_cols] * pp
-        d_c = i_common + self.sigma_n2
-        d_p = i_private + self.sigma_n2
-        gam_c = own_c / d_c
-        gam_p = own_p / d_p
-        c_rate = np.log2(1.0 + gam_c)
-        p_rate = np.log2(1.0 + gam_p)
-        group_c = np.minimum.reduceat(c_rate[..., self.order], self.starts,
-                                      axis=-1)
-
         m2 = np.abs(va) ** 2
-        beam_sum = m2 @ p
-        echoes = self.echo_power * beam_sum**2
-        d_l = (self.other_targets @ echoes[..., None])[..., 0] + self.sigma_s2
-        gam_l = echoes / d_l
-        util = np.log2(1.0 + gam_l).sum(axis=-1)
+        aux = price_streams(g2, m2, p, self.layout, self.scene,
+                            self.sigma_n2, self.sigma_s2)
 
-        det_short = np.maximum(0.0, self.gamma_min - gam_l)
+        det_short = np.maximum(0.0, self.gamma_min - aux["gam_l"])
         crlb_pen = 0.0
         if self.crlb_num is not None:
+            ps = p[-1]
             crlb = self.crlb_num / ps if ps > 0.0 else np.full(self.num_targets, np.inf)
             crlb_short = np.minimum(np.maximum(0.0, crlb / self.limits.crlb_max - 1.0), 1e9)
             crlb_pen = float(crlb_short @ crlb_short)
 
-        return {
-            "v": v, "g2": g2, "va": va, "m2": m2, "beam_sum": beam_sum,
-            "d_c": d_c, "d_p": d_p, "d_l": d_l, "gam_c": gam_c, "gam_p": gam_p,
-            "gam_l": gam_l, "c_rate": c_rate, "p_rate": p_rate,
-            "group_c": group_c, "util": util, "ptot": float(p.sum()),
-            "det_pen": _rowdot(det_short, det_short), "crlb_pen": crlb_pen,
-        }
+        aux.update(v=v, g2=g2, va=va, m2=m2, ptot=float(p.sum()),
+                   det_pen=_rowdot(det_short, det_short), crlb_pen=crlb_pen)
+        return aux
 
     def reprice(self, aux: dict, shares: np.ndarray):
         """Penalized objective at a new common split over a fixed stream part.
@@ -345,31 +276,17 @@ class _EvalContext:
         return f, out
 
     def _split_terms(self, aux: dict, shares: np.ndarray):
-        """reprice's objective and the entries that depend on the split."""
-        alloc = aux["group_c"].take(self.assign, axis=-1) * shares
-        total_rate = alloc + aux["p_rate"]
-        rate_sum = total_rate.sum(axis=-1)
-
-        ptot = aux["ptot"]
-        ee = rate_sum / ptot if ptot > 0.0 else 0.0 * rate_sum
-        # rates are >= 0, so a zero sum of squares means all are zero; the
-        # smallest subnormal floor then turns 0 / 0 into a fairness of 0 and
-        # leaves every positive sum of squares as it is
-        sq = np.maximum(_rowdot(total_rate, total_rate), 5e-324)
-        fair = _pow2(rate_sum) / (self.k_total * sq)
-
-        comps = np.array([rate_sum, aux["util"], ee, fair]).T
-        value = _rowdot(np.ascontiguousarray(comps), self.aw)
-
-        rate_short = np.maximum(0.0, self.limits.r_min - total_rate)
+        """reprice's objective and the entries that depend on the split: the
+        kernel's objective.price_split less the QoS penalty."""
+        split = price_split(aux, shares, self.layout.assign, aux["ptot"],
+                            self.aw)
+        rate_short = np.maximum(0.0, self.limits.r_min - split["total_rate"])
         penalty = self.qos_penalty * (_rowdot(rate_short, rate_short)
                                       + aux["det_pen"])
         if self.crlb_num is not None:
             penalty += self.qos_penalty * aux["crlb_pen"]
-
-        return value - penalty, dict(
-            alloc=alloc, total_rate=total_rate, rate_sum=rate_sum, ee=ee,
-            fair=fair, value=value, penalty=penalty)
+        split["penalty"] = penalty
+        return split["value"] - penalty, split
 
     def violation_norm(self, p, aux) -> float:
         """Euclidean norm of all constraint shortfalls at this iterate."""
@@ -397,10 +314,11 @@ class _EvalContext:
         At an exact tie any convex combination of member gradients is a valid
         subgradient of the min; softmin weights realize that and keep the
         direction from flip-flopping between near-tied members."""
-        lo = np.minimum.reduceat(c_rate[self.order], self.starts)[self.assign]
+        lay = self.layout
+        lo = np.minimum.reduceat(c_rate[lay.order], lay.starts)[lay.assign]
         tau = np.maximum(0.1 * (1.0 + lo), 1e-9)
         b = np.exp(-(c_rate - lo) / tau)
-        return b / self._group_sums(b)[self.assign]
+        return b / self._group_sums(b)[lay.assign]
 
     def _common_weights(self, aux, shares) -> tuple:
         """(u, wc): the per-user rate weights and each user's weight on its
@@ -408,7 +326,7 @@ class _EvalContext:
         the softmin blend."""
         u = self._user_weights(aux)
         group_u = self._group_sums(u * shares)
-        return u, self._common_blend(aux["c_rate"]) * group_u[self.assign]
+        return u, self._common_blend(aux["c_rate"]) * group_u[self.layout.assign]
 
     def beam_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
         """Ascent direction for all beamformers.
@@ -421,11 +339,11 @@ class _EvalContext:
         g, k = self.num_groups, self.k_total
         d_c0, d_p0, d_l0 = anchor
         g2, v = aux["g2"], aux["v"]
-        ar, own_col = self.users, self.assign
+        ar, own_col = self.layout.users, self.layout.assign
 
         u, wc = self._common_weights(aux, shares)
         own_c = g2[ar, own_col] * p[own_col]
-        own_p = g2[ar, self.private_cols] * p[g:g + k]
+        own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
 
         cmat = (wc / _LN2)[:, None] * p[None, :] \
             * (1.0 / (own_c + aux["d_c"])[:, None] - self.hear_c / d_c0[:, None])
@@ -437,7 +355,7 @@ class _EvalContext:
         if self.num_targets:
             va, beam_sum = aux["va"], aux["beam_sum"]
             d_l, gam_l = aux["d_l"], aux["gam_l"]
-            tot = float((self.echo_power * beam_sum**2).sum())
+            tot = float((self.scene.echo_power * beam_sum**2).sum())
             a1 = self.aw[1]
             short = np.maximum(0.0, self.gamma_min - gam_l)
             inv0 = 1.0 / d_l0
@@ -445,9 +363,9 @@ class _EvalContext:
                                 - (inv0.sum() - inv0))
             sg = short * gam_l / d_l
             pen = 2.0 * self.qos_penalty * (short / d_l - (sg.sum() - sg))
-            cs = (2.0 * self.echo_power * beam_sum * (base + pen))[:, None] \
+            cs = (2.0 * self.scene.echo_power * beam_sum * (base + pen))[:, None] \
                 * p[None, :]
-            grad += (cs * va).T @ self.steer
+            grad += (cs * va).T @ self.scene.steer
         return grad
 
     def power_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
@@ -462,8 +380,8 @@ class _EvalContext:
         g, k = self.num_groups, self.k_total
         d_c0, d_p0, d_l0 = anchor
         g2 = aux["g2"]
-        grad = np.zeros(self.num_streams)
-        ar, own_col = self.users, self.assign
+        grad = np.zeros(self.layout.num_streams)
+        ar, own_col = self.layout.users, self.layout.assign
 
         u, wc = self._common_weights(aux, shares)
 
@@ -476,7 +394,7 @@ class _EvalContext:
         np.add.at(grad, own_col, lfac * g2[ar, own_col])
 
         # private stage: own common is cancelled, privates heard per SIC mask
-        own_p = g2[ar, self.private_cols] * p[g:g + k]
+        own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
         pfac = u / _LN2 / (own_p + aux["d_p"])
         grad += pfac @ (g2 * self.own_or_hear_p)
         grad -= (u / _LN2 / d_p0) @ (g2 * self.hear_p)
@@ -484,9 +402,9 @@ class _EvalContext:
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
             gam_l = aux["gam_l"]
-            de = (2.0 * self.echo_power * beam_sum)[:, None] * m2
+            de = (2.0 * self.scene.echo_power * beam_sum)[:, None] * m2
             dt = de.sum(axis=0)
-            tot = float((self.echo_power * beam_sum**2).sum())
+            tot = float((self.scene.echo_power * beam_sum**2).sum())
             a1 = self.aw[1]
             if a1 > 0.0:
                 grad += a1 / _LN2 * (self.num_targets * dt / (tot + self.sigma_s2)
@@ -509,13 +427,6 @@ class _EvalContext:
             else:
                 grad[-1] += self.qos_penalty
         return grad
-
-
-def _group_shares(r: np.ndarray) -> np.ndarray:
-    """One group's split of its common capacity: rho / sum(rho), or uniform
-    when the group's rho sum is (near) zero."""
-    tot = r.sum()
-    return (r / tot) if tot > 1e-9 else np.full(len(r), 1.0 / len(r))
 
 
 def _normalize_rows(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
@@ -671,7 +582,7 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
     """
     best_rho, best_f, best_aux = rho, f0, aux0
     best_shares = ctx.shares(rho)
-    for mem in ctx.members:
+    for mem in ctx.layout.members:
         if len(mem) < 2:
             continue  # a lone user owns the whole common capacity regardless
         for k in mem:
@@ -679,7 +590,7 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
                 cand = best_rho.copy()
                 cand[k] = rk
                 shares = best_shares.copy()
-                shares[mem] = _group_shares(cand[mem])
+                shares[mem] = group_shares(cand[mem])
                 return cand, shares
 
             def f_of(rk: float):
@@ -707,57 +618,8 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
 
 
 # =====================================================================
-# Public block operations
+# Adaptive weights
 # =====================================================================
-
-def _make_context(solution, channels, targets, geom, weights, limits,
-                  sigma_n2, sigma_s2, config):
-    return _EvalContext(channels, targets, geom, weights, limits, sigma_n2,
-                        sigma_s2, solution.grouping, config.qos_penalty)
-
-
-def beamforming_update(solution: RsNomaSolution, channels, targets,
-                       geom: ArrayGeometry, weights: ObjectiveWeights,
-                       limits: QosLimits, sigma_n2: float, sigma_s2: float,
-                       config: OptimizerConfig) -> RsNomaSolution:
-    """One beamformer block: surrogate-gradient ascent with unit-sphere
-    projection; the returned solution's true objective is never worse than the
-    entry's (fallback to the entry iterate included). Zero inner_steps is the
-    identity."""
-    ctx = _make_context(solution, channels, targets, geom, weights, limits,
-                        sigma_n2, sigma_s2, config)
-    w, p, rho = ctx.split_solution(solution)
-    f0, aux0 = ctx.evaluate(w, p, rho)
-    w2, _, _ = _beam_block(ctx, w, p, rho, f0, aux0, config)
-    return ctx.build_solution(w2, p, rho)
-
-
-def power_update(solution: RsNomaSolution, channels, targets,
-                 geom: ArrayGeometry, weights: ObjectiveWeights,
-                 limits: QosLimits, sigma_n2: float, sigma_s2: float,
-                 config: OptimizerConfig) -> RsNomaSolution:
-    """One power block under the scale-then-clip budget projection; same
-    monotone fallback contract as beamforming_update."""
-    ctx = _make_context(solution, channels, targets, geom, weights, limits,
-                        sigma_n2, sigma_s2, config)
-    w, p, rho = ctx.split_solution(solution)
-    f0, aux0 = ctx.evaluate(w, p, rho)
-    p2, _, _ = _power_block(ctx, w, p, rho, f0, aux0, config)
-    return ctx.build_solution(w, p2, rho)
-
-
-def rho_update(solution: RsNomaSolution, channels, targets,
-               geom: ArrayGeometry, weights: ObjectiveWeights,
-               limits: QosLimits, sigma_n2: float, sigma_s2: float,
-               config: OptimizerConfig) -> RsNomaSolution:
-    """Golden-section sweep over the common-split coefficients."""
-    ctx = _make_context(solution, channels, targets, geom, weights, limits,
-                        sigma_n2, sigma_s2, config)
-    w, p, rho = ctx.split_solution(solution)
-    f0, aux0 = ctx.evaluate(w, p, rho)
-    rho2, _, _ = _rho_block(ctx, w, p, rho, f0, aux0, config)
-    return ctx.build_solution(w, p, rho2)
-
 
 def adaptive_weights(weights: ObjectiveWeights, component_values,
                      eta: float = 0.1) -> ObjectiveWeights:
@@ -961,14 +823,10 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     delta = sigma_n2 / limits.p_max
     gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
 
-    # which streams each MSE stage hears (True = interferes or is desired)
-    hear_c = np.ones((k_n, ctx.num_streams), dtype=bool)     # common stages
-    hear_p = np.ones((k_n, ctx.num_streams), dtype=bool)     # private stages
-    for k in range(k_n):
-        hear_p[k, ctx.assign[k]] = False                      # own common gone
-        for i in range(k_n):
-            if i != k and not ctx.mask[k, i]:
-                hear_p[k, g_n + i] = False                    # already stripped
+    # which streams each private MSE stage hears (interferes or is desired)
+    hear_p = ctx.own_or_hear_p > 0.0
+    scene = ctx.scene
+    unit_powers = np.ones(ctx.layout.num_streams)
 
     def trace_objective(v_cur):
         w_dirs = _normalize_rows(v_cur, w)
@@ -990,8 +848,8 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         u = np.zeros((k_n, 2), dtype=complex)      # columns: common, private
         om = np.ones((k_n, 2))
         for k in range(k_n):
-            des_c = ctx.assign[k]
-            i_c = float(pow_rx[k, hear_c[k]].sum() - pow_rx[k, des_c])
+            des_c = ctx.layout.assign[k]
+            i_c = float(pow_rx[k].sum() - pow_rx[k, des_c])
             u[k, 0] = e_wmmse_receive_filter(h[k], v_all[des_c], i_c, sigma_n2)
             om[k, 0] = e_wmmse_mse_weight(u[k, 0], h[k], v_all[des_c])
             des_p = g_n + k
@@ -1004,7 +862,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         new_v = v_all.copy()
         for j in range(g_n + k_n):
             if j < g_n:
-                desire = [(k, 0) for k in ctx.members[j]]
+                desire = [(k, 0) for k in ctx.layout.members[j]]
             else:
                 desire = [(j - g_n, 1)]
             # every user hears stream j at its common stage
@@ -1017,17 +875,15 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
 
         # sensing beam: penalty-gradient step toward the SINR floor
         if ctx.num_targets and ctx.gamma_min > 0.0:
-            va = ctx.steer_c @ new_v.T
-            m2 = np.abs(va) ** 2
-            beam_sum = m2.sum(axis=1)
-            echoes = ctx.echo_power * beam_sum**2
-            d_l = echoes.sum() - echoes + sigma_s2
-            gam = echoes / d_l
+            # the aggregates carry the powers, so every stream weighs one
+            va = scene.steer_c @ new_v.T
+            beam_sum, d_l, gam = echo_sinrs(np.abs(va) ** 2, unit_powers,
+                                            scene, sigma_s2)
             short = np.maximum(0.0, ctx.gamma_min - gam)
             if short.any():
-                coef = 2.0 * lambda_sensing * short * ctx.echo_power / d_l \
+                coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
                     * 2.0 * beam_sum
-                grad_s = (coef * va[:, -1]) @ ctx.steer
+                grad_s = (coef * va[:, -1]) @ scene.steer
                 step = 0.1 * np.linalg.norm(new_v[-1]) / max(np.linalg.norm(grad_s),
                                                              1e-300)
                 new_v[-1] = new_v[-1] + step * grad_s

@@ -7,6 +7,11 @@ user sees only the not-yet-decoded intra-group privates plus everything from
 other groups and the sensing probe. The group common capacity is the worst
 member's common rate and is divided among members in proportion to their
 common-allocation coefficients rho.
+
+stream_rates, common_shares and allocate are the stream half of the one
+pricing kernel (objective.price_streams / price_split): the optimizers, the
+result rows and rate_breakdown all price rates through them, over any
+number of stacked candidates.
 """
 
 from __future__ import annotations
@@ -169,91 +174,106 @@ def conventional_noma_view(solution: RsNomaSolution) -> RsNomaSolution:
 
 
 # =====================================================================
-# Interference and rates
+# Stream pricing
 # =====================================================================
 
-def _stream_gains(channels: np.ndarray, solution: RsNomaSolution):
-    """|h_k^H w|^2 against every stream: returns (K,G), (K,K), (K,) arrays."""
-    hc = channels.conj()
-    gc = np.abs(hc @ solution.w_common.T) ** 2
-    gp = np.abs(hc @ solution.w_private.T) ** 2
-    gs = np.abs(hc @ solution.w_sensing) ** 2
-    return gc, gp, gs
+class StreamLayout:
+    """Index tables of one grouping over the stacked streams.
 
-
-def common_interference(k: int, solution: RsNomaSolution, channels: np.ndarray) -> float:
-    """Interference power at user k while decoding its group's common stream.
-
-    Other groups' common streams, every private stream (own included), and the
-    sensing probe all contribute.
+    Streams are stacked as in RsNomaSolution.stacked_beams: G commons, K
+    privates, the sensing probe. Built once per instance, so pricing a
+    design point does no table work.
     """
-    gc, gp, gs = _stream_gains(channels, solution)
-    g = solution.grouping.assignment[k]
-    other = np.arange(solution.num_groups) != g
-    return float(
-        gc[k, other] @ solution.p_common[other]
-        + gp[k] @ solution.p_private
-        + gs[k] * solution.p_sensing
-    )
+
+    def __init__(self, grouping: Grouping):
+        g, k = grouping.num_groups, len(grouping.assignment)
+        self.num_groups, self.num_users = g, k
+        self.num_streams = g + k + 1
+        self.assign = grouping.assignment
+        self.mask = grouping.interference_mask()
+        self.members = [grouping.members(gi) for gi in range(g)]
+        self.users = np.arange(k)
+        self.private_cols = g + self.users
+        # users in SIC order, group by group, and each group's first slot
+        self.order = np.concatenate(self.members)
+        self.starts = np.cumsum([0] + [len(mem) for mem in self.members])[:-1]
+        # 1.0 where group g's common stream is another group's, seen by user k
+        self.other_groups = (self.assign[:, None]
+                             != np.arange(g)[None, :]).astype(float)
 
 
-def private_interference(k: int, solution: RsNomaSolution, channels: np.ndarray) -> float:
-    """Interference power at user k while decoding its own private stream.
+def stream_gains(solution: RsNomaSolution, *arrays) -> list:
+    """|x^H w_s|^2 of each row x of each array against every stacked beam w_s.
 
-    Same as the common stage except the own-group common stream is gone
-    (already cancelled) and intra-group privates decoded before user k are
-    stripped; other groups' privates always remain.
-    """
-    gc, gp, gs = _stream_gains(channels, solution)
-    g = solution.grouping.assignment[k]
-    other = np.arange(solution.num_groups) != g
-    mask = solution.grouping.interference_mask()[k]
-    return float(
-        gc[k, other] @ solution.p_common[other]
-        + (gp[k] * mask) @ solution.p_private
-        + gs[k] * solution.p_sensing
-    )
+    |x^H w| = |x^T w*|, so the stacked beams are conjugated in place in
+    their one copy and no conjugate copy of an M-wide array is made."""
+    beams = solution.stacked_beams()
+    np.conjugate(beams, out=beams)
+    return [np.abs(np.asarray(x) @ beams.T) ** 2 for x in arrays]
 
 
-def common_rate(k: int, solution: RsNomaSolution, channels: np.ndarray,
-                sigma_n2: float) -> float:
-    """Achievable common-stream rate log2(1 + SINR_common) at user k."""
-    gc, _, _ = _stream_gains(channels, solution)
-    g = solution.grouping.assignment[k]
-    sinr = gc[k, g] * solution.p_common[g] / (
-        common_interference(k, solution, channels) + sigma_n2)
-    return float(np.log2(1.0 + sinr))
+def stream_rates(g2: np.ndarray, p: np.ndarray, layout: StreamLayout,
+                 sigma_n2: float):
+    """Interference, SINR and rate of every user's common and private stage.
 
-
-def private_rate(k: int, solution: RsNomaSolution, channels: np.ndarray,
-                 sigma_n2: float) -> float:
-    """Achievable private-stream rate log2(1 + SINR_private) at user k."""
-    _, gp, _ = _stream_gains(channels, solution)
-    sinr = gp[k, k] * solution.p_private[k] / (
-        private_interference(k, solution, channels) + sigma_n2)
-    return float(np.log2(1.0 + sinr))
-
-
-def group_common_allocation(g: int, solution: RsNomaSolution, channels: np.ndarray,
-                            sigma_n2: float) -> np.ndarray:
-    """Split group g's common capacity among its members.
-
-    The group common capacity C_g is the minimum member common rate (everyone
-    must decode the common stream). Member k receives C_g * rho_k / sum(rho)
-    over the group; an all-zero rho group falls back to a uniform split.
+    g2[..., k, s] = |h_k^H w_s|^2 are the stream gains and p the stream
+    powers, both stacked as in layout; any leading axes index candidates.
+    The common stage hears other groups' commons, every private and the
+    probe; the private stage drops the own common and the intra-group
+    privates decoded before the user. Other groups' commons are summed
+    directly, not as a total minus the own term, which would cancel
+    whenever the own-group term dominates.
 
     Returns:
-        Array of allocated common-rate portions, indexed like the SIC order.
+        (d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c): interference plus
+        noise, SINR and rate log2(1 + SINR) of each stage, and each group's
+        common capacity, the minimum of its members' common rates.
     """
-    members = solution.grouping.members(g)
-    c_g = min(common_rate(k, solution, channels, sigma_n2) for k in members)
-    rho = np.array([solution.rho[k] for k in members], dtype=float)
+    g, k = layout.num_groups, layout.num_users
+    pc, pp, ps = p[:g], p[g:g + k], p[-1]
+
+    own_c = g2[..., layout.users, layout.assign] * pc[layout.assign]
+    other_c = (g2[..., :g] * layout.other_groups) @ pc
+    all_p = g2[..., g:g + k] @ pp
+    sense = g2[..., -1] * ps
+    i_common = other_c + all_p + sense
+    i_private = other_c + (g2[..., g:g + k] * layout.mask) @ pp + sense
+
+    own_p = g2[..., layout.users, layout.private_cols] * pp
+    d_c = i_common + sigma_n2
+    d_p = i_private + sigma_n2
+    gam_c = own_c / d_c
+    gam_p = own_p / d_p
+    c_rate = np.log2(1.0 + gam_c)
+    p_rate = np.log2(1.0 + gam_p)
+    group_c = np.minimum.reduceat(c_rate[..., layout.order], layout.starts,
+                                  axis=-1)
+    return d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c
+
+
+def group_shares(rho: np.ndarray) -> np.ndarray:
+    """One group's split of its common capacity: rho / sum(rho), or uniform
+    when the group's rho sum is (near) zero."""
     total = rho.sum()
-    if total <= _RHO_TOL:
-        shares = np.full(len(members), 1.0 / len(members))
-    else:
-        shares = rho / total
-    return c_g * shares
+    if total > _RHO_TOL:
+        return rho / total
+    return np.full(len(rho), 1.0 / len(rho))
+
+
+def common_shares(rho: np.ndarray, members) -> np.ndarray:
+    """Per-user share of the own-group common capacity under rho."""
+    out = np.empty(len(rho))
+    for mem in members:
+        out[mem] = group_shares(rho[mem])
+    return out
+
+
+def allocate(group_c: np.ndarray, p_rate: np.ndarray, shares: np.ndarray,
+             assign: np.ndarray):
+    """(allocated common rate, total rate) per user: the group's common
+    capacity times the user's share, plus the private rate."""
+    alloc = group_c.take(assign, axis=-1) * shares
+    return alloc, alloc + p_rate
 
 
 @dataclass
@@ -283,66 +303,21 @@ class RateBreakdown:
 
 def rate_breakdown(solution: RsNomaSolution, channels: np.ndarray,
                    sigma_n2: float) -> RateBreakdown:
-    """Compute every per-user and per-group rate quantity in one pass.
-
-    Matches the scalar operations (common_interference, private_rate, ...)
-    exactly; exists so optimizer inner loops touch a single vectorized path.
-    """
-    channels = np.asarray(channels)
-    k_total = solution.num_users
-    gc, gp, gs = _stream_gains(channels, solution)
-    assign = solution.grouping.assignment
-
-    own_c = gc[np.arange(k_total), assign] * solution.p_common[assign]
-    # summed over the other groups directly; the total over all groups minus
-    # the own term would cancel whenever the own-group common term dominates
-    other_groups = assign[:, None] != np.arange(solution.num_groups)[None, :]
-    other_c = (gc * other_groups) @ solution.p_common
-    all_p = gp @ solution.p_private
-    sense = gs * solution.p_sensing
-
-    i_common = other_c + all_p + sense
-    mask = solution.grouping.interference_mask()
-    i_private = other_c + (gp * mask) @ solution.p_private + sense
-
-    own_p = gp[np.arange(k_total), np.arange(k_total)] * solution.p_private
-    common_sinr = own_c / (i_common + sigma_n2)
-    private_sinr = own_p / (i_private + sigma_n2)
-    c_rate = np.log2(1.0 + common_sinr)
-    p_rate = np.log2(1.0 + private_sinr)
-
-    num_groups = solution.num_groups
-    group_c = np.empty(num_groups)
-    allocated = np.zeros(k_total)
-    for g in range(num_groups):
-        members = solution.grouping.members(g)
-        group_c[g] = c_rate[members].min()
-        rho = solution.rho[members]
-        total = rho.sum()
-        if total <= _RHO_TOL:
-            shares = np.full(len(members), 1.0 / len(members))
-        else:
-            shares = rho / total
-        allocated[members] = group_c[g] * shares
-
+    """Every per-user and per-group rate quantity of one design point,
+    priced by stream_rates, common_shares and allocate."""
+    layout = StreamLayout(solution.grouping)
+    g2, = stream_gains(solution, channels)
+    _, _, gam_c, gam_p, c_rate, p_rate, group_c = stream_rates(
+        g2, solution.stacked_powers(), layout, sigma_n2)
+    alloc, total = allocate(group_c, p_rate,
+                            common_shares(solution.rho, layout.members),
+                            layout.assign)
     return RateBreakdown(
-        common_sinr=common_sinr,
-        private_sinr=private_sinr,
+        common_sinr=gam_c,
+        private_sinr=gam_p,
         common_rate=c_rate,
         private_rate=p_rate,
-        allocated_common=allocated,
-        total_rate=allocated + p_rate,
+        allocated_common=alloc,
+        total_rate=total,
         group_common_rate=group_c,
     )
-
-
-def user_total_rate(k: int, solution: RsNomaSolution, channels: np.ndarray,
-                    sigma_n2: float) -> float:
-    """Allocated common portion plus private rate for user k."""
-    bd = rate_breakdown(solution, channels, sigma_n2)
-    return float(bd.total_rate[k])
-
-
-def sum_rate(solution: RsNomaSolution, channels: np.ndarray, sigma_n2: float) -> float:
-    """Network sum rate over all users."""
-    return rate_breakdown(solution, channels, sigma_n2).sum_rate

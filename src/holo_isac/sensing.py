@@ -1,6 +1,10 @@
 """Sensing-side metrics: echo SINR, detection probability, Fisher information,
 and Cramer-Rao bounds for target angle estimation.
 
+echo_sinrs over a SensingScene (one instance's target tables) is the echo
+half of the one pricing kernel (objective.price_streams / price_split);
+the optimizers, the result rows and sensing_sinrs all price echoes there.
+
 The Gaussian tail function Q and its inverse are implemented locally (erf
 Maclaurin series below |x| = 2, Laplace continued fraction above) so the
 detection chain has no dependencies beyond numpy; both are accurate to well
@@ -16,49 +20,87 @@ import numpy as np
 
 from .channel import SensingTarget, echo_amplitude
 from .geometry import ArrayGeometry, array_response, steering_derivative
-from .rates import RsNomaSolution
+from .rates import RsNomaSolution, stream_gains
 
 
 # =====================================================================
 # Echo SINR
 # =====================================================================
 
-def fast_sensing_sinrs(solution: RsNomaSolution, steering: np.ndarray,
-                       echo_power: np.ndarray, sigma_s2: float) -> np.ndarray:
-    """All target SINRs from precomputed steering vectors.
+class SensingScene:
+    """Per-instance target tables: steering vectors, echo powers and the
+    clutter pattern, plus the CRLB derivative norms on first use."""
 
-    steering is the (L, M) matrix of target array responses and echo_power[l]
-    is rcs_l * amplitude_l^2. Since tr(H_l W) = c_l sum_i p_i |a_l^H w_i|^2,
-    the L echo traces reduce to one (L, M) x (M, S) product, and no M x M
-    matrix is formed. Each target's clutter sums the other targets' echoes
-    directly, so a dominant echo never cancels against itself.
+    def __init__(self, targets, geom: ArrayGeometry):
+        self.targets = list(targets)
+        self.geom = geom
+        self.num_targets = len(self.targets)
+        self.steer = np.vstack([
+            array_response(geom, t.theta, t.phi, t.r) for t in self.targets
+        ]) if self.targets else np.zeros((0, geom.m_total), dtype=complex)
+        self.steer_c = self.steer.conj()
+        self.rcs = np.array([t.rcs for t in self.targets])
+        amp = np.array([echo_amplitude(geom, t) for t in self.targets])
+        self.echo_power = self.rcs * amp**2
+        # clutter of target l: the other targets' echoes, summed directly
+        self.other_targets = 1.0 - np.eye(self.num_targets)
+
+    @functools.cached_property
+    def dn2(self) -> np.ndarray:
+        """||da/dtheta||^2 of every target (finite-difference derivative)."""
+        return np.array([_derivative_norm2(self.geom, t) for t in self.targets])
+
+    def sinrs(self, solution: RsNomaSolution, sigma_s2: float) -> np.ndarray:
+        """Echo SINR of every target under the solution's covariance."""
+        if sigma_s2 <= 0.0:
+            raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
+        m2, = stream_gains(solution, self.steer)
+        return echo_sinrs(m2, solution.stacked_powers(), self, sigma_s2)[2]
+
+    def crlb(self, power: float, sigma_s2: float) -> np.ndarray:
+        """Angle CRLB of every target with `power` on the probe; see
+        crlb_closed_form."""
+        return np.array([_crlb(sigma_s2, power, rcs, dn2)
+                         for rcs, dn2 in zip(self.rcs, self.dn2)])
+
+    def evaluation(self, sinr: np.ndarray, p_sensing: float, sigma_s2: float,
+                   p_fa: float, p_max: float) -> "SensingEvaluation":
+        """Detection probabilities and CRLBs bundled with given echo SINRs."""
+        if p_max <= 0.0:
+            raise ValueError(f"power budget must be > 0, got {p_max}")
+        with np.errstate(divide="ignore"):
+            sinr_db = 10.0 * np.log10(sinr)
+        pd = np.array([detection_probability(g, p_fa) for g in sinr])
+        return SensingEvaluation(sinr=sinr, sinr_db=sinr_db, detection_prob=pd,
+                                 crlb=self.crlb(p_sensing, sigma_s2),
+                                 crlb_floor=self.crlb(p_max, sigma_s2))
+
+
+def echo_sinrs(m2: np.ndarray, p: np.ndarray, scene: SensingScene,
+               sigma_s2: float):
+    """Echo SINR of every target from the beam gains
+    m2[..., l, s] = |a_l^H w_s|^2 and the stream powers p; any leading axes
+    index candidates.
+
+    Gamma_l = rcs_l |tr(H_l W)|^2 / (I_cs + sigma_s2), where the clutter I_cs
+    sums the other targets' echoes. Since tr(H_l W) = c_l sum_s p_s
+    |a_l^H w_s|^2, no M x M matrix is formed. Each clutter sums the other
+    echoes directly, so a dominant echo never cancels against itself.
+
+    Returns:
+        (beam_sum, d_l, gam_l): sum_s p_s |a_l^H w_s|^2, clutter plus noise,
+        and the echo SINR of each target.
     """
-    beams = solution.stacked_beams()
-    powers = solution.stacked_powers()
-    gains = np.abs(steering.conj() @ beams.T) ** 2  # (L, S)
-    beam_sum = gains @ powers
-    echoes = echo_power * beam_sum**2
-    clutter = (1.0 - np.eye(len(echoes))) @ echoes
-    return echoes / (clutter + sigma_s2)
+    beam_sum = m2 @ p
+    echoes = scene.echo_power * beam_sum**2
+    d_l = (scene.other_targets @ echoes[..., None])[..., 0] + sigma_s2
+    return beam_sum, d_l, echoes / d_l
 
 
 def sensing_sinrs(solution: RsNomaSolution, targets, sigma_s2: float,
                   geom: ArrayGeometry) -> np.ndarray:
-    """Echo SINR of every target under the current transmit covariance.
-
-    Gamma_l = rcs_l |tr(H_l W)|^2 / (I_cs + sigma_s2) where the cross-target
-    clutter I_cs sums rcs_l' |tr(H_l' W)|^2 over the other targets. Steering
-    vectors and echo amplitudes are computed once per call and the traces go
-    through the rank-one identity of fast_sensing_sinrs.
-    """
-    if sigma_s2 <= 0.0:
-        raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
-    if not len(targets):
-        return np.zeros(0)
-    steering = np.vstack([array_response(geom, t.theta, t.phi, t.r)
-                          for t in targets])
-    echo_power = np.array([t.rcs * echo_amplitude(geom, t) ** 2 for t in targets])
-    return fast_sensing_sinrs(solution, steering, echo_power, sigma_s2)
+    """Echo SINR of every target under the current transmit covariance."""
+    return SensingScene(targets, geom).sinrs(solution, sigma_s2)
 
 
 def sensing_sinr(l: int, solution: RsNomaSolution, targets,
@@ -169,6 +211,20 @@ def fisher_information(target: SensingTarget, solution: RsNomaSolution,
     return float(2.0 / sigma_s2 * np.real(dmu.conj() @ dmu))
 
 
+def _derivative_norm2(geom: ArrayGeometry, target: SensingTarget) -> float:
+    """||da/dtheta||^2 from the finite-difference steering derivative."""
+    da = steering_derivative(geom, target.theta, target.phi, target.r, mode="fd")
+    return float(np.real(da.conj() @ da))
+
+
+def _crlb(sigma_s2: float, power: float, rcs: float, dn2: float) -> float:
+    """sigma_s2 / (2 power rcs dn2); +inf for zero power or a degenerate
+    derivative."""
+    if power <= 0.0 or dn2 <= 1e-300:
+        return np.inf
+    return float(sigma_s2 / (2.0 * power * rcs * dn2))
+
+
 def crlb_closed_form(target: SensingTarget, solution: RsNomaSolution,
                      geom: ArrayGeometry, sigma_s2: float) -> float:
     """Angle-estimation CRLB sigma_s2 / (2 P_s rcs ||da/dtheta||^2).
@@ -177,22 +233,15 @@ def crlb_closed_form(target: SensingTarget, solution: RsNomaSolution,
     analytic route inside fisher_information, so the two cross-check each
     other). Zero sensing power or a degenerate derivative yields +inf.
     """
-    da = steering_derivative(geom, target.theta, target.phi, target.r, mode="fd")
-    dn2 = float(np.real(da.conj() @ da))
-    if solution.p_sensing <= 0.0 or dn2 <= 1e-300:
-        return np.inf
-    return float(sigma_s2 / (2.0 * solution.p_sensing * target.rcs * dn2))
+    return _crlb(sigma_s2, solution.p_sensing, target.rcs,
+                 _derivative_norm2(geom, target))
 
 
 def crlb_sinr_form(target: SensingTarget, gamma: float, geom: ArrayGeometry,
                    sigma_s2: float) -> float:
     """Alternative CRLB written against the achieved echo SINR,
     sigma_s2 / (2 gamma ||da/dtheta||^2)."""
-    da = steering_derivative(geom, target.theta, target.phi, target.r, mode="fd")
-    dn2 = float(np.real(da.conj() @ da))
-    if gamma <= 0.0 or dn2 <= 1e-300:
-        return np.inf
-    return float(sigma_s2 / (2.0 * gamma * dn2))
+    return _crlb(sigma_s2, gamma, 1.0, _derivative_norm2(geom, target))
 
 
 def crlb_lower_bound(target: SensingTarget, geom: ArrayGeometry,
@@ -201,11 +250,7 @@ def crlb_lower_bound(target: SensingTarget, geom: ArrayGeometry,
     sigma_s2 / (2 P_max rcs ||da/dtheta||^2)."""
     if p_max <= 0.0:
         raise ValueError(f"power budget must be > 0, got {p_max}")
-    da = steering_derivative(geom, target.theta, target.phi, target.r, mode="fd")
-    dn2 = float(np.real(da.conj() @ da))
-    if dn2 <= 1e-300:
-        return np.inf
-    return float(sigma_s2 / (2.0 * p_max * target.rcs * dn2))
+    return _crlb(sigma_s2, p_max, target.rcs, _derivative_norm2(geom, target))
 
 
 @dataclass
@@ -226,16 +271,6 @@ class SensingEvaluation:
 def evaluate_sensing(solution: RsNomaSolution, targets, geom: ArrayGeometry,
                      sigma_s2: float, p_fa: float, p_max: float) -> SensingEvaluation:
     """Bundle SINR, detection probability, and CRLB for every target."""
-    sinr = sensing_sinrs(solution, targets, sigma_s2, geom)
-    with np.errstate(divide="ignore"):
-        sinr_db = 10.0 * np.log10(sinr)
-    pd = np.array([detection_probability(g, p_fa) for g in sinr])
-    crlb = np.array([
-        crlb_closed_form(t, solution, geom, sigma_s2) for t in targets
-    ])
-    floor = np.array([
-        crlb_lower_bound(t, geom, sigma_s2, p_max) for t in targets
-    ])
-    return SensingEvaluation(sinr=sinr, sinr_db=sinr_db, detection_prob=pd,
-                             crlb=crlb, crlb_floor=floor)
-
+    scene = SensingScene(targets, geom)
+    return scene.evaluation(scene.sinrs(solution, sigma_s2), solution.p_sensing,
+                            sigma_s2, p_fa, p_max)

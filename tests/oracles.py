@@ -1,14 +1,115 @@
-"""Dense reference computations kept out of the package.
+"""Reference computations kept out of the package.
 
-The package prices echoes through the rank-one identity
-tr(H_l W) = c_l sum_i p_i |a_l^H w_i|^2. These oracles build the M x M
-transmit covariance and echo matrices and take the traces directly, so the
-tests compare the fast paths against an independent computation.
+The package prices a design point with one stacked kernel (rates,
+sensing.echo_sinrs, objective.price_streams / price_split). These oracles
+recompute the same quantities by independent routes: the RS-NOMA rates one
+user at a time from per-call stream gains, and the echoes from the M x M
+transmit covariance and echo matrices with the traces taken directly, so
+the tests compare the kernel against computations it does not share.
 """
 
 import numpy as np
 
 from holo_isac.channel import sensing_channel
+
+
+# =====================================================================
+# RS-NOMA rates, one user at a time
+# =====================================================================
+
+def _stream_gains(channels, solution):
+    """|h_k^H w|^2 against every stream: returns (K,G), (K,K), (K,) arrays."""
+    hc = np.asarray(channels).conj()
+    gc = np.abs(hc @ solution.w_common.T) ** 2
+    gp = np.abs(hc @ solution.w_private.T) ** 2
+    gs = np.abs(hc @ solution.w_sensing) ** 2
+    return gc, gp, gs
+
+
+def common_interference(k, solution, channels) -> float:
+    """Interference power at user k while decoding its group's common stream.
+
+    Other groups' common streams, every private stream (own included), and the
+    sensing probe all contribute.
+    """
+    gc, gp, gs = _stream_gains(channels, solution)
+    g = solution.grouping.assignment[k]
+    other = np.arange(solution.num_groups) != g
+    return float(
+        gc[k, other] @ solution.p_common[other]
+        + gp[k] @ solution.p_private
+        + gs[k] * solution.p_sensing
+    )
+
+
+def private_interference(k, solution, channels) -> float:
+    """Interference power at user k while decoding its own private stream.
+
+    Same as the common stage except the own-group common stream is gone
+    (already cancelled) and intra-group privates decoded before user k are
+    stripped; other groups' privates always remain.
+    """
+    gc, gp, gs = _stream_gains(channels, solution)
+    g = solution.grouping.assignment[k]
+    other = np.arange(solution.num_groups) != g
+    mask = solution.grouping.interference_mask()[k]
+    return float(
+        gc[k, other] @ solution.p_common[other]
+        + (gp[k] * mask) @ solution.p_private
+        + gs[k] * solution.p_sensing
+    )
+
+
+def common_rate(k, solution, channels, sigma_n2) -> float:
+    """Achievable common-stream rate log2(1 + SINR_common) at user k."""
+    gc, _, _ = _stream_gains(channels, solution)
+    g = solution.grouping.assignment[k]
+    sinr = gc[k, g] * solution.p_common[g] / (
+        common_interference(k, solution, channels) + sigma_n2)
+    return float(np.log2(1.0 + sinr))
+
+
+def private_rate(k, solution, channels, sigma_n2) -> float:
+    """Achievable private-stream rate log2(1 + SINR_private) at user k."""
+    _, gp, _ = _stream_gains(channels, solution)
+    sinr = gp[k, k] * solution.p_private[k] / (
+        private_interference(k, solution, channels) + sigma_n2)
+    return float(np.log2(1.0 + sinr))
+
+
+def group_common_allocation(g, solution, channels, sigma_n2) -> np.ndarray:
+    """Split group g's common capacity among its members.
+
+    The group common capacity C_g is the minimum member common rate (everyone
+    must decode the common stream). Member k receives C_g * rho_k / sum(rho)
+    over the group; an all-zero rho group falls back to a uniform split.
+
+    Returns:
+        Array of allocated common-rate portions, indexed like the SIC order.
+    """
+    members = solution.grouping.members(g)
+    c_g = min(common_rate(k, solution, channels, sigma_n2) for k in members)
+    rho = np.array([solution.rho[k] for k in members], dtype=float)
+    total = rho.sum()
+    if total <= 1e-9:
+        shares = np.full(len(members), 1.0 / len(members))
+    else:
+        shares = rho / total
+    return c_g * shares
+
+
+def user_total_rate(k, solution, channels, sigma_n2) -> float:
+    """Allocated common portion plus private rate for user k."""
+    g = solution.grouping.assignment[k]
+    members = solution.grouping.members(g)
+    alloc = group_common_allocation(g, solution, channels, sigma_n2)
+    return float(alloc[members.index(k)]
+                 + private_rate(k, solution, channels, sigma_n2))
+
+
+# =====================================================================
+# Dense echo traces
+# =====================================================================
 
 
 def total_covariance(solution) -> np.ndarray:
@@ -29,6 +130,10 @@ def dense_sensing_sinr(l, solution, targets, sigma_s2, geom) -> float:
     clutter = float(sum(e for i, e in enumerate(echoes) if i != l))
     return float(echoes[l] / (clutter + sigma_s2))
 
+
+# =====================================================================
+# Beam block, one candidate per evaluation
+# =====================================================================
 
 def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None):
     """The beamformer block with its row-by-row fallback priced one

@@ -13,6 +13,7 @@ from holo_isac.config import (
     preset_config,
     watts_to_dbm,
 )
+from holo_isac.optimizers import OptimizerConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "desk_small.cfg"
 
@@ -109,6 +110,20 @@ def test_parse_text_rejects_non_finite_numbers(line):
     key = line.split(" =", 1)[0]
     with pytest.raises(ValueError, match=key):
         parse_config_text(line + "\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_backtracks", 0), ("qos_penalty", -1.0), ("max_iters", 0),
+    ("backtrack", 1.0),
+])
+def test_optimizer_section_checked_in_one_place(field, value):
+    # library callers get the same checks as config files
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
+    cfg = ScenarioConfig()
+    setattr(cfg.optimizer, field, value)
+    with pytest.raises(ValueError, match=f"optimizer\\.{field}"):
+        cfg.validate()
 
 
 def test_inf_still_disables_where_documented():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -263,7 +265,13 @@ def test_run_experiment_survives_solver_failure(monkeypatch):
     bad = [r for r in rows if r.algorithm == "conv_noma"]
     good = [r for r in rows if r.algorithm == "fp"]
     assert all(r.failed for r in bad)
-    assert all(r.objective == 0.0 and not r.converged for r in bad)
+    # a failed row carries no metric: NaN everywhere, and no CRLB estimate
+    for r in bad:
+        assert not r.converged and r.crlb == math.inf
+        assert all(math.isnan(x) for x in (
+            r.objective, r.sum_rate, r.detection_prob, r.energy_efficiency,
+            r.fairness, *r.sinr_db))
+        assert len(r.sinr_db) == cfg.population.num_targets
     assert all(not r.failed for r in good)
 
 

@@ -142,6 +142,29 @@ def test_chain_composition_order():
     assert np.allclose(effective_channel(h, chain), t.conj().T @ h, rtol=1e-12)
 
 
+def test_transform_matches_the_dense_cascade():
+    # row scalings of a copy of C give the dense product D_PN @ D_IQ @ C
+    rng = np.random.default_rng(12)
+    m = 9
+    c = coupling_matrix(small_geom(), [0.15, 0.05])
+    c.flags.writeable = False  # as experiments._coupling shares it
+    st = phase_noise_step(phase_noise_from_dbc(m, -25.0), rng)
+    mu = iq_coefficients(0.05, 0.1)
+    d_pn = np.diag(np.exp(1j * st.phases))
+    d_iq = np.diag(np.broadcast_to(mu, (m,)))
+    cases = [
+        (ImpairmentChain(coupling=c, phase_state=st, iq_mu=mu), d_pn @ d_iq @ c),
+        (ImpairmentChain(coupling=c), c),
+        (ImpairmentChain(coupling=c, iq_mu=mu), d_iq @ c),
+        (ImpairmentChain(phase_state=st, iq_mu=mu), d_pn @ d_iq),
+    ]
+    for chain, dense in cases:
+        t = chain.transform(m)
+        assert t.dtype == complex
+        assert np.allclose(t, dense, rtol=1e-14, atol=0.0)
+        assert not np.shares_memory(t, c)
+
+
 def test_effective_channel_identity_chain():
     h = np.array([1.0 + 2.0j, -0.5j, 0.25])
     assert np.allclose(effective_channel(h, ImpairmentChain()), h)

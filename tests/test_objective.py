@@ -15,8 +15,8 @@ from holo_isac.objective import (
     sensing_utility,
     sum_rate_upper_bound,
 )
-from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
-from oracles import dense_sensing_sinr
+from holo_isac.rates import Grouping, RsNomaSolution
+from oracles import dense_sensing_sinr, user_total_rate
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -107,14 +107,14 @@ def test_composite_components_match_scalar_routes():
     weights = ObjectiveWeights(0.6, 0.2, 0.1, 0.1)
     value, comps = composite_objective(sol, h, targets, geom, weights,
                                        SIGMA_N2, SIGMA_S2)
-    bd = rate_breakdown(sol, h, SIGMA_N2)
-    assert comps.sum_rate == pytest.approx(bd.sum_rate, rel=1e-12)
+    rates = [user_total_rate(k, sol, h, SIGMA_N2) for k in range(sol.num_users)]
+    assert comps.sum_rate == pytest.approx(sum(rates), rel=1e-12)
     util = sum(sensing_utility(dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom))
                for l in range(2))
     assert comps.sensing_utility == pytest.approx(util, rel=1e-12)
     assert comps.energy_efficiency == pytest.approx(
-        bd.sum_rate / sol.total_power(), rel=1e-12)
-    assert comps.fairness == pytest.approx(jain_fairness(bd.total_rate), rel=1e-12)
+        sum(rates) / sol.total_power(), rel=1e-12)
+    assert comps.fairness == pytest.approx(jain_fairness(rates), rel=1e-12)
     assert value == pytest.approx(float(weights.as_array() @ comps.as_array()),
                                   rel=1e-12)
 

@@ -18,19 +18,17 @@ from holo_isac.optimizers import (
     adaptive_weights,
     _EvalContext,
     _loaded_solve,
-    beamforming_update,
     e_wmmse_mse_weight,
     e_wmmse_receive_filter,
     fp_auxiliary,
     init_hao_sca,
-    power_update,
-    rho_update,
     run_e_wmmse,
     run_fp,
     run_hao_sca,
     sca_surrogate_gamma,
 )
 from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
+from holo_isac.sensing import SensingScene
 from oracles import sequential_beam_block
 
 SIGMA_N2 = 1e-12
@@ -224,7 +222,8 @@ def test_other_group_commons_do_not_cancel_against_the_own_common():
     expected = 1.0 / (1.0 + 1.0)
     bd = rate_breakdown(sol, channels, 1.0)
     assert bd.private_sinr[0] == pytest.approx(expected, rel=1e-12)
-    ctx = _EvalContext(channels, [], desk_geom(), ObjectiveWeights(),
+    two = ArrayGeometry(mx=1, my=2, dx=7.5e-4, dy=7.5e-4, wavelength=3e-3)
+    ctx = _EvalContext(channels, [], two, ObjectiveWeights(),
                        QosLimits(p_max=1e19), 1.0, 1.0, grouping, 10.0)
     _, aux = ctx.evaluate(sol.stacked_beams(), sol.stacked_powers(), sol.rho)
     assert aux["gam_p"][0] == pytest.approx(expected, rel=1e-12)
@@ -241,14 +240,28 @@ def obj_value(sol, channels, targets, geom, weights):
     return val
 
 
+def run_block(block, sol, channels, targets, geom, weights, limits, cfg):
+    """One block from sol through a fresh context, as a solution."""
+    ctx = _EvalContext(channels, targets, geom, weights, limits, SIGMA_N2,
+                       SIGMA_S2, sol.grouping, cfg.qos_penalty)
+    w, p, rho = ctx.split_solution(sol)
+    f0, aux0 = ctx.evaluate(w, p, rho)
+    out, _, _ = block(ctx, w, p, rho, f0, aux0, cfg)
+    parts = {optimizers._beam_block: (out, p, rho),
+             optimizers._power_block: (w, out, rho),
+             optimizers._rho_block: (w, p, out)}[block]
+    return ctx.build_solution(*parts)
+
+
 def test_each_block_never_decreases_objective():
     channels, targets, geom, weights, limits = build_problem(seed=45)
     cfg = OptimizerConfig(inner_steps=10)
     sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
-    for update in (beamforming_update, power_update, rho_update):
+    for block in (optimizers._beam_block, optimizers._power_block,
+                  optimizers._rho_block):
         before = obj_value(sol, channels, targets, geom, weights)
-        sol = update(sol, channels, targets, geom, weights, limits,
-                     SIGMA_N2, SIGMA_S2, cfg)
+        sol = run_block(block, sol, channels, targets, geom, weights, limits,
+                        cfg)
         after = obj_value(sol, channels, targets, geom, weights)
         assert after >= before - 1e-9
 
@@ -339,8 +352,8 @@ def test_zero_inner_steps_is_identity_for_beams():
     channels, targets, geom, weights, limits = build_problem(seed=46)
     cfg = OptimizerConfig(inner_steps=0)
     sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
-    out = beamforming_update(sol, channels, targets, geom, weights, limits,
-                             SIGMA_N2, SIGMA_S2, cfg)
+    out = run_block(optimizers._beam_block, sol, channels, targets, geom,
+                    weights, limits, cfg)
     assert np.allclose(out.stacked_beams(), sol.stacked_beams())
 
 
@@ -425,6 +438,42 @@ def test_e_wmmse_runs_within_budget():
     # closed-form updates with the sensing penalty carry no per-step
     # acceptance test, so no monotonicity assertion here (by design)
     assert np.all(np.isfinite(trace.objectives))
+
+
+def test_e_wmmse_sensing_step_prices_a_dominant_echo_without_cancellation(
+        monkeypatch):
+    # target 1's echo is ~1e20 times target 0's, so "total minus own" would
+    # lose target 0's echo from target 1's clutter; p_d_min > p_fa turns on
+    # the sensing step, which prices the echoes with the shared kernel
+    channels, _, geom, weights, _ = build_problem(seed=52)
+    targets = [SensingTarget(theta=0.3, phi=0.6, r=0.5, rcs=1e-10),
+               SensingTarget(theta=-0.4, phi=-0.9, r=0.5, rcs=1.0)]
+    limits = QosLimits(p_max=P_MAX, p_d_min=0.5, p_fa=1e-3)
+    scene = SensingScene(targets, geom)
+    start = init_hao_sca(channels, targets, geom, 2, P_MAX, SIGMA_N2)
+    m2 = np.abs(scene.steer_c @ start.stacked_beams().T) ** 2
+    echoes = scene.echo_power * (m2 @ start.stacked_powers()) ** 2
+    assert echoes[0] < 1e-18 * echoes[1]
+    sigma_s2 = 1e-6 * echoes[0]     # the weak echo dominates the noise
+
+    steps = []
+    real = optimizers.echo_sinrs
+
+    def spy(m2, p, scene, s2):
+        out = real(m2, p, scene, s2)
+        if np.all(p == 1.0):         # aggregates: the sensing step's call
+            steps.append((scene.echo_power * (m2 @ p) ** 2, out))
+        return out
+
+    monkeypatch.setattr(optimizers, "echo_sinrs", spy)
+    run_e_wmmse(channels, targets, geom, weights, limits, SIGMA_N2, sigma_s2,
+                OptimizerConfig(max_iters=3), num_groups=2)
+    assert steps
+    for e, (_, d_l, gam) in steps:
+        assert d_l[1] == pytest.approx(e[0] + sigma_s2, rel=1e-12)
+        assert gam[1] == pytest.approx(e[1] / (e[0] + sigma_s2), rel=1e-12)
+        # the subtraction this replaces is off by far more than roundoff
+        assert abs(e.sum() - e[1] - e[0]) > 1e-3 * e[0]
 
 
 # =====================================================================

@@ -4,15 +4,16 @@ import pytest
 from holo_isac.rates import (
     Grouping,
     RsNomaSolution,
-    common_interference,
-    common_rate,
     conventional_noma_view,
     default_grouping,
+    rate_breakdown,
+)
+from oracles import (
+    common_interference,
+    common_rate,
     group_common_allocation,
     private_interference,
     private_rate,
-    rate_breakdown,
-    sum_rate,
     user_total_rate,
 )
 
@@ -111,7 +112,13 @@ def test_hand_rates_and_allocation():
     assert alloc == pytest.approx([0.75 * c_g, 0.25 * c_g], rel=1e-12)
 
     assert user_total_rate(0, sol, h, s2) == pytest.approx(0.75 * c_g + p0)
-    assert sum_rate(sol, h, s2) == pytest.approx(c_g + p0 + p1, rel=1e-12)
+    # the package's kernel gives the same hand values
+    bd = rate_breakdown(sol, h, s2)
+    assert bd.common_rate == pytest.approx([c0, c1], rel=1e-12)
+    assert bd.private_rate == pytest.approx([p0, p1], rel=1e-12)
+    assert bd.allocated_common == pytest.approx([0.75 * c_g, 0.25 * c_g],
+                                                rel=1e-12)
+    assert bd.sum_rate == pytest.approx(c_g + p0 + p1, rel=1e-12)
 
 
 def test_breakdown_matches_scalar_path():
@@ -132,6 +139,12 @@ def test_breakdown_matches_scalar_path():
     s2 = 0.1
     bd = rate_breakdown(sol, channels, s2)
     for user in range(k):
+        assert bd.common_sinr[user] * (common_interference(user, sol, channels) + s2) \
+            == pytest.approx(np.abs(channels[user].conj() @ w[grouping.assignment[user]]) ** 2
+                             * sol.p_common[grouping.assignment[user]], rel=1e-10)
+        assert bd.private_sinr[user] * (private_interference(user, sol, channels) + s2) \
+            == pytest.approx(np.abs(channels[user].conj() @ w[3 + user]) ** 2
+                             * sol.p_private[user], rel=1e-10)
         assert bd.common_rate[user] == pytest.approx(
             common_rate(user, sol, channels, s2), rel=1e-10)
         assert bd.private_rate[user] == pytest.approx(
@@ -152,6 +165,8 @@ def test_zero_rho_group_splits_uniformly():
     sol.rho = np.zeros(2)
     alloc = group_common_allocation(0, sol, h, s2)
     assert alloc[0] == pytest.approx(alloc[1])
+    bd = rate_breakdown(sol, h, s2)
+    assert bd.allocated_common == pytest.approx(alloc, rel=1e-12)
 
 
 def test_conventional_view_zeroes_common_layer():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from holo_isac.experiments import TrialResult
+from holo_isac.experiments import TrialResult, _failure_result
 from holo_isac.records import (
     RECORD_FIELDS,
     format_record,
@@ -141,6 +141,36 @@ def test_plot_data_series_and_intervals(tmp_path):
         # the failed row's absurd objective must not leak into the mean
         assert float(y) > 0.0
     assert "np.float64" not in path.read_text()
+
+
+def test_failed_row_round_trips_and_stays_out_of_aggregates(tmp_path):
+    failed = _failure_result(0, None, "fp", 99, "feedfacecafebeef", 2)
+    assert failed.crlb == float("inf") and np.isnan(failed.objective)
+    rows = make_batch(trials=6) + [failed]
+    # NaN never equals itself, so rows holding one compare as record lines
+    path = tmp_path / "results.records"
+    write_records(rows, path)
+    back = read_records(path)
+    assert [format_record(r) for r in back] == [format_record(r) for r in rows]
+    assert ("objective=nan sum_rate=nan sinr_db=nan;nan detection_prob=nan "
+            "crlb=inf energy_efficiency=nan fairness=nan") in format_record(back[-1])
+    csv = tmp_path / "results.csv"
+    write_csv(rows, csv)
+    cells = csv.read_text().splitlines()[-1].split(",")
+    assert cells[RECORD_FIELDS.index("failed")] == "true"
+    assert cells[RECORD_FIELDS.index("objective")] == "nan"
+    assert cells[RECORD_FIELDS.index("crlb")] == "inf"
+
+    plot = tmp_path / "plot.csv"
+    write_plot_data(rows, plot)
+    stats = tmp_path / "stats.txt"
+    write_stats_report(rows, stats)
+    # both read exactly as if the failed row were not there
+    alone = tmp_path / "alone.csv"
+    write_plot_data(rows[:-1], alone)
+    assert plot.read_text() == alone.read_text()
+    write_stats_report(rows[:-1], alone)
+    assert stats.read_text() == alone.read_text()
 
 
 # =====================================================================

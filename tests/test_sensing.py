@@ -6,13 +6,15 @@ import pytest
 from holo_isac.channel import SensingTarget, sensing_channel
 from holo_isac.geometry import ArrayGeometry, array_response
 from holo_isac.rates import Grouping, RsNomaSolution
+import holo_isac.sensing as sensing
 from holo_isac.sensing import (
+    SensingScene,
     crlb_closed_form,
     crlb_lower_bound,
     crlb_sinr_form,
     detection_probability,
+    echo_sinrs,
     evaluate_sensing,
-    fast_sensing_sinrs,
     fisher_information,
     q_function,
     q_inverse,
@@ -89,19 +91,26 @@ def test_sensing_sinr_validation():
 
 
 def test_fast_route_matches_trace_route():
+    # the echo kernel over a stack of three design points, against the
+    # dense traces of each one
     rng = np.random.default_rng(8)
     geom = desk_geom()
-    sol = random_solution(rng, geom.m_total)
+    sols = [random_solution(rng, geom.m_total) for _ in range(3)]
     targets = some_targets(3)
-    steering = np.array([array_response(geom, t.theta, t.phi, t.r) for t in targets])
-    echo_power = np.array([
-        t.rcs * sensing_channel(geom, t).amplitude ** 2 for t in targets
-    ])
-    fast = fast_sensing_sinrs(sol, steering, echo_power, SIGMA_S2)
-    slow = np.array([
-        dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom) for l in range(3)
-    ])
-    assert np.allclose(fast, slow, rtol=1e-9)
+    scene = SensingScene(targets, geom)
+    m2 = np.stack([np.abs(scene.steer_c @ sol.stacked_beams().T) ** 2
+                   for sol in sols])
+    p = sols[0].stacked_powers()
+    for sol in sols:
+        sol.p_common, sol.p_private, sol.p_sensing = (
+            sols[0].p_common, sols[0].p_private, sols[0].p_sensing)
+    _, _, fast = echo_sinrs(m2, p, scene, SIGMA_S2)
+    assert fast.shape == (3, 3)
+    for sol, row in zip(sols, fast):
+        slow = np.array([
+            dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom) for l in range(3)
+        ])
+        assert np.allclose(row, slow, rtol=1e-12, atol=0.0)
 
 
 def test_sensing_sinrs_matches_dense_oracle():
@@ -270,3 +279,28 @@ def test_evaluate_sensing_bundles_scalar_routes():
         assert ev.crlb[l] == pytest.approx(
             crlb_closed_form(targets[l], sol, geom, SIGMA_S2), rel=1e-12)
         assert ev.crlb_floor[l] <= ev.crlb[l]
+
+
+def test_scene_takes_each_derivative_norm_once(monkeypatch):
+    # the CRLB and its floor share one ||da/dtheta||^2 per target
+    calls = []
+    real = sensing.steering_derivative
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sensing, "steering_derivative", counted)
+    rng = np.random.default_rng(16)
+    geom = desk_geom()
+    sol = random_solution(rng, geom.m_total)
+    targets = some_targets(3)
+    scene = SensingScene(targets, geom)
+    ev = scene.evaluation(scene.sinrs(sol, SIGMA_S2), sol.p_sensing, SIGMA_S2,
+                          1e-3, sol.total_power())
+    scene.crlb(2.0 * sol.p_sensing, SIGMA_S2)
+    assert len(calls) == len(targets)
+    for l, t in enumerate(targets):
+        assert ev.crlb[l] == crlb_closed_form(t, sol, geom, SIGMA_S2)
+        assert ev.crlb_floor[l] == crlb_lower_bound(t, geom, SIGMA_S2,
+                                                    sol.total_power())
