@@ -12,6 +12,7 @@ composite_objective, check_constraints and the result rows are views of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,7 +115,10 @@ def _rowdot(a: np.ndarray, b: np.ndarray):
     """a @ b over the last axis, for every leading index of a.
 
     Each row is one BLAS dot, the call a 1-D a @ b makes, so a row gives the
-    same bits whether or not it sits in a stack."""
+    same bits whether or not it sits in a stack; two vectors take that call
+    directly."""
+    if a.ndim == 1 and b.ndim == 1:
+        return a @ b
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
@@ -154,17 +158,31 @@ def price_streams(g2: np.ndarray, m2: np.ndarray, p: np.ndarray,
     }
 
 
-def price_split(streams: dict, shares: np.ndarray, assign: np.ndarray,
-                power: float, aw: np.ndarray) -> dict:
+class SplitPrice(NamedTuple):
+    """The entries of a design point that depend on the common split."""
+
+    alloc: np.ndarray
+    total_rate: np.ndarray
+    rate_sum: np.ndarray
+    ee: np.ndarray
+    fair: np.ndarray
+    value: np.ndarray
+
+
+def price_split(cap: np.ndarray, p_rate: np.ndarray, util, shares: np.ndarray,
+                power: float, aw: np.ndarray) -> SplitPrice:
     """The common split and the weighted blend over a priced stream part.
 
-    shares are the per-user shares of the group common capacity, power the
-    transmit power that energy efficiency divides by and aw the component
-    weights. Holds the allocation, per-user total rates, sum rate, energy
-    efficiency, Jain fairness and the blend aw . (sum rate, utility, EE,
-    fairness), each over the leading candidate axes of the stream part."""
-    alloc, total_rate = allocate(streams["group_c"], streams["p_rate"],
-                                 shares, assign)
+    cap is each user's group common capacity (the stream part's group_c
+    taken at the user's group), p_rate and util the private rates and the
+    sensing utility of price_streams, shares the per-user shares of the
+    group common capacity, power the transmit power that energy efficiency
+    divides by and aw the component weights. Holds the allocation, per-user
+    total rates, sum rate, energy efficiency, Jain fairness and the blend
+    aw . (sum rate, utility, EE, fairness), each over the leading candidate
+    axes of the stream part. A caller that moves only the shares takes cap,
+    p_rate and util once."""
+    alloc, total_rate = allocate(cap, p_rate, shares)
     rate_sum = total_rate.sum(axis=-1)
     ee = rate_sum / power if power > 0.0 else 0.0 * rate_sum
     # rates are >= 0, so a zero sum of squares means all are zero; the
@@ -172,10 +190,9 @@ def price_split(streams: dict, shares: np.ndarray, assign: np.ndarray,
     # leaves every positive sum of squares as it is
     sq = np.maximum(_rowdot(total_rate, total_rate), 5e-324)
     fair = _pow2(rate_sum) / (total_rate.shape[-1] * sq)
-    comps = np.array([rate_sum, streams["util"], ee, fair]).T
-    return {"alloc": alloc, "total_rate": total_rate, "rate_sum": rate_sum,
-            "ee": ee, "fair": fair,
-            "value": _rowdot(np.ascontiguousarray(comps), aw)}
+    comps = np.array([rate_sum, util, ee, fair]).T
+    return SplitPrice(alloc, total_rate, rate_sum, ee, fair,
+                      _rowdot(np.ascontiguousarray(comps), aw))
 
 
 @dataclass
@@ -208,12 +225,13 @@ def price_design(solution: RsNomaSolution, channels: np.ndarray,
     g2, m2 = stream_gains(solution, channels, scene.steer)
     streams = price_streams(g2, m2, solution.stacked_powers(), layout, scene,
                             sigma_n2, sigma_s2)
-    split = price_split(streams, common_shares(solution.rho, layout.members),
-                        layout.assign, power, aw)
-    comps = ObjectiveComponents(float(split["rate_sum"]), float(streams["util"]),
-                                float(split["ee"]), float(split["fair"]))
-    return DesignPrice(value=float(split["value"]), components=comps,
-                       total_rate=split["total_rate"],
+    split = price_split(streams["group_c"][layout.assign], streams["p_rate"],
+                        streams["util"],
+                        common_shares(solution.rho, layout.members), power, aw)
+    comps = ObjectiveComponents(float(split.rate_sum), float(streams["util"]),
+                                float(split.ee), float(split.fair))
+    return DesignPrice(value=float(split.value), components=comps,
+                       total_rate=split.total_rate,
                        echo_sinr=streams["gam_l"])
 
 

@@ -2,7 +2,10 @@
 
 Three solvers climb one penalized objective, priced by _EvalContext over the
 kernel in objective.price_streams / price_split (the pricing the result rows
-use too) with a quadratic QoS penalty added:
+use too) with a quadratic QoS penalty added. A block prices its candidates
+from what it holds fixed: the power block reuses the stream gains of its
+entry beams, and the split block the whole stream part, so only the beam
+block forms gains per candidate.
 
 * run_hao_sca: block-coordinate ascent on the composite objective. Each block
   (beamformers, powers, split coefficients) moves along the gradient of a
@@ -202,9 +205,9 @@ class _EvalContext:
                  shares: np.ndarray | None = None, row=None):
         """Penalized composite objective plus every intermediate quantity.
 
-        The (w, p) stream part is priced first and reprice finishes the
-        split. Callers that hold rho fixed may pass the precomputed share
-        vector to skip its recomputation in hot loops.
+        The gains of w are formed first, price_powers prices them at p and
+        reprice finishes the split. Callers that hold rho fixed may pass the
+        precomputed share vector to skip its recomputation in hot loops.
 
         row = (j, rows) prices n candidates in one call: w with its row j
         replaced by each of the n rows in turn. The objective then comes
@@ -213,10 +216,12 @@ class _EvalContext:
         equal bit for bit to evaluating that candidate alone."""
         if shares is None:
             shares = self.shares(rho)
-        return self.reprice(self._streams(w, p, row), shares)
+        return self.price_powers(self._gains(w, row), p, shares)
 
     # aux entries that depend on the powers alone, so a stack shares them
     _P_ONLY = ("ptot", "crlb_pen")
+    # aux entries that depend on the beams alone
+    _GAINS = ("v", "g2", "va", "m2")
 
     @classmethod
     def pick(cls, aux: dict, i: int) -> dict:
@@ -224,16 +229,13 @@ class _EvalContext:
         return {key: value if key in cls._P_ONLY else value[i]
                 for key, value in aux.items()}
 
-    def _streams(self, w: np.ndarray, p: np.ndarray, row=None) -> dict:
-        """Everything that depends on (w, p) alone: the gains and the stream
-        part of the kernel (objective.price_streams), plus the rho-free
-        penalty terms.
+    def _gains(self, w: np.ndarray, row=None) -> dict:
+        """The user and target gains of every stream of w: v = h_k^H w_s,
+        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2.
 
         Candidates of a row (see evaluate) share one working copy of w, so
         memory does not grow with their number; each one's gains are the
-        products a lone evaluation makes, and everything after them is
-        elementwise, reduces along the last axis or is one BLAS call per
-        candidate, so stacking changes no bit."""
+        products a lone evaluation makes, one BLAS call per candidate."""
         if row is None:
             v = self.hc @ w.T                  # (K, S)
             va = self.scene.steer_c @ w.T      # (L, S)
@@ -246,10 +248,25 @@ class _EvalContext:
                 cand[j] = r
                 np.matmul(self.hc, cand.T, out=v[i])
                 np.matmul(self.scene.steer_c, cand.T, out=va[i])
-        g2 = np.abs(v) ** 2
-        m2 = np.abs(va) ** 2
-        aux = price_streams(g2, m2, p, self.layout, self.scene,
-                            self.sigma_n2, self.sigma_s2)
+        return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
+
+    def price_powers(self, gains: dict, p: np.ndarray, shares: np.ndarray):
+        """Penalized objective at powers p over the gains of a fixed w.
+
+        gains holds the _GAINS entries of an evaluation at w and nothing
+        else. They are the very arrays evaluate forms at that w, so a block
+        that moves only the powers prices each candidate here, with no
+        stream-gain product, and gets evaluate's value bit for bit."""
+        return self.reprice(self._streams(gains, p), shares)
+
+    def _streams(self, gains: dict, p: np.ndarray) -> dict:
+        """Everything that depends on (w, p) alone: the stream part of the
+        kernel (objective.price_streams) over the gains of w, plus the
+        rho-free penalty terms. Everything here is elementwise, reduces
+        along the last axis or is one BLAS call per candidate, so stacking
+        changes no bit."""
+        aux = price_streams(gains["g2"], gains["m2"], p, self.layout,
+                            self.scene, self.sigma_n2, self.sigma_s2)
 
         det_short = np.maximum(0.0, self.gamma_min - aux["gam_l"])
         crlb_pen = 0.0
@@ -259,7 +276,7 @@ class _EvalContext:
             crlb_short = np.minimum(np.maximum(0.0, crlb / self.limits.crlb_max - 1.0), 1e9)
             crlb_pen = float(crlb_short @ crlb_short)
 
-        aux.update(v=v, g2=g2, va=va, m2=m2, ptot=float(p.sum()),
+        aux.update(gains, ptot=float(p.sum()),
                    det_pen=_rowdot(det_short, det_short), crlb_pen=crlb_pen)
         return aux
 
@@ -270,23 +287,31 @@ class _EvalContext:
         allocation, the per-user totals, sum rate, energy efficiency,
         fairness and the rate penalty depend on the split, so this is O(K).
         evaluate ends here too, so both give bit-identical values."""
-        f, split = self._split_terms(aux, shares)
+        f, split, penalty = self._split_terms(self._held(aux), shares)
         out = dict(aux)
-        out.update(split)
+        out.update(split._asdict(), penalty=penalty)
         return f, out
 
-    def _split_terms(self, aux: dict, shares: np.ndarray):
-        """reprice's objective and the entries that depend on the split: the
-        kernel's objective.price_split less the QoS penalty."""
-        split = price_split(aux, shares, self.layout.assign, aux["ptot"],
-                            self.aw)
-        rate_short = np.maximum(0.0, self.limits.r_min - split["total_rate"])
-        penalty = self.qos_penalty * (_rowdot(rate_short, rate_short)
-                                      + aux["det_pen"])
+    def _held(self, aux: dict) -> tuple:
+        """The parts of aux that a common split leaves fixed, as _split_terms
+        takes them: each user's group common capacity, the private rates,
+        the sensing utility, the transmit power and the detection and CRLB
+        penalties."""
+        return (aux["group_c"].take(self.layout.assign, axis=-1),
+                aux["p_rate"], aux["util"], aux["ptot"], aux["det_pen"],
+                aux["crlb_pen"])
+
+    def _split_terms(self, held: tuple, shares: np.ndarray):
+        """(objective, objective.SplitPrice, QoS penalty) at a split: the
+        kernel's objective.price_split over the held parts, less the
+        penalty. A caller that moves only the shares takes held once."""
+        cap, p_rate, util, ptot, det_pen, crlb_pen = held
+        split = price_split(cap, p_rate, util, shares, ptot, self.aw)
+        rate_short = np.maximum(0.0, self.limits.r_min - split.total_rate)
+        penalty = self.qos_penalty * (_rowdot(rate_short, rate_short) + det_pen)
         if self.crlb_num is not None:
-            penalty += self.qos_penalty * aux["crlb_pen"]
-        split["penalty"] = penalty
-        return split["value"] - penalty, split
+            penalty += self.qos_penalty * crlb_pen
+        return split.value - penalty, split, penalty
 
     def violation_norm(self, p, aux) -> float:
         """Euclidean norm of all constraint shortfalls at this iterate."""
@@ -430,9 +455,13 @@ class _EvalContext:
 
 
 def _normalize_rows(w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Rows of w scaled to unit norm; a row whose norm is not above 1e-300
+    (zero or NaN) takes the row of fallback instead."""
     norms = np.linalg.norm(w, axis=1)
-    out = np.where(norms[:, None] > 1e-300, w / np.maximum(norms, 1e-300)[:, None],
-                   fallback)
+    out = w / np.maximum(norms, 1e-300)[:, None]
+    dead = ~(norms > 1e-300)
+    if dead.any():
+        out[dead] = fallback[dead]
     return out
 
 
@@ -534,8 +563,14 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
 
 def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                  frozen_streams=None):
-    """Gradient pass over the stream powers under the budget projection."""
+    """Gradient pass over the stream powers under the budget projection.
+
+    w is fixed inside the block, so every backtracking candidate is priced
+    by ctx.price_powers over the gains of aux0, with no stream-gain product;
+    they are the arrays an evaluation at w forms, so each candidate's value
+    is ctx.evaluate's, bit for bit."""
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
+    gains = {key: aux0[key] for key in ctx._GAINS}
     best_p, best_f, best_aux = p, f0, aux0
     shares = ctx.shares(rho)
     eta = config.step_size
@@ -555,7 +590,7 @@ def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig
                                    ctx.limits.p_max)
             if frozen_streams is not None:
                 cand[frozen_streams] = 0.0
-            f_c, aux_c = ctx.evaluate(w, cand, rho, shares)
+            f_c, aux_c = ctx.price_powers(gains, cand, shares)
             if f_c > best_f:
                 best_p, best_f, best_aux = cand, f_c, aux_c
                 eta = min(eta * 1.5, 1.0)
@@ -574,27 +609,33 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
     """Golden-section coordinate maximization of each rho_k on [0, 1].
 
     w and p stay fixed inside the block and only the common-capacity split
-    depends on rho, so every candidate is priced by ctx.reprice over the
-    stream part of aux0 (O(K), no stream-gain product), with only the moved
-    user's group shares recomputed; that is the value ctx.evaluate would
-    return, bit for bit. A move is kept only when it strictly improves the
-    objective.
+    depends on rho, so the parts of aux0 the split leaves fixed (ctx._held)
+    are taken once, and each golden-section probe moves one entry of a
+    working rho, refreshes only that user's group shares and prices the
+    value alone with ctx._split_terms: no copies, no stream-gain product and
+    no aux dict. The chosen point of each search is priced by ctx.reprice.
+    Both are the value ctx.evaluate would return, bit for bit. A move is
+    kept only when it strictly improves the objective.
     """
     best_rho, best_f, best_aux = rho, f0, aux0
-    best_shares = ctx.shares(rho)
+    held = ctx._held(aux0)
+    # the working split: equal to best_rho and its shares between searches
+    cand = rho.copy()
+    shares = ctx.shares(rho)
     for mem in ctx.layout.members:
         if len(mem) < 2:
             continue  # a lone user owns the whole common capacity regardless
+        mem = np.asarray(mem)
         for k in mem:
-            def probe(rk: float):
-                cand = best_rho.copy()
+            kept = shares[mem]
+
+            def move(rk: float):
                 cand[k] = rk
-                shares = best_shares.copy()
                 shares[mem] = group_shares(cand[mem])
-                return cand, shares
+                return shares
 
             def f_of(rk: float):
-                return ctx._split_terms(aux0, probe(rk)[1])[0]
+                return ctx._split_terms(held, move(rk))[0]
 
             lo, hi = 0.0, 1.0
             x1 = hi - _GOLDEN * (hi - lo)
@@ -610,10 +651,12 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
                     hi, x2, f2 = x2, x1, f1
                     x1 = hi - _GOLDEN * (hi - lo)
                     f1 = f_of(x1)
-            candb, sharesb = probe(x1 if f1 >= f2 else x2)
-            fb, auxb = ctx.reprice(aux0, sharesb)
+            fb, auxb = ctx.reprice(aux0, move(x1 if f1 >= f2 else x2))
             if fb > best_f:
-                best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
+                best_rho, best_f, best_aux = cand.copy(), fb, auxb
+            else:
+                cand[k] = best_rho[k]
+                shares[mem] = kept
     return best_rho, best_f, best_aux
 
 

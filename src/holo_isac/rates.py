@@ -268,11 +268,10 @@ def common_shares(rho: np.ndarray, members) -> np.ndarray:
     return out
 
 
-def allocate(group_c: np.ndarray, p_rate: np.ndarray, shares: np.ndarray,
-             assign: np.ndarray):
-    """(allocated common rate, total rate) per user: the group's common
-    capacity times the user's share, plus the private rate."""
-    alloc = group_c.take(assign, axis=-1) * shares
+def allocate(cap: np.ndarray, p_rate: np.ndarray, shares: np.ndarray):
+    """(allocated common rate, total rate) per user: cap, the capacity of
+    the user's group, times the user's share, plus the private rate."""
+    alloc = cap * shares
     return alloc, alloc + p_rate
 
 
@@ -309,9 +308,8 @@ def rate_breakdown(solution: RsNomaSolution, channels: np.ndarray,
     g2, = stream_gains(solution, channels)
     _, _, gam_c, gam_p, c_rate, p_rate, group_c = stream_rates(
         g2, solution.stacked_powers(), layout, sigma_n2)
-    alloc, total = allocate(group_c, p_rate,
-                            common_shares(solution.rho, layout.members),
-                            layout.assign)
+    alloc, total = allocate(group_c[layout.assign], p_rate,
+                            common_shares(solution.rho, layout.members))
     return RateBreakdown(
         common_sinr=gam_c,
         private_sinr=gam_p,

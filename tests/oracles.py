@@ -202,3 +202,94 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
         if not accepted:
             break
     return best_w, best_f, best_aux
+
+
+# =====================================================================
+# Power and split blocks, every candidate priced in full
+# =====================================================================
+
+def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
+                           frozen_streams=None):
+    """The power block with every backtracking candidate priced by
+    ctx.evaluate, which forms the gains of w again each time.
+
+    optimizers._power_block prices them over the gains of aux0; this is
+    the loop it replaced, kept to show both give the same iterate."""
+    from holo_isac.optimizers import _project_powers
+
+    anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
+    best_p, best_f, best_aux = p, f0, aux0
+    shares = ctx.shares(rho)
+    eta = config.step_size
+    for _ in range(config.inner_steps):
+        grad = ctx.power_gradient(w, best_p, shares, best_aux, anchor)
+        if not np.all(np.isfinite(grad)):
+            raise RuntimeError("non-finite power gradient")
+        if frozen_streams is not None:
+            grad[frozen_streams] = 0.0
+        gn = np.linalg.norm(grad)
+        if gn < 1e-14:
+            break
+        direction = grad / gn
+        accepted = False
+        for _bt in range(config.max_backtracks):
+            cand = _project_powers(best_p + eta * ctx.limits.p_max * direction,
+                                   ctx.limits.p_max)
+            if frozen_streams is not None:
+                cand[frozen_streams] = 0.0
+            f_c, aux_c = ctx.evaluate(w, cand, rho, shares)
+            if f_c > best_f:
+                best_p, best_f, best_aux = cand, f_c, aux_c
+                eta = min(eta * 1.5, 1.0)
+                accepted = True
+                break
+            eta *= config.backtrack
+        if not accepted:
+            break
+    return best_p, best_f, best_aux
+
+
+def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
+    """The split block with every golden-section probe priced by
+    ctx.reprice on fresh copies of rho and of the share vector.
+
+    optimizers._rho_block prices a probe over the parts of aux0 the split
+    leaves fixed, in one working copy; this prices each one in full."""
+    from holo_isac.optimizers import _GOLDEN
+    from holo_isac.rates import group_shares
+
+    best_rho, best_f, best_aux = rho, f0, aux0
+    best_shares = ctx.shares(rho)
+    for mem in ctx.layout.members:
+        if len(mem) < 2:
+            continue
+        for k in mem:
+            def probe(rk):
+                cand = best_rho.copy()
+                cand[k] = rk
+                shares = best_shares.copy()
+                shares[mem] = group_shares(cand[mem])
+                return cand, shares
+
+            def f_of(rk):
+                return ctx.reprice(aux0, probe(rk)[1])[0]
+
+            lo, hi = 0.0, 1.0
+            x1 = hi - _GOLDEN * (hi - lo)
+            x2 = lo + _GOLDEN * (hi - lo)
+            f1 = f_of(x1)
+            f2 = f_of(x2)
+            for _ in range(40):
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + _GOLDEN * (hi - lo)
+                    f2 = f_of(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - _GOLDEN * (hi - lo)
+                    f1 = f_of(x1)
+            candb, sharesb = probe(x1 if f1 >= f2 else x2)
+            fb, auxb = ctx.reprice(aux0, sharesb)
+            if fb > best_f:
+                best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
+    return best_rho, best_f, best_aux

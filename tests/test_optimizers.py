@@ -29,7 +29,8 @@ from holo_isac.optimizers import (
 )
 from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
 from holo_isac.sensing import SensingScene
-from oracles import sequential_beam_block
+from oracles import (golden_rho_block, sequential_beam_block,
+                     sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -201,6 +202,10 @@ def test_reprice_equals_evaluate_bit_for_bit():
         assert f_cheap == f_full
         assert aux_cheap["penalty"] == aux_full["penalty"]
         assert np.array_equal(aux_cheap["total_rate"], aux_full["total_rate"])
+        # and the split is the one rate_breakdown prices
+        bd = rate_breakdown(ctx.build_solution(w, p, cand), channels, SIGMA_N2)
+        assert np.allclose(aux_full["total_rate"], bd.total_rate, rtol=1e-12,
+                           atol=0.0)
 
 
 def test_other_group_commons_do_not_cancel_against_the_own_common():
@@ -266,19 +271,19 @@ def test_each_block_never_decreases_objective():
         assert after >= before - 1e-9
 
 
-def beam_block_entries(monkeypatch):
-    """Every _beam_block entry of short hao_sca solves (all three legs) on
-    impaired desk_tiny and desk_small draws with CSI error."""
+def block_entries(monkeypatch, block):
+    """Every entry of the block optimizers.<block>, as (ctx, *arguments), in
+    short hao_sca (all three legs, the conventional-NOMA one included) and
+    fp solves on impaired desk_tiny and desk_small draws with CSI error."""
     entries = []
-    real = optimizers._beam_block
+    real = getattr(optimizers, block)
 
-    def record(ctx, w, p, rho, f0, aux0, config, frozen_streams=None):
-        entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, config,
-                        frozen_streams))
-        return real(ctx, w, p, rho, f0, aux0, config, frozen_streams)
+    def record(ctx, w, p, rho, f0, aux0, *rest):
+        entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, *rest))
+        return real(ctx, w, p, rho, f0, aux0, *rest)
 
     with monkeypatch.context() as patch:
-        patch.setattr(optimizers, "_beam_block", record)
+        patch.setattr(optimizers, block, record)
         for preset in ("desk_tiny", "desk_small"):
             cfg = preset_config(preset)
             cfg.impairments.coupling_kappa = 0.1
@@ -288,64 +293,141 @@ def beam_block_entries(monkeypatch):
             cfg.optimizer.max_iters = 2
             for seed in range(2):
                 data = generate_trial_data(cfg, np.random.default_rng(seed))
-                solve_instance("hao_sca", data.channels_est, data.targets, cfg)
+                for algorithm in ("hao_sca", "fp"):
+                    solve_instance(algorithm, data.channels_est, data.targets,
+                                   cfg)
     return entries
 
 
-def pricing_calls(ctx, block, *args):
-    """block(ctx, *args) with the (w, row) of every ctx.evaluate call
-    recorded; row is None for a single candidate."""
+def calls_to(patch, owner, name):
+    """The (args, kwargs) of every call of owner.name while patch holds."""
     calls = []
-    real = ctx.evaluate
+    real = getattr(owner, name)
 
-    def spy(w, *rest, row=None, **kwargs):
-        calls.append((np.array(w), row))
-        return real(w, *rest, row=row, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
 
-    ctx.evaluate = spy
-    try:
-        return block(ctx, *args), calls
-    finally:
-        del ctx.evaluate
+    patch.setattr(owner, name, spy)
+    return calls
+
+
+def assert_same_result(got, want):
+    """Two block results (iterate, objective, aux) equal bit for bit."""
+    (x1, f1, aux1), (x2, f2, aux2) = got, want
+    assert x1.tobytes() == x2.tobytes() and f1 == f2
+    assert aux1.keys() == aux2.keys()
+    for key in aux1:
+        assert np.asarray(aux1[key]).tobytes() == \
+            np.asarray(aux2[key]).tobytes(), key
 
 
 def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
-    entries = beam_block_entries(monkeypatch)
+    entries = block_entries(monkeypatch, "_beam_block")
     assert len(entries) >= 10
     fallbacks = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
-        (w1, f1, aux1), calls = pricing_calls(
-            ctx, optimizers._beam_block, w, p, rho, f0, aux0, config, frozen)
-        w2, f2, aux2 = sequential_beam_block(ctx, w, p, rho, f0, aux0, config,
-                                             frozen)
-        assert w1.tobytes() == w2.tobytes() and f1 == f2
-        assert aux1.keys() == aux2.keys()
-        for key in aux1:
-            assert np.asarray(aux1[key]).tobytes() == \
-                np.asarray(aux2[key]).tobytes(), key
-        fallbacks += any(row is not None for _, row in calls)
+    for ctx, *args in entries:
+        with monkeypatch.context() as patch:
+            calls = calls_to(patch, ctx, "evaluate")
+            got = optimizers._beam_block(ctx, *args)
+        assert_same_result(got, sequential_beam_block(ctx, *args))
+        fallbacks += any("row" in kwargs for _, kwargs in calls)
     assert fallbacks >= 3
 
 
 def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
     visited = []
     for ctx, w, p, rho, f0, aux0, config, frozen in \
-            beam_block_entries(monkeypatch):
+            block_entries(monkeypatch, "_beam_block"):
         one_step = OptimizerConfig(inner_steps=1,
                                    max_backtracks=config.max_backtracks)
-        _, calls = pricing_calls(ctx, optimizers._beam_block, w, p, rho, f0,
-                                 aux0, one_step, frozen)
-        joint = [c for c, row in calls if row is None]
+        with monkeypatch.context() as patch:
+            calls = calls_to(patch, ctx, "evaluate")
+            optimizers._beam_block(ctx, w, p, rho, f0, aux0, one_step, frozen)
+        joint = [c for c, kwargs in calls if "row" not in kwargs]
         rows = []
-        for base, row in calls:
-            if row is not None:
+        for (base, *_), kwargs in calls:
+            if "row" in kwargs:
                 # every call of the step moves one row of the entry iterate
                 assert np.array_equal(base, w)
-                rows.append(row[0])
+                rows.append(kwargs["row"][0])
         assert len(joint) <= one_step.max_backtracks
         assert len(rows) == len(set(rows))
         visited.extend(rows)
     assert len(visited) >= 3
+
+
+def test_power_steps_priced_over_the_entry_gains_match_full_evaluations(
+        monkeypatch):
+    entries = block_entries(monkeypatch, "_power_block")
+    assert len(entries) >= 10
+    moved = 0
+    for ctx, *args in entries:
+        got = optimizers._power_block(ctx, *args)
+        assert_same_result(got, sequential_power_block(ctx, *args))
+        moved += got[0] is not args[1]
+    assert moved >= 3
+
+
+def test_a_power_block_forms_no_gains(monkeypatch):
+    priced = 0
+    for ctx, *args in block_entries(monkeypatch, "_power_block"):
+        with monkeypatch.context() as patch:
+            formed = calls_to(patch, ctx, "_gains")
+            evaluated = calls_to(patch, ctx, "evaluate")
+            candidates = calls_to(patch, ctx, "price_powers")
+            optimizers._power_block(ctx, *args)
+        assert not formed and not evaluated
+        # every candidate is priced over the gains the block entered with
+        aux0 = args[4]
+        for (gains, _, _), _ in candidates:
+            assert gains.keys() == set(ctx._GAINS)
+            assert all(gains[key] is aux0[key] for key in ctx._GAINS)
+        priced += len(candidates)
+    assert priced >= 10
+
+
+def test_golden_section_probes_match_full_repricing(monkeypatch):
+    entries = block_entries(monkeypatch, "_rho_block")
+    assert len(entries) >= 10
+    moved = 0
+    for ctx, *args in entries:
+        got = optimizers._rho_block(ctx, *args)
+        assert_same_result(got, golden_rho_block(ctx, *args))
+        moved += got[0] is not args[2]
+    assert moved >= 3
+
+
+def test_a_rho_probe_prices_the_split_alone(monkeypatch):
+    for ctx, *args in block_entries(monkeypatch, "_rho_block"):
+        with monkeypatch.context() as patch:
+            streams = calls_to(patch, optimizers, "price_streams")
+            formed = calls_to(patch, ctx, "_gains")
+            full = calls_to(patch, ctx, "reprice")
+            probes = calls_to(patch, ctx, "_split_terms")
+            optimizers._rho_block(ctx, *args)
+        assert not streams and not formed
+        # one full repricing per searched user, at the point it settles on;
+        # the 42 probes of its search price the split alone
+        searched = sum(len(mem) for mem in ctx.layout.members if len(mem) > 1)
+        assert searched and len(full) == searched
+        assert len(probes) == 43 * searched
+
+
+def test_normalize_rows_takes_the_fallback_for_zero_and_nan_rows():
+    rng = np.random.default_rng(56)
+    w = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    w[1] = 0.0
+    w[2, 3] = np.nan
+    w[4] *= 1e-140                   # small, but its norm is above 1e-300
+    fallback = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    norms = np.linalg.norm(w, axis=1)
+    with np.errstate(invalid="ignore"):   # the NaN row divides NaN by NaN
+        want = np.where(norms[:, None] > 1e-300,
+                        w / np.maximum(norms, 1e-300)[:, None], fallback)
+        got = optimizers._normalize_rows(w, fallback)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[[1, 2]], fallback[[1, 2]])
 
 
 def test_zero_inner_steps_is_identity_for_beams():
