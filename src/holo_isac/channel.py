@@ -132,9 +132,10 @@ def generate_user_channel(geom: ArrayGeometry, rng: np.random.Generator,
     paths = sampler.draw_paths(geom, rng)
     if beta is None:
         beta = free_space_beta(geom, paths[0].r)
+    responses = array_response(geom, [p.theta for p in paths],
+                               [p.phi for p in paths], [p.r for p in paths])
     h = np.zeros(geom.m_total, dtype=complex)
-    for p in paths:
-        a = array_response(geom, p.theta, p.phi, p.r)
+    for p, a in zip(paths, responses):
         alpha = (rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(p.sigma2 / 2.0)
         h += alpha * a
     return UserChannel(h=np.sqrt(beta) * h, paths=paths, beta=beta)

@@ -121,13 +121,17 @@ def fresnel_distance(geom: ArrayGeometry, theta, phi, r, m, n):
     )
 
 
-def array_response(geom: ArrayGeometry, theta: float, phi: float, r: float) -> np.ndarray:
+def array_response(geom: ArrayGeometry, theta, phi, r) -> np.ndarray:
     """Near-field array response (steering) vector for a point source.
 
     Element (m, n) contributes (1/sqrt(M)) * exp(j k0 r_mn) / r_mn with r_mn the
     exact element distance, so both the phase curvature and the amplitude taper
     across the aperture are modeled. Elements are stacked row-major with the
     n index fastest: flat index = m * my + n.
+
+    theta, phi and r may be arrays that broadcast against each other, one
+    source per entry; each response then equals, bit for bit, the response
+    of its source alone.
 
     Args:
         geom: array description.
@@ -137,22 +141,26 @@ def array_response(geom: ArrayGeometry, theta: float, phi: float, r: float) -> n
             the 1/r_mn amplitudes away from the array singularity.
 
     Returns:
-        Complex vector of length geom.m_total.
+        Complex array of shape (*broadcast shape, geom.m_total): a vector of
+        length geom.m_total for scalar arguments.
 
     Raises:
         ValueError: for r below the near-singularity bound or a negative
             radicand in the distance evaluation.
     """
+    theta, phi, r = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                          for x in (theta, phi, r)))
     near_bound = 10.0 * max(geom.dx, geom.dy)
-    if r < near_bound:
+    if np.any(r < near_bound):
         raise ValueError(
-            f"source range {r:.6g} m is inside the near-singularity bound "
+            f"source range {np.min(r):.6g} m is inside the near-singularity bound "
             f"{near_bound:.6g} m (10 * max element spacing)"
         )
     m, n = geom.element_offsets()
-    dist = element_distance(geom, theta, phi, r, m, n)
+    grid = (..., None, None)
+    dist = element_distance(geom, theta[grid], phi[grid], r[grid], m, n)
     a = np.exp(1j * geom.wavenumber * dist) / dist
-    return a.reshape(-1) / np.sqrt(geom.m_total)
+    return a.reshape(*theta.shape, geom.m_total) / np.sqrt(geom.m_total)
 
 
 def steering_derivative(geom: ArrayGeometry, theta: float, phi: float, r: float,

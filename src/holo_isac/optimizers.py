@@ -4,8 +4,9 @@ Three solvers climb one penalized objective, priced by _EvalContext over the
 kernel in objective.price_streams / price_split (the pricing the result rows
 use too) with a quadratic QoS penalty added. A block prices its candidates
 from what it holds fixed: the power block reuses the stream gains of its
-entry beams, and the split block the whole stream part, so only the beam
-block forms gains per candidate.
+entry beams, and the split block the whole stream part. The beam block forms
+the gains of one tangent per inner step and prices its candidates from those
+and the entry gains; it forms gains in full only once more, for its result.
 
 * run_hao_sca: block-coordinate ascent on the composite objective. Each block
   (beamformers, powers, split coefficients) moves along the gradient of a
@@ -115,7 +116,7 @@ class _EvalContext:
     coefficients) so one complex GEMM prices all stream gains. The pricing
     itself is the kernel of objective.price_streams / price_split, the same
     one rate_breakdown, composite_objective and the result rows use; this
-    class adds the QoS penalty, the stacked row candidates and the gradients.
+    class adds the QoS penalty and the gradients.
     """
 
     def __init__(self, channels, targets, geom: ArrayGeometry,
@@ -202,21 +203,15 @@ class _EvalContext:
 
     # -- evaluation -----------------------------------------------------
     def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray,
-                 shares: np.ndarray | None = None, row=None):
+                 shares: np.ndarray | None = None):
         """Penalized composite objective plus every intermediate quantity.
 
         The gains of w are formed first, price_powers prices them at p and
         reprice finishes the split. Callers that hold rho fixed may pass the
-        precomputed share vector to skip its recomputation in hot loops.
-
-        row = (j, rows) prices n candidates in one call: w with its row j
-        replaced by each of the n rows in turn. The objective then comes
-        back as an (n,) array and every aux entry gains the candidate axis,
-        except those of _P_ONLY; pick takes one candidate's entries out,
-        equal bit for bit to evaluating that candidate alone."""
+        precomputed share vector to skip its recomputation in hot loops."""
         if shares is None:
             shares = self.shares(rho)
-        return self.price_powers(self._gains(w, row), p, shares)
+        return self.price_powers(self._gains(w), p, shares)
 
     # aux entries that depend on the powers alone, so a stack shares them
     _P_ONLY = ("ptot", "crlb_pen")
@@ -225,29 +220,15 @@ class _EvalContext:
 
     @classmethod
     def pick(cls, aux: dict, i: int) -> dict:
-        """Candidate i's entries of a stacked evaluation."""
+        """Candidate i's entries of a stacked pricing (see _Retraction)."""
         return {key: value if key in cls._P_ONLY else value[i]
                 for key, value in aux.items()}
 
-    def _gains(self, w: np.ndarray, row=None) -> dict:
+    def _gains(self, w: np.ndarray) -> dict:
         """The user and target gains of every stream of w: v = h_k^H w_s,
-        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2.
-
-        Candidates of a row (see evaluate) share one working copy of w, so
-        memory does not grow with their number; each one's gains are the
-        products a lone evaluation makes, one BLAS call per candidate."""
-        if row is None:
-            v = self.hc @ w.T                  # (K, S)
-            va = self.scene.steer_c @ w.T      # (L, S)
-        else:
-            j, rows = row
-            cand = w.copy()
-            v = np.empty((len(rows), self.k_total, len(w)), dtype=complex)
-            va = np.empty((len(rows), self.num_targets, len(w)), dtype=complex)
-            for i, r in enumerate(rows):
-                cand[j] = r
-                np.matmul(self.hc, cand.T, out=v[i])
-                np.matmul(self.scene.steer_c, cand.T, out=va[i])
+        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2, from one product each."""
+        v = self.hc @ w.T                  # (K, S)
+        va = self.scene.steer_c @ w.T      # (L, S)
         return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
 
     def price_powers(self, gains: dict, p: np.ndarray, shares: np.ndarray):
@@ -480,17 +461,118 @@ def _project_powers(p: np.ndarray, p_max: float) -> np.ndarray:
 # Block updates
 # =====================================================================
 
+def _reals(a: np.ndarray) -> np.ndarray:
+    """A complex array's rows as float64 rows, real and imaginary parts
+    interleaved (a view when a is C-contiguous), so the real part of a row
+    inner product is one real dot."""
+    return np.ascontiguousarray(a).view(np.float64)
+
+
+def _tangent(grad: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """grad less its radial part Re<w_s, grad_s> w_s in every row, the
+    tangent on the unit spheres at w, formed in grad's own buffer (scratch
+    holds the radial part)."""
+    gr, wr = grad.view(np.float64), _reals(w)
+    gr -= np.multiply(wr, _rowdot(wr, gr)[:, None], out=scratch)
+    return grad
+
+
+class _Retraction:
+    """The candidates of one beam step, priced from gains alone.
+
+    A candidate moves the step's entry iterate w along the tangent t and
+    scales each stream back onto its unit sphere (the projection
+    retraction): cand_s = (w_s + c t_s) / n_s with
+    n_s^2 = |w_s|^2 + 2c Re<w_s, t_s> + c^2 |t_s|^2. Hence
+    h_k^H cand_s = (h_k^H w_s + c h_k^H t_s) / n_s, and the same for every
+    steering vector: once the gains of t are formed (one ctx._gains per
+    step) a candidate's gains cost O((K + L) S) and no product with the
+    channels. Only an accepted candidate is formed as an S x M iterate.
+
+    Held streams have t_s = 0 and are given n_s = 1, so they keep their row
+    of w and their gains; a stream whose n_s is not above 1e-300, or is NaN,
+    keeps them too. The gains agree with ctx._gains of the formed candidate
+    up to roundoff only, so _beam_block prices its result once more."""
+
+    def __init__(self, ctx: _EvalContext, w, tang, gains: dict, held):
+        self.w, self.tang, self.held = w, tang, held
+        self.entry = gains
+        self.moved = ctx._gains(tang)
+        wr, tr = _reals(w), _reals(tang)
+        self.wn2 = _rowdot(wr, wr)
+        self.wt = _rowdot(wr, tr)
+        self.tn2 = _rowdot(tr, tr)
+        self.wn2[held] = 1.0
+
+    def norms(self, c, s=slice(None)):
+        """n_s at step c of the streams s (all by default), or of stream s
+        at each of an array of steps c."""
+        return np.sqrt(self.wn2[s] + (2.0 * c) * self.wt[s]
+                       + (c * c) * self.tn2[s])
+
+    def joint(self, c: float):
+        """(gains, n, kept streams) of the candidate moving every stream by c."""
+        n = self.norms(c)
+        kept = self.held
+        dead = None
+        if not n.min() > 1e-300:
+            dead = ~(n > 1e-300)
+            kept = kept | dead
+            n[dead] = 1.0
+        gains = {}
+        for key, sq in (("v", "g2"), ("va", "m2")):
+            x = (self.entry[key] + c * self.moved[key]) / n
+            gains[key], gains[sq] = x, np.abs(x) ** 2
+        if dead is not None:
+            for key in _EvalContext._GAINS:
+                gains[key][:, dead] = self.entry[key][:, dead]
+        return gains, n, kept
+
+    def iterate(self, c: float, n, kept) -> np.ndarray:
+        """The joint candidate at step c as beams, from joint's n and kept."""
+        out = _reals(self.tang) * c
+        out += _reals(self.w)
+        out /= n[:, None]
+        out = out.view(complex)
+        if kept.any():
+            out[kept] = self.w[kept]
+        return out
+
+    def row_gains(self, j: int, c: np.ndarray, n: np.ndarray) -> dict:
+        """Gains of the candidates that move stream j alone, one per step
+        c[i] with n[i] > 1e-300, stacked on a leading axis: the entry gains
+        with column j replaced."""
+        gains = {}
+        for key, sq in (("v", "g2"), ("va", "m2")):
+            x = np.repeat(self.entry[key][None], len(c), axis=0)
+            x[..., j] = (self.entry[key][:, j] + c[:, None] * self.moved[key][:, j]) \
+                / n[:, None]
+            g = np.repeat(self.entry[sq][None], len(c), axis=0)
+            g[..., j] = np.abs(x[..., j]) ** 2
+            gains[key], gains[sq] = x, g
+        return gains
+
+    def row(self, j: int, c: float, n: float) -> np.ndarray:
+        """The candidate moving stream j alone by c, as beams."""
+        out = self.w.copy()
+        out[j] = (self.w[j] + c * self.tang[j]) / n
+        return out
+
+
 def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 frozen_streams=None):
     """Gradient pass over the beamformers. Never returns a worse iterate.
 
     A joint step over all rows is tried first; when it is rejected the rows
     are retried one at a time with the same gradient, so streams whose
-    directions conflict cannot deadlock the whole block. A row's up to four
-    backtracking steps all move the same entry iterate, so they are priced
-    together in one stacked ctx.evaluate call, and the first improving step
-    in backtracking order is kept: the iterate, objective and step sizes are
-    those of trying the steps one by one, bit for bit."""
+    directions conflict cannot deadlock the whole block. Each inner step
+    forms the gains of its tangent once and prices every candidate from
+    those and the entry gains (_Retraction); a row's up to four
+    backtracking steps are priced together in one stacked call, and the
+    first improving step in backtracking order is kept. If the block moved,
+    its result is priced once more by ctx.evaluate, and kept only when that
+    value is above f0, so the returned gains are those of the returned
+    beams bit for bit and roundoff in the identity never leaves the block."""
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     best_w, best_f, best_aux = w, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
@@ -500,31 +582,33 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     eta = config.step_size
     row_eta = np.full(w.shape[0], config.step_size)
     joint_ok = True
+    scratch = np.empty((w.shape[0], 2 * w.shape[1]))
     for _ in range(config.inner_steps):
         grad = ctx.beam_gradient(best_w, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad[frozen] = 0.0
-        # tangent direction on the unit spheres; scaled by the largest row so
-        # weak streams move proportionally less instead of jittering
-        radial = np.real(np.sum(grad.conj() * best_w, axis=1))
-        tang = grad - radial[:, None] * best_w
-        tn = np.linalg.norm(tang, axis=1)
-        if tn.max() < 1e-14:
+        step = _Retraction(ctx, best_w, _tangent(grad, best_w, scratch),
+                           best_aux, frozen)
+        tn = np.sqrt(step.tn2)
+        tn_max = tn.max()
+        if tn_max < 1e-14:
             break
         accepted = False
         if joint_ok:
-            direction = tang / tn.max()
-            step = eta
+            # steps scaled by the largest row, so weak streams move
+            # proportionally less instead of jittering
+            size = eta
             for _bt in range(config.max_backtracks):
-                cand = _normalize_rows(best_w + step * direction, best_w)
-                f_c, aux_c = ctx.evaluate(cand, p, rho, shares)
+                c = size / tn_max
+                gains, n, kept = step.joint(c)
+                f_c, aux_c = ctx.price_powers(gains, p, shares)
                 if f_c > best_f:
-                    best_w, best_f, best_aux = cand, f_c, aux_c
-                    eta = min(step * 1.5, 1.0)
+                    best_w, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
+                    eta = min(size * 1.5, 1.0)
                     accepted = True
                     break
-                step *= config.backtrack
+                size *= config.backtrack
             if not accepted:
                 joint_ok = False
         if not accepted:
@@ -537,20 +621,17 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 for _bt in range(3):
                     steps.append(steps[-1] * config.backtrack)
                 steps = np.array(steps)
-                rows = best_w[j] + steps[:, None] * (tang[j] / tn[j])
-                # |row| as np.linalg.norm takes it: real and imaginary dots
-                norms = np.sqrt(_rowdot(rows.real, rows.real)
-                                + _rowdot(rows.imag, rows.imag))
-                live = norms >= 1e-300
+                c = steps / tn[j]
+                n = step.norms(c, j)
+                live = n > 1e-300
                 if live.any():
-                    cands = rows[live] / norms[live, None]
-                    f_c, aux_c = ctx.evaluate(best_w, p, rho, shares,
-                                              row=(j, cands))
+                    c, n = c[live], n[live]
+                    f_c, aux_c = ctx.price_powers(step.row_gains(j, c, n), p,
+                                                  shares)
                     better = np.flatnonzero(f_c > best_f)
                     if better.size:
                         i = better[0]
-                        best_w = best_w.copy()
-                        best_w[j] = cands[i]
+                        best_w = step.row(j, c[i], n[i])
                         best_f, best_aux = f_c[i], ctx.pick(aux_c, i)
                         row_eta[j] = min(steps[live][i] * 1.5, 1.0)
                         accepted = True
@@ -558,7 +639,12 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 row_eta[j] = max(steps[-1] * config.backtrack, 1e-3)
         if not accepted:
             break
-    return best_w, best_f, best_aux
+    if best_w is w:
+        return w, f0, aux0
+    f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
+    if f_out > f0:
+        return best_w, f_out, aux_out
+    return w, f0, aux0
 
 
 def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,

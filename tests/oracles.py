@@ -132,16 +132,31 @@ def dense_sensing_sinr(l, solution, targets, sigma_s2, geom) -> float:
 
 
 # =====================================================================
-# Beam block, one candidate per evaluation
+# Beam block, one candidate per pricing
 # =====================================================================
+
+def lone_row_gains(step, j, c, n):
+    """The gains of the one candidate that moves stream j of an
+    optimizers._Retraction step by c: its entry gains with column j
+    replaced by (v_j + c vt_j) / n."""
+    gains = {}
+    for key, sq in (("v", "g2"), ("va", "m2")):
+        x = step.entry[key].copy()
+        x[:, j] = (step.entry[key][:, j] + c * step.moved[key][:, j]) / n
+        g = step.entry[sq].copy()
+        g[:, j] = np.abs(x[:, j]) ** 2
+        gains[key], gains[sq] = x, g
+    return gains
+
 
 def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None):
     """The beamformer block with its row-by-row fallback priced one
-    candidate per ctx.evaluate call, in backtracking order.
+    candidate per ctx.price_powers call, in backtracking order.
 
     optimizers._beam_block prices a row's steps in one stacked call; this
-    is the loop it replaced, kept to show both give the same iterate."""
-    from holo_isac.optimizers import _normalize_rows
+    is the loop that tries them one by one, kept to show both give the same
+    iterate."""
+    from holo_isac.optimizers import _Retraction, _tangent
 
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     best_w, best_f, best_aux = w, f0, aux0
@@ -152,56 +167,61 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
     eta = config.step_size
     row_eta = np.full(w.shape[0], config.step_size)
     joint_ok = True
+    scratch = np.empty((w.shape[0], 2 * w.shape[1]))
     for _ in range(config.inner_steps):
         grad = ctx.beam_gradient(best_w, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad[frozen] = 0.0
-        radial = np.real(np.sum(grad.conj() * best_w, axis=1))
-        tang = grad - radial[:, None] * best_w
-        tn = np.linalg.norm(tang, axis=1)
-        if tn.max() < 1e-14:
+        step = _Retraction(ctx, best_w, _tangent(grad, best_w, scratch),
+                           best_aux, frozen)
+        tn = np.sqrt(step.tn2)
+        tn_max = tn.max()
+        if tn_max < 1e-14:
             break
         accepted = False
         if joint_ok:
-            direction = tang / tn.max()
-            step = eta
+            size = eta
             for _bt in range(config.max_backtracks):
-                cand = _normalize_rows(best_w + step * direction, best_w)
-                f_c, aux_c = ctx.evaluate(cand, p, rho, shares)
+                c = size / tn_max
+                gains, n, kept = step.joint(c)
+                f_c, aux_c = ctx.price_powers(gains, p, shares)
                 if f_c > best_f:
-                    best_w, best_f, best_aux = cand, f_c, aux_c
-                    eta = min(step * 1.5, 1.0)
+                    best_w, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
+                    eta = min(size * 1.5, 1.0)
                     accepted = True
                     break
-                step *= config.backtrack
+                size *= config.backtrack
             if not accepted:
                 joint_ok = False
         if not accepted:
             for j in np.argsort(-tn):
                 if frozen[j] or tn[j] < 1e-14:
                     continue
-                dir_j = tang[j] / tn[j]
-                step = row_eta[j]
+                size = row_eta[j]
                 for _bt in range(4):
-                    row = best_w[j] + step * dir_j
-                    nr = np.linalg.norm(row)
-                    if nr >= 1e-300:
-                        cand = best_w.copy()
-                        cand[j] = row / nr
-                        f_c, aux_c = ctx.evaluate(cand, p, rho, shares)
+                    c = size / tn[j]
+                    n = step.norms(c, j)
+                    if n > 1e-300:
+                        f_c, aux_c = ctx.price_powers(
+                            lone_row_gains(step, j, c, n), p, shares)
                         if f_c > best_f:
-                            best_w, best_f, best_aux = cand, f_c, aux_c
-                            row_eta[j] = min(step * 1.5, 1.0)
+                            best_w, best_f, best_aux = step.row(j, c, n), f_c, aux_c
+                            row_eta[j] = min(size * 1.5, 1.0)
                             accepted = True
                             break
-                    step *= config.backtrack
+                    size *= config.backtrack
                 if accepted:
                     break
-                row_eta[j] = max(step, 1e-3)
+                row_eta[j] = max(size, 1e-3)
         if not accepted:
             break
-    return best_w, best_f, best_aux
+    if best_w is w:
+        return w, f0, aux0
+    f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
+    if f_out > f0:
+        return best_w, f_out, aux_out
+    return w, f0, aux0
 
 
 # =====================================================================

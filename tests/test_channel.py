@@ -100,6 +100,24 @@ def test_channel_mean_energy_statistics():
     assert 0.8 < ratio < 1.2
 
 
+def test_channel_sums_the_paths_in_draw_order():
+    # one response per path, the path gains drawn after all paths, and h
+    # accumulated path by path: the draw a per-path loop makes, bit for bit
+    g = desk_geom(4, 4)
+    sampler = PathSampler(num_paths=6)
+    for seed in range(3):
+        ch = generate_user_channel(g, np.random.default_rng(seed), sampler)
+        rng = np.random.default_rng(seed)
+        paths = sampler.draw_paths(g, rng)
+        h = np.zeros(g.m_total, dtype=complex)
+        for p in paths:
+            alpha = (rng.standard_normal() + 1j * rng.standard_normal()) \
+                * np.sqrt(p.sigma2 / 2.0)
+            h += alpha * array_response(g, p.theta, p.phi, p.r)
+        assert ch.paths == paths
+        assert ch.h.tobytes() == (np.sqrt(ch.beta) * h).tobytes()
+
+
 def test_free_space_beta_hand_value():
     g = desk_geom()
     assert free_space_beta(g, 2.0) == pytest.approx(

@@ -125,6 +125,23 @@ def test_array_response_matches_manual_formula():
     assert np.allclose(a, manual, rtol=1e-13, atol=0.0)
 
 
+def test_array_response_broadcasts_sources_bit_for_bit():
+    g = desk_geom(5, 3)
+    rng = np.random.default_rng(78)
+    theta = rng.uniform(-1.0, 1.0, (2, 3))
+    phi = rng.uniform(-np.pi, np.pi, (2, 3))
+    r = rng.uniform(0.05, 0.5, 3)               # broadcast along the rows
+    a = array_response(g, theta, phi, r)
+    assert a.shape == (2, 3, 15)
+    for i in range(2):
+        for j in range(3):
+            alone = array_response(g, theta[i, j], phi[i, j], r[j])
+            assert a[i, j].tobytes() == alone.tobytes()
+    assert array_response(g, [], [], []).shape == (0, 15)
+    with pytest.raises(ValueError):
+        array_response(g, [0.0, 0.1], 0.0, [0.5, 9.0 * g.dx])
+
+
 def test_array_response_near_singularity_guard():
     g = desk_geom()
     with pytest.raises(ValueError):

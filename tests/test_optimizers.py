@@ -274,7 +274,8 @@ def test_each_block_never_decreases_objective():
 def block_entries(monkeypatch, block):
     """Every entry of the block optimizers.<block>, as (ctx, *arguments), in
     short hao_sca (all three legs, the conventional-NOMA one included) and
-    fp solves on impaired desk_tiny and desk_small draws with CSI error."""
+    fp solves on impaired desk_tiny and desk_small draws with CSI error, and
+    on one paper_full draw (M = 1024) with CSI error at one sweep."""
     entries = []
     real = getattr(optimizers, block)
 
@@ -282,20 +283,25 @@ def block_entries(monkeypatch, block):
         entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, *rest))
         return real(ctx, w, p, rho, f0, aux0, *rest)
 
+    draws = []
+    for preset in ("desk_tiny", "desk_small"):
+        cfg = preset_config(preset)
+        cfg.impairments.coupling_kappa = 0.1
+        cfg.impairments.irr_db = 25.0
+        cfg.impairments.phase_noise_dbc = -25.0
+        cfg.impairments.csi_eps = 0.1
+        cfg.optimizer.max_iters = 2
+        draws += [(cfg, seed) for seed in range(2)]
+    cfg = preset_config("paper_full")
+    cfg.impairments.csi_eps = 0.1
+    cfg.optimizer.max_iters = 1
+    draws.append((cfg, 0))
     with monkeypatch.context() as patch:
         patch.setattr(optimizers, block, record)
-        for preset in ("desk_tiny", "desk_small"):
-            cfg = preset_config(preset)
-            cfg.impairments.coupling_kappa = 0.1
-            cfg.impairments.irr_db = 25.0
-            cfg.impairments.phase_noise_dbc = -25.0
-            cfg.impairments.csi_eps = 0.1
-            cfg.optimizer.max_iters = 2
-            for seed in range(2):
-                data = generate_trial_data(cfg, np.random.default_rng(seed))
-                for algorithm in ("hao_sca", "fp"):
-                    solve_instance(algorithm, data.channels_est, data.targets,
-                                   cfg)
+        for cfg, seed in draws:
+            data = generate_trial_data(cfg, np.random.default_rng(seed))
+            for algorithm in ("hao_sca", "fp"):
+                solve_instance(algorithm, data.channels_est, data.targets, cfg)
     return entries
 
 
@@ -322,16 +328,22 @@ def assert_same_result(got, want):
             np.asarray(aux2[key]).tobytes(), key
 
 
+def stacked(gains) -> bool:
+    """Whether a pricing call's gains carry a candidate axis (a row step)."""
+    return gains["v"].ndim == 3
+
+
 def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
     entries = block_entries(monkeypatch, "_beam_block")
     assert len(entries) >= 10
+    assert any(ctx.m_total == 1024 for ctx, *_ in entries)
     fallbacks = 0
     for ctx, *args in entries:
         with monkeypatch.context() as patch:
-            calls = calls_to(patch, ctx, "evaluate")
+            calls = calls_to(patch, ctx, "price_powers")
             got = optimizers._beam_block(ctx, *args)
         assert_same_result(got, sequential_beam_block(ctx, *args))
-        fallbacks += any("row" in kwargs for _, kwargs in calls)
+        fallbacks += any(stacked(gains) for (gains, *_), _ in calls)
     assert fallbacks >= 3
 
 
@@ -342,19 +354,143 @@ def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
         one_step = OptimizerConfig(inner_steps=1,
                                    max_backtracks=config.max_backtracks)
         with monkeypatch.context() as patch:
-            calls = calls_to(patch, ctx, "evaluate")
+            formed = calls_to(patch, ctx, "_gains")
+            evaluated = calls_to(patch, ctx, "evaluate")
+            priced = calls_to(patch, ctx, "price_powers")
             optimizers._beam_block(ctx, w, p, rho, f0, aux0, one_step, frozen)
-        joint = [c for c, kwargs in calls if "row" not in kwargs]
+        # one product for the tangent, and one more only to price the result
+        assert len(evaluated) <= 1
+        assert len(formed) == 1 + len(evaluated)
+        joint = [g for (g, *_), _ in priced if not stacked(g)]
+        assert len(joint) - len(evaluated) <= one_step.max_backtracks
         rows = []
-        for (base, *_), kwargs in calls:
-            if "row" in kwargs:
-                # every call of the step moves one row of the entry iterate
-                assert np.array_equal(base, w)
-                rows.append(kwargs["row"][0])
-        assert len(joint) <= one_step.max_backtracks
+        for (gains, *_), _ in priced:
+            if not stacked(gains):
+                continue
+            # a row step keeps every gain of the entry iterate but stream j's
+            moved = np.flatnonzero(np.any(gains["v"] != aux0["v"], axis=(0, 1)))
+            assert len(moved) == 1
+            j = moved[0]
+            for key in ctx._GAINS:
+                kept = np.delete(gains[key], j, axis=-1)
+                assert np.array_equal(kept, np.broadcast_to(
+                    np.delete(aux0[key], j, axis=-1), kept.shape))
+            rows.append(j)
         assert len(rows) == len(set(rows))
         visited.extend(rows)
     assert len(visited) >= 3
+
+
+def rescaled_entries(monkeypatch):
+    """beam-block entries whose rows are off the unit spheres (norms 0.5 to
+    2, one free row zero), priced afresh, so Re<w_s, t_s> is not ~0 and a
+    dead stream occurs; one desk_tiny and one desk_small entry each of
+    hao_sca and fp (whose common streams are held)."""
+    out, seen = [], set()
+    rng = np.random.default_rng(57)
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries(monkeypatch, "_beam_block"):
+        key = (ctx.m_total, frozen is None)
+        if key in seen or ctx.m_total > 64:
+            continue
+        seen.add(key)
+        w = w * rng.uniform(0.5, 2.0, len(w))[:, None]
+        w[ctx.num_groups] = 0.0          # the first private stream
+        f0, aux0 = ctx.evaluate(w, p, rho)
+        out.append((ctx, w, p, rho, f0, aux0, config, frozen))
+    assert len(out) == 4
+    return out
+
+
+def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
+    seen = []
+
+    def spy(name):
+        real = getattr(optimizers._Retraction, name)
+
+        def record(step, *args):
+            out = real(step, *args)
+            seen.append((name, step, args, out))
+            return out
+        monkeypatch.setattr(optimizers._Retraction, name, record)
+
+    entries = block_entries(monkeypatch, "_beam_block") \
+        + rescaled_entries(monkeypatch)
+    spy("joint")
+    spy("row_gains")
+
+    def close(got, want):
+        # within 1e-12 of each column's largest gain
+        scale = np.abs(want).max(axis=-2, keepdims=True)
+        return np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    counts = {"joint": 0, "row_gains": 0}
+    for ctx, *args in entries:
+        seen.clear()
+        optimizers._beam_block(ctx, *args)
+        for name, step, args_, out in seen:
+            counts[name] += 1
+            w, t = step.w, step.tang
+            if name == "joint":
+                (c,), (gains, _, _) = args_, out
+                cand = optimizers._normalize_rows(w + c * t, w)
+                cand[step.held] = w[step.held]
+                want = ctx._gains(cand)
+                assert close(gains["v"], want["v"])
+                assert close(gains["va"], want["va"])
+                continue
+            (j, c, _), gains = args_, out
+            for i, ci in enumerate(c):
+                r = w[j] + ci * t[j]
+                r = r / np.linalg.norm(r)
+                assert close(gains["v"][i][:, [j]], ctx.hc @ r[:, None])
+                assert close(gains["va"][i][:, [j]],
+                             ctx.scene.steer_c @ r[:, None])
+    assert counts["joint"] >= 20 and counts["row_gains"] >= 20
+
+
+def test_beam_block_returns_the_gains_of_its_beams(monkeypatch):
+    moved = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries(monkeypatch, "_beam_block") \
+            + rescaled_entries(monkeypatch):
+        w_out, f_out, aux_out = optimizers._beam_block(ctx, w, p, rho, f0,
+                                                       aux0, config, frozen)
+        assert f_out >= f0
+        formed = ctx._gains(w_out)
+        for key in ctx._GAINS:
+            assert aux_out[key].tobytes() == formed[key].tobytes(), key
+        assert ctx.evaluate(w_out, p, rho)[0] == f_out
+        moved += w_out is not w
+    assert moved >= 10
+
+
+def test_zero_and_held_beam_rows_keep_their_entry_rows(monkeypatch):
+    held_rows = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            rescaled_entries(monkeypatch):
+        w_out, _, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0, config,
+                                             frozen)
+        assert w_out is not w
+        assert np.all(w_out[ctx.num_groups] == 0.0)
+        if frozen is not None:
+            assert w_out[frozen].tobytes() == w[frozen].tobytes()
+            held_rows += len(frozen)
+    assert held_rows >= 2
+    # a stream whose n underflows to 0 keeps its row and its gains even
+    # when its tangent is not zero
+    ctx, w, p, rho, f0, aux0, config, frozen = rescaled_entries(monkeypatch)[0]
+    dead = ctx.num_groups
+    tang = np.zeros_like(w)
+    tang[dead] = 1e-310
+    tang[dead + 1] = w[dead + 1, ::-1]
+    step = optimizers._Retraction(ctx, w, tang, aux0,
+                                  np.zeros(len(w), dtype=bool))
+    gains, n, kept = step.joint(1.0)
+    assert kept[dead] and not kept[dead + 1]
+    for key in ctx._GAINS:
+        assert np.array_equal(gains[key][:, dead], aux0[key][:, dead])
+    assert np.all(step.iterate(1.0, n, kept)[dead] == 0.0)
 
 
 def test_power_steps_priced_over_the_entry_gains_match_full_evaluations(
