@@ -467,8 +467,8 @@ def test_beam_block_returns_the_gains_of_its_beams(monkeypatch):
 
 def test_zero_and_held_beam_rows_keep_their_entry_rows(monkeypatch):
     held_rows = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
-            rescaled_entries(monkeypatch):
+    entries = rescaled_entries(monkeypatch)
+    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
         w_out, _, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0, config,
                                              frozen)
         assert w_out is not w
@@ -479,7 +479,7 @@ def test_zero_and_held_beam_rows_keep_their_entry_rows(monkeypatch):
     assert held_rows >= 2
     # a stream whose n underflows to 0 keeps its row and its gains even
     # when its tangent is not zero
-    ctx, w, p, rho, f0, aux0, config, frozen = rescaled_entries(monkeypatch)[0]
+    ctx, w, p, rho, f0, aux0, config, frozen = entries[0]
     dead = ctx.num_groups
     tang = np.zeros_like(w)
     tang[dead] = 1e-310
