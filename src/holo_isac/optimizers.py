@@ -4,9 +4,11 @@ Three solvers climb one penalized objective, priced by _EvalContext over the
 kernel in objective.price_streams / price_split (the pricing the result rows
 use too) with a quadratic QoS penalty added. A block prices its candidates
 from what it holds fixed: the power block reuses the stream gains of its
-entry beams, and the split block the whole stream part. The beam block forms
-the gains of one tangent per inner step and prices its candidates from those
-and the entry gains; it forms gains in full only once more, for its result.
+entry beams, and the split block the whole stream part. The beam block runs
+in orthonormal coordinates of the span of the channels and steering vectors,
+where every gain, gradient and step is K + L + 1 wide instead of M wide; it
+touches M-wide arrays only to enter those coordinates, to form its result
+and to price that result once in full.
 
 * run_hao_sca: block-coordinate ascent on the composite objective. Each block
   (beamformers, powers, split coefficients) moves along the gradient of a
@@ -23,6 +25,7 @@ and the entry gains; it forms gains in full only once more, for its result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,7 +223,8 @@ class _EvalContext:
 
     @classmethod
     def pick(cls, aux: dict, i: int) -> dict:
-        """Candidate i's entries of a stacked pricing (see _Retraction)."""
+        """Candidate i's entries of a stacked pricing, such as the row steps
+        of _beam_block priced over _Retraction.row_gains."""
         return {key: value if key in cls._P_ONLY else value[i]
                 for key, value in aux.items()}
 
@@ -230,6 +234,53 @@ class _EvalContext:
         v = self.hc @ w.T                  # (K, S)
         va = self.scene.steer_c @ w.T      # (L, S)
         return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
+
+    # -- span coordinates -------------------------------------------------
+    @functools.cached_property
+    def span(self) -> tuple:
+        """(q, rt, rtc) for the rows of B = [h; a_l] (the K channels, then
+        the L steering vectors): B^T = q r with q (M, n) orthonormal, n =
+        min(M, K + L); rt is r^T with one zero column appended, of shape
+        (K + L, n + 1), and rtc is its conjugate.
+
+        A beam w_s = q c_s + rest_s, rest_s orthogonal to the span, has the
+        span coordinates x_s = [c_s, |rest_s|]. Its gains are rtc @ x_s, the
+        gradient Z^T B (Z of shape (K + L, S)) has the coordinates Z^T rt,
+        and inner products of beams are those of their coordinates. The
+        zero column gives the out-of-span coordinate no gains and no
+        gradient."""
+        q, r = np.linalg.qr(np.vstack((self.h, self.scene.steer)).T)
+        rt = np.zeros((r.shape[1], r.shape[0] + 1), dtype=complex)
+        rt[:, :-1] = r.T
+        return q, rt, rt.conj()
+
+    def to_span(self, w: np.ndarray) -> tuple:
+        """(x, u): the span coordinates of the rows of w and the unit
+        direction of each row's part outside the span (zero where the row
+        has none); from_span(x, u, w, x) is w."""
+        q = self.span[0]
+        c = w @ q.conj()
+        rest = w - c @ q.T
+        norm = np.linalg.norm(rest, axis=1)
+        x = np.concatenate((c, norm[:, None]), axis=1)
+        return x, rest / np.where(norm > 0.0, norm, 1.0)[:, None]
+
+    def from_span(self, x: np.ndarray, u: np.ndarray, w: np.ndarray,
+                  x0: np.ndarray) -> np.ndarray:
+        """The beams of span coordinates x, where (x0, u) = to_span(w): row s
+        is c_s q^T + x_s[-1] u_s, except that a row whose coordinates equal
+        x0's is w's row, bit for bit."""
+        out = x[:, :-1] @ self.span[0].T
+        out += x[:, -1:].real * u
+        kept = np.all(x == x0, axis=1)
+        out[kept] = w[kept]
+        return out
+
+    def span_gains(self, x: np.ndarray) -> dict:
+        """The v and va gains of the beams of span coordinates x, from one
+        (K + L) x (n + 1) product."""
+        both = self.span[2] @ x.T
+        return {"v": both[:self.k_total], "va": both[self.k_total:]}
 
     def price_powers(self, gains: dict, p: np.ndarray, shares: np.ndarray):
         """Penalized objective at powers p over the gains of a fixed w.
@@ -334,14 +385,27 @@ class _EvalContext:
         group_u = self._group_sums(u * shares)
         return u, self._common_blend(aux["c_rate"]) * group_u[self.layout.assign]
 
-    def beam_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
-        """Ascent direction for all beamformers.
+    def beam_gradient(self, x, p, shares, aux, anchor) -> np.ndarray:
+        """Ascent direction for all beamformers, in span coordinates.
 
         Same construction as the power gradient: signal quadratics are
         minorized at the current iterate, interference enters through its
         linearization at the block anchor, so streams feel the damage they
-        do to other streams. Returned as the conjugate-coordinate gradient,
-        one row per stream."""
+        do to other streams. The conjugate-coordinate gradient is the
+        combination Z^T B of the channels and steering vectors with the
+        coefficients of _beam_coefficients; it is returned as its span
+        coordinates Z^T rt (see span), one row per stream, whose last entry
+        is zero. It depends on the beams x through the gains in aux only."""
+        zc, zs = self._beam_coefficients(p, shares, aux, anchor)
+        _, rt, _ = self.span
+        grad = zc.T @ rt[:self.k_total]
+        if zs is not None:
+            grad += zs.T @ rt[self.k_total:]
+        return grad
+
+    def _beam_coefficients(self, p, shares, aux, anchor) -> tuple:
+        """(zc, zs): the (K, S) and (L, S) coefficients of the channels and
+        steering vectors in the beam gradient, zs None without targets."""
         g, k = self.num_groups, self.k_total
         d_c0, d_p0, d_l0 = anchor
         g2, v = aux["g2"], aux["v"]
@@ -356,23 +420,22 @@ class _EvalContext:
         pmat = (u / _LN2)[:, None] * p[None, :] \
             * (self.own_or_hear_p / (own_p + aux["d_p"])[:, None]
                - self.hear_p / d_p0[:, None])
-        grad = ((cmat + pmat) * v).T @ self.h
-
-        if self.num_targets:
-            va, beam_sum = aux["va"], aux["beam_sum"]
-            d_l, gam_l = aux["d_l"], aux["gam_l"]
-            tot = float((self.scene.echo_power * beam_sum**2).sum())
-            a1 = self.aw[1]
-            short = np.maximum(0.0, self.gamma_min - gam_l)
-            inv0 = 1.0 / d_l0
-            base = a1 / _LN2 * (self.num_targets / (tot + self.sigma_s2)
-                                - (inv0.sum() - inv0))
-            sg = short * gam_l / d_l
-            pen = 2.0 * self.qos_penalty * (short / d_l - (sg.sum() - sg))
-            cs = (2.0 * self.scene.echo_power * beam_sum * (base + pen))[:, None] \
-                * p[None, :]
-            grad += (cs * va).T @ self.scene.steer
-        return grad
+        zc = (cmat + pmat) * v
+        if not self.num_targets:
+            return zc, None
+        va, beam_sum = aux["va"], aux["beam_sum"]
+        d_l, gam_l = aux["d_l"], aux["gam_l"]
+        tot = float((self.scene.echo_power * beam_sum**2).sum())
+        a1 = self.aw[1]
+        short = np.maximum(0.0, self.gamma_min - gam_l)
+        inv0 = 1.0 / d_l0
+        base = a1 / _LN2 * (self.num_targets / (tot + self.sigma_s2)
+                            - (inv0.sum() - inv0))
+        sg = short * gam_l / d_l
+        pen = 2.0 * self.qos_penalty * (short / d_l - (sg.sum() - sg))
+        cs = (2.0 * self.scene.echo_power * beam_sum * (base + pen))[:, None] \
+            * p[None, :]
+        return zc, cs * va
 
     def power_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
         """Gradient of the linearized-interference composite in the powers.
@@ -468,46 +531,47 @@ def _reals(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.float64)
 
 
-def _tangent(grad: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """grad less its radial part Re<w_s, grad_s> w_s in every row, the
-    tangent on the unit spheres at w, formed in grad's own buffer (scratch
-    holds the radial part)."""
-    gr, wr = grad.view(np.float64), _reals(w)
-    gr -= np.multiply(wr, _rowdot(wr, gr)[:, None], out=scratch)
+def _tangent(grad: np.ndarray, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """grad less its radial part Re<x_s, grad_s> x_s in every row, the
+    tangent on the spheres through the rows of x, formed in grad's own
+    buffer (scratch holds the radial part)."""
+    gr, xr = grad.view(np.float64), _reals(x)
+    gr -= np.multiply(xr, _rowdot(xr, gr)[:, None], out=scratch)
     return grad
 
 
 class _Retraction:
-    """The candidates of one beam step, priced from gains alone.
+    """The candidates of one beam step, in span coordinates, priced from
+    gains alone.
 
-    A candidate moves the step's entry iterate w along the tangent t and
+    A candidate moves the step's entry iterate x along the tangent t and
     scales each stream back onto its unit sphere (the projection
-    retraction): cand_s = (w_s + c t_s) / n_s with
-    n_s^2 = |w_s|^2 + 2c Re<w_s, t_s> + c^2 |t_s|^2. Hence
-    h_k^H cand_s = (h_k^H w_s + c h_k^H t_s) / n_s, and the same for every
-    steering vector: once the gains of t are formed (one ctx._gains per
-    step) a candidate's gains cost O((K + L) S) and no product with the
-    channels. Only an accepted candidate is formed as an S x M iterate.
+    retraction): cand_s = (x_s + c t_s) / n_s with
+    n_s^2 = |x_s|^2 + 2c Re<x_s, t_s> + c^2 |t_s|^2. Gains are linear in
+    the coordinates, so h_k^H cand_s = (h_k^H x_s + c h_k^H t_s) / n_s, and
+    the same for every steering vector: once the gains of t are formed (one
+    (K + L) x (n + 1) ctx.span_gains product per step) a candidate's gains
+    cost O((K + L) S), and no array of the step is M wide.
 
-    Held streams have t_s = 0 and are given n_s = 1, so they keep their row
-    of w and their gains; a stream whose n_s is not above 1e-300, or is NaN,
-    keeps them too. The gains agree with ctx._gains of the formed candidate
-    up to roundoff only, so _beam_block prices its result once more."""
+    Held streams have t_s = 0 and are given n_s = 1, so they keep their
+    coordinates and their gains; a stream whose n_s is not above 1e-300, or
+    is NaN, keeps them too. The gains agree with ctx._gains of the formed
+    beams up to roundoff only, so _beam_block prices its result once more."""
 
-    def __init__(self, ctx: _EvalContext, w, tang, gains: dict, held):
-        self.w, self.tang, self.held = w, tang, held
+    def __init__(self, ctx: _EvalContext, x, tang, gains: dict, held):
+        self.x, self.tang, self.held = x, tang, held
         self.entry = gains
-        self.moved = ctx._gains(tang)
-        wr, tr = _reals(w), _reals(tang)
-        self.wn2 = _rowdot(wr, wr)
-        self.wt = _rowdot(wr, tr)
+        self.moved = ctx.span_gains(tang)
+        xr, tr = _reals(x), _reals(tang)
+        self.xn2 = _rowdot(xr, xr)
+        self.xt = _rowdot(xr, tr)
         self.tn2 = _rowdot(tr, tr)
-        self.wn2[held] = 1.0
+        self.xn2[held] = 1.0
 
     def norms(self, c, s=slice(None)):
         """n_s at step c of the streams s (all by default), or of stream s
         at each of an array of steps c."""
-        return np.sqrt(self.wn2[s] + (2.0 * c) * self.wt[s]
+        return np.sqrt(self.xn2[s] + (2.0 * c) * self.xt[s]
                        + (c * c) * self.tn2[s])
 
     def joint(self, c: float):
@@ -529,13 +593,13 @@ class _Retraction:
         return gains, n, kept
 
     def iterate(self, c: float, n, kept) -> np.ndarray:
-        """The joint candidate at step c as beams, from joint's n and kept."""
+        """The joint candidate at step c, from joint's n and kept."""
         out = _reals(self.tang) * c
-        out += _reals(self.w)
+        out += _reals(self.x)
         out /= n[:, None]
         out = out.view(complex)
         if kept.any():
-            out[kept] = self.w[kept]
+            out[kept] = self.x[kept]
         return out
 
     def row_gains(self, j: int, c: np.ndarray, n: np.ndarray) -> dict:
@@ -553,9 +617,9 @@ class _Retraction:
         return gains
 
     def row(self, j: int, c: float, n: float) -> np.ndarray:
-        """The candidate moving stream j alone by c, as beams."""
-        out = self.w.copy()
-        out[j] = (self.w[j] + c * self.tang[j]) / n
+        """The candidate moving stream j alone by c."""
+        out = self.x.copy()
+        out[j] = (self.x[j] + c * self.tang[j]) / n
         return out
 
 
@@ -565,16 +629,21 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
 
     A joint step over all rows is tried first; when it is rejected the rows
     are retried one at a time with the same gradient, so streams whose
-    directions conflict cannot deadlock the whole block. Each inner step
-    forms the gains of its tangent once and prices every candidate from
-    those and the entry gains (_Retraction); a row's up to four
-    backtracking steps are priced together in one stacked call, and the
-    first improving step in backtracking order is kept. If the block moved,
-    its result is priced once more by ctx.evaluate, and kept only when that
-    value is above f0, so the returned gains are those of the returned
-    beams bit for bit and roundoff in the identity never leaves the block."""
+    directions conflict cannot deadlock the whole block. The block runs in
+    the span coordinates of ctx.span: w enters them once (ctx.to_span), and
+    every gradient, tangent, step and candidate gain is K + L + 1 wide.
+    Each inner step forms the gains of its tangent once and prices every
+    candidate from those and the entry gains (_Retraction); a row's up to
+    four backtracking steps are priced together in one stacked call, and
+    the first improving step in backtracking order is kept. If the block
+    moved, its result is formed as beams (ctx.from_span: rows it never
+    moved are w's rows bit for bit), priced once more by ctx.evaluate, and
+    kept only when that value is above f0, so the returned gains are those
+    of the returned beams bit for bit and roundoff in the identity never
+    leaves the block."""
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
-    best_w, best_f, best_aux = w, f0, aux0
+    x, out_of_span = ctx.to_span(w)
+    best_x, best_f, best_aux = x, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
     if frozen_streams is not None:
         frozen[frozen_streams] = True
@@ -582,13 +651,13 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     eta = config.step_size
     row_eta = np.full(w.shape[0], config.step_size)
     joint_ok = True
-    scratch = np.empty((w.shape[0], 2 * w.shape[1]))
+    scratch = np.empty((x.shape[0], 2 * x.shape[1]))
     for _ in range(config.inner_steps):
-        grad = ctx.beam_gradient(best_w, p, shares, best_aux, anchor)
+        grad = ctx.beam_gradient(best_x, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad[frozen] = 0.0
-        step = _Retraction(ctx, best_w, _tangent(grad, best_w, scratch),
+        step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
                            best_aux, frozen)
         tn = np.sqrt(step.tn2)
         tn_max = tn.max()
@@ -604,7 +673,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 gains, n, kept = step.joint(c)
                 f_c, aux_c = ctx.price_powers(gains, p, shares)
                 if f_c > best_f:
-                    best_w, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
+                    best_x, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
                     eta = min(size * 1.5, 1.0)
                     accepted = True
                     break
@@ -631,7 +700,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                     better = np.flatnonzero(f_c > best_f)
                     if better.size:
                         i = better[0]
-                        best_w = step.row(j, c[i], n[i])
+                        best_x = step.row(j, c[i], n[i])
                         best_f, best_aux = f_c[i], ctx.pick(aux_c, i)
                         row_eta[j] = min(steps[live][i] * 1.5, 1.0)
                         accepted = True
@@ -639,8 +708,9 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 row_eta[j] = max(steps[-1] * config.backtrack, 1e-3)
         if not accepted:
             break
-    if best_w is w:
+    if best_x is x:
         return w, f0, aux0
+    best_w = ctx.from_span(best_x, out_of_span, w, x)
     f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
     if f_out > f0:
         return best_w, f_out, aux_out

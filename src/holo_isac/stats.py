@@ -9,6 +9,7 @@ rather than NaNs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -100,8 +101,11 @@ def f_cdf(x: float, df1: float, df2: float) -> float:
                                        df1 * x / (df1 * x + df2))
 
 
+@functools.lru_cache(maxsize=64)
 def t_quantile(p: float, df: float) -> float:
-    """Inverse Student-t CDF by bisection (plenty for CI construction)."""
+    """Inverse Student-t CDF by bisection (plenty for CI construction).
+
+    Memoized: the intervals and tests of a report ask for few (p, df)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"probability must be in (0, 1), got {p}")
     lo, hi = -1e6, 1e6

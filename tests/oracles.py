@@ -154,12 +154,13 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
     candidate per ctx.price_powers call, in backtracking order.
 
     optimizers._beam_block prices a row's steps in one stacked call; this
-    is the loop that tries them one by one, kept to show both give the same
-    iterate."""
+    is the loop that tries them one by one, in the same span coordinates,
+    kept to show both give the same iterate."""
     from holo_isac.optimizers import _Retraction, _tangent
 
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
-    best_w, best_f, best_aux = w, f0, aux0
+    x, out_of_span = ctx.to_span(w)
+    best_x, best_f, best_aux = x, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
     if frozen_streams is not None:
         frozen[frozen_streams] = True
@@ -167,13 +168,13 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
     eta = config.step_size
     row_eta = np.full(w.shape[0], config.step_size)
     joint_ok = True
-    scratch = np.empty((w.shape[0], 2 * w.shape[1]))
+    scratch = np.empty((x.shape[0], 2 * x.shape[1]))
     for _ in range(config.inner_steps):
-        grad = ctx.beam_gradient(best_w, p, shares, best_aux, anchor)
+        grad = ctx.beam_gradient(best_x, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad[frozen] = 0.0
-        step = _Retraction(ctx, best_w, _tangent(grad, best_w, scratch),
+        step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
                            best_aux, frozen)
         tn = np.sqrt(step.tn2)
         tn_max = tn.max()
@@ -187,7 +188,7 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
                 gains, n, kept = step.joint(c)
                 f_c, aux_c = ctx.price_powers(gains, p, shares)
                 if f_c > best_f:
-                    best_w, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
+                    best_x, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
                     eta = min(size * 1.5, 1.0)
                     accepted = True
                     break
@@ -206,7 +207,7 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
                         f_c, aux_c = ctx.price_powers(
                             lone_row_gains(step, j, c, n), p, shares)
                         if f_c > best_f:
-                            best_w, best_f, best_aux = step.row(j, c, n), f_c, aux_c
+                            best_x, best_f, best_aux = step.row(j, c, n), f_c, aux_c
                             row_eta[j] = min(size * 1.5, 1.0)
                             accepted = True
                             break
@@ -216,12 +217,23 @@ def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None)
                 row_eta[j] = max(size, 1e-3)
         if not accepted:
             break
-    if best_w is w:
+    if best_x is x:
         return w, f0, aux0
+    best_w = ctx.from_span(best_x, out_of_span, w, x)
     f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
     if f_out > f0:
         return best_w, f_out, aux_out
     return w, f0, aux0
+
+
+def m_space_beam_gradient(ctx, p, shares, aux, anchor):
+    """The beam gradient as beams: its coefficients Z times B = [h; a_l],
+    the M-wide product _EvalContext.beam_gradient replaces by Z^T rt."""
+    zc, zs = ctx._beam_coefficients(p, shares, aux, anchor)
+    grad = zc.T @ ctx.h
+    if zs is not None:
+        grad += zs.T @ ctx.scene.steer
+    return grad
 
 
 # =====================================================================

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,8 @@ from holo_isac.optimizers import (
 )
 from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
 from holo_isac.sensing import SensingScene
-from oracles import (golden_rho_block, sequential_beam_block,
-                     sequential_power_block)
+from oracles import (golden_rho_block, m_space_beam_gradient,
+                     sequential_beam_block, sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -271,11 +273,36 @@ def test_each_block_never_decreases_objective():
         assert after >= before - 1e-9
 
 
+def first_two_antennas(channels):
+    """The channels seen by the first two antennas only."""
+    return channels[:, :2].copy()
+
+
+def duplicate_first_user(channels):
+    """The channels with user 1's row replaced by user 0's."""
+    channels = channels.copy()
+    channels[1] = channels[0]
+    return channels
+
+
+def short_desk_tiny(mx=4, my=4, num_targets=2):
+    """desk_tiny at two sweeps, on an mx x my array with num_targets."""
+    cfg = preset_config("desk_tiny")
+    cfg.geometry = replace(cfg.geometry, mx=mx, my=my)
+    cfg.population.num_targets = num_targets
+    cfg.optimizer.max_iters = 2
+    return cfg
+
+
 def block_entries(monkeypatch, block):
     """Every entry of the block optimizers.<block>, as (ctx, *arguments), in
     short hao_sca (all three legs, the conventional-NOMA one included) and
-    fp solves on impaired desk_tiny and desk_small draws with CSI error, and
-    on one paper_full draw (M = 1024) with CSI error at one sweep."""
+    fp solves on impaired desk_tiny and desk_small draws with CSI error, on
+    one paper_full draw (M = 1024) with CSI error at one sweep, and on three
+    edge cases of the span coordinates (see edge_case): a 2-element array
+    with 4 users and 2 targets (K + L > M), a desk_tiny draw whose user 1
+    duplicates user 0 (a rank-deficient span) and a desk_tiny draw without
+    targets (the sensing probe e_1 then lies mostly outside the span)."""
     entries = []
     real = getattr(optimizers, block)
 
@@ -291,17 +318,27 @@ def block_entries(monkeypatch, block):
         cfg.impairments.phase_noise_dbc = -25.0
         cfg.impairments.csi_eps = 0.1
         cfg.optimizer.max_iters = 2
-        draws += [(cfg, seed) for seed in range(2)]
+        draws += [(cfg, seed, None, cfg) for seed in range(2)]
     cfg = preset_config("paper_full")
     cfg.impairments.csi_eps = 0.1
     cfg.optimizer.max_iters = 1
-    draws.append((cfg, 0))
+    draws.append((cfg, 0, None, cfg))
+    # the edge cases: each (draw config, seed, channel edit, solve config)
+    # a 2-element array is too small to draw channels for, so that case
+    # solves on the first two antennas of a desk_tiny draw
+    draws += [(short_desk_tiny(), 3, first_two_antennas, short_desk_tiny(2, 1)),
+              (short_desk_tiny(), 3, duplicate_first_user, short_desk_tiny()),
+              (short_desk_tiny(num_targets=0), 3, None,
+               short_desk_tiny(num_targets=0))]
     with monkeypatch.context() as patch:
         patch.setattr(optimizers, block, record)
-        for cfg, seed in draws:
+        for cfg, seed, edit, solve_cfg in draws:
             data = generate_trial_data(cfg, np.random.default_rng(seed))
+            channels = data.channels_est
+            if edit is not None:
+                channels = edit(channels)
             for algorithm in ("hao_sca", "fp"):
-                solve_instance(algorithm, data.channels_est, data.targets, cfg)
+                solve_instance(algorithm, channels, data.targets, solve_cfg)
     return entries
 
 
@@ -358,9 +395,10 @@ def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
             evaluated = calls_to(patch, ctx, "evaluate")
             priced = calls_to(patch, ctx, "price_powers")
             optimizers._beam_block(ctx, w, p, rho, f0, aux0, one_step, frozen)
-        # one product for the tangent, and one more only to price the result
+        # the step runs in span coordinates: gains are formed only to price
+        # the result
         assert len(evaluated) <= 1
-        assert len(formed) == 1 + len(evaluated)
+        assert len(formed) == len(evaluated)
         joint = [g for (g, *_), _ in priced if not stacked(g)]
         assert len(joint) - len(evaluated) <= one_step.max_backtracks
         rows = []
@@ -391,7 +429,7 @@ def rescaled_entries(monkeypatch):
     for ctx, w, p, rho, f0, aux0, config, frozen in \
             block_entries(monkeypatch, "_beam_block"):
         key = (ctx.m_total, frozen is None)
-        if key in seen or ctx.m_total > 64:
+        if key in seen or ctx.m_total not in (16, 64):
             continue
         seen.add(key)
         w = w * rng.uniform(0.5, 2.0, len(w))[:, None]
@@ -400,6 +438,12 @@ def rescaled_entries(monkeypatch):
         out.append((ctx, w, p, rho, f0, aux0, config, frozen))
     assert len(out) == 4
     return out
+
+
+def span_beams(ctx, x, u):
+    """The beams of span coordinates x: c_s q^T plus x_s[-1] times the
+    out-of-span direction u_s of their block entry."""
+    return x[:, :-1] @ ctx.span[0].T + x[:, -1:].real * u
 
 
 def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
@@ -421,32 +465,48 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
 
     def close(got, want):
         # within 1e-12 of each column's largest gain
-        scale = np.abs(want).max(axis=-2, keepdims=True)
+        scale = np.abs(want).max(axis=-2, keepdims=True, initial=0.0)
         return np.all(np.abs(got - want) <= 1e-12 * scale)
 
     counts = {"joint": 0, "row_gains": 0}
-    for ctx, *args in entries:
+    for ctx, w, *args in entries:
         seen.clear()
-        optimizers._beam_block(ctx, *args)
+        optimizers._beam_block(ctx, w, *args)
+        _, u = ctx.to_span(w)
         for name, step, args_, out in seen:
             counts[name] += 1
-            w, t = step.w, step.tang
+            x, t = step.x, step.tang
             if name == "joint":
                 (c,), (gains, _, _) = args_, out
-                cand = optimizers._normalize_rows(w + c * t, w)
-                cand[step.held] = w[step.held]
-                want = ctx._gains(cand)
+                cand = optimizers._normalize_rows(x + c * t, x)
+                cand[step.held] = x[step.held]
+                want = ctx._gains(span_beams(ctx, cand, u))
                 assert close(gains["v"], want["v"])
                 assert close(gains["va"], want["va"])
                 continue
             (j, c, _), gains = args_, out
             for i, ci in enumerate(c):
-                r = w[j] + ci * t[j]
-                r = r / np.linalg.norm(r)
-                assert close(gains["v"][i][:, [j]], ctx.hc @ r[:, None])
-                assert close(gains["va"][i][:, [j]],
-                             ctx.scene.steer_c @ r[:, None])
+                r = x[j] + ci * t[j]
+                r = span_beams(ctx, r[None] / np.linalg.norm(r), u[[j]])
+                assert close(gains["v"][i][:, [j]], ctx.hc @ r.T)
+                assert close(gains["va"][i][:, [j]], ctx.scene.steer_c @ r.T)
     assert counts["joint"] >= 20 and counts["row_gains"] >= 20
+
+
+def test_the_span_gradient_is_the_m_space_gradient(monkeypatch):
+    checked = set()
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries(monkeypatch, "_beam_block"):
+        anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
+        shares = ctx.shares(rho)
+        got = ctx.beam_gradient(ctx.to_span(w)[0], p, shares, aux0, anchor)
+        assert np.all(got[:, -1] == 0.0)
+        want = m_space_beam_gradient(ctx, p, shares, aux0, anchor)
+        # within 1e-12 of each row's largest entry
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, :-1] @ ctx.span[0].T - want) <= 1e-12 * scale)
+        checked.add(ctx.m_total)
+    assert {2, 16, 64, 1024} <= checked
 
 
 def test_beam_block_returns_the_gains_of_its_beams(monkeypatch):
@@ -477,20 +537,72 @@ def test_zero_and_held_beam_rows_keep_their_entry_rows(monkeypatch):
             assert w_out[frozen].tobytes() == w[frozen].tobytes()
             held_rows += len(frozen)
     assert held_rows >= 2
-    # a stream whose n underflows to 0 keeps its row and its gains even
-    # when its tangent is not zero
+    # a stream whose n underflows to 0 keeps its coordinates and its gains
+    # even when its tangent is not zero
     ctx, w, p, rho, f0, aux0, config, frozen = entries[0]
+    x, _ = ctx.to_span(w)
     dead = ctx.num_groups
-    tang = np.zeros_like(w)
+    tang = np.zeros_like(x)
     tang[dead] = 1e-310
-    tang[dead + 1] = w[dead + 1, ::-1]
-    step = optimizers._Retraction(ctx, w, tang, aux0,
-                                  np.zeros(len(w), dtype=bool))
+    tang[dead + 1] = x[dead + 1, ::-1]
+    step = optimizers._Retraction(ctx, x, tang, aux0,
+                                  np.zeros(len(x), dtype=bool))
     gains, n, kept = step.joint(1.0)
     assert kept[dead] and not kept[dead + 1]
     for key in ctx._GAINS:
         assert np.array_equal(gains[key][:, dead], aux0[key][:, dead])
     assert np.all(step.iterate(1.0, n, kept)[dead] == 0.0)
+
+
+def edge_case(ctx) -> str | None:
+    """Which edge case of the span coordinates an instance of block_entries
+    is: more users and targets than antennas, a duplicated user, no
+    targets, or None."""
+    if ctx.k_total + ctx.num_targets > ctx.m_total:
+        return "wide"
+    if np.array_equal(ctx.h[0], ctx.h[1]):
+        return "duplicate"
+    if not ctx.num_targets:
+        return "no_targets"
+    return None
+
+
+@pytest.mark.parametrize("case", ["wide", "duplicate", "no_targets", "rescaled"])
+def test_the_beam_block_in_span_coordinates_at_an_edge_case(monkeypatch, case):
+    """The coordinates hold each beam and its gains, and the block returns
+    unit-norm rows, keeps its zero and held rows and never loses objective.
+    (rescaled: the entries of rescaled_entries, off the unit spheres.)"""
+    if case == "rescaled":
+        entries = rescaled_entries(monkeypatch)
+    else:
+        entries = [entry for entry in block_entries(monkeypatch, "_beam_block")
+                   if edge_case(entry[0]) == case]
+    moved = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
+        x, u = ctx.to_span(w)
+        norms = np.linalg.norm(w, axis=1)
+        assert np.all(np.abs(span_beams(ctx, x, u) - w)
+                      <= 1e-13 * norms[:, None])
+        gains = ctx.span_gains(x)
+        for key in ("v", "va"):
+            scale = np.abs(aux0[key]).max(axis=0, initial=0.0)
+            assert np.all(np.abs(gains[key] - aux0[key]) <= 1e-12 * scale)
+
+        w_out, f_out, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0,
+                                                 config, frozen)
+        assert f_out >= f0
+        kept = np.all(w_out == w, axis=1)
+        assert np.all(np.abs(np.linalg.norm(w_out[~kept], axis=1) - 1.0)
+                      <= 1e-13)
+        assert np.all(kept[norms == 0.0])
+        if frozen is not None:
+            assert np.all(kept[frozen])
+        moved += w_out is not w
+    assert moved >= 2
+    if case == "no_targets":
+        # the sensing probe's part outside the span is carried, not lost
+        assert any(np.abs(ctx.to_span(w)[0][-1, -1]) > 0.1
+                   for ctx, w, *_ in entries)
 
 
 def test_power_steps_priced_over_the_entry_gains_match_full_evaluations(

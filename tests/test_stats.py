@@ -56,6 +56,14 @@ def test_t_quantile_against_scipy():
         assert abs(t_quantile(0.5, df)) < 3e-8 * np.sqrt(df)
 
 
+def test_t_quantile_memo_returns_the_bisection_bits():
+    for p, df in [(0.975, 9), (0.975, 53), (0.995, 17.3), (0.025, 2)]:
+        want = np.float64(t_quantile.__wrapped__(p, df)).tobytes()
+        # the first call may fill the cache, the second reads it
+        for got in (t_quantile(p, df), t_quantile(p, df)):
+            assert np.float64(got).tobytes() == want
+
+
 # =====================================================================
 # Summary statistics
 # =====================================================================
