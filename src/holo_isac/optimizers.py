@@ -6,7 +6,7 @@ use too) with a quadratic QoS penalty added. A block prices its candidates
 from what it holds fixed: the power block reuses the stream gains of its
 entry beams, and the split block the whole stream part. The beam block runs
 in orthonormal coordinates of the span of the channels and steering vectors,
-where every gain, gradient and step is K + L + 1 wide instead of M wide; it
+where every gain, gradient and step is at most K + L + 1 wide, not M; it
 touches M-wide arrays only to enter those coordinates, to form its result
 and to price that result once in full.
 
@@ -631,16 +631,16 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     are retried one at a time with the same gradient, so streams whose
     directions conflict cannot deadlock the whole block. The block runs in
     the span coordinates of ctx.span: w enters them once (ctx.to_span), and
-    every gradient, tangent, step and candidate gain is K + L + 1 wide.
-    Each inner step forms the gains of its tangent once and prices every
-    candidate from those and the entry gains (_Retraction); a row's up to
-    four backtracking steps are priced together in one stacked call, and
-    the first improving step in backtracking order is kept. If the block
-    moved, its result is formed as beams (ctx.from_span: rows it never
-    moved are w's rows bit for bit), priced once more by ctx.evaluate, and
-    kept only when that value is above f0, so the returned gains are those
-    of the returned beams bit for bit and roundoff in the identity never
-    leaves the block."""
+    every gradient, tangent, step and candidate gain is min(M, K + L) + 1
+    wide. Each inner step forms the gains of its tangent once and prices
+    every candidate from those and the entry gains (_Retraction); a row's
+    up to four backtracking steps are priced together in one stacked call,
+    and the first improving step in backtracking order is kept. If the
+    block moved, its result is formed as beams (ctx.from_span: rows it
+    never moved are w's rows bit for bit), priced once more by
+    ctx.evaluate, and kept only when that value is above f0, so the
+    returned gains are those of the returned beams bit for bit and roundoff
+    in the identity never leaves the block."""
     anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     x, out_of_span = ctx.to_span(w)
     best_x, best_f, best_aux = x, f0, aux0

@@ -310,6 +310,8 @@ def block_entries(monkeypatch, block):
         entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, *rest))
         return real(ctx, w, p, rho, f0, aux0, *rest)
 
+    # each draw: (config to draw with, seed, edit of the drawn channels or
+    # None, config to solve with)
     draws = []
     for preset in ("desk_tiny", "desk_small"):
         cfg = preset_config(preset)
@@ -323,9 +325,9 @@ def block_entries(monkeypatch, block):
     cfg.impairments.csi_eps = 0.1
     cfg.optimizer.max_iters = 1
     draws.append((cfg, 0, None, cfg))
-    # the edge cases: each (draw config, seed, channel edit, solve config)
-    # a 2-element array is too small to draw channels for, so that case
-    # solves on the first two antennas of a desk_tiny draw
+    # the edge cases; no user range fits a 2-element array's Rayleigh
+    # distance, so that case solves on the first two antennas of a
+    # desk_tiny draw
     draws += [(short_desk_tiny(), 3, first_two_antennas, short_desk_tiny(2, 1)),
               (short_desk_tiny(), 3, duplicate_first_user, short_desk_tiny()),
               (short_desk_tiny(num_targets=0), 3, None,
