@@ -8,7 +8,7 @@ Library layout:
 * rates: RS-NOMA stream pricing (interference, SINR, rate, group split).
 * sensing: echo SINR, detection probability, Fisher information, CRLBs.
 * objective: the pricing kernel over both, composite objective, constraint
-  audits, closed-form bounds.
+  audits, the interference-free sum-rate ceiling.
 * optimizers: HAO-SCA block-coordinate ascent, E-WMMSE, FP baseline.
 * stats: t/F distributions, tests, effect sizes, confidence intervals.
 * experiments / records: seeded Monte Carlo driver and result files.
@@ -35,8 +35,6 @@ from .sensing import (SensingEvaluation, crlb_closed_form, crlb_lower_bound,
                       sensing_sinrs)
 from .objective import (ConstraintReport, ObjectiveComponents, ObjectiveWeights,
                         QosLimits, check_constraints, composite_objective,
-                        critical_correlation, energy_efficiency, jain_fairness,
-                        rs_gain_lower_bound, sensing_utility,
                         sum_rate_upper_bound)
 from .optimizers import (ConvergenceTrace, OptimizerConfig, adaptive_weights,
                          fp_auxiliary, init_hao_sca, run_e_wmmse, run_fp,

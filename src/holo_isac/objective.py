@@ -1,5 +1,5 @@
-"""Composite design objective, QoS constraint audit, and the closed-form
-performance bounds used as runtime sanity rails.
+"""Composite design objective, QoS constraint audit, and the
+interference-free sum-rate ceiling used as a runtime sanity rail.
 
 The objective blends four normalized-weight components: sum rate, sensing
 utility (log2(1 + SINR) per target), energy efficiency, and Jain fairness.
@@ -65,36 +65,6 @@ class QosLimits:
             raise ValueError(f"power budget must be > 0, got {self.p_max}")
         if not 0.0 < self.p_fa < 1.0:
             raise ValueError(f"false-alarm rate must be in (0, 1), got {self.p_fa}")
-
-
-def sensing_utility(gamma: float) -> float:
-    """Concave sensing reward log2(1 + gamma)."""
-    if gamma < 0.0:
-        raise ValueError(f"sensing SINR must be >= 0, got {gamma}")
-    return float(np.log2(1.0 + gamma))
-
-
-def energy_efficiency(total_rate: float, total_power: float) -> float:
-    """Rate per unit transmit power (bit/s/Hz per watt)."""
-    if total_power <= 0.0:
-        if total_rate == 0.0:
-            return 0.0
-        raise ValueError("nonzero rate with zero transmit power")
-    return float(total_rate / total_power)
-
-
-def jain_fairness(user_rates) -> float:
-    """Jain index (sum r)^2 / (K sum r^2); 1 when rates are equal, 1/K when
-    one user takes everything."""
-    r = np.asarray(user_rates, dtype=float)
-    if r.size == 0:
-        raise ValueError("fairness of an empty rate vector is undefined")
-    if np.any(r < 0.0):
-        raise ValueError(f"rates must be >= 0, got {r}")
-    denom = r.size * float(r @ r)
-    if denom == 0.0:
-        raise ValueError("fairness of an all-zero rate vector is undefined")
-    return float(r.sum() ** 2 / denom)
 
 
 @dataclass
@@ -245,8 +215,7 @@ def composite_objective(solution: RsNomaSolution, channels: np.ndarray, targets,
     component_scales (length-4 positive array) each raw component is divided
     by its scale first, which keeps weight sweeps comparable across regimes
     while preserving that linearity. An all-zero rate vector contributes
-    fairness 0 rather than raising (the strict jain_fairness is for callers
-    who want the error).
+    fairness 0 rather than raising.
 
     Returns:
         (value, ObjectiveComponents) pair; the components are the raw
@@ -340,24 +309,3 @@ def sum_rate_upper_bound(channels: np.ndarray, p_max: float, sigma_n2: float) ->
     lam_max = float(np.linalg.eigvalsh(gram)[-1].real)
     bound_dof = float(m_total * np.log2(1.0 + p_max * lam_max / (k_total * sigma_n2)))
     return min(bound_solo, bound_dof)
-
-
-def critical_correlation(num_users: int) -> float:
-    """Correlation threshold 1 - 1/sqrt(K) above which a shared common stream
-    is provably worth carrying."""
-    if num_users < 1:
-        raise ValueError(f"need at least one user, got {num_users}")
-    return 1.0 - 1.0 / np.sqrt(num_users)
-
-
-def rs_gain_lower_bound(rho_c: float, p_common: float, mean_channel: np.ndarray,
-                        sigma_n2: float) -> float:
-    """Guaranteed rate gain of the split design in the correlated regime:
-    log2(1 + rho_c^2 P_c ||h_bar||^2 / ((1 - rho_c^2) sigma_n2))."""
-    if not 0.0 <= rho_c < 1.0:
-        raise ValueError(f"correlation must be in [0, 1), got {rho_c}")
-    if p_common < 0.0:
-        raise ValueError(f"common power must be >= 0, got {p_common}")
-    h_bar2 = float(np.real(np.vdot(mean_channel, mean_channel)))
-    return float(np.log2(1.0 + rho_c**2 * p_common * h_bar2
-                         / ((1.0 - rho_c**2) * sigma_n2)))

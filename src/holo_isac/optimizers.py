@@ -10,12 +10,14 @@ where every gain, gradient and step is at most K + L + 1 wide, not M; it
 touches M-wide arrays only to enter those coordinates, to form its result
 and to price that result once in full.
 
-* run_hao_sca: block-coordinate ascent on the composite objective. Each block
-  (beamformers, powers, split coefficients) moves along the gradient of a
-  surrogate whose interference denominators are frozen at the block anchor,
-  with step acceptance decided on the true penalized objective, so every
-  iteration is monotone by construction and falls back to the entry iterate
-  when no improving step exists.
+* run_hao_sca: block-coordinate ascent on the composite objective. The beam
+  and power blocks move along the gradient of a surrogate whose
+  interference denominators are frozen at the block anchor; the split block
+  water-fills each group's common capacity over its members in closed form,
+  which is exact because the split moves only fairness and the rate-floor
+  penalty. Each block's step is accepted on the true penalized objective,
+  so every iteration is monotone by construction and falls back to the
+  entry iterate when no improving step exists.
 * run_e_wmmse: alternating closed-form MMSE receive filters and weights with
   per-stream regularized normal equations for the beamformers; sensing is
   pulled in through a quadratic penalty on the echo-SINR shortfall.
@@ -34,7 +36,7 @@ from .geometry import ArrayGeometry, array_response
 from .objective import (ObjectiveWeights, QosLimits, _rowdot, price_split,
                         price_streams)
 from .rates import (Grouping, RsNomaSolution, StreamLayout, common_shares,
-                    default_grouping, group_shares)
+                    default_grouping)
 from .sensing import SensingScene, echo_sinrs, q_inverse
 
 _LN2 = np.log(2.0)
@@ -317,33 +319,21 @@ class _EvalContext:
 
         aux holds the stream part of an evaluation at (w, p); only the
         allocation, the per-user totals, sum rate, energy efficiency,
-        fairness and the rate penalty depend on the split, so this is O(K).
-        evaluate ends here too, so both give bit-identical values."""
-        f, split, penalty = self._split_terms(self._held(aux), shares)
+        fairness and the rate penalty depend on the split, so this is O(K):
+        the kernel's objective.price_split over the stream part, less the
+        penalty. evaluate ends here too, so both give bit-identical
+        values."""
+        split = price_split(aux["group_c"].take(self.layout.assign, axis=-1),
+                            aux["p_rate"], aux["util"], shares, aux["ptot"],
+                            self.aw)
+        rate_short = np.maximum(0.0, self.limits.r_min - split.total_rate)
+        penalty = self.qos_penalty * (_rowdot(rate_short, rate_short)
+                                      + aux["det_pen"])
+        if self.crlb_num is not None:
+            penalty += self.qos_penalty * aux["crlb_pen"]
         out = dict(aux)
         out.update(split._asdict(), penalty=penalty)
-        return f, out
-
-    def _held(self, aux: dict) -> tuple:
-        """The parts of aux that a common split leaves fixed, as _split_terms
-        takes them: each user's group common capacity, the private rates,
-        the sensing utility, the transmit power and the detection and CRLB
-        penalties."""
-        return (aux["group_c"].take(self.layout.assign, axis=-1),
-                aux["p_rate"], aux["util"], aux["ptot"], aux["det_pen"],
-                aux["crlb_pen"])
-
-    def _split_terms(self, held: tuple, shares: np.ndarray):
-        """(objective, objective.SplitPrice, QoS penalty) at a split: the
-        kernel's objective.price_split over the held parts, less the
-        penalty. A caller that moves only the shares takes held once."""
-        cap, p_rate, util, ptot, det_pen, crlb_pen = held
-        split = price_split(cap, p_rate, util, shares, ptot, self.aw)
-        rate_short = np.maximum(0.0, self.limits.r_min - split.total_rate)
-        penalty = self.qos_penalty * (_rowdot(rate_short, rate_short) + det_pen)
-        if self.crlb_num is not None:
-            penalty += self.qos_penalty * crlb_pen
-        return split.value - penalty, split, penalty
+        return split.value - penalty, out
 
     def violation_norm(self, p, aux) -> float:
         """Euclidean norm of all constraint shortfalls at this iterate."""
@@ -758,62 +748,43 @@ def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig
     return best_p, best_f, best_aux
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
 def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
-    """Golden-section coordinate maximization of each rho_k on [0, 1].
+    """Water-fill each group's common capacity over its members.
 
-    w and p stay fixed inside the block and only the common-capacity split
-    depends on rho, so the parts of aux0 the split leaves fixed (ctx._held)
-    are taken once, and each golden-section probe moves one entry of a
-    working rho, refreshes only that user's group shares and prices the
-    value alone with ctx._split_terms: no copies, no stream-gain product and
-    no aux dict. The chosen point of each search is priced by ctx.reprice.
-    Both are the value ctx.evaluate would return, bit for bit. A move is
-    kept only when it strictly improves the objective.
+    In group g, user k's rate is r_k = cap_g s_k + p_k, where cap_g is the
+    group's common capacity (aux0["group_c"]), p_k the user's private rate
+    (aux0["p_rate"]) and the shares s_k sum to one, so the split moves
+    neither the sum rate nor the energy efficiency nor the sensing utility.
+    It moves only Jain fairness, through the sum of r_k^2, and the
+    rate-shortfall penalty, and both make the objective Schur-concave in the
+    group's rates. The water-filled rates max(p_k, tau_g), with
+    sum_k max(0, tau_g - p_k) = cap_g, are majorized by every other split
+    of the group, so they maximize the block exactly (Marshall, Olkin and
+    Arnold, Inequalities, 2011). The block sets
+    rho_k = max(0, tau_g - p_k) / cap_g, which sums to one over the group.
+
+    A lone user owns its group's whole capacity whatever its rho, and a
+    group with cap_g = 0, such as the commons of a start from the
+    conventional-NOMA solution, has nothing to split: both keep their rho.
+    The new split is priced once by ctx.reprice and kept only when it
+    strictly improves the objective.
     """
-    best_rho, best_f, best_aux = rho, f0, aux0
-    held = ctx._held(aux0)
-    # the working split: equal to best_rho and its shares between searches
     cand = rho.copy()
-    shares = ctx.shares(rho)
-    for mem in ctx.layout.members:
-        if len(mem) < 2:
-            continue  # a lone user owns the whole common capacity regardless
-        mem = np.asarray(mem)
-        for k in mem:
-            kept = shares[mem]
-
-            def move(rk: float):
-                cand[k] = rk
-                shares[mem] = group_shares(cand[mem])
-                return shares
-
-            def f_of(rk: float):
-                return ctx._split_terms(held, move(rk))[0]
-
-            lo, hi = 0.0, 1.0
-            x1 = hi - _GOLDEN * (hi - lo)
-            x2 = lo + _GOLDEN * (hi - lo)
-            f1 = f_of(x1)
-            f2 = f_of(x2)
-            for _ in range(40):
-                if f1 < f2:
-                    lo, x1, f1 = x1, x2, f2
-                    x2 = lo + _GOLDEN * (hi - lo)
-                    f2 = f_of(x2)
-                else:
-                    hi, x2, f2 = x2, x1, f1
-                    x1 = hi - _GOLDEN * (hi - lo)
-                    f1 = f_of(x1)
-            fb, auxb = ctx.reprice(aux0, move(x1 if f1 >= f2 else x2))
-            if fb > best_f:
-                best_rho, best_f, best_aux = cand.copy(), fb, auxb
-            else:
-                cand[k] = best_rho[k]
-                shares[mem] = kept
-    return best_rho, best_f, best_aux
+    for g, mem in enumerate(ctx.layout.members):
+        cap = aux0["group_c"][g]
+        if len(mem) < 2 or not cap > 0.0:
+            continue
+        rates = aux0["p_rate"][mem]
+        low = np.sort(rates)
+        # levels[i] fills the i + 1 lowest private rates with cap_g; the
+        # filled users are the prefix whose rates lie at or below their level
+        levels = (cap + np.cumsum(low)) / np.arange(1, len(low) + 1)
+        tau = levels[np.count_nonzero(levels >= low) - 1]
+        cand[mem] = np.maximum(0.0, tau - rates) / cap
+    f, aux = ctx.reprice(aux0, ctx.shares(cand))
+    if f > f0:
+        return cand, f, aux
+    return rho, f0, aux0
 
 
 # =====================================================================
@@ -924,7 +895,10 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
     """Block-coordinate ascent on the penalized composite objective.
 
     Cycles beamformer, power, and split blocks until the objective change
-    drops below config.epsilon or max_iters is exhausted. With
+    drops below config.epsilon or max_iters is exhausted. The beam and
+    power blocks take surrogate-gradient steps; the split block sets each
+    group's rho by water-filling its common capacity over the members'
+    private rates (_rho_block), one closed-form solve per group. With
     conventional_noma=True the common powers and rho are frozen at zero
     throughout (the grouped-NOMA baseline).
 

@@ -3,9 +3,12 @@
 The package prices a design point with one stacked kernel (rates,
 sensing.echo_sinrs, objective.price_streams / price_split). These oracles
 recompute the same quantities by independent routes: the RS-NOMA rates one
-user at a time from per-call stream gains, and the echoes from the M x M
-transmit covariance and echo matrices with the traces taken directly, so
-the tests compare the kernel against computations it does not share.
+user at a time from per-call stream gains, the echoes from the M x M
+transmit covariance and echo matrices with the traces taken directly, and
+the objective components one scalar at a time, so the tests compare the
+kernel against computations it does not share. The paper's closed-form
+rails that the pipeline does not run, and the block-by-block and
+search-based solver steps that the package replaced, live here too.
 """
 
 import numpy as np
@@ -129,6 +132,61 @@ def dense_sensing_sinr(l, solution, targets, sigma_s2, geom) -> float:
     ])
     clutter = float(sum(e for i, e in enumerate(echoes) if i != l))
     return float(echoes[l] / (clutter + sigma_s2))
+
+
+# =====================================================================
+# Scalar objective components and closed-form rails
+# =====================================================================
+
+def sensing_utility(gamma: float) -> float:
+    """Concave sensing reward log2(1 + gamma)."""
+    if gamma < 0.0:
+        raise ValueError(f"sensing SINR must be >= 0, got {gamma}")
+    return float(np.log2(1.0 + gamma))
+
+
+def energy_efficiency(total_rate: float, total_power: float) -> float:
+    """Rate per unit transmit power (bit/s/Hz per watt)."""
+    if total_power <= 0.0:
+        if total_rate == 0.0:
+            return 0.0
+        raise ValueError("nonzero rate with zero transmit power")
+    return float(total_rate / total_power)
+
+
+def jain_fairness(user_rates) -> float:
+    """Jain index (sum r)^2 / (K sum r^2); 1 when rates are equal, 1/K when
+    one user takes everything."""
+    r = np.asarray(user_rates, dtype=float)
+    if r.size == 0:
+        raise ValueError("fairness of an empty rate vector is undefined")
+    if np.any(r < 0.0):
+        raise ValueError(f"rates must be >= 0, got {r}")
+    denom = r.size * float(r @ r)
+    if denom == 0.0:
+        raise ValueError("fairness of an all-zero rate vector is undefined")
+    return float(r.sum() ** 2 / denom)
+
+
+def critical_correlation(num_users: int) -> float:
+    """Correlation threshold 1 - 1/sqrt(K) above which a shared common stream
+    is provably worth carrying."""
+    if num_users < 1:
+        raise ValueError(f"need at least one user, got {num_users}")
+    return 1.0 - 1.0 / np.sqrt(num_users)
+
+
+def rs_gain_lower_bound(rho_c: float, p_common: float, mean_channel: np.ndarray,
+                        sigma_n2: float) -> float:
+    """Guaranteed rate gain of the split design in the correlated regime:
+    log2(1 + rho_c^2 P_c ||h_bar||^2 / ((1 - rho_c^2) sigma_n2))."""
+    if not 0.0 <= rho_c < 1.0:
+        raise ValueError(f"correlation must be in [0, 1), got {rho_c}")
+    if p_common < 0.0:
+        raise ValueError(f"common power must be >= 0, got {p_common}")
+    h_bar2 = float(np.real(np.vdot(mean_channel, mean_channel)))
+    return float(np.log2(1.0 + rho_c**2 * p_common * h_bar2
+                         / ((1.0 - rho_c**2) * sigma_n2)))
 
 
 # =====================================================================
@@ -281,13 +339,15 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
     return best_p, best_f, best_aux
 
 
-def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
-    """The split block with every golden-section probe priced by
-    ctx.reprice on fresh copies of rho and of the share vector.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-    optimizers._rho_block prices a probe over the parts of aux0 the split
-    leaves fixed, in one working copy; this prices each one in full."""
-    from holo_isac.optimizers import _GOLDEN
+
+def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
+    """The split block by golden-section search: each rho_k in turn is
+    maximized on [0, 1] in 42 probes, each priced by ctx.reprice on fresh
+    copies of rho and of the share vector, and kept when it strictly
+    improves the objective. optimizers._rho_block water-fills each group in
+    closed form instead; this is the search it replaced, as a comparator."""
     from holo_isac.rates import group_shares
 
     best_rho, best_f, best_aux = rho, f0, aux0

@@ -8,15 +8,12 @@ from holo_isac.objective import (
     QosLimits,
     check_constraints,
     composite_objective,
-    critical_correlation,
-    energy_efficiency,
-    jain_fairness,
-    rs_gain_lower_bound,
-    sensing_utility,
     sum_rate_upper_bound,
 )
 from holo_isac.rates import Grouping, RsNomaSolution
-from oracles import dense_sensing_sinr, user_total_rate
+from oracles import (critical_correlation, dense_sensing_sinr,
+                     energy_efficiency, jain_fairness, rs_gain_lower_bound,
+                     sensing_utility, user_total_rate)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)

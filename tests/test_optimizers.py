@@ -637,31 +637,132 @@ def test_a_power_block_forms_no_gains(monkeypatch):
     assert priced >= 10
 
 
-def test_golden_section_probes_match_full_repricing(monkeypatch):
+def test_the_water_filled_split_is_at_least_the_golden_section_split(
+        monkeypatch):
     entries = block_entries(monkeypatch, "_rho_block")
     assert len(entries) >= 10
     moved = 0
     for ctx, *args in entries:
-        got = optimizers._rho_block(ctx, *args)
-        assert_same_result(got, golden_rho_block(ctx, *args))
-        moved += got[0] is not args[2]
+        rho_w, f_w, _ = optimizers._rho_block(ctx, *args)
+        _, f_g, _ = golden_rho_block(ctx, *args)
+        assert f_w >= f_g - 1e-12 * abs(f_g)
+        moved += rho_w is not args[2]
     assert moved >= 3
 
 
-def test_a_rho_probe_prices_the_split_alone(monkeypatch):
+def test_a_split_block_prices_once_and_forms_no_gains(monkeypatch):
     for ctx, *args in block_entries(monkeypatch, "_rho_block"):
         with monkeypatch.context() as patch:
             streams = calls_to(patch, optimizers, "price_streams")
             formed = calls_to(patch, ctx, "_gains")
             full = calls_to(patch, ctx, "reprice")
-            probes = calls_to(patch, ctx, "_split_terms")
             optimizers._rho_block(ctx, *args)
-        assert not streams and not formed
-        # one full repricing per searched user, at the point it settles on;
-        # the 42 probes of its search price the split alone
-        searched = sum(len(mem) for mem in ctx.layout.members if len(mem) > 1)
-        assert searched and len(full) == searched
-        assert len(probes) == 43 * searched
+        assert not streams and not formed and len(full) <= 1
+
+
+def split_instance(sizes, cap, p_rate, rho, r_min=0.0, seed=60):
+    """A split-block entry on hand-built groups: groups of the given sizes
+    (users numbered in order), the group common capacities cap and the
+    private rates p_rate written into the stream part of a random design
+    point, and the split rho. Returns (ctx, block arguments)."""
+    users = np.cumsum([0] + list(sizes))
+    grouping = Grouping(
+        assignment=np.repeat(np.arange(len(sizes)), sizes),
+        sic_order=[list(range(a, b)) for a, b in zip(users[:-1], users[1:])])
+    k = users[-1]
+    channels, targets, geom, _, _ = build_problem(seed=seed, k=k)
+    limits = QosLimits(p_max=P_MAX, r_min=r_min)
+    ctx = _EvalContext(channels, targets, geom,
+                       ObjectiveWeights(0.4, 0.2, 0.1, 0.3), limits, SIGMA_N2,
+                       SIGMA_S2, grouping, 10.0)
+    rng = np.random.default_rng(seed)
+    s = len(sizes) + k + 1
+    w = rng.standard_normal((s, geom.m_total)) + 0j
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    p = np.full(s, P_MAX / s)
+    rho = np.asarray(rho, dtype=float)
+    _, aux = ctx.evaluate(w, p, rho)
+    aux = dict(aux, group_c=np.asarray(cap, dtype=float),
+               p_rate=np.asarray(p_rate, dtype=float))
+    f0, aux0 = ctx.reprice(aux, ctx.shares(rho))
+    return ctx, (w, p, rho, f0, aux0, OptimizerConfig())
+
+
+def simplex_grid(n, points):
+    """Every share vector of a 2- or 3-user group on the simplex grid with
+    the given number of points per axis."""
+    steps = points - 1
+    if n == 2:
+        i = np.arange(points)
+        return np.stack((i, steps - i), axis=1) / steps
+    i, j = np.triu_indices(points)
+    return np.stack((i, j - i, steps - j), axis=1) / steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_water_filled_split_matches_a_brute_force_over_the_simplex(seed):
+    # a 2-user and a 3-user group; each group's split moves only its own
+    # rates, whose sum it keeps, so the groups are searched one at a time
+    rng = np.random.default_rng(seed)
+    r_min = (0.0, 2.5)[seed % 2]
+    ctx, args = split_instance((2, 3), rng.uniform(0.1, 3.0, 2),
+                               rng.uniform(0.5, 4.0, 5),
+                               rng.uniform(0.0, 1.0, 5), r_min=r_min, seed=seed)
+    rho, f, _ = optimizers._rho_block(ctx, *args)
+    # a feasible split: no negative share, and the shares of each group
+    # sum to one
+    assert np.all(rho >= 0.0)
+    aux0 = args[4]
+    shares = ctx.shares(rho)
+    for mem, points in zip(ctx.layout.members, (201, 61)):
+        assert rho[mem].sum() == pytest.approx(1.0, rel=1e-12)
+        best = -np.inf
+        for grid_shares in simplex_grid(len(mem), points):
+            cand = shares.copy()
+            cand[mem] = grid_shares
+            best = max(best, ctx.reprice(aux0, cand)[0])
+        assert f >= best - 1e-12 * abs(best)
+
+
+def test_a_zero_capacity_group_and_lone_users_keep_their_split():
+    # groups: a lone user, a zero-capacity pair, a lone user, a pair that
+    # moves
+    rho = np.array([0.3, 0.8, 0.1, 0.6, 0.9, 0.2])
+    ctx, args = split_instance((1, 2, 1, 2), [1.5, 0.0, 2.0, 1.0],
+                               [1.0, 0.5, 3.0, 2.0, 1.0, 3.0], rho)
+    w, p, _, _, _, cfg = args
+    out, f, aux = optimizers._rho_block(ctx, *args)
+    assert f > args[3]
+    assert out[:4].tobytes() == rho[:4].tobytes()
+    assert not np.array_equal(out[4:], rho[4:])
+    # a second block finds nothing to improve and keeps its entry
+    again = optimizers._rho_block(ctx, w, p, out, f, aux, cfg)
+    assert again[0] is out and again[1] == f and again[2] is aux
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_water_filled_allocations_sum_to_the_group_capacity(seed):
+    rng = np.random.default_rng(seed)
+    cap = rng.uniform(0.05, 3.0, 3)
+    ctx, args = split_instance((2, 3, 4), cap, rng.uniform(0.5, 4.0, 9),
+                               rng.uniform(0.0, 1.0, 9), seed=seed)
+    rho, f, aux = optimizers._rho_block(ctx, *args)
+    assert f > args[3]
+    for g, mem in enumerate(ctx.layout.members):
+        assert rho[mem].sum() == pytest.approx(1.0, rel=1e-12)
+        assert aux["alloc"][mem].sum() == pytest.approx(cap[g], rel=1e-12)
+
+
+def test_tied_private_rates_get_equal_shares():
+    # the tie is filled in the first group and, with the whole group tied,
+    # in the second; the richer user of the first group gets nothing
+    ctx, args = split_instance((3, 3), [0.5, 1.2],
+                               [3.0, 1.0, 1.0, 2.0, 2.0, 2.0],
+                               [0.9, 0.1, 0.5, 0.9, 0.1, 0.5])
+    rho, f, _ = optimizers._rho_block(ctx, *args)
+    assert f > args[3]
+    assert rho[0] == 0.0 and rho[1] == rho[2] == pytest.approx(0.5)
+    assert rho[3] == rho[4] == rho[5] == pytest.approx(1.0 / 3.0)
 
 
 def test_normalize_rows_takes_the_fallback_for_zero_and_nan_rows():
