@@ -40,8 +40,7 @@ from .optimizers import (ConvergenceTrace, OptimizerConfig, adaptive_weights,
                          fp_auxiliary, init_hao_sca, run_e_wmmse, run_fp,
                          run_hao_sca, sca_surrogate_gamma)
 from .stats import (StatTestResult, bonferroni, cohens_d, f_cdf, mean_ci,
-                    one_way_anova, paired_t_test, t_cdf, t_quantile,
-                    welch_t_test)
+                    one_way_anova, paired_t_test, t_cdf, t_quantile)
 from .config import (ALGORITHM_NAMES, PRESET_NAMES, ScenarioConfig,
                      dbm_to_watts, parse_config, parse_config_text,
                      preset_config, watts_to_dbm)

@@ -2,14 +2,22 @@
 
 The structured format puts one record per line as space-separated key=value
 pairs in a fixed order, with schema_version first. Floats are serialized
-with repr(), so a file read back reproduces the in-memory values bit for
-bit. Lines are self-contained, which lets parallel workers write shard
-files that merge by simple concatenation plus the canonical sort.
+with repr() and read back with float(), so a file read back reproduces the
+in-memory values bit for bit. Lines are self-contained, which lets parallel
+workers write shard files that merge by simple concatenation plus the
+canonical sort.
+
+Both the line template and the line regex are built from RECORD_FIELDS. A
+row is written with one %-template fill and read with one fullmatch of the
+regex, which accepts exactly the lines the writer emits; the CSV export
+fills the same cells into a comma template.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,73 +54,118 @@ PLOT_METRICS = ("objective", "sum_rate", "detection_prob", "crlb",
 # Record serialization
 # =====================================================================
 
-def _encode(field: str, value) -> str:
-    if field == "sweep_value":
-        return "none" if value is None else repr(float(value))
-    if field == "sinr_db":
-        return ";".join(repr(float(v)) for v in value)
-    if field in _BOOL_FIELDS:
-        return "true" if value else "false"
-    if field in _FLOAT_FIELDS:
-        return repr(float(value))
-    return str(value)
+# what str() of an int and repr() of a float print, and nothing else; an
+# optional group is written (?:...|), which the re module matches faster
+# than (?:...)?
+_INT = r"-?(?:[1-9][0-9]*|0)"
+_FLOAT = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+|)(?:e[-+][0-9]+|)|-?inf|nan)"
 
 
-def _decode(field: str, text: str):
+def _syntax(field: str) -> tuple[str, str]:
+    """(template conversion, value regex) of one field; schema_version is
+    fixed text in both."""
+    if field == "schema_version":
+        return str(SCHEMA_VERSION), str(SCHEMA_VERSION)
     if field == "sweep_value":
-        return None if text == "none" else float(text)
+        return "%s", f"none|{_FLOAT}"
     if field == "sinr_db":
-        if not text:
-            return ()
-        return tuple(float(tok) for tok in text.split(";"))
+        return "%s", f"(?:{_FLOAT}(?:;{_FLOAT})*|)"
     if field in _BOOL_FIELDS:
-        if text not in ("true", "false"):
-            raise ValueError(f"bad boolean {text!r} for field {field}")
-        return text == "true"
+        return "%s", "true|false"
     if field in _INT_FIELDS:
-        return int(text)
+        return "%s", _INT
     if field in _FLOAT_FIELDS:
-        return float(text)
-    return text
+        return "%r", _FLOAT
+    return "%s", "[^ ]*"
+
+
+_SYNTAX = {field: _syntax(field) for field in RECORD_FIELDS}
+_RECORD_TEMPLATE = " ".join(f"{field}={conversion}"
+                            for field, (conversion, _) in _SYNTAX.items())
+_CSV_TEMPLATE = ",".join(conversion for conversion, _ in _SYNTAX.values())
+# one group per field of TrialResult, in its field order
+_RECORD_RE = re.compile(" ".join(
+    f"{field}={pattern}" if field == "schema_version"
+    else f"{field}=({pattern})" for field, (_, pattern) in _SYNTAX.items()))
+
+_row_values = attrgetter(*RECORD_FIELDS[1:])
+
+
+def _cells(row: TrialResult) -> tuple:
+    """The template cells of a row, in field order after schema_version.
+
+    The float() casts keep numpy scalars out of %r, which would print
+    np.float64(...) under numpy 2."""
+    (sweep_index, sweep_value, algorithm, trial_index, channel_hash, failed,
+     converged, monotone, iterations_used, objective, sum_rate, sinr_db,
+     detection_prob, crlb, energy_efficiency, fairness) = _row_values(row)
+    return (sweep_index,
+            "none" if sweep_value is None else repr(float(sweep_value)),
+            algorithm, trial_index, channel_hash,
+            "true" if failed else "false",
+            "true" if converged else "false",
+            "true" if monotone else "false",
+            iterations_used, float(objective), float(sum_rate),
+            ";".join([repr(float(v)) for v in sinr_db]),
+            float(detection_prob), float(crlb), float(energy_efficiency),
+            float(fairness))
 
 
 def format_record(row: TrialResult) -> str:
     """One record line; schema_version leads, field order is fixed."""
-    parts = []
-    for field in RECORD_FIELDS:
-        value = (SCHEMA_VERSION if field == "schema_version"
-                 else getattr(row, field))
-        parts.append(f"{field}={_encode(field, value)}")
-    return " ".join(parts)
+    return _RECORD_TEMPLATE % _cells(row)
 
 
-def parse_record(line: str) -> TrialResult:
+def _reject(line: str):
+    """Raise why the record regex rejected line: the first field whose
+    token is missing, out of place or not what the writer emits."""
     tokens = line.split(" ")
     if len(tokens) != len(RECORD_FIELDS):
         raise ValueError(
             f"record has {len(tokens)} fields, expected {len(RECORD_FIELDS)}")
-    kwargs = {}
     for field, token in zip(RECORD_FIELDS, tokens):
         key, sep, text = token.partition("=")
         if not sep or key != field:
             raise ValueError(f"expected field {field!r}, got token {token!r}")
-        value = _decode(field, text)
-        if field == "schema_version":
-            if value != SCHEMA_VERSION:
-                raise ValueError(f"unsupported schema version {value}")
-            continue
-        kwargs[field] = value
-    return TrialResult(**kwargs)
+        if re.fullmatch(_SYNTAX[field][1], text) is None:
+            if field == "schema_version":
+                raise ValueError(f"unsupported schema version {text}")
+            if field in _BOOL_FIELDS:
+                raise ValueError(f"bad boolean {text!r} for field {field}")
+            raise ValueError(f"bad value {text!r} for field {field}")
+    raise ValueError(f"malformed record {line!r}")
+
+
+def parse_record(line: str) -> TrialResult:
+    """One record line back into its row: one regex match, then float(),
+    int() and the word tests. A rejected line raises ValueError naming the
+    first field at fault."""
+    match = _RECORD_RE.fullmatch(line)
+    if match is None:
+        _reject(line)
+    (sweep_index, sweep_value, algorithm, trial_index, channel_hash, failed,
+     converged, monotone, iterations_used, objective, sum_rate, sinr_db,
+     detection_prob, crlb, energy_efficiency, fairness) = match.groups()
+    return TrialResult(
+        int(sweep_index),
+        None if sweep_value == "none" else float(sweep_value),
+        algorithm, int(trial_index), channel_hash, failed == "true",
+        converged == "true", monotone == "true", int(iterations_used),
+        float(objective), float(sum_rate),
+        tuple([float(v) for v in sinr_db.split(";")]) if sinr_db else (),
+        float(detection_prob), float(crlb), float(energy_efficiency),
+        float(fairness))
 
 
 def write_records(rows, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         for row in rows:
-            fh.write(format_record(row) + "\n")
+            fh.write(_RECORD_TEMPLATE % _cells(row) + "\n")
 
 
 def read_records(path):
-    """Parse a record file back into TrialResult rows (bit-exact floats)."""
+    """Parse a record file back into TrialResult rows (bit-exact floats),
+    streaming it line by line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -131,7 +184,7 @@ def merge_records(paths):
     rows = []
     for path in paths:
         rows.extend(read_records(path))
-    rows.sort(key=TrialResult.sort_key)
+    rows.sort(key=attrgetter("sweep_index", "algorithm", "trial_index"))
     return rows
 
 
@@ -140,16 +193,12 @@ def merge_records(paths):
 # =====================================================================
 
 def write_csv(rows, path) -> None:
-    """Human-readable tabular export, same field order as the record file."""
+    """Human-readable tabular export, same field order and cells as the
+    record file."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(",".join(RECORD_FIELDS) + "\n")
         for row in rows:
-            cells = []
-            for field in RECORD_FIELDS:
-                value = (SCHEMA_VERSION if field == "schema_version"
-                         else getattr(row, field))
-                cells.append(_encode(field, value))
-            fh.write(",".join(cells) + "\n")
+            fh.write(_CSV_TEMPLATE % _cells(row) + "\n")
 
 
 # =====================================================================
@@ -196,12 +245,19 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
 STATS_METRICS = ("objective", "sum_rate")
 
 
-def _metric_matrix(rows, algorithm, metric):
-    """Trial-indexed samples for one algorithm (failed rows excluded)."""
-    pairs = sorted((row.trial_index, getattr(row, metric))
-                   for row in rows if row.algorithm == algorithm
-                   and not row.failed)
-    return {idx: val for idx, val in pairs}
+def _by_algorithm(rows):
+    """algorithm -> its non-failed rows."""
+    grouped = {}
+    for row in rows:
+        if not row.failed:
+            grouped.setdefault(row.algorithm, []).append(row)
+    return grouped
+
+
+def _metric_matrix(batch, metric):
+    """Trial-indexed samples of one metric over one algorithm's rows."""
+    return dict(sorted((row.trial_index, getattr(row, metric))
+                       for row in batch))
 
 
 def _paired_samples(by_trial_a, by_trial_b):
@@ -241,19 +297,23 @@ def write_stats_report(rows, path, baseline_rows=None,
     sweep_points = sorted({(row.sweep_index, row.sweep_value)
                            for row in rows})
     for sweep_index, sweep_value in sweep_points:
-        at_point = [row for row in rows if row.sweep_index == sweep_index]
-        algorithms = sorted({row.algorithm for row in at_point})
+        # an algorithm whose rows all failed here has no samples, so it
+        # adds no line in either mode
+        at_point = _by_algorithm(row for row in rows
+                                 if row.sweep_index == sweep_index)
+        algorithms = sorted(at_point)
         sv = "none" if sweep_value is None else repr(sweep_value)
         prefix = f"sweep_index={sweep_index} sweep_value={sv}"
 
         if baseline_rows is not None:
-            base_at_point = [row for row in baseline_rows
-                             if row.sweep_index == sweep_index]
+            base_at_point = _by_algorithm(row for row in baseline_rows
+                                          if row.sweep_index == sweep_index)
             for metric in metrics:
                 for algorithm in algorithms:
                     a, b = _paired_samples(
-                        _metric_matrix(at_point, algorithm, metric),
-                        _metric_matrix(base_at_point, algorithm, metric))
+                        _metric_matrix(at_point[algorithm], metric),
+                        _metric_matrix(base_at_point.get(algorithm, ()),
+                                       metric))
                     if a.size < 2:
                         continue
                     test = paired_t_test(a, b)
@@ -263,7 +323,7 @@ def write_stats_report(rows, path, baseline_rows=None,
             continue
 
         for metric in metrics:
-            samples = {alg: _metric_matrix(at_point, alg, metric)
+            samples = {alg: _metric_matrix(at_point[alg], metric)
                        for alg in algorithms}
             for alg in algorithms:
                 vals = list(samples[alg].values())

@@ -235,31 +235,6 @@ def paired_t_test(a, b, confidence: float = 0.95) -> StatTestResult:
                           cohens_d(a, b), md - tq * se, md + tq * se, confidence)
 
 
-def welch_t_test(a, b, confidence: float = 0.95) -> StatTestResult:
-    """Welch's unequal-variance two-sample t test."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("Welch test needs at least two samples per group")
-    va = a.var(ddof=1) / a.size
-    vb = b.var(ddof=1) / b.size
-    diff = float(a.mean() - b.mean())
-    if va + vb == 0.0:
-        if diff == 0.0:
-            return StatTestResult("welch_t", 0.0, float(a.size + b.size - 2), 1.0,
-                                 0.0, 0.0, 0.0, confidence)
-        stat = np.inf if diff > 0.0 else -np.inf
-        return StatTestResult("welch_t", stat, float(a.size + b.size - 2), 0.0,
-                             cohens_d(a, b), diff, diff, confidence)
-    se = float(np.sqrt(va + vb))
-    df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
-    stat = diff / se
-    tq = t_quantile(0.5 + confidence / 2.0, df)
-    return StatTestResult("welch_t", float(stat), float(df),
-                          _two_sided_p(stat, df), cohens_d(a, b),
-                          diff - tq * se, diff + tq * se, confidence)
-
-
 def one_way_anova(groups, confidence: float = 0.95) -> StatTestResult:
     """Fixed-effects one-way ANOVA across two or more groups.
 

@@ -8,12 +8,17 @@ transmit covariance and echo matrices with the traces taken directly, and
 the objective components one scalar at a time, so the tests compare the
 kernel against computations it does not share. The paper's closed-form
 rails that the pipeline does not run, and the block-by-block and
-search-based solver steps that the package replaced, live here too.
+search-based solver steps that the package replaced, live here too, as do
+the field-by-field record codec that the one-pass template and regex of
+holo_isac.records replaced and Welch's t test, which no report runs.
 """
 
 import numpy as np
 
 from holo_isac.channel import sensing_channel
+from holo_isac.experiments import TrialResult
+from holo_isac.records import RECORD_FIELDS, SCHEMA_VERSION
+from holo_isac.stats import StatTestResult, _two_sided_p, cohens_d, t_quantile
 
 
 # =====================================================================
@@ -385,3 +390,111 @@ def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
             if fb > best_f:
                 best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
     return best_rho, best_f, best_aux
+
+
+# =====================================================================
+# Record lines, one field at a time
+# =====================================================================
+
+_INT_FIELDS = {"schema_version", "sweep_index", "trial_index",
+               "iterations_used"}
+_BOOL_FIELDS = {"failed", "converged", "monotone"}
+_FLOAT_FIELDS = {"objective", "sum_rate", "detection_prob", "crlb",
+                 "energy_efficiency", "fairness"}
+
+
+def encode_field(field: str, value) -> str:
+    if field == "sweep_value":
+        return "none" if value is None else repr(float(value))
+    if field == "sinr_db":
+        return ";".join(repr(float(v)) for v in value)
+    if field in _BOOL_FIELDS:
+        return "true" if value else "false"
+    if field in _FLOAT_FIELDS:
+        return repr(float(value))
+    return str(value)
+
+
+def decode_field(field: str, text: str):
+    if field == "sweep_value":
+        return None if text == "none" else float(text)
+    if field == "sinr_db":
+        if not text:
+            return ()
+        return tuple(float(tok) for tok in text.split(";"))
+    if field in _BOOL_FIELDS:
+        if text not in ("true", "false"):
+            raise ValueError(f"bad boolean {text!r} for field {field}")
+        return text == "true"
+    if field in _INT_FIELDS:
+        return int(text)
+    if field in _FLOAT_FIELDS:
+        return float(text)
+    return text
+
+
+def format_record_by_field(row) -> str:
+    """A record line encoded field by field; records.format_record fills
+    one template instead."""
+    parts = []
+    for field in RECORD_FIELDS:
+        value = (SCHEMA_VERSION if field == "schema_version"
+                 else getattr(row, field))
+        parts.append(f"{field}={encode_field(field, value)}")
+    return " ".join(parts)
+
+
+def csv_cells_by_field(row) -> list:
+    """The cells of a row's results.csv line, encoded field by field."""
+    return [encode_field(field, SCHEMA_VERSION if field == "schema_version"
+                         else getattr(row, field)) for field in RECORD_FIELDS]
+
+
+def parse_record_by_field(line: str) -> TrialResult:
+    """A record line decoded token by token; records.parse_record matches
+    one regex instead."""
+    tokens = line.split(" ")
+    if len(tokens) != len(RECORD_FIELDS):
+        raise ValueError(
+            f"record has {len(tokens)} fields, expected {len(RECORD_FIELDS)}")
+    kwargs = {}
+    for field, token in zip(RECORD_FIELDS, tokens):
+        key, sep, text = token.partition("=")
+        if not sep or key != field:
+            raise ValueError(f"expected field {field!r}, got token {token!r}")
+        value = decode_field(field, text)
+        if field == "schema_version":
+            if value != SCHEMA_VERSION:
+                raise ValueError(f"unsupported schema version {value}")
+            continue
+        kwargs[field] = value
+    return TrialResult(**kwargs)
+
+
+# =====================================================================
+# Welch's t test (the reports pair their samples by trial)
+# =====================================================================
+
+def welch_t_test(a, b, confidence: float = 0.95) -> StatTestResult:
+    """Welch's unequal-variance two-sample t test."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.size < 2 or b.size < 2:
+        raise ValueError("Welch test needs at least two samples per group")
+    va = a.var(ddof=1) / a.size
+    vb = b.var(ddof=1) / b.size
+    diff = float(a.mean() - b.mean())
+    if va + vb == 0.0:
+        if diff == 0.0:
+            return StatTestResult("welch_t", 0.0, float(a.size + b.size - 2), 1.0,
+                                 0.0, 0.0, 0.0, confidence)
+        stat = np.inf if diff > 0.0 else -np.inf
+        return StatTestResult("welch_t", stat, float(a.size + b.size - 2), 0.0,
+                             cohens_d(a, b), diff, diff, confidence)
+    se = float(np.sqrt(va + vb))
+    df = (va + vb) ** 2 / (va**2 / (a.size - 1) + vb**2 / (b.size - 1))
+    stat = diff / se
+    tq = t_quantile(0.5 + confidence / 2.0, df)
+    return StatTestResult("welch_t", float(stat), float(df),
+                          _two_sided_p(stat, df), cohens_d(a, b),
+                          diff - tq * se, diff + tq * se, confidence)

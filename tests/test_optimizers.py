@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -294,7 +295,8 @@ def short_desk_tiny(mx=4, my=4, num_targets=2):
     return cfg
 
 
-def block_entries(monkeypatch, block):
+@functools.cache
+def block_entries(block):
     """Every entry of the block optimizers.<block>, as (ctx, *arguments), in
     short hao_sca (all three legs, the conventional-NOMA one included) and
     fp solves on impaired desk_tiny and desk_small draws with CSI error, on
@@ -302,7 +304,10 @@ def block_entries(monkeypatch, block):
     edge cases of the span coordinates (see edge_case): a 2-element array
     with 4 users and 2 targets (K + L > M), a desk_tiny draw whose user 1
     duplicates user 0 (a rank-deficient span) and a desk_tiny draw without
-    targets (the sensing probe e_1 then lies mostly outside the span)."""
+    targets (the sensing probe e_1 then lies mostly outside the span).
+
+    The solves run once per block and session, and every caller gets the
+    same entries: their arrays are copies, and no block writes its inputs."""
     entries = []
     real = getattr(optimizers, block)
 
@@ -332,7 +337,7 @@ def block_entries(monkeypatch, block):
               (short_desk_tiny(), 3, duplicate_first_user, short_desk_tiny()),
               (short_desk_tiny(num_targets=0), 3, None,
                short_desk_tiny(num_targets=0))]
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(optimizers, block, record)
         for cfg, seed, edit, solve_cfg in draws:
             data = generate_trial_data(cfg, np.random.default_rng(seed))
@@ -373,7 +378,7 @@ def stacked(gains) -> bool:
 
 
 def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
-    entries = block_entries(monkeypatch, "_beam_block")
+    entries = block_entries("_beam_block")
     assert len(entries) >= 10
     assert any(ctx.m_total == 1024 for ctx, *_ in entries)
     fallbacks = 0
@@ -389,7 +394,7 @@ def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
 def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
     visited = []
     for ctx, w, p, rho, f0, aux0, config, frozen in \
-            block_entries(monkeypatch, "_beam_block"):
+            block_entries("_beam_block"):
         one_step = OptimizerConfig(inner_steps=1,
                                    max_backtracks=config.max_backtracks)
         with monkeypatch.context() as patch:
@@ -421,7 +426,7 @@ def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
     assert len(visited) >= 3
 
 
-def rescaled_entries(monkeypatch):
+def rescaled_entries():
     """beam-block entries whose rows are off the unit spheres (norms 0.5 to
     2, one free row zero), priced afresh, so Re<w_s, t_s> is not ~0 and a
     dead stream occurs; one desk_tiny and one desk_small entry each of
@@ -429,7 +434,7 @@ def rescaled_entries(monkeypatch):
     out, seen = [], set()
     rng = np.random.default_rng(57)
     for ctx, w, p, rho, f0, aux0, config, frozen in \
-            block_entries(monkeypatch, "_beam_block"):
+            block_entries("_beam_block"):
         key = (ctx.m_total, frozen is None)
         if key in seen or ctx.m_total not in (16, 64):
             continue
@@ -460,8 +465,8 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
             return out
         monkeypatch.setattr(optimizers._Retraction, name, record)
 
-    entries = block_entries(monkeypatch, "_beam_block") \
-        + rescaled_entries(monkeypatch)
+    entries = block_entries("_beam_block") \
+        + rescaled_entries()
     spy("joint")
     spy("row_gains")
 
@@ -495,10 +500,10 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
     assert counts["joint"] >= 20 and counts["row_gains"] >= 20
 
 
-def test_the_span_gradient_is_the_m_space_gradient(monkeypatch):
+def test_the_span_gradient_is_the_m_space_gradient():
     checked = set()
     for ctx, w, p, rho, f0, aux0, config, frozen in \
-            block_entries(monkeypatch, "_beam_block"):
+            block_entries("_beam_block"):
         anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
         shares = ctx.shares(rho)
         got = ctx.beam_gradient(ctx.to_span(w)[0], p, shares, aux0, anchor)
@@ -511,11 +516,11 @@ def test_the_span_gradient_is_the_m_space_gradient(monkeypatch):
     assert {2, 16, 64, 1024} <= checked
 
 
-def test_beam_block_returns_the_gains_of_its_beams(monkeypatch):
+def test_beam_block_returns_the_gains_of_its_beams():
     moved = 0
     for ctx, w, p, rho, f0, aux0, config, frozen in \
-            block_entries(monkeypatch, "_beam_block") \
-            + rescaled_entries(monkeypatch):
+            block_entries("_beam_block") \
+            + rescaled_entries():
         w_out, f_out, aux_out = optimizers._beam_block(ctx, w, p, rho, f0,
                                                        aux0, config, frozen)
         assert f_out >= f0
@@ -527,9 +532,9 @@ def test_beam_block_returns_the_gains_of_its_beams(monkeypatch):
     assert moved >= 10
 
 
-def test_zero_and_held_beam_rows_keep_their_entry_rows(monkeypatch):
+def test_zero_and_held_beam_rows_keep_their_entry_rows():
     held_rows = 0
-    entries = rescaled_entries(monkeypatch)
+    entries = rescaled_entries()
     for ctx, w, p, rho, f0, aux0, config, frozen in entries:
         w_out, _, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0, config,
                                              frozen)
@@ -570,14 +575,14 @@ def edge_case(ctx) -> str | None:
 
 
 @pytest.mark.parametrize("case", ["wide", "duplicate", "no_targets", "rescaled"])
-def test_the_beam_block_in_span_coordinates_at_an_edge_case(monkeypatch, case):
+def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
     """The coordinates hold each beam and its gains, and the block returns
     unit-norm rows, keeps its zero and held rows and never loses objective.
     (rescaled: the entries of rescaled_entries, off the unit spheres.)"""
     if case == "rescaled":
-        entries = rescaled_entries(monkeypatch)
+        entries = rescaled_entries()
     else:
-        entries = [entry for entry in block_entries(monkeypatch, "_beam_block")
+        entries = [entry for entry in block_entries("_beam_block")
                    if edge_case(entry[0]) == case]
     moved = 0
     for ctx, w, p, rho, f0, aux0, config, frozen in entries:
@@ -607,9 +612,8 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(monkeypatch, case):
                    for ctx, w, *_ in entries)
 
 
-def test_power_steps_priced_over_the_entry_gains_match_full_evaluations(
-        monkeypatch):
-    entries = block_entries(monkeypatch, "_power_block")
+def test_power_steps_priced_over_the_entry_gains_match_full_evaluations():
+    entries = block_entries("_power_block")
     assert len(entries) >= 10
     moved = 0
     for ctx, *args in entries:
@@ -621,7 +625,7 @@ def test_power_steps_priced_over_the_entry_gains_match_full_evaluations(
 
 def test_a_power_block_forms_no_gains(monkeypatch):
     priced = 0
-    for ctx, *args in block_entries(monkeypatch, "_power_block"):
+    for ctx, *args in block_entries("_power_block"):
         with monkeypatch.context() as patch:
             formed = calls_to(patch, ctx, "_gains")
             evaluated = calls_to(patch, ctx, "evaluate")
@@ -637,9 +641,8 @@ def test_a_power_block_forms_no_gains(monkeypatch):
     assert priced >= 10
 
 
-def test_the_water_filled_split_is_at_least_the_golden_section_split(
-        monkeypatch):
-    entries = block_entries(monkeypatch, "_rho_block")
+def test_the_water_filled_split_is_at_least_the_golden_section_split():
+    entries = block_entries("_rho_block")
     assert len(entries) >= 10
     moved = 0
     for ctx, *args in entries:
@@ -651,7 +654,7 @@ def test_the_water_filled_split_is_at_least_the_golden_section_split(
 
 
 def test_a_split_block_prices_once_and_forms_no_gains(monkeypatch):
-    for ctx, *args in block_entries(monkeypatch, "_rho_block"):
+    for ctx, *args in block_entries("_rho_block"):
         with monkeypatch.context() as patch:
             streams = calls_to(patch, optimizers, "price_streams")
             formed = calls_to(patch, ctx, "_gains")

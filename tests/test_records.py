@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from holo_isac.config import ALGORITHM_NAMES
 from holo_isac.experiments import TrialResult, _failure_result
 from holo_isac.records import (
     RECORD_FIELDS,
@@ -13,6 +16,8 @@ from holo_isac.records import (
     write_records,
     write_stats_report,
 )
+from oracles import (csv_cells_by_field, format_record_by_field,
+                     parse_record_by_field)
 
 
 def sample_row(**overrides):
@@ -70,6 +75,14 @@ def test_parse_rejects_malformed_lines():
         parse_record(good.replace("schema_version=1", "schema_version=9"))
     with pytest.raises(ValueError, match="boolean"):
         parse_record(good.replace("failed=false", "failed=maybe"))
+    # the reader takes only what the writer emits: repr() floats, str() ints
+    for bad in ("objective=twelve", "objective=1e5", "objective=+12.5",
+                "objective=NaN", "sinr_db=3.5;;-1.25", "iterations_used=07"):
+        field = bad.partition("=")[0]
+        token = next(tok for tok in good.split()
+                     if tok.startswith(field + "="))
+        with pytest.raises(ValueError, match=f"bad value .* field {field}"):
+            parse_record(good.replace(token, bad))
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -88,6 +101,74 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert back[1].objective == rows[1].objective  # no float drift
     assert back[1].crlb == float("inf")
     assert back[1].sinr_db == ()
+
+
+# values at which repr() changes form or rounds hardest, and the inputs
+# the writer must cast (numpy scalars)
+SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                  1e16, np.nextafter(1e16, 0.0), 1e-5, np.nextafter(1e-5, 0.0),
+                  1e-4, np.nextafter(1e-4, 0.0), 1e-7, 0.1, 1.0 / 3.0,
+                  1.7976931348623157e308, 2.2250738585072014e-308)
+
+
+def random_float(rng):
+    """A special value or a random magnitude, as a float or np.float64."""
+    if rng.random() < 0.4:
+        value = float(SPECIAL_FLOATS[rng.integers(len(SPECIAL_FLOATS))])
+    else:
+        value = float(rng.standard_normal() * 10.0 ** rng.integers(-320, 300))
+    return np.float64(value) if rng.random() < 0.3 else value
+
+
+def random_int(rng, high):
+    value = int(rng.integers(0, high))
+    return np.int64(value) if rng.random() < 0.3 else value
+
+
+def random_row(rng):
+    return TrialResult(
+        sweep_index=random_int(rng, 40),
+        sweep_value=None if rng.random() < 0.3 else random_float(rng),
+        algorithm=ALGORITHM_NAMES[rng.integers(len(ALGORITHM_NAMES))],
+        trial_index=random_int(rng, 10**6),
+        channel_hash=f"{int(rng.integers(0, 2**63)):016x}",
+        failed=bool(rng.random() < 0.2),
+        converged=np.bool_(rng.random() < 0.5),
+        monotone=bool(rng.random() < 0.8),
+        iterations_used=random_int(rng, 200),
+        objective=random_float(rng), sum_rate=random_float(rng),
+        sinr_db=tuple(random_float(rng)
+                      for _ in range((0, 1, 2, 8)[rng.integers(4)])),
+        detection_prob=random_float(rng), crlb=random_float(rng),
+        energy_efficiency=random_float(rng), fairness=random_float(rng))
+
+
+def float_bits(row):
+    """A row's field values with every float as float.hex, so NaN matches
+    NaN and -0.0 differs from 0.0."""
+    def bits(value):
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value.hex() if isinstance(value, float) else value
+    return {key: (bits(value), type(value))
+            for key, value in vars(row).items()}
+
+
+def test_one_pass_codec_matches_the_field_by_field_codec(tmp_path):
+    rng = np.random.default_rng(73)
+    rows = [random_row(rng) for _ in range(2000)]
+    lines = [format_record_by_field(row) for row in rows]
+    for row, line in zip(rows, lines):
+        assert format_record(row) == line
+        assert float_bits(parse_record(line)) == \
+            float_bits(parse_record_by_field(line))
+    path = tmp_path / "random.records"
+    write_records(rows, path)
+    assert path.read_text() == "".join(line + "\n" for line in lines)
+    csv = tmp_path / "random.csv"
+    write_csv(rows, csv)
+    assert csv.read_text().splitlines()[1:] == \
+        [",".join(csv_cells_by_field(row)) for row in rows]
 
 
 def test_read_reports_bad_line_number(tmp_path):

