@@ -7,10 +7,11 @@ in-memory values bit for bit. Lines are self-contained, which lets parallel
 workers write shard files that merge by simple concatenation plus the
 canonical sort.
 
-Both the line template and the line regex are built from RECORD_FIELDS. A
-row is written with one %-template fill and read with one fullmatch of the
-regex, which accepts exactly the lines the writer emits; the CSV export
-fills the same cells into a comma template.
+The line template and the line regex are both built from one table of the
+fields (_SYNTAX, whose keys are RECORD_FIELDS). A row is written with one
+%-template fill and read with one fullmatch of the regex, which accepts
+exactly the lines the writer emits; the CSV export fills the same cells
+into a comma template.
 """
 
 from __future__ import annotations
@@ -33,18 +34,36 @@ from .stats import (
 
 SCHEMA_VERSION = 1
 
-RECORD_FIELDS = (
-    "schema_version", "sweep_index", "sweep_value", "algorithm",
-    "trial_index", "channel_hash", "failed", "converged", "monotone",
-    "iterations_used", "objective", "sum_rate", "sinr_db",
-    "detection_prob", "crlb", "energy_efficiency", "fairness",
-)
+# what str() of an int and repr() of a float print, and nothing else; an
+# optional group is written (?:...|), which the re module matches faster
+# than (?:...)?
+_INT = r"-?(?:[1-9][0-9]*|0)"
+_FLOAT = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+|)(?:e[-+][0-9]+|)|-?inf|nan)"
+_BOOL = "true|false"
+_TEXT = "[^ ]*"
 
-_INT_FIELDS = {"schema_version", "sweep_index", "trial_index",
-               "iterations_used"}
-_BOOL_FIELDS = {"failed", "converged", "monotone"}
-_FLOAT_FIELDS = {"objective", "sum_rate", "detection_prob", "crlb",
-                 "energy_efficiency", "fairness"}
+# field -> (template conversion, value regex), in line order; schema_version
+# is fixed text in both
+_SYNTAX = {
+    "schema_version": (str(SCHEMA_VERSION), str(SCHEMA_VERSION)),
+    "sweep_index": ("%s", _INT),
+    "sweep_value": ("%s", f"none|{_FLOAT}"),
+    "algorithm": ("%s", _TEXT),
+    "trial_index": ("%s", _INT),
+    "channel_hash": ("%s", _TEXT),
+    "failed": ("%s", _BOOL),
+    "converged": ("%s", _BOOL),
+    "monotone": ("%s", _BOOL),
+    "iterations_used": ("%s", _INT),
+    "objective": ("%r", _FLOAT),
+    "sum_rate": ("%r", _FLOAT),
+    "sinr_db": ("%s", f"(?:{_FLOAT}(?:;{_FLOAT})*|)"),
+    "detection_prob": ("%r", _FLOAT),
+    "crlb": ("%r", _FLOAT),
+    "energy_efficiency": ("%r", _FLOAT),
+    "fairness": ("%r", _FLOAT),
+}
+RECORD_FIELDS = tuple(_SYNTAX)
 
 PLOT_METRICS = ("objective", "sum_rate", "detection_prob", "crlb",
                 "energy_efficiency", "fairness")
@@ -54,32 +73,6 @@ PLOT_METRICS = ("objective", "sum_rate", "detection_prob", "crlb",
 # Record serialization
 # =====================================================================
 
-# what str() of an int and repr() of a float print, and nothing else; an
-# optional group is written (?:...|), which the re module matches faster
-# than (?:...)?
-_INT = r"-?(?:[1-9][0-9]*|0)"
-_FLOAT = r"(?:-?(?:[1-9][0-9]*|0)(?:\.[0-9]+|)(?:e[-+][0-9]+|)|-?inf|nan)"
-
-
-def _syntax(field: str) -> tuple[str, str]:
-    """(template conversion, value regex) of one field; schema_version is
-    fixed text in both."""
-    if field == "schema_version":
-        return str(SCHEMA_VERSION), str(SCHEMA_VERSION)
-    if field == "sweep_value":
-        return "%s", f"none|{_FLOAT}"
-    if field == "sinr_db":
-        return "%s", f"(?:{_FLOAT}(?:;{_FLOAT})*|)"
-    if field in _BOOL_FIELDS:
-        return "%s", "true|false"
-    if field in _INT_FIELDS:
-        return "%s", _INT
-    if field in _FLOAT_FIELDS:
-        return "%r", _FLOAT
-    return "%s", "[^ ]*"
-
-
-_SYNTAX = {field: _syntax(field) for field in RECORD_FIELDS}
 _RECORD_TEMPLATE = " ".join(f"{field}={conversion}"
                             for field, (conversion, _) in _SYNTAX.items())
 _CSV_TEMPLATE = ",".join(conversion for conversion, _ in _SYNTAX.values())
@@ -130,7 +123,7 @@ def _reject(line: str):
         if re.fullmatch(_SYNTAX[field][1], text) is None:
             if field == "schema_version":
                 raise ValueError(f"unsupported schema version {text}")
-            if field in _BOOL_FIELDS:
+            if _SYNTAX[field][1] == _BOOL:
                 raise ValueError(f"bad boolean {text!r} for field {field}")
             raise ValueError(f"bad value {text!r} for field {field}")
     raise ValueError(f"malformed record {line!r}")
