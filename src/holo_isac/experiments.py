@@ -32,7 +32,7 @@ from .impairments import (
     solve_iq_for_irr,
 )
 from .objective import price_design
-from .optimizers import run_e_wmmse, run_fp, run_hao_sca
+from .optimizers import SolveInstance, run_e_wmmse, run_fp, run_hao_sca
 from .sensing import SensingScene
 
 SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
@@ -265,7 +265,7 @@ def generate_trial_data(cfg: ScenarioConfig,
 # =====================================================================
 
 def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
-                   noma_solution=None):
+                   noma_solution=None, instance: SolveInstance | None = None):
     """Run one algorithm on one instance; returns (solution, trace).
 
     The hao_sca entry is the full two-start procedure: a run from the
@@ -278,37 +278,44 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     the caller already holds it: the solution of
     solve_instance("conv_noma", ...) on the same instance, which is the same
     deterministic solve, so passing it changes no result.
+
+    instance is the instance's SolveInstance (trial_instance), which every
+    solve of a trial shares; it is built here when not given.
     """
+    if algorithm not in ALGORITHM_NAMES:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     geom = cfg.array_geometry()
     weights = cfg.objective_weights()
     limits = cfg.qos_limits()
     opt = cfg.optimizer_config()
     s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
-    groups = cfg.population.num_groups
+    if instance is None:
+        instance = trial_instance(channels, targets, cfg)
+    args = (channels, targets, geom, weights, limits, s2n, s2s, opt)
 
     if algorithm == "hao_sca":
         if noma_solution is None:
-            noma_solution, _ = run_hao_sca(
-                channels, targets, geom, weights, limits, s2n, s2s, opt,
-                num_groups=groups, conventional_noma=True)
-        sol_w, tr_w = run_hao_sca(channels, targets, geom, weights, limits,
-                                  s2n, s2s, opt, num_groups=groups,
-                                  warm_start=noma_solution)
-        sol_c, tr_c = run_hao_sca(channels, targets, geom, weights, limits,
-                                  s2n, s2s, opt, num_groups=groups)
+            noma_solution, _ = run_hao_sca(*args, conventional_noma=True,
+                                           instance=instance)
+        sol_w, tr_w = run_hao_sca(*args, warm_start=noma_solution,
+                                  instance=instance)
+        sol_c, tr_c = run_hao_sca(*args, instance=instance)
         if tr_c.objectives[-1] >= tr_w.objectives[-1]:
             return sol_c, tr_c
         return sol_w, tr_w
     if algorithm == "conv_noma":
-        return run_hao_sca(channels, targets, geom, weights, limits, s2n, s2s,
-                           opt, num_groups=groups, conventional_noma=True)
+        return run_hao_sca(*args, conventional_noma=True, instance=instance)
     if algorithm == "e_wmmse":
-        return run_e_wmmse(channels, targets, geom, weights, limits, s2n, s2s,
-                           opt, num_groups=groups)
-    if algorithm == "fp":
-        return run_fp(channels, targets, geom, weights, limits, s2n, s2s,
-                      opt, num_groups=groups)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        return run_e_wmmse(*args, instance=instance)
+    return run_fp(*args, instance=instance)
+
+
+def trial_instance(channels, targets, cfg: ScenarioConfig) -> SolveInstance:
+    """The SolveInstance of one trial's solves: its scene, stream tables,
+    span basis and init_hao_sca start."""
+    return SolveInstance.from_start(channels, targets, cfg.array_geometry(),
+                                    cfg.population.num_groups,
+                                    cfg.p_max_watts, cfg.sigma_n2_watts)
 
 
 def _evaluate_trial(sol, trace, data: TrialData, scene: SensingScene,
@@ -369,21 +376,31 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
     seed = np.random.SeedSequence((plan.master_seed, sweep_index, trial_index))
     rng = np.random.default_rng(seed)
     data = generate_trial_data(cfg, rng)
-    scene = SensingScene(data.targets, cfg.array_geometry())
     rows = {}
     shared = {}
+    failures = (ValueError, RuntimeError, np.linalg.LinAlgError)
+    try:
+        instance = trial_instance(data.channels_est, data.targets, cfg)
+    except failures:
+        # every solve starts from the instance, so every row fails
+        return [_failure_result(sweep_index, sweep_value, algorithm,
+                                trial_index, data.channel_hash,
+                                len(data.targets))
+                for algorithm in plan.algorithms]
     # conv_noma first: its solution is the warm start of hao_sca's NOMA leg
     for algorithm in sorted(plan.algorithms, key=lambda a: a != "conv_noma"):
         extra = shared if algorithm == "hao_sca" else {}
         try:
             sol, trace = solve_instance(algorithm, data.channels_est,
-                                        data.targets, cfg, **extra)
+                                        data.targets, cfg, instance=instance,
+                                        **extra)
             if algorithm == "conv_noma":
                 shared["noma_solution"] = sol
-            rows[algorithm] = _evaluate_trial(sol, trace, data, scene, cfg,
+            rows[algorithm] = _evaluate_trial(sol, trace, data,
+                                              instance.scene, cfg,
                                               sweep_index, sweep_value,
                                               algorithm, trial_index)
-        except (ValueError, RuntimeError, np.linalg.LinAlgError):
+        except failures:
             rows[algorithm] = _failure_result(sweep_index, sweep_value,
                                               algorithm, trial_index,
                                               data.channel_hash,

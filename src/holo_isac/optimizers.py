@@ -113,8 +113,83 @@ def sca_surrogate_gamma(w: np.ndarray, w_anchor: np.ndarray, h: np.ndarray,
 # Shared evaluation core
 # =====================================================================
 
+class SolveInstance:
+    """The tables of one solve instance (channels, targets, array and
+    grouping), built once and shared by every solve of a trial.
+
+    Holds the channels, the targets' SensingScene, the grouping's
+    StreamLayout, the span basis of [h; a_l] and, when built by from_start,
+    the init_hao_sca start with its stacked beams and their span
+    coordinates. The solves only read these; their arrays are read-only."""
+
+    def __init__(self, channels, targets, geom: ArrayGeometry,
+                 grouping: Grouping, start: RsNomaSolution | None = None):
+        self.h = np.asarray(channels, dtype=complex)
+        self.hc = self.h.conj()
+        self.geom = geom
+        self.grouping = grouping
+        self.layout = StreamLayout(grouping)
+        self.scene = SensingScene(targets, geom)
+        self.start = start
+
+    @classmethod
+    def from_start(cls, channels, targets, geom: ArrayGeometry,
+                   num_groups: int, p_max: float,
+                   sigma_n2: float) -> "SolveInstance":
+        """The instance of the init_hao_sca start, which holds it."""
+        start = init_hao_sca(channels, targets, geom, num_groups, p_max,
+                             sigma_n2)
+        return cls(channels, targets, geom, start.grouping, start)
+
+    @functools.cached_property
+    def span(self) -> tuple:
+        """(q, rt, rtc) for the rows of B = [h; a_l] (the K channels, then
+        the L steering vectors): B^T = q r with q (M, n) orthonormal, n =
+        min(M, K + L); rt is r^T with one zero column appended, of shape
+        (K + L, n + 1), and rtc is its conjugate.
+
+        A beam w_s = q c_s + rest_s, rest_s orthogonal to the span, has the
+        span coordinates x_s = [c_s, |rest_s|]. Its gains are rtc @ x_s, the
+        gradient Z^T B (Z of shape (K + L, S)) has the coordinates Z^T rt,
+        and inner products of beams are those of their coordinates. The
+        zero column gives the out-of-span coordinate no gains and no
+        gradient."""
+        q, r = np.linalg.qr(np.vstack((self.h, self.scene.steer)).T)
+        rt = np.zeros((r.shape[1], r.shape[0] + 1), dtype=complex)
+        rt[:, :-1] = r.T
+        return _read_only(q, rt, rt.conj())
+
+    @functools.cached_property
+    def start_beams(self) -> np.ndarray:
+        """The start's stacked beams (RsNomaSolution.stacked_beams)."""
+        return _read_only(self.start.stacked_beams())[0]
+
+    @functools.cached_property
+    def start_span(self) -> tuple:
+        """_span_coordinates of start_beams."""
+        return _read_only(*_span_coordinates(self.span[0], self.start_beams))
+
+
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _span_coordinates(q: np.ndarray, w: np.ndarray) -> tuple:
+    """(x, u): the coordinates of the rows of w in the orthonormal basis q
+    plus the norm of each row's rest, and the unit direction of that rest
+    (zero where the row has none)."""
+    c = w @ q.conj()
+    rest = w - c @ q.T
+    norm = np.linalg.norm(rest, axis=1)
+    x = np.concatenate((c, norm[:, None]), axis=1)
+    return x, rest / np.where(norm > 0.0, norm, 1.0)[:, None]
+
+
 class _EvalContext:
-    """Per-instance tables plus the penalized objective the solvers climb.
+    """Per-solve weights and limits over a shared SolveInstance, plus the
+    penalized objective the solvers climb.
 
     Works on the stacked representation (W rows = unit beamformers in the
     order commons, privates, sensing; p = matching powers; rho = split
@@ -124,39 +199,23 @@ class _EvalContext:
     class adds the QoS penalty and the gradients.
     """
 
-    def __init__(self, channels, targets, geom: ArrayGeometry,
-                 weights: ObjectiveWeights, limits: QosLimits,
-                 sigma_n2: float, sigma_s2: float, grouping: Grouping,
+    def __init__(self, instance: SolveInstance, weights: ObjectiveWeights,
+                 limits: QosLimits, sigma_n2: float, sigma_s2: float,
                  qos_penalty: float):
-        self.h = np.asarray(channels, dtype=complex)
-        self.hc = self.h.conj()
+        self.instance = instance
+        self.h, self.hc = instance.h, instance.hc
         self.k_total, self.m_total = self.h.shape
-        self.geom = geom
+        self.geom = instance.geom
         self.weights = weights
         self.limits = limits
         self.sigma_n2 = float(sigma_n2)
         self.sigma_s2 = float(sigma_s2)
-        self.grouping = grouping
-        self.num_groups = grouping.num_groups
+        self.grouping = instance.grouping
+        self.num_groups = self.grouping.num_groups
         self.qos_penalty = float(qos_penalty)
-        self.layout = lay = StreamLayout(grouping)
-        self.scene = SensingScene(targets, geom)
+        self.layout = instance.layout
+        self.scene = instance.scene
         self.num_targets = self.scene.num_targets
-
-        g, k = self.num_groups, self.k_total
-        # members of each group, padded with user index K (see _group_sums)
-        width = max(len(mem) for mem in lay.members)
-        self.group_slots = np.full((g, width), k)
-        for gi, mem in enumerate(lay.members):
-            self.group_slots[gi, :len(mem)] = mem
-        # 0/1 tables over the streams: which ones user k hears as interference
-        # at its common stage and at its private stage, and its own private
-        self.hear_c = np.ones((k, lay.num_streams))
-        self.hear_c[lay.users, lay.assign] = 0.0
-        self.hear_p = self.hear_c.copy()
-        self.hear_p[:, g:g + k] = lay.mask
-        self.own_or_hear_p = self.hear_p.copy()
-        self.own_or_hear_p[lay.users, lay.private_cols] = 1.0
 
         # detection constraint folded to a minimum echo SINR
         if limits.p_d_min > limits.p_fa:
@@ -186,11 +245,16 @@ class _EvalContext:
         trailing +0.0, which leaves a sum of nonnegative terms unchanged; the
         two orders part only for unequal groups of eight or more users, where
         np.sum switches to pairwise summation."""
-        return np.append(x, 0.0)[self.group_slots].sum(axis=-1)
+        return np.append(x, 0.0)[self.layout.group_slots].sum(axis=-1)
 
     # -- stream slicing helpers ---------------------------------------
     def split_solution(self, solution: RsNomaSolution):
-        return solution.stacked_beams(), solution.stacked_powers(), solution.rho.copy()
+        """(w, p, rho) of a solution; the instance's start gives its shared,
+        read-only start_beams as w."""
+        inst = self.instance
+        w = (inst.start_beams if solution is inst.start
+             else solution.stacked_beams())
+        return w, solution.stacked_powers(), solution.rho.copy()
 
     def build_solution(self, w, p, rho) -> RsNomaSolution:
         g, k = self.num_groups, self.k_total
@@ -238,34 +302,20 @@ class _EvalContext:
         return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
 
     # -- span coordinates -------------------------------------------------
-    @functools.cached_property
+    @property
     def span(self) -> tuple:
-        """(q, rt, rtc) for the rows of B = [h; a_l] (the K channels, then
-        the L steering vectors): B^T = q r with q (M, n) orthonormal, n =
-        min(M, K + L); rt is r^T with one zero column appended, of shape
-        (K + L, n + 1), and rtc is its conjugate.
-
-        A beam w_s = q c_s + rest_s, rest_s orthogonal to the span, has the
-        span coordinates x_s = [c_s, |rest_s|]. Its gains are rtc @ x_s, the
-        gradient Z^T B (Z of shape (K + L, S)) has the coordinates Z^T rt,
-        and inner products of beams are those of their coordinates. The
-        zero column gives the out-of-span coordinate no gains and no
-        gradient."""
-        q, r = np.linalg.qr(np.vstack((self.h, self.scene.steer)).T)
-        rt = np.zeros((r.shape[1], r.shape[0] + 1), dtype=complex)
-        rt[:, :-1] = r.T
-        return q, rt, rt.conj()
+        """The instance's span basis (SolveInstance.span)."""
+        return self.instance.span
 
     def to_span(self, w: np.ndarray) -> tuple:
         """(x, u): the span coordinates of the rows of w and the unit
         direction of each row's part outside the span (zero where the row
-        has none); from_span(x, u, w, x) is w."""
-        q = self.span[0]
-        c = w @ q.conj()
-        rest = w - c @ q.T
-        norm = np.linalg.norm(rest, axis=1)
-        x = np.concatenate((c, norm[:, None]), axis=1)
-        return x, rest / np.where(norm > 0.0, norm, 1.0)[:, None]
+        has none); from_span(x, u, w, x) is w. The instance's start_beams
+        take their coordinates from the instance."""
+        inst = self.instance
+        if inst.start is not None and w is inst.start_beams:
+            return inst.start_span
+        return _span_coordinates(self.span[0], w)
 
     def from_span(self, x: np.ndarray, u: np.ndarray, w: np.ndarray,
                   x0: np.ndarray) -> np.ndarray:
@@ -406,10 +456,10 @@ class _EvalContext:
         own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
 
         cmat = (wc / _LN2)[:, None] * p[None, :] \
-            * (1.0 / (own_c + aux["d_c"])[:, None] - self.hear_c / d_c0[:, None])
+            * (1.0 / (own_c + aux["d_c"])[:, None] - self.layout.hear_c / d_c0[:, None])
         pmat = (u / _LN2)[:, None] * p[None, :] \
-            * (self.own_or_hear_p / (own_p + aux["d_p"])[:, None]
-               - self.hear_p / d_p0[:, None])
+            * (self.layout.own_or_hear_p / (own_p + aux["d_p"])[:, None]
+               - self.layout.hear_p / d_p0[:, None])
         zc = (cmat + pmat) * v
         if not self.num_targets:
             return zc, None
@@ -455,8 +505,8 @@ class _EvalContext:
         # private stage: own common is cancelled, privates heard per SIC mask
         own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
         pfac = u / _LN2 / (own_p + aux["d_p"])
-        grad += pfac @ (g2 * self.own_or_hear_p)
-        grad -= (u / _LN2 / d_p0) @ (g2 * self.hear_p)
+        grad += pfac @ (g2 * self.layout.own_or_hear_p)
+        grad -= (u / _LN2 / d_p0) @ (g2 * self.layout.hear_p)
 
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
@@ -891,7 +941,8 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
                 sigma_n2: float, sigma_s2: float,
                 config: OptimizerConfig | None = None, num_groups: int = 1,
                 warm_start: RsNomaSolution | None = None,
-                conventional_noma: bool = False):
+                conventional_noma: bool = False,
+                instance: SolveInstance | None = None):
     """Block-coordinate ascent on the penalized composite objective.
 
     Cycles beamformer, power, and split blocks until the objective change
@@ -902,19 +953,30 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
     conventional_noma=True the common powers and rho are frozen at zero
     throughout (the grouped-NOMA baseline).
 
+    instance is the trial's SolveInstance (from_start on the same channels,
+    targets, array, num_groups, p_max and sigma_n2), built here when not
+    given; a warm start must use its grouping.
+
     Returns:
         (solution, ConvergenceTrace) pair.
     """
     config = config or OptimizerConfig()
+    if instance is None:
+        if warm_start is not None:
+            instance = SolveInstance(channels, targets, geom,
+                                     warm_start.grouping)
+        else:
+            instance = SolveInstance.from_start(channels, targets, geom,
+                                                num_groups, limits.p_max,
+                                                sigma_n2)
     if warm_start is not None:
-        sol = warm_start.copy()
-        grouping = sol.grouping
+        if warm_start.grouping is not instance.grouping:
+            raise ValueError("warm start and instance have different groupings")
+        sol = warm_start
     else:
-        sol = init_hao_sca(channels, targets, geom, num_groups, limits.p_max,
-                           sigma_n2)
-        grouping = sol.grouping
-    ctx = _EvalContext(channels, targets, geom, weights, limits, sigma_n2,
-                       sigma_s2, grouping, config.qos_penalty)
+        sol = instance.start
+    ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
+                       config.qos_penalty)
     w, p, rho = ctx.split_solution(sol)
     frozen = None
     if conventional_noma:
@@ -976,7 +1038,8 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
                 weights: ObjectiveWeights, limits: QosLimits,
                 sigma_n2: float, sigma_s2: float,
                 config: OptimizerConfig | None = None, num_groups: int = 1,
-                lambda_sensing: float = 1.0):
+                lambda_sensing: float = 1.0,
+                instance: SolveInstance | None = None):
     """Extended WMMSE with SIC-aware MSE stages and a sensing penalty.
 
     Each iteration: closed-form receive filters and MSE weights per (user,
@@ -984,11 +1047,15 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     beamformers v = sqrt(p) w, a penalty-gradient step on the sensing beam
     when the echo SINR falls short of the detection threshold, and a budget
     rescale. The trace objective is sum rate minus the sensing penalty.
+    It starts from the init_hao_sca start of instance (see run_hao_sca).
     """
     config = config or OptimizerConfig()
-    sol = init_hao_sca(channels, targets, geom, num_groups, limits.p_max, sigma_n2)
-    ctx = _EvalContext(channels, targets, geom, weights, limits, sigma_n2,
-                       sigma_s2, sol.grouping, config.qos_penalty)
+    if instance is None:
+        instance = SolveInstance.from_start(channels, targets, geom,
+                                            num_groups, limits.p_max, sigma_n2)
+    sol = instance.start
+    ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
+                       config.qos_penalty)
     h = ctx.h
     g_n, k_n = ctx.num_groups, ctx.k_total
     w, p, rho = ctx.split_solution(sol)
@@ -997,7 +1064,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
 
     # which streams each private MSE stage hears (interferes or is desired)
-    hear_p = ctx.own_or_hear_p > 0.0
+    hear_p = ctx.layout.own_or_hear_p > 0.0
     scene = ctx.scene
     unit_powers = np.ones(ctx.layout.num_streams)
 
@@ -1098,20 +1165,24 @@ def fp_auxiliary(gammas) -> np.ndarray:
 def run_fp(channels, targets, geom: ArrayGeometry,
            weights: ObjectiveWeights, limits: QosLimits,
            sigma_n2: float, sigma_s2: float,
-           config: OptimizerConfig | None = None, num_groups: int = 1):
+           config: OptimizerConfig | None = None, num_groups: int = 1,
+           instance: SolveInstance | None = None):
     """Private-streams-only fractional-programming baseline.
 
     rho and the common powers stay at zero; auxiliary variables
     lambda_k = 1 + gamma_k are refreshed after every projected-gradient pass
     on the private sum rate. The trace objective is
-    sum_k log2(lambda_k) = the private sum rate.
+    sum_k log2(lambda_k) = the private sum rate. It starts from the
+    init_hao_sca start of instance (see run_hao_sca).
     """
     config = config or OptimizerConfig()
     rate_only = ObjectiveWeights(1.0, 0.0, 0.0, 0.0)
-    sol = init_hao_sca(channels, targets, geom, num_groups, limits.p_max, sigma_n2)
-    ctx = _EvalContext(channels, targets, geom, rate_only, limits, sigma_n2,
-                       sigma_s2, sol.grouping, config.qos_penalty)
-    w, p, rho = ctx.split_solution(sol)
+    if instance is None:
+        instance = SolveInstance.from_start(channels, targets, geom,
+                                            num_groups, limits.p_max, sigma_n2)
+    ctx = _EvalContext(instance, rate_only, limits, sigma_n2, sigma_s2,
+                       config.qos_penalty)
+    w, p, rho = ctx.split_solution(instance.start)
     frozen = np.arange(ctx.num_groups)
     p[frozen] = 0.0
     rho[:] = 0.0

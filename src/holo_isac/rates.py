@@ -200,6 +200,19 @@ class StreamLayout:
         # 1.0 where group g's common stream is another group's, seen by user k
         self.other_groups = (self.assign[:, None]
                              != np.arange(g)[None, :]).astype(float)
+        # members of each group, padded with user index K
+        width = max(len(mem) for mem in self.members)
+        self.group_slots = np.full((g, width), k)
+        for gi, mem in enumerate(self.members):
+            self.group_slots[gi, :len(mem)] = mem
+        # 0/1 tables over the streams: which ones user k hears as interference
+        # at its common stage and at its private stage, and its own private
+        self.hear_c = np.ones((k, self.num_streams))
+        self.hear_c[self.users, self.assign] = 0.0
+        self.hear_p = self.hear_c.copy()
+        self.hear_p[:, g:g + k] = self.mask
+        self.own_or_hear_p = self.hear_p.copy()
+        self.own_or_hear_p[self.users, self.private_cols] = 1.0
 
 
 def stream_gains(solution: RsNomaSolution, *arrays) -> list:

@@ -1,9 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import holo_isac.experiments as experiments
+import holo_isac.optimizers as optimizers
+from holo_isac.config import ALGORITHM_NAMES as ALGORITHMS
 from holo_isac.config import preset_config
 from holo_isac.impairments import coupling_matrix, effective_channel
 from holo_isac.records import format_record
@@ -254,10 +257,10 @@ def test_run_experiment_survives_solver_failure(monkeypatch):
     plan = make_plan(cfg)
     real = solve_instance
 
-    def flaky(algorithm, channels, targets, config):
+    def flaky(algorithm, channels, targets, config, **kwargs):
         if algorithm == "conv_noma":
             raise RuntimeError("synthetic solver blowup")
-        return real(algorithm, channels, targets, config)
+        return real(algorithm, channels, targets, config, **kwargs)
 
     monkeypatch.setattr(experiments, "solve_instance", flaky)
     rows = run_experiment(plan)
@@ -293,6 +296,60 @@ def test_shared_noma_solve_leaves_each_algorithm_rows_unchanged(monkeypatch):
         shared = [r for r in both if r.algorithm == algorithm]
         assert [format_record(r) for r in shared] == \
             [format_record(r) for r in alone]
+
+
+def instance_digest(instance) -> str:
+    """sha256 over the shared start, its span coordinates and the span
+    basis of a SolveInstance."""
+    start = instance.start
+    digest = hashlib.sha256()
+    for a in (start.w_common, start.w_private, start.w_sensing,
+              start.p_common, start.p_private, np.float64(start.p_sensing),
+              start.rho, start.grouping.assignment, instance.start_beams,
+              *instance.start_span, *instance.span):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    digest.update(repr(start.grouping.sic_order).encode())
+    return digest.hexdigest()
+
+
+def test_a_trials_solves_share_one_instance_and_leave_it_unchanged():
+    cfg = impaired_config(algorithms=ALGORITHMS)
+    data = generate_trial_data(cfg, trial_rng(47, 0, 0))
+    args = (data.channels_est, data.targets, cfg)
+    instance = experiments.trial_instance(*args)
+    before = instance_digest(instance)
+    noma, _ = solve_instance("conv_noma", *args, instance=instance)
+    shared = {"conv_noma": noma}
+    for algorithm in ("hao_sca", "e_wmmse", "fp"):
+        extra = {"noma_solution": noma} if algorithm == "hao_sca" else {}
+        shared[algorithm], _ = solve_instance(algorithm, *args,
+                                              instance=instance, **extra)
+    assert instance_digest(instance) == before
+    # each solve gives what it gives on an instance of its own
+    for algorithm, sol in shared.items():
+        alone, _ = solve_instance(algorithm, *args)
+        assert sol.stacked_beams().tobytes() == alone.stacked_beams().tobytes()
+        assert sol.stacked_powers().tobytes() == \
+            alone.stacked_powers().tobytes()
+        assert sol.rho.tobytes() == alone.rho.tobytes()
+
+
+def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
+    cfg = impaired_config(algorithms=ALGORITHMS)
+    counts = {"init": 0, "qr": 0}
+
+    def counted(name, real):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(optimizers, "init_hao_sca",
+                        counted("init", optimizers.init_hao_sca))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    rows = run_experiment(make_plan(cfg))
+    assert not any(r.failed for r in rows)
+    assert counts == {"init": 2, "qr": 2}
 
 
 def test_result_sort_key():

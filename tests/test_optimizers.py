@@ -18,6 +18,7 @@ from holo_isac.objective import (
 from holo_isac.optimizers import (
     ConvergenceTrace,
     OptimizerConfig,
+    SolveInstance,
     adaptive_weights,
     _EvalContext,
     _loaded_solve,
@@ -192,8 +193,8 @@ def test_reprice_equals_evaluate_bit_for_bit():
     channels, targets, geom, weights, _ = build_problem(seed=54)
     limits = QosLimits(p_max=P_MAX, r_min=2.0, p_d_min=0.9, crlb_max=1e-6)
     sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
-    ctx = _EvalContext(channels, targets, geom, weights, limits, SIGMA_N2,
-                       SIGMA_S2, sol.grouping, 10.0)
+    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+                       weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
     w, p, rho = ctx.split_solution(sol)
     _, aux = ctx.evaluate(w, p, rho)
     rng = np.random.default_rng(55)
@@ -231,8 +232,9 @@ def test_other_group_commons_do_not_cancel_against_the_own_common():
     bd = rate_breakdown(sol, channels, 1.0)
     assert bd.private_sinr[0] == pytest.approx(expected, rel=1e-12)
     two = ArrayGeometry(mx=1, my=2, dx=7.5e-4, dy=7.5e-4, wavelength=3e-3)
-    ctx = _EvalContext(channels, [], two, ObjectiveWeights(),
-                       QosLimits(p_max=1e19), 1.0, 1.0, grouping, 10.0)
+    ctx = _EvalContext(SolveInstance(channels, [], two, grouping),
+                       ObjectiveWeights(), QosLimits(p_max=1e19), 1.0, 1.0,
+                       10.0)
     _, aux = ctx.evaluate(sol.stacked_beams(), sol.stacked_powers(), sol.rho)
     assert aux["gam_p"][0] == pytest.approx(expected, rel=1e-12)
     assert aux["gam_c"][1] == pytest.approx(bd.common_sinr[1], rel=1e-12)
@@ -250,8 +252,8 @@ def obj_value(sol, channels, targets, geom, weights):
 
 def run_block(block, sol, channels, targets, geom, weights, limits, cfg):
     """One block from sol through a fresh context, as a solution."""
-    ctx = _EvalContext(channels, targets, geom, weights, limits, SIGMA_N2,
-                       SIGMA_S2, sol.grouping, cfg.qos_penalty)
+    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+                       weights, limits, SIGMA_N2, SIGMA_S2, cfg.qos_penalty)
     w, p, rho = ctx.split_solution(sol)
     f0, aux0 = ctx.evaluate(w, p, rho)
     out, _, _ = block(ctx, w, p, rho, f0, aux0, cfg)
@@ -675,9 +677,9 @@ def split_instance(sizes, cap, p_rate, rho, r_min=0.0, seed=60):
     k = users[-1]
     channels, targets, geom, _, _ = build_problem(seed=seed, k=k)
     limits = QosLimits(p_max=P_MAX, r_min=r_min)
-    ctx = _EvalContext(channels, targets, geom,
+    ctx = _EvalContext(SolveInstance(channels, targets, geom, grouping),
                        ObjectiveWeights(0.4, 0.2, 0.1, 0.3), limits, SIGMA_N2,
-                       SIGMA_S2, grouping, 10.0)
+                       SIGMA_S2, 10.0)
     rng = np.random.default_rng(seed)
     s = len(sizes) + k + 1
     w = rng.standard_normal((s, geom.m_total)) + 0j
