@@ -3,7 +3,7 @@
 Library layout:
 
 * geometry / channel: planar-array steering vectors, multipath user channels,
-  bistatic sensing channels.
+  sensing targets and their radar-equation echo amplitudes.
 * impairments: mutual coupling, phase noise, I/Q imbalance, CSI error.
 * rates: RS-NOMA stream pricing (interference, SINR, rate, group split).
 * sensing: echo SINR, detection probability, Fisher information, CRLBs.
@@ -19,18 +19,17 @@ Library layout:
 
 from .geometry import (ArrayGeometry, array_response, element_distance,
                        fresnel_distance, steering_derivative)
-from .channel import (PathComponent, PathSampler, SensingChannelMatrix,
-                      SensingTarget, UserChannel, condition_number,
-                      echo_amplitude, free_space_beta, generate_user_channel,
-                      sensing_channel, spatial_correlation)
-from .impairments import (ImpairmentChain, PhaseNoiseState, apply_impairments,
-                          coupling_matrix, effective_channel, inject_csi_error,
-                          iq_coefficients, irr_db, phase_noise_from_dbc,
-                          phase_noise_init, phase_noise_step, solve_iq_for_irr)
+from .channel import (PathComponent, PathSampler, SensingTarget, UserChannel,
+                      condition_number, echo_amplitude, free_space_beta,
+                      generate_user_channel, spatial_correlation)
+from .impairments import (ImpairmentChain, PhaseNoiseState, coupling_matrix,
+                          effective_channel, inject_csi_error, iq_coefficients,
+                          irr_db, phase_noise_from_dbc, phase_noise_init,
+                          phase_noise_step, solve_iq_for_irr)
 from .rates import (Grouping, RateBreakdown, RsNomaSolution,
                     conventional_noma_view, default_grouping, rate_breakdown)
 from .sensing import (SensingEvaluation, crlb_closed_form, crlb_lower_bound,
-                      crlb_sinr_form, detection_probability, evaluate_sensing,
+                      detection_probability, evaluate_sensing,
                       fisher_information, q_function, q_inverse, sensing_sinr,
                       sensing_sinrs)
 from .objective import (ConstraintReport, ObjectiveComponents, ObjectiveWeights,

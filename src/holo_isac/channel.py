@@ -1,9 +1,9 @@
-"""Multipath user channels and bistatic sensing channels.
+"""Multipath user channels, sensing targets and their echo amplitudes.
 
 User channels follow a clustered near-field model: a handful of point-source
 paths, each with its own (theta, phi, r) and a complex Gaussian gain whose
-variance is the path's share of the total power. Sensing channels are rank-one
-bistatic echoes through a target's radar cross section.
+variance is the path's share of the total power. A point target's echo is
+rank-one; its amplitude follows the radar equation (echo_amplitude).
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ class SensingTarget:
             raise ValueError(f"target RCS must be > 0, got {self.rcs}")
         if self.r <= 0.0:
             raise ValueError(f"target range must be > 0, got {self.r}")
-
-
-@dataclass
-class SensingChannelMatrix:
-    """Rank-one echo channel amplitude * exp(j*phase) * a a^H."""
-
-    matrix: np.ndarray
-    amplitude: float
-    phase: float
 
 
 @dataclass(frozen=True)
@@ -189,16 +180,3 @@ def echo_amplitude(geom: ArrayGeometry, target: SensingTarget) -> float:
         / ((4.0 * np.pi) ** 3 * target.r**4)
     ))
 
-
-def sensing_channel(geom: ArrayGeometry, target: SensingTarget) -> SensingChannelMatrix:
-    """Bistatic rank-one echo channel for a point target.
-
-    Amplitude follows the radar equation (echo_amplitude), and the two-way
-    phase is -4 pi R / wavelength. The matrix is amplitude * e^{j phase} a a^H
-    with a the near-field response at the target.
-    """
-    amplitude = echo_amplitude(geom, target)
-    phase = -4.0 * np.pi * target.r / geom.wavelength
-    a = array_response(geom, target.theta, target.phi, target.r)
-    matrix = amplitude * np.exp(1j * phase) * np.outer(a, a.conj())
-    return SensingChannelMatrix(matrix=matrix, amplitude=amplitude, phase=phase)

@@ -10,9 +10,29 @@ away. The Fresnel expansion is provided separately for comparison.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D real or complex vector, bit for bit
+    np.linalg.norm(x), from matmul dot products: np.linalg.norm's
+    ndarray.dot hands the interpreter lock to other threads, matmul keeps
+    it."""
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return np.sqrt(re @ re + im @ im)
+    return np.sqrt(x @ x)
+
+
+@functools.lru_cache(maxsize=16)
+def _element_grid(mx: int, my: int) -> tuple:
+    """Read-only (m, n) index grids of an mx-by-my array."""
+    m, n = np.meshgrid(np.arange(mx), np.arange(my), indexing="ij")
+    m.flags.writeable = n.flags.writeable = False
+    return m, n
 
 
 @dataclass(frozen=True)
@@ -60,10 +80,10 @@ class ArrayGeometry:
         return 2.0 * self.aperture**2 / self.wavelength
 
     def element_offsets(self):
-        """Grid index arrays (m, n), each of shape (mx, my)."""
-        return np.meshgrid(
-            np.arange(self.mx), np.arange(self.my), indexing="ij"
-        )
+        """Grid index arrays (m, n), each of shape (mx, my), read-only and
+        built once per array size (meshgrid and arange release the
+        interpreter lock)."""
+        return _element_grid(self.mx, self.my)
 
 
 def element_distance(geom: ArrayGeometry, theta, phi, r, m, n):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ArrayGeometry
+from .geometry import ArrayGeometry, vector_norm
 
 
 # =====================================================================
@@ -224,20 +224,6 @@ class ImpairmentChain:
         return t
 
 
-def apply_impairments(x: np.ndarray, chain: ImpairmentChain) -> np.ndarray:
-    """Push a transmit vector through D_PN @ D_IQ @ C (enabled stages only)."""
-    x = np.asarray(x, dtype=complex)
-    y = x
-    if chain.coupling is not None:
-        y = chain.coupling @ y
-    if chain.iq_mu is not None:
-        mu = np.asarray(chain.iq_mu, dtype=complex)
-        y = mu * y
-    if chain.phase_state is not None:
-        y = np.exp(1j * chain.phase_state.phases) * y
-    return y
-
-
 def effective_channel(h: np.ndarray, chain: ImpairmentChain) -> np.ndarray:
     """Channel seen through the impaired front end.
 
@@ -262,9 +248,9 @@ def inject_csi_error(h: np.ndarray, eps_csi: float, rng: np.random.Generator) ->
     h = np.asarray(h, dtype=complex)
     if eps_csi == 0.0:
         return h.copy()
-    norm_h = np.linalg.norm(h)
+    norm_h = vector_norm(h)
     if norm_h == 0.0:
         raise ValueError("cannot apply a relative CSI error to a zero channel")
     e = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-    e *= eps_csi * norm_h / np.linalg.norm(e)
+    e *= eps_csi * norm_h / vector_norm(e)
     return h + e

@@ -114,18 +114,14 @@ def price_streams(g2: np.ndarray, m2: np.ndarray, p: np.ndarray,
 
     g2 and m2 are the user and target gains of every stream
     (|h_k^H w_s|^2, |a_l^H w_s|^2) and p the stream powers; any leading axes
-    index candidates. Holds the stream denominators, SINRs and rates
-    (rates.stream_rates), the echo SINRs (sensing.echo_sinrs) and the
+    index candidates. Holds the stream signals, denominators, SINRs and
+    rates (rates.stream_rates), the echo SINRs (sensing.echo_sinrs) and the
     sensing utility sum_l log2(1 + Gamma_l)."""
-    d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c = stream_rates(
-        g2, p, layout, sigma_n2)
+    out = stream_rates(g2, p, layout, sigma_n2)
     beam_sum, d_l, gam_l = echo_sinrs(m2, p, scene, sigma_s2)
-    return {
-        "beam_sum": beam_sum, "d_c": d_c, "d_p": d_p, "d_l": d_l,
-        "gam_c": gam_c, "gam_p": gam_p, "gam_l": gam_l, "c_rate": c_rate,
-        "p_rate": p_rate, "group_c": group_c,
-        "util": np.log2(1.0 + gam_l).sum(axis=-1),
-    }
+    out.update(beam_sum=beam_sum, d_l=d_l, gam_l=gam_l,
+               util=np.log2(1.0 + gam_l).sum(axis=-1))
+    return out
 
 
 class SplitPrice(NamedTuple):

@@ -10,6 +10,19 @@ where every gain, gradient and step is at most K + L + 1 wide, not M; it
 touches M-wide arrays only to enter those coordinates, to form its result
 and to price that result once in full.
 
+Every solve of a trial reads one SolveInstance: the scene, the stream
+tables, the span basis and the init_hao_sca start are built once per trial.
+
+The per-candidate and per-step path (pricing, gradients, the blocks' loops)
+makes no numpy call that releases the interpreter lock at desk scale:
+gathers on a candidate axis, multi-axis gathers, take, reduceat, add.at,
+sort and argsort, boolean row masks of 2-D arrays and 1-D norms each
+release it even on a few elements, and with two worker threads every
+release is a hand-off of the lock (about 280 k context switches in one
+72-task desk_tiny round on 2 cores). The path uses the product, mask and
++inf-minimum tables of rates.StreamLayout, np.where and Python ordering
+instead.
+
 * run_hao_sca: block-coordinate ascent on the composite objective. The beam
   and power blocks move along the gradient of a surrogate whose
   interference denominators are frozen at the block anchor; the split block
@@ -32,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ArrayGeometry, array_response
+from .geometry import ArrayGeometry, array_response, vector_norm
 from .objective import (ObjectiveWeights, QosLimits, _rowdot, price_split,
                         price_streams)
 from .rates import (Grouping, RsNomaSolution, StreamLayout, common_shares,
@@ -126,11 +139,12 @@ class SolveInstance:
                  grouping: Grouping, start: RsNomaSolution | None = None):
         self.h = np.asarray(channels, dtype=complex)
         self.hc = self.h.conj()
-        self.geom = geom
         self.grouping = grouping
         self.layout = StreamLayout(grouping)
         self.scene = SensingScene(targets, geom)
         self.start = start
+        if start is not None:
+            self.start_beams, = _read_only(start.stacked_beams())
 
     @classmethod
     def from_start(cls, channels, targets, geom: ArrayGeometry,
@@ -158,11 +172,6 @@ class SolveInstance:
         rt = np.zeros((r.shape[1], r.shape[0] + 1), dtype=complex)
         rt[:, :-1] = r.T
         return _read_only(q, rt, rt.conj())
-
-    @functools.cached_property
-    def start_beams(self) -> np.ndarray:
-        """The start's stacked beams (RsNomaSolution.stacked_beams)."""
-        return _read_only(self.start.stacked_beams())[0]
 
     @functools.cached_property
     def start_span(self) -> tuple:
@@ -205,7 +214,6 @@ class _EvalContext:
         self.instance = instance
         self.h, self.hc = instance.h, instance.hc
         self.k_total, self.m_total = self.h.shape
-        self.geom = instance.geom
         self.weights = weights
         self.limits = limits
         self.sigma_n2 = float(sigma_n2)
@@ -238,14 +246,6 @@ class _EvalContext:
     def weights(self, value: ObjectiveWeights):
         self._weights = value
         self.aw = value.as_array()
-
-    def _group_sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-group sums of a per-user vector, each over the group's members
-        in SIC order, as np.sum(x[members]) adds them. The padding reads a
-        trailing +0.0, which leaves a sum of nonnegative terms unchanged; the
-        two orders part only for unequal groups of eight or more users, where
-        np.sum switches to pairwise summation."""
-        return np.append(x, 0.0)[self.layout.group_slots].sum(axis=-1)
 
     # -- stream slicing helpers ---------------------------------------
     def split_solution(self, solution: RsNomaSolution):
@@ -324,9 +324,7 @@ class _EvalContext:
         x0's is w's row, bit for bit."""
         out = x[:, :-1] @ self.span[0].T
         out += x[:, -1:].real * u
-        kept = np.all(x == x0, axis=1)
-        out[kept] = w[kept]
-        return out
+        return np.where(np.all(x == x0, axis=1)[:, None], w, out)
 
     def span_gains(self, x: np.ndarray) -> dict:
         """The v and va gains of the beams of span coordinates x, from one
@@ -373,7 +371,7 @@ class _EvalContext:
         the kernel's objective.price_split over the stream part, less the
         penalty. evaluate ends here too, so both give bit-identical
         values."""
-        split = price_split(aux["group_c"].take(self.layout.assign, axis=-1),
+        split = price_split(aux["group_c"] @ self.layout.group_of,
                             aux["p_rate"], aux["util"], shares, aux["ptot"],
                             self.aw)
         rate_short = np.maximum(0.0, self.limits.r_min - split.total_rate)
@@ -394,7 +392,7 @@ class _EvalContext:
             ps = p[-1]
             crlb = self.crlb_num / ps if ps > 0.0 else np.full(self.num_targets, np.inf)
             shorts.extend(np.minimum(np.maximum(0.0, crlb - self.limits.crlb_max), 1e9))
-        return float(np.linalg.norm(shorts))
+        return float(vector_norm(np.array(shorts)))
 
     # -- gradient assembly --------------------------------------------
     def _user_weights(self, aux) -> np.ndarray:
@@ -412,18 +410,29 @@ class _EvalContext:
         subgradient of the min; softmin weights realize that and keep the
         direction from flip-flopping between near-tied members."""
         lay = self.layout
-        lo = np.minimum.reduceat(c_rate[lay.order], lay.starts)[lay.assign]
+        lo = (c_rate + lay.outside).min(axis=-1) @ lay.group_of
         tau = np.maximum(0.1 * (1.0 + lo), 1e-9)
         b = np.exp(-(c_rate - lo) / tau)
-        return b / self._group_sums(b)[lay.assign]
+        return b / (b @ lay.same_group)
 
-    def _common_weights(self, aux, shares) -> tuple:
-        """(u, wc): the per-user rate weights and each user's weight on its
-        group's common rate, the group's share-weighted rate weight spread by
-        the softmin blend."""
+    def _stage_weights(self, shares, aux, anchor) -> np.ndarray:
+        """(K, S) weight of each gain |h_k^H w_s|^2 in the surrogate's
+        gradient: the sum over user k's four stages (StreamLayout.stages)
+        of the stage mask times the stage's factor. A stage term enters as
+        weight / (S + I) where the stage sums its signal and interference
+        (at the current powers) and as -weight / I0 where it sums the
+        interference alone (linearized at the block anchor). The rate
+        weights are u per user and, on the common stage, the group's
+        share-weighted u spread by the softmin blend."""
+        d_c0, d_p0, _ = anchor
+        lay = self.layout
         u = self._user_weights(aux)
-        group_u = self._group_sums(u * shares)
-        return u, self._common_blend(aux["c_rate"]) * group_u[self.layout.assign]
+        wc = self._common_blend(aux["c_rate"]) * ((u * shares) @ lay.same_group)
+        wc, u = wc / _LN2, u / _LN2
+        cfac = wc / (aux["own_c"] + aux["d_c"])
+        pfac = u / (aux["own_p"] + aux["d_p"])
+        fac = np.array([cfac, cfac - wc / d_c0, pfac - u / d_p0, pfac])
+        return (fac[:, :, None] * lay.stages).sum(axis=0)
 
     def beam_gradient(self, x, p, shares, aux, anchor) -> np.ndarray:
         """Ascent direction for all beamformers, in span coordinates.
@@ -446,21 +455,8 @@ class _EvalContext:
     def _beam_coefficients(self, p, shares, aux, anchor) -> tuple:
         """(zc, zs): the (K, S) and (L, S) coefficients of the channels and
         steering vectors in the beam gradient, zs None without targets."""
-        g, k = self.num_groups, self.k_total
-        d_c0, d_p0, d_l0 = anchor
-        g2, v = aux["g2"], aux["v"]
-        ar, own_col = self.layout.users, self.layout.assign
-
-        u, wc = self._common_weights(aux, shares)
-        own_c = g2[ar, own_col] * p[own_col]
-        own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
-
-        cmat = (wc / _LN2)[:, None] * p[None, :] \
-            * (1.0 / (own_c + aux["d_c"])[:, None] - self.layout.hear_c / d_c0[:, None])
-        pmat = (u / _LN2)[:, None] * p[None, :] \
-            * (self.layout.own_or_hear_p / (own_p + aux["d_p"])[:, None]
-               - self.layout.hear_p / d_p0[:, None])
-        zc = (cmat + pmat) * v
+        d_l0 = anchor[2]
+        zc = self._stage_weights(shares, aux, anchor) * p * aux["v"]
         if not self.num_targets:
             return zc, None
         va, beam_sum = aux["va"], aux["beam_sum"]
@@ -486,28 +482,9 @@ class _EvalContext:
         coincides with the exact gradient of the true objective. That keeps
         the interference cost of every stream visible: power drains away
         from streams that hurt other streams more than they carry."""
-        g, k = self.num_groups, self.k_total
-        d_c0, d_p0, d_l0 = anchor
-        g2 = aux["g2"]
-        grad = np.zeros(self.layout.num_streams)
-        ar, own_col = self.layout.users, self.layout.assign
-
-        u, wc = self._common_weights(aux, shares)
-
-        # common stage: S+D sums every stream, so its derivative is g2 itself
-        own_c = g2[ar, own_col] * p[own_col]
-        cfac = wc / _LN2 / (own_c + aux["d_c"])
-        grad += cfac @ g2
-        lfac = wc / _LN2 / d_c0
-        grad -= lfac @ g2
-        np.add.at(grad, own_col, lfac * g2[ar, own_col])
-
-        # private stage: own common is cancelled, privates heard per SIC mask
-        own_p = g2[ar, self.layout.private_cols] * p[g:g + k]
-        pfac = u / _LN2 / (own_p + aux["d_p"])
-        grad += pfac @ (g2 * self.layout.own_or_hear_p)
-        grad -= (u / _LN2 / d_p0) @ (g2 * self.layout.hear_p)
-
+        d_l0 = anchor[2]
+        grad = (self._stage_weights(shares, aux, anchor)
+                * aux["g2"]).sum(axis=0)
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
             gam_l = aux["gam_l"]
@@ -629,7 +606,7 @@ class _Retraction:
             gains[key], gains[sq] = x, np.abs(x) ** 2
         if dead is not None:
             for key in _EvalContext._GAINS:
-                gains[key][:, dead] = self.entry[key][:, dead]
+                gains[key] = np.where(dead, self.entry[key], gains[key])
         return gains, n, kept
 
     def iterate(self, c: float, n, kept) -> np.ndarray:
@@ -637,10 +614,7 @@ class _Retraction:
         out = _reals(self.tang) * c
         out += _reals(self.x)
         out /= n[:, None]
-        out = out.view(complex)
-        if kept.any():
-            out[kept] = self.x[kept]
-        return out
+        return np.where(kept[:, None], self.x, out.view(complex))
 
     def row_gains(self, j: int, c: np.ndarray, n: np.ndarray) -> dict:
         """Gains of the candidates that move stream j alone, one per step
@@ -687,6 +661,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     frozen = np.zeros(w.shape[0], dtype=bool)
     if frozen_streams is not None:
         frozen[frozen_streams] = True
+    frozen_rows = frozen.tolist()
     shares = ctx.shares(rho)
     eta = config.step_size
     row_eta = np.full(w.shape[0], config.step_size)
@@ -696,11 +671,11 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
         grad = ctx.beam_gradient(best_x, p, shares, best_aux, anchor)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
-        grad[frozen] = 0.0
+        grad = np.where(frozen[:, None], 0.0, grad)
         step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
                            best_aux, frozen)
-        tn = np.sqrt(step.tn2)
-        tn_max = tn.max()
+        tn = np.sqrt(step.tn2).tolist()
+        tn_max = max(tn)
         if tn_max < 1e-14:
             break
         accepted = False
@@ -723,8 +698,8 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
         if not accepted:
             # one row at a time, most promising first; stop at the first
             # improvement so the next pass works with a fresh gradient
-            for j in np.argsort(-tn):
-                if frozen[j] or tn[j] < 1e-14:
+            for j in sorted(range(len(tn)), key=tn.__getitem__, reverse=True):
+                if frozen_rows[j] or tn[j] < 1e-14:
                     continue
                 steps = [row_eta[j]]
                 for _bt in range(3):
@@ -776,7 +751,7 @@ def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:
             grad[frozen_streams] = 0.0
-        gn = np.linalg.norm(grad)
+        gn = vector_norm(grad)
         if gn < 1e-14:
             break
         direction = grad / gn
@@ -825,10 +800,10 @@ def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
         if len(mem) < 2 or not cap > 0.0:
             continue
         rates = aux0["p_rate"][mem]
-        low = np.sort(rates)
+        low = np.array(sorted(rates.tolist()))
         # levels[i] fills the i + 1 lowest private rates with cap_g; the
         # filled users are the prefix whose rates lie at or below their level
-        levels = (cap + np.cumsum(low)) / np.arange(1, len(low) + 1)
+        levels = (cap + np.cumsum(low)) / np.cumsum(np.ones(len(low)))
         tau = levels[np.count_nonzero(levels >= low) - 1]
         cand[mem] = np.maximum(0.0, tau - rates) / cap
     f, aux = ctx.reprice(aux0, ctx.shares(cand))
@@ -899,10 +874,10 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
     w_common = np.empty((num_groups, m_total), dtype=complex)
     for g in range(num_groups):
         mean = channels[grouping.members(g)].mean(axis=0)
-        norm = np.linalg.norm(mean)
+        norm = vector_norm(mean)
         if norm < 1e-300:  # degenerate mean: fall back to the lead member
             mean = channels[grouping.members(g)[0]]
-            norm = np.linalg.norm(mean)
+            norm = vector_norm(mean)
         w_common[g] = mean / norm
 
     delta = sigma_n2 / p_max
@@ -915,7 +890,7 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
         mix = np.zeros(m_total, dtype=complex)
         for t in targets:
             mix += np.sqrt(t.rcs) * array_response(geom, t.theta, t.phi, t.r)
-        w_sensing = mix / np.linalg.norm(mix)
+        w_sensing = mix / vector_norm(mix)
     else:
         w_sensing = np.zeros(m_total, dtype=complex)
         w_sensing[0] = 1.0
@@ -1064,7 +1039,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
 
     # which streams each private MSE stage hears (interferes or is desired)
-    hear_p = ctx.layout.own_or_hear_p > 0.0
+    hear_p = ctx.layout.stages[2:].any(axis=0)
     scene = ctx.scene
     unit_powers = np.ones(ctx.layout.num_streams)
 
@@ -1124,7 +1099,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
                 coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
                     * 2.0 * beam_sum
                 grad_s = (coef * va[:, -1]) @ scene.steer
-                step = 0.1 * np.linalg.norm(new_v[-1]) / max(np.linalg.norm(grad_s),
+                step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
                                                              1e-300)
                 new_v[-1] = new_v[-1] + step * grad_s
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import vector_norm
+
 _RHO_TOL = 1e-9
 
 
@@ -56,10 +58,6 @@ class Grouping:
 
     def members(self, g: int) -> list:
         return list(self.sic_order[g])
-
-    def sic_position(self, k: int) -> int:
-        order = self.sic_order[self.assignment[k]]
-        return order.index(k)
 
     def interference_mask(self) -> np.ndarray:
         """Boolean (K, K) mask: entry [k, i] is True when user i's private
@@ -150,7 +148,7 @@ class RsNomaSolution:
         return float(
             np.sum(np.linalg.norm(self.w_common, axis=1) ** 2 * self.p_common)
             + np.sum(np.linalg.norm(self.w_private, axis=1) ** 2 * self.p_private)
-            + np.linalg.norm(self.w_sensing) ** 2 * self.p_sensing
+            + vector_norm(self.w_sensing) ** 2 * self.p_sensing
         )
 
     def stacked_beams(self) -> np.ndarray:
@@ -178,41 +176,48 @@ def conventional_noma_view(solution: RsNomaSolution) -> RsNomaSolution:
 # =====================================================================
 
 class StreamLayout:
-    """Index tables of one grouping over the stacked streams.
+    """Tables of one grouping over the stacked streams.
 
     Streams are stacked as in RsNomaSolution.stacked_beams: G commons, K
-    privates, the sensing probe. Built once per instance, so pricing a
-    design point does no table work.
+    privates, the sensing probe. Built once per grouping, so pricing a
+    design point does no table work, and every table is applied by a
+    product, an elementwise op or a reduction, never by a gather:
+
+    * group_of (G, K): 1.0 where user k is in group g, so x @ group_of
+      reads each user's entry of a per-group x, exactly.
+    * same_group (K, K): 1.0 where two users share a group, so
+      x @ same_group is each user's group sum of a per-user x.
+    * outside (G, K): 0.0 on group g's members and +inf elsewhere, so
+      (x + outside).min(axis=-1) is each group's minimum of x, exactly.
+    * stages (4, K, S): 0/1 masks over user k's streams for its own
+      common, its common-stage interference (other groups' commons, every
+      private, the probe), its private-stage interference (other groups'
+      commons, the privates its SIC leaves, the probe) and its own
+      private; hear_c and hear_p are its two middle planes.
+
+    numpy keeps the interpreter lock through small products, elementwise
+    ops and reductions, but releases it in gathers, take, reduceat, add.at
+    and sorts even on a few elements (see the optimizers module).
     """
 
     def __init__(self, grouping: Grouping):
         g, k = grouping.num_groups, len(grouping.assignment)
         self.num_groups, self.num_users = g, k
-        self.num_streams = g + k + 1
+        self.num_streams = s = g + k + 1
         self.assign = grouping.assignment
-        self.mask = grouping.interference_mask()
         self.members = [grouping.members(gi) for gi in range(g)]
-        self.users = np.arange(k)
-        self.private_cols = g + self.users
-        # users in SIC order, group by group, and each group's first slot
-        self.order = np.concatenate(self.members)
-        self.starts = np.cumsum([0] + [len(mem) for mem in self.members])[:-1]
-        # 1.0 where group g's common stream is another group's, seen by user k
-        self.other_groups = (self.assign[:, None]
-                             != np.arange(g)[None, :]).astype(float)
-        # members of each group, padded with user index K
-        width = max(len(mem) for mem in self.members)
-        self.group_slots = np.full((g, width), k)
-        for gi, mem in enumerate(self.members):
-            self.group_slots[gi, :len(mem)] = mem
-        # 0/1 tables over the streams: which ones user k hears as interference
-        # at its common stage and at its private stage, and its own private
-        self.hear_c = np.ones((k, self.num_streams))
-        self.hear_c[self.users, self.assign] = 0.0
-        self.hear_p = self.hear_c.copy()
-        self.hear_p[:, g:g + k] = self.mask
-        self.own_or_hear_p = self.hear_p.copy()
-        self.own_or_hear_p[self.users, self.private_cols] = 1.0
+        users = np.arange(k)
+        self.group_of = (np.arange(g)[:, None] == self.assign).astype(float)
+        self.same_group = self.group_of.T @ self.group_of
+        self.outside = np.where(self.group_of > 0.0, 0.0, np.inf)
+        self.stages = np.zeros((4, k, s))
+        own_c, hear_c, hear_p, own_p = self.stages
+        own_c[users, self.assign] = 1.0
+        hear_c[:] = 1.0 - own_c
+        hear_p[:] = hear_c
+        hear_p[:, g:g + k] = grouping.interference_mask()
+        own_p[users, g + users] = 1.0
+        self.hear_c, self.hear_p = hear_c, hear_p
 
 
 def stream_gains(solution: RsNomaSolution, *arrays) -> list:
@@ -226,42 +231,40 @@ def stream_gains(solution: RsNomaSolution, *arrays) -> list:
 
 
 def stream_rates(g2: np.ndarray, p: np.ndarray, layout: StreamLayout,
-                 sigma_n2: float):
-    """Interference, SINR and rate of every user's common and private stage.
+                 sigma_n2: float) -> dict:
+    """Signal, interference, SINR and rate of every user's common and
+    private stage.
 
     g2[..., k, s] = |h_k^H w_s|^2 are the stream gains and p the stream
     powers, both stacked as in layout; any leading axes index candidates.
-    The common stage hears other groups' commons, every private and the
-    probe; the private stage drops the own common and the intra-group
-    privates decoded before the user. Other groups' commons are summed
-    directly, not as a total minus the own term, which would cancel
-    whenever the own-group term dominates.
+    Each of the four stage sums of user k (own common, common-stage
+    interference, private-stage interference, own private; see
+    StreamLayout.stages) is one dot of its gain row with the stage's
+    masked powers, so a lone candidate and its copy in a stack are priced
+    by the same dots, bit for bit. The own signals are single products,
+    and other groups' commons are summed directly, never as a total minus
+    the own term, which would cancel whenever the own-group term
+    dominates.
 
     Returns:
-        (d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c): interference plus
-        noise, SINR and rate log2(1 + SINR) of each stage, and each group's
-        common capacity, the minimum of its members' common rates.
+        dict with own_c, own_p (received own common and private power),
+        d_c, d_p (interference plus noise), gam_c, gam_p (SINR), c_rate,
+        p_rate (rate log2(1 + SINR)) of each stage and group_c, each
+        group's common capacity, the minimum of its members' common rates.
     """
-    g, k = layout.num_groups, layout.num_users
-    pc, pp, ps = p[:g], p[g:g + k], p[-1]
-
-    own_c = g2[..., layout.users, layout.assign] * pc[layout.assign]
-    other_c = (g2[..., :g] * layout.other_groups) @ pc
-    all_p = g2[..., g:g + k] @ pp
-    sense = g2[..., -1] * ps
-    i_common = other_c + all_p + sense
-    i_private = other_c + (g2[..., g:g + k] * layout.mask) @ pp + sense
-
-    own_p = g2[..., layout.users, layout.private_cols] * pp
-    d_c = i_common + sigma_n2
-    d_p = i_private + sigma_n2
-    gam_c = own_c / d_c
-    gam_p = own_p / d_p
-    c_rate = np.log2(1.0 + gam_c)
-    p_rate = np.log2(1.0 + gam_p)
-    group_c = np.minimum.reduceat(c_rate[..., layout.order], layout.starts,
-                                  axis=-1)
-    return d_c, d_p, gam_c, gam_p, c_rate, p_rate, group_c
+    masked = (layout.stages * p)[:, :, None, :]
+    sums = (masked @ g2[..., None, :, :, None])[..., 0, 0]
+    den = sums[..., 1:3, :] + sigma_n2
+    gam = sums[..., ::3, :] / den
+    rate = np.log2(1.0 + gam)
+    c_rate = rate[..., 0, :]
+    return {
+        "own_c": sums[..., 0, :], "own_p": sums[..., 3, :],
+        "d_c": den[..., 0, :], "d_p": den[..., 1, :],
+        "gam_c": gam[..., 0, :], "gam_p": gam[..., 1, :],
+        "c_rate": c_rate, "p_rate": rate[..., 1, :],
+        "group_c": (c_rate[..., None, :] + layout.outside).min(axis=-1),
+    }
 
 
 def group_shares(rho: np.ndarray) -> np.ndarray:
@@ -319,16 +322,15 @@ def rate_breakdown(solution: RsNomaSolution, channels: np.ndarray,
     priced by stream_rates, common_shares and allocate."""
     layout = StreamLayout(solution.grouping)
     g2, = stream_gains(solution, channels)
-    _, _, gam_c, gam_p, c_rate, p_rate, group_c = stream_rates(
-        g2, solution.stacked_powers(), layout, sigma_n2)
-    alloc, total = allocate(group_c[layout.assign], p_rate,
+    st = stream_rates(g2, solution.stacked_powers(), layout, sigma_n2)
+    alloc, total = allocate(st["group_c"][layout.assign], st["p_rate"],
                             common_shares(solution.rho, layout.members))
     return RateBreakdown(
-        common_sinr=gam_c,
-        private_sinr=gam_p,
-        common_rate=c_rate,
-        private_rate=p_rate,
+        common_sinr=st["gam_c"],
+        private_sinr=st["gam_p"],
+        common_rate=st["c_rate"],
+        private_rate=st["p_rate"],
         allocated_common=alloc,
         total_rate=total,
-        group_common_rate=group_c,
+        group_common_rate=st["group_c"],
     )

@@ -173,11 +173,29 @@ def read_records(path):
 
 
 def merge_records(paths):
-    """Concatenate shard files and restore the canonical row order."""
-    rows = []
-    for path in paths:
-        rows.extend(read_records(path))
+    """Concatenate shard files and restore the canonical row order.
+
+    Raises ValueError, naming the key and the file of each occurrence, when
+    a (sweep_index, sweep_value, algorithm, trial_index) key repeats."""
+    shards = [(path, read_records(path)) for path in paths]
+    rows = [row for _, shard in shards for row in shard]
     rows.sort(key=attrgetter("sweep_index", "algorithm", "trial_index"))
+    # a repeat sits in one run of adjacent rows with equal sort keys, where
+    # only the sweep value can tell rows apart
+    run_key, run_values = None, []
+    for row in rows:
+        key = (row.sweep_index, row.algorithm, row.trial_index)
+        if key != run_key:
+            run_key, run_values = key, []
+        elif row.sweep_value in run_values:
+            files = [str(path) for path, shard in shards for other in shard
+                     if other.sort_key() == key
+                     and other.sweep_value == row.sweep_value]
+            raise ValueError(
+                f"duplicate row key (sweep_index={key[0]}, sweep_value="
+                f"{row.sweep_value!r}, algorithm={key[1]}, trial_index="
+                f"{key[2]}) in {' and '.join(files)}")
+        run_values.append(row.sweep_value)
     return rows
 
 
@@ -238,15 +256,6 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
 STATS_METRICS = ("objective", "sum_rate")
 
 
-def _by_algorithm(rows):
-    """algorithm -> its non-failed rows."""
-    grouped = {}
-    for row in rows:
-        if not row.failed:
-            grouped.setdefault(row.algorithm, []).append(row)
-    return grouped
-
-
 def _metric_matrix(batch, metric):
     """Trial-indexed samples of one metric over one algorithm's rows."""
     return dict(sorted((row.trial_index, getattr(row, metric))
@@ -277,30 +286,34 @@ def write_stats_report(rows, path, baseline_rows=None,
                        metrics=STATS_METRICS) -> None:
     """Comparison battery over a result set, one finding per line.
 
-    Single-set mode groups rows by sweep point and reports, per metric:
+    Rows are grouped by sweep point, the pair (sweep_index, sweep_value).
+    Single-set mode reports, per sweep point and metric:
     per-algorithm means with 95% and 99% intervals, a one-way ANOVA across
     algorithms, and all pairwise paired t-tests (shared channels per trial
     justify pairing) with Cohen's d and Bonferroni-adjusted p-values.
 
     With baseline_rows, each algorithm is instead compared against its own
-    baseline samples trial by trial; identical inputs give p = 1 exactly.
+    baseline samples at the same sweep point, trial by trial; identical
+    inputs give p = 1 exactly.
     """
     lines = [f"schema_version={SCHEMA_VERSION} report=stats "
              f"correction=bonferroni_pairwise"]
-    sweep_points = sorted({(row.sweep_index, row.sweep_value)
-                           for row in rows})
-    for sweep_index, sweep_value in sweep_points:
-        # an algorithm whose rows all failed here has no samples, so it
-        # adds no line in either mode
-        at_point = _by_algorithm(row for row in rows
-                                 if row.sweep_index == sweep_index)
+    grouped = _group_rows(rows)
+    base_grouped = _group_rows(baseline_rows or ())
+    # an algorithm whose rows all failed at a point has no samples there,
+    # so it adds no line in either mode
+    for point in sorted({key[:2] for key in grouped}):
+        sweep_index, sweep_value = point
+        at_point = {key[2]: batch for key, batch in grouped.items()
+                    if key[:2] == point}
         algorithms = sorted(at_point)
         sv = "none" if sweep_value is None else repr(sweep_value)
         prefix = f"sweep_index={sweep_index} sweep_value={sv}"
 
         if baseline_rows is not None:
-            base_at_point = _by_algorithm(row for row in baseline_rows
-                                          if row.sweep_index == sweep_index)
+            base_at_point = {key[2]: batch
+                             for key, batch in base_grouped.items()
+                             if key[:2] == point}
             for metric in metrics:
                 for algorithm in algorithms:
                     a, b = _paired_samples(

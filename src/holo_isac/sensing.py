@@ -237,13 +237,6 @@ def crlb_closed_form(target: SensingTarget, solution: RsNomaSolution,
                  _derivative_norm2(geom, target))
 
 
-def crlb_sinr_form(target: SensingTarget, gamma: float, geom: ArrayGeometry,
-                   sigma_s2: float) -> float:
-    """Alternative CRLB written against the achieved echo SINR,
-    sigma_s2 / (2 gamma ||da/dtheta||^2)."""
-    return _crlb(sigma_s2, gamma, 1.0, _derivative_norm2(geom, target))
-
-
 def crlb_lower_bound(target: SensingTarget, geom: ArrayGeometry,
                      sigma_s2: float, p_max: float) -> float:
     """Best-case CRLB with the whole budget on the probe:

@@ -15,10 +15,17 @@ holo_isac.records replaced and Welch's t test, which no report runs.
 
 import numpy as np
 
-from holo_isac.channel import sensing_channel
+from dataclasses import dataclass
+
+from holo_isac.channel import SensingTarget, echo_amplitude
 from holo_isac.experiments import TrialResult
+from holo_isac.geometry import ArrayGeometry, array_response
+from holo_isac.impairments import ImpairmentChain
 from holo_isac.records import RECORD_FIELDS, SCHEMA_VERSION
+from holo_isac.sensing import _crlb, _derivative_norm2
 from holo_isac.stats import StatTestResult, _two_sided_p, cohens_d, t_quantile
+
+_LN2 = np.log(2.0)
 
 
 # =====================================================================
@@ -116,8 +123,180 @@ def user_total_rate(k, solution, channels, sigma_n2) -> float:
 
 
 # =====================================================================
+# Stream pricing and gradients by gathers
+# =====================================================================
+
+class GatherTables:
+    """The index tables of a grouping that the gather forms below read:
+    user and column indices, SIC order and group starts, the padded
+    member slots and the 0/1 hearing tables, built from the grouping."""
+
+    def __init__(self, grouping):
+        g, k = grouping.num_groups, len(grouping.assignment)
+        self.num_groups, self.num_users = g, k
+        self.assign = grouping.assignment
+        self.users = np.arange(k)
+        self.private_cols = g + self.users
+        self.mask = grouping.interference_mask()
+        members = [grouping.members(gi) for gi in range(g)]
+        self.order = np.concatenate(members)
+        self.starts = np.cumsum([0] + [len(mem) for mem in members])[:-1]
+        self.other_groups = (self.assign[:, None]
+                             != np.arange(g)[None, :]).astype(float)
+        width = max(len(mem) for mem in members)
+        self.group_slots = np.full((g, width), k)
+        for gi, mem in enumerate(members):
+            self.group_slots[gi, :len(mem)] = mem
+        self.hear_c = np.ones((k, g + k + 1))
+        self.hear_c[self.users, self.assign] = 0.0
+        self.hear_p = self.hear_c.copy()
+        self.hear_p[:, g:g + k] = self.mask
+        self.own_or_hear_p = self.hear_p.copy()
+        self.own_or_hear_p[self.users, self.private_cols] = 1.0
+
+
+def gather_stream_rates(g2, p, tables, sigma_n2) -> dict:
+    """rates.stream_rates by gathers: the own signals by multi-axis
+    indexing, the interference as the sum of other groups' commons, all
+    (or the heard) privates and the probe, and each group's common capacity
+    by minimum.reduceat over the users in SIC order."""
+    g, k = tables.num_groups, tables.num_users
+    pc, pp, ps = p[:g], p[g:g + k], p[-1]
+    own_c = g2[..., tables.users, tables.assign] * pc[tables.assign]
+    other_c = (g2[..., :g] * tables.other_groups) @ pc
+    sense = g2[..., -1] * ps
+    i_common = other_c + g2[..., g:g + k] @ pp + sense
+    i_private = other_c + (g2[..., g:g + k] * tables.mask) @ pp + sense
+    own_p = g2[..., tables.users, tables.private_cols] * pp
+    d_c = i_common + sigma_n2
+    d_p = i_private + sigma_n2
+    c_rate = np.log2(1.0 + own_c / d_c)
+    p_rate = np.log2(1.0 + own_p / d_p)
+    group_c = np.minimum.reduceat(c_rate[..., tables.order], tables.starts,
+                                  axis=-1)
+    return {"own_c": own_c, "own_p": own_p, "d_c": d_c, "d_p": d_p,
+            "gam_c": own_c / d_c, "gam_p": own_p / d_p, "c_rate": c_rate,
+            "p_rate": p_rate, "group_c": group_c}
+
+
+def gather_group_sums(tables, x):
+    """Per-group sums of a per-user vector over the padded member slots."""
+    return np.append(x, 0.0)[tables.group_slots].sum(axis=-1)
+
+
+def gather_common_weights(ctx, tables, aux, shares):
+    """_EvalContext._common_weights by gathers: group minima by reduceat,
+    group sums over the member slots, spread back by indexing."""
+    u = ctx._user_weights(aux)
+    c_rate = aux["c_rate"]
+    lo = np.minimum.reduceat(c_rate[tables.order], tables.starts)[tables.assign]
+    tau = np.maximum(0.1 * (1.0 + lo), 1e-9)
+    b = np.exp(-(c_rate - lo) / tau)
+    blend = b / gather_group_sums(tables, b)[tables.assign]
+    group_u = gather_group_sums(tables, u * shares)
+    return u, blend * group_u[tables.assign]
+
+
+def gather_beam_coefficients(ctx, p, shares, aux, anchor):
+    """The channel coefficients zc of the beam gradient
+    (_EvalContext._beam_coefficients) by gathers, one term per stage."""
+    tables = GatherTables(ctx.grouping)
+    g, k = ctx.num_groups, ctx.k_total
+    d_c0, d_p0, _ = anchor
+    g2, v = aux["g2"], aux["v"]
+    ar, own_col = tables.users, tables.assign
+    u, wc = gather_common_weights(ctx, tables, aux, shares)
+    own_c = g2[ar, own_col] * p[own_col]
+    own_p = g2[ar, tables.private_cols] * p[g:g + k]
+    cmat = (wc / _LN2)[:, None] * p[None, :] \
+        * (1.0 / (own_c + aux["d_c"])[:, None] - tables.hear_c / d_c0[:, None])
+    pmat = (u / _LN2)[:, None] * p[None, :] \
+        * (tables.own_or_hear_p / (own_p + aux["d_p"])[:, None]
+           - tables.hear_p / d_p0[:, None])
+    return (cmat + pmat) * v
+
+
+def gather_power_gradient_rates(ctx, p, shares, aux, anchor):
+    """The rate part of _EvalContext.power_gradient by gathers and add.at,
+    one matrix-vector product per term, and the sum of the absolute values
+    of its terms per stream, which bounds the roundoff of any order of
+    summation."""
+    tables = GatherTables(ctx.grouping)
+    g, k = ctx.num_groups, ctx.k_total
+    d_c0, d_p0, _ = anchor
+    g2 = aux["g2"]
+    ar, own_col = tables.users, tables.assign
+    u, wc = gather_common_weights(ctx, tables, aux, shares)
+    own_c = g2[ar, own_col] * p[own_col]
+    own_p = g2[ar, tables.private_cols] * p[g:g + k]
+    cfac = wc / _LN2 / (own_c + aux["d_c"])
+    lfac = wc / _LN2 / d_c0
+    pfac = u / _LN2 / (own_p + aux["d_p"])
+    qfac = u / _LN2 / d_p0
+    terms = ((cfac, g2), (-lfac, g2 * tables.hear_c),
+             (pfac, g2 * tables.own_or_hear_p), (-qfac, g2 * tables.hear_p))
+    grad = np.zeros(g + k + 1)
+    scale = np.zeros(g + k + 1)
+    grad += cfac @ g2
+    grad -= lfac @ g2
+    np.add.at(grad, own_col, lfac * g2[ar, own_col])
+    grad += pfac @ (g2 * tables.own_or_hear_p)
+    grad -= qfac @ (g2 * tables.hear_p)
+    for fac, gains in terms:
+        scale += np.abs(fac) @ gains
+    return grad, scale
+
+
+# =====================================================================
 # Dense echo traces
 # =====================================================================
+
+@dataclass
+class SensingChannelMatrix:
+    """Rank-one echo channel amplitude * exp(j*phase) * a a^H."""
+
+    matrix: np.ndarray
+    amplitude: float
+    phase: float
+
+
+def sensing_channel(geom: ArrayGeometry, target: SensingTarget) -> SensingChannelMatrix:
+    """Bistatic rank-one echo channel for a point target.
+
+    Amplitude follows the radar equation (channel.echo_amplitude), and the
+    two-way phase is -4 pi R / wavelength. The matrix is
+    amplitude * e^{j phase} a a^H with a the near-field response at the
+    target; the package forms no M x M echo matrix, only the scalars
+    sensing.SensingScene holds."""
+    amplitude = echo_amplitude(geom, target)
+    phase = -4.0 * np.pi * target.r / geom.wavelength
+    a = array_response(geom, target.theta, target.phi, target.r)
+    matrix = amplitude * np.exp(1j * phase) * np.outer(a, a.conj())
+    return SensingChannelMatrix(matrix=matrix, amplitude=amplitude, phase=phase)
+
+
+def crlb_sinr_form(target: SensingTarget, gamma: float, geom: ArrayGeometry,
+                   sigma_s2: float) -> float:
+    """Alternative CRLB written against the achieved echo SINR,
+    sigma_s2 / (2 gamma ||da/dtheta||^2)."""
+    return _crlb(sigma_s2, gamma, 1.0, _derivative_norm2(geom, target))
+
+
+def apply_impairments(x: np.ndarray, chain: ImpairmentChain) -> np.ndarray:
+    """Push a transmit vector through D_PN @ D_IQ @ C (enabled stages only),
+    one stage at a time; the package forms the cascade as one matrix
+    (ImpairmentChain.transform)."""
+    x = np.asarray(x, dtype=complex)
+    y = x
+    if chain.coupling is not None:
+        y = chain.coupling @ y
+    if chain.iq_mu is not None:
+        mu = np.asarray(chain.iq_mu, dtype=complex)
+        y = mu * y
+    if chain.phase_state is not None:
+        y = np.exp(1j * chain.phase_state.phases) * y
+    return y
+
 
 
 def total_covariance(solution) -> np.ndarray:

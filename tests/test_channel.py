@@ -8,10 +8,10 @@ from holo_isac.channel import (
     condition_number,
     free_space_beta,
     generate_user_channel,
-    sensing_channel,
     spatial_correlation,
 )
 from holo_isac.geometry import ArrayGeometry, array_response
+from oracles import sensing_channel
 
 
 def desk_geom(mx=8, my=8, wavelength=3e-3):

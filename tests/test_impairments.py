@@ -4,7 +4,6 @@ import pytest
 from holo_isac.geometry import ArrayGeometry
 from holo_isac.impairments import (
     ImpairmentChain,
-    apply_impairments,
     coupling_matrix,
     effective_channel,
     inject_csi_error,
@@ -15,6 +14,7 @@ from holo_isac.impairments import (
     phase_noise_step,
     solve_iq_for_irr,
 )
+from oracles import apply_impairments
 
 
 def small_geom(mx=3, my=3):

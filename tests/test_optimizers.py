@@ -31,10 +31,14 @@ from holo_isac.optimizers import (
     run_hao_sca,
     sca_surrogate_gamma,
 )
-from holo_isac.rates import Grouping, RsNomaSolution, rate_breakdown
+from holo_isac.rates import (Grouping, RsNomaSolution, rate_breakdown,
+                             stream_rates)
 from holo_isac.sensing import SensingScene
-from oracles import (golden_rho_block, m_space_beam_gradient,
-                     sequential_beam_block, sequential_power_block)
+from oracles import (GatherTables, gather_beam_coefficients,
+                     gather_group_sums, gather_power_gradient_rates,
+                     gather_stream_rates, golden_rho_block,
+                     m_space_beam_gradient, sequential_beam_block,
+                     sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -612,6 +616,88 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
         # the sensing probe's part outside the span is carried, not lost
         assert any(np.abs(ctx.to_span(w)[0][-1, -1]) > 0.1
                    for ctx, w, *_ in entries)
+
+
+def unequal_groups_entry():
+    """A block entry at the start of a K = 5, G = 2 instance (groups of two
+    and three users) with active rate and detection floors."""
+    channels, targets, geom, weights, _ = build_problem(seed=58, k=5)
+    limits = QosLimits(p_max=P_MAX, r_min=1.0, p_d_min=0.9)
+    sol = init_hao_sca(channels, targets, geom, 2, P_MAX, SIGMA_N2)
+    assert sorted(map(len, sol.grouping.sic_order)) == [2, 3]
+    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+                       weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
+    w, p, rho = ctx.split_solution(sol)
+    return (ctx, w, p, rho, *ctx.evaluate(w, p, rho))
+
+
+def kernel_entries():
+    """(ctx, w, p, rho, f0, aux0) of every beam- and power-block entry of
+    block_entries, and of unequal_groups_entry."""
+    return [entry[:6] for entry in block_entries("_beam_block")
+            + block_entries("_power_block")] + [unequal_groups_entry()]
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def within(got, want, scale, rel=1e-12) -> bool:
+    return bool(np.all(np.abs(got - want) <= rel * scale))
+
+
+def test_stream_rates_match_the_gather_forms():
+    """Selections and group minima bit for bit, sums to 1e-12 relative, on
+    every entry and on candidate stacks of 1, 4 and 8, each of whose
+    candidates is priced alone bit for bit as in its stack."""
+    rng = np.random.default_rng(61)
+    stacked = 0
+    for ctx, w, p, rho, f0, aux0 in kernel_entries():
+        lay, tables = ctx.layout, GatherTables(ctx.grouping)
+        stacks = [aux0["g2"] * rng.uniform(0.5, 2.0, (n, *aux0["g2"].shape))
+                  for n in (1, 4, 8)]
+        for g2 in [aux0["g2"], *stacks]:
+            got = stream_rates(g2, p, lay, ctx.sigma_n2)
+            want = gather_stream_rates(g2, p, tables, ctx.sigma_n2)
+            assert got.keys() == want.keys()
+            for key in ("own_c", "own_p"):
+                assert bits(got[key]) == bits(want[key]), key
+            for key in got:
+                assert within(got[key], want[key], np.abs(want[key])), key
+            c_rate, group_c = got["c_rate"], got["group_c"]
+            assert bits(group_c) == bits(np.minimum.reduceat(
+                c_rate[..., tables.order], tables.starts, axis=-1))
+            assert bits(group_c @ lay.group_of) == \
+                bits(group_c[..., tables.assign])
+            sums = c_rate @ lay.same_group
+            rows = c_rate.reshape(-1, ctx.k_total)
+            assert within(sums, np.array(
+                [gather_group_sums(tables, row)[tables.assign] for row in rows]
+            ).reshape(sums.shape), sums)
+            if g2.ndim == 3:
+                stacked += len(g2)
+                for i, lone in enumerate(g2):
+                    alone = stream_rates(lone, p, lay, ctx.sigma_n2)
+                    for key in got:
+                        assert bits(alone[key]) == bits(got[key][i]), key
+    assert stacked >= 13 * len(kernel_entries())
+
+
+def test_gradients_match_the_gather_forms():
+    """The beam gradient's channel coefficients within 1e-12 of each row's
+    largest entry, and the rate part of the power gradient within 1e-12 of
+    the sum of the absolute values of its terms."""
+    for ctx, w, p, rho, f0, aux0 in kernel_entries():
+        anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
+        shares = ctx.shares(rho)
+        zc, _ = ctx._beam_coefficients(p, shares, aux0, anchor)
+        want = gather_beam_coefficients(ctx, p, shares, aux0, anchor)
+        assert within(zc, want, np.abs(want).max(axis=1, keepdims=True))
+        grad = (ctx._stage_weights(shares, aux0, anchor)
+                * aux0["g2"]).sum(axis=0)
+        want, scale = gather_power_gradient_rates(ctx, p, shares, aux0,
+                                                  anchor)
+        assert within(grad, want, scale)
 
 
 def test_power_steps_priced_over_the_entry_gains_match_full_evaluations():

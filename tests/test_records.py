@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,41 @@ def test_merge_restores_canonical_order(tmp_path):
     assert len(merged) == 5
 
 
+def test_merging_a_file_with_itself_names_the_repeated_key(tmp_path):
+    shard = tmp_path / "a.records"
+    write_records(make_batch(trials=3), shard)
+    with pytest.raises(ValueError) as err:
+        merge_records([shard, shard])
+    message = str(err.value)
+    assert "sweep_index=0, sweep_value=None, algorithm=conv_noma, " \
+        "trial_index=0" in message
+    assert message.count(str(shard)) == 2
+
+
+def test_a_shard_that_repeats_two_keys_is_refused(tmp_path):
+    rows = make_batch(trials=6)
+    full, repeat = tmp_path / "full.records", tmp_path / "repeat.records"
+    write_records(rows, full)
+    # the same (sweep, algorithm, trial) keys with objective + 100
+    write_records([sample_row(algorithm=r.algorithm,
+                              trial_index=r.trial_index,
+                              objective=r.objective + 100.0)
+                   for r in (rows[2], rows[7])], repeat)
+    with pytest.raises(ValueError) as err:
+        merge_records([full, repeat])
+    # the first repeated key in the canonical order is named
+    first = min(rows[2], rows[7], key=TrialResult.sort_key)
+    message = str(err.value)
+    assert f"algorithm={first.algorithm}, trial_index=" \
+        f"{first.trial_index}" in message
+    assert str(full) in message and str(repeat) in message
+    # the same trials at another sweep value are no repeat
+    write_records([sample_row(algorithm=r.algorithm, sweep_value=0.5,
+                              trial_index=r.trial_index)
+                   for r in (rows[2], rows[7])], repeat)
+    assert len(merge_records([full, repeat])) == len(rows) + 2
+
+
 # =====================================================================
 # CSV and plot tables
 # =====================================================================
@@ -291,3 +327,24 @@ def test_stats_report_p_sentinel(tmp_path):
     write_stats_report(rows, path, baseline_rows=base)
     text = path.read_text()
     assert "p=<1e-300" in text
+
+
+def test_stats_report_keeps_sweep_values_at_one_index_apart(tmp_path):
+    # two sweeps whose grids differ at index 0, merged into one file
+    low = [replace(r, sweep_value=0.1) for r in make_batch(trials=6)]
+    high = [replace(r, sweep_value=0.2, objective=r.objective + 5.0)
+            for r in make_batch(trials=6, seed=73)]
+    path = tmp_path / "stats.txt"
+    write_stats_report(low + high, path)
+    means = {}
+    for line in path.read_text().splitlines():
+        if "summary=mean metric=objective algorithm=fp" in line:
+            fields = dict(tok.split("=", 1) for tok in line.split())
+            means[fields["sweep_value"]] = (fields["n"], fields["mean"])
+    assert set(means) == {"0.1", "0.2"}
+    assert means["0.1"][0] == means["0.2"][0] == "6"
+    assert means["0.1"] != means["0.2"]
+    # and each point meets its own baseline rows
+    write_stats_report(low + high, path, baseline_rows=low + high)
+    lines = path.read_text().splitlines()[1:]
+    assert lines and all("p=1.0" in line and "n=6" in line for line in lines)

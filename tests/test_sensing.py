@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holo_isac.channel import SensingTarget, sensing_channel
+from holo_isac.channel import SensingTarget
 from holo_isac.geometry import ArrayGeometry, array_response
 from holo_isac.rates import Grouping, RsNomaSolution
 import holo_isac.sensing as sensing
@@ -11,7 +11,6 @@ from holo_isac.sensing import (
     SensingScene,
     crlb_closed_form,
     crlb_lower_bound,
-    crlb_sinr_form,
     detection_probability,
     echo_sinrs,
     evaluate_sensing,
@@ -21,7 +20,8 @@ from holo_isac.sensing import (
     sensing_sinr,
     sensing_sinrs,
 )
-from oracles import dense_sensing_sinr, total_covariance
+from oracles import (crlb_sinr_form, dense_sensing_sinr, sensing_channel,
+                     total_covariance)
 
 SIGMA_S2 = 10.0 ** (-11.5)
 
