@@ -279,8 +279,8 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     solve_instance("conv_noma", ...) on the same instance, which is the same
     deterministic solve, so passing it changes no result.
 
-    instance is the instance's SolveInstance (trial_instance), which every
-    solve of a trial shares; it is built here when not given.
+    instance is the trial's SolveInstance (trial_instance), which every
+    solve of the trial shares; it is built here when not given.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -9,8 +9,11 @@ the objective components one scalar at a time, so the tests compare the
 kernel against computations it does not share. The paper's closed-form
 rails that the pipeline does not run, and the block-by-block and
 search-based solver steps that the package replaced, live here too, as do
-the field-by-field record codec that the one-pass template and regex of
-holo_isac.records replaced and Welch's t test, which no report runs.
+the gather forms of the stream pricing and gradients that the product
+tables of rates.StreamLayout replaced, the field-by-field record codec that
+the one-pass template and regex of holo_isac.records replaced, and the
+helpers no pipeline code runs: Welch's t test, the dense echo channel, the
+SINR form of the CRLB and the stage-by-stage impairment cascade.
 """
 
 import numpy as np
