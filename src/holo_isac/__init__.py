@@ -36,8 +36,8 @@ from .objective import (ConstraintReport, ObjectiveComponents, ObjectiveWeights,
                         QosLimits, check_constraints, composite_objective,
                         sum_rate_upper_bound)
 from .optimizers import (ConvergenceTrace, OptimizerConfig, adaptive_weights,
-                         fp_auxiliary, init_hao_sca, run_e_wmmse, run_fp,
-                         run_hao_sca, sca_surrogate_gamma)
+                         init_hao_sca, run_e_wmmse, run_fp, run_hao_sca,
+                         sca_surrogate_gamma)
 from .stats import (StatTestResult, bonferroni, cohens_d, f_cdf, mean_ci,
                     one_way_anova, paired_t_test, t_cdf, t_quantile)
 from .config import (ALGORITHM_NAMES, PRESET_NAMES, ScenarioConfig,

@@ -10,7 +10,8 @@ sees watts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import (asdict, dataclass, field, fields, make_dataclass,
+                         replace)
 
 from .geometry import ArrayGeometry
 from .objective import ObjectiveWeights, QosLimits
@@ -104,16 +105,12 @@ class LimitSection:
     p_fa: float = 1.0e-3
 
 
-@dataclass
-class OptimizerSection:
-    max_iters: int = 50
-    epsilon: float = 1.0e-4
-    inner_steps: int = 20
-    step_size: float = 0.1
-    backtrack: float = 0.5
-    max_backtracks: int = 8
-    qos_penalty: float = 10.0
-    adaptive_weights: bool = False
+# OptimizerConfig's fields and defaults as a mutable section, so each
+# optimizer key, default and check exists once
+OptimizerSection = make_dataclass(
+    "OptimizerSection",
+    [(f.name, f.type, field(default=f.default)) for f in fields(OptimizerConfig)],
+    namespace={"__module__": __name__})
 
 
 @dataclass
@@ -169,13 +166,7 @@ class ScenarioConfig:
                          p_fa=lim.p_fa)
 
     def optimizer_config(self) -> OptimizerConfig:
-        o = self.optimizer
-        return OptimizerConfig(max_iters=o.max_iters, epsilon=o.epsilon,
-                               inner_steps=o.inner_steps, step_size=o.step_size,
-                               backtrack=o.backtrack,
-                               max_backtracks=o.max_backtracks,
-                               qos_penalty=o.qos_penalty,
-                               adaptive_weights=o.adaptive_weights)
+        return OptimizerConfig(**asdict(self.optimizer))
 
     # -- validation ---------------------------------------------------
     def validate(self) -> None:

@@ -32,7 +32,8 @@ from .impairments import (
     solve_iq_for_irr,
 )
 from .objective import price_design
-from .optimizers import SolveInstance, run_e_wmmse, run_fp, run_hao_sca
+from .optimizers import (SolveInstance, ensure_instance, run_e_wmmse, run_fp,
+                         run_hao_sca)
 from .sensing import SensingScene
 
 SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
@@ -289,8 +290,8 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     limits = cfg.qos_limits()
     opt = cfg.optimizer_config()
     s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
-    if instance is None:
-        instance = trial_instance(channels, targets, cfg)
+    instance = ensure_instance(instance, channels, targets, geom,
+                               cfg.population.num_groups, limits.p_max, s2n)
     args = (channels, targets, geom, weights, limits, s2n, s2s, opt)
 
     if algorithm == "hao_sca":
@@ -313,9 +314,9 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
 def trial_instance(channels, targets, cfg: ScenarioConfig) -> SolveInstance:
     """The SolveInstance of one trial's solves: its scene, stream tables,
     span basis and init_hao_sca start."""
-    return SolveInstance.from_start(channels, targets, cfg.array_geometry(),
-                                    cfg.population.num_groups,
-                                    cfg.p_max_watts, cfg.sigma_n2_watts)
+    return ensure_instance(None, channels, targets, cfg.array_geometry(),
+                           cfg.population.num_groups, cfg.p_max_watts,
+                           cfg.sigma_n2_watts)
 
 
 def _evaluate_trial(sol, trace, data: TrialData, scene: SensingScene,

@@ -34,14 +34,19 @@ instead.
 * run_e_wmmse: alternating closed-form MMSE receive filters and weights with
   per-stream regularized normal equations for the beamformers; sensing is
   pulled in through a quadratic penalty on the echo-SINR shortfall.
-* run_fp: fractional-programming baseline on private streams only, with
-  auxiliary variables refreshed to 1 + SINR between gradient passes.
+* run_fp: the private-streams-only baseline, the conventional-NOMA block
+  ascent of run_hao_sca with rate-only weights, traced on the private sum
+  rate. The quadratic-transform fractional programming the paper compares
+  against (Shen and Yu, IEEE TSP 2018) is not implemented.
+
+All three iterate through one loop (_iterate): one stopping rule, one trace
+of objective values and violation norms.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -911,6 +916,83 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
 # Full runs
 # =====================================================================
 
+def ensure_instance(instance, channels, targets, geom: ArrayGeometry,
+                    num_groups: int, p_max: float, sigma_n2: float,
+                    warm_start: RsNomaSolution | None = None) -> SolveInstance:
+    """instance when given, else the one built here: the instance of the
+    init_hao_sca start (SolveInstance.from_start) or, for a warm start, an
+    instance over its grouping without a start."""
+    if instance is not None:
+        return instance
+    if warm_start is not None:
+        return SolveInstance(channels, targets, geom, warm_start.grouping)
+    return SolveInstance.from_start(channels, targets, geom, num_groups,
+                                    p_max, sigma_n2)
+
+
+def _iterate(config: OptimizerConfig, sweep, state, start):
+    """Apply sweep to state up to config.max_iters times, tracing each step.
+
+    start is the (trace value, violation norm) pair of the entry state, and
+    sweep(state) returns (next state, trace value, violation norm). The run
+    converges, and stops, at the first sweep that moves the trace value by
+    less than config.epsilon. Returns (final state, ConvergenceTrace)."""
+    objectives, violations = [start[0]], [start[1]]
+    converged = False
+    for _ in range(config.max_iters):
+        state, value, violation = sweep(state)
+        objectives.append(value)
+        violations.append(violation)
+        if abs(objectives[-1] - objectives[-2]) < config.epsilon:
+            converged = True
+            break
+    trace = ConvergenceTrace(
+        objectives=np.array(objectives), violations=np.array(violations),
+        iterations_used=len(objectives) - 1, converged=converged,
+    )
+    return state, trace
+
+
+def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
+                  config: OptimizerConfig, frozen_commons: bool,
+                  trace_key: str | None = None):
+    """Block-coordinate ascent from sol; returns (solution, trace).
+
+    Each sweep runs the beam block, the power block and, unless the common
+    streams are frozen (their powers and every rho held at zero), the split
+    block, then the adaptive weights when config asks for them. The trace
+    records the penalized objective, or aux[trace_key] when given."""
+    w, p, rho = ctx.split_solution(sol)
+    frozen = None
+    if frozen_commons:
+        frozen = np.arange(ctx.num_groups)
+        p[frozen] = 0.0
+        rho[:] = 0.0
+
+    def traced(f, aux):
+        return f if trace_key is None else aux[trace_key]
+
+    def sweep(state):
+        w, p, rho, f, aux = state
+        w, f, aux = _beam_block(ctx, w, p, rho, f, aux, config, frozen)
+        p, f, aux = _power_block(ctx, w, p, rho, f, aux, config, frozen)
+        if not frozen_commons:
+            rho, f, aux = _rho_block(ctx, w, p, rho, f, aux, config)
+        if config.adaptive_weights:
+            comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
+            ctx.weights = adaptive_weights(ctx.weights, comps)
+            f, aux = ctx.evaluate(w, p, rho)
+        return (w, p, rho, f, aux), traced(f, aux), ctx.violation_norm(p, aux)
+
+    f, aux = ctx.evaluate(w, p, rho)
+    (w, p, rho, _, _), trace = _iterate(
+        config, sweep, (w, p, rho, f, aux),
+        (traced(f, aux), ctx.violation_norm(p, aux)))
+    solution = ctx.build_solution(w, _project_powers(p, ctx.limits.p_max),
+                                  np.clip(rho, 0.0, 1.0))
+    return solution, trace
+
+
 def run_hao_sca(channels, targets, geom: ArrayGeometry,
                 weights: ObjectiveWeights, limits: QosLimits,
                 sigma_n2: float, sigma_s2: float,
@@ -930,20 +1012,14 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
 
     instance is the trial's SolveInstance (from_start on the same channels,
     targets, array, num_groups, p_max and sigma_n2), built here when not
-    given; a warm start must use its grouping.
+    given (ensure_instance); a warm start must use its grouping.
 
     Returns:
         (solution, ConvergenceTrace) pair.
     """
     config = config or OptimizerConfig()
-    if instance is None:
-        if warm_start is not None:
-            instance = SolveInstance(channels, targets, geom,
-                                     warm_start.grouping)
-        else:
-            instance = SolveInstance.from_start(channels, targets, geom,
-                                                num_groups, limits.p_max,
-                                                sigma_n2)
+    instance = ensure_instance(instance, channels, targets, geom, num_groups,
+                               limits.p_max, sigma_n2, warm_start)
     if warm_start is not None:
         if warm_start.grouping is not instance.grouping:
             raise ValueError("warm start and instance have different groupings")
@@ -952,42 +1028,7 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
         sol = instance.start
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
-    w, p, rho = ctx.split_solution(sol)
-    frozen = None
-    if conventional_noma:
-        frozen = np.arange(ctx.num_groups)
-        p[frozen] = 0.0
-        rho[:] = 0.0
-
-    f, aux = ctx.evaluate(w, p, rho)
-    objectives = [f]
-    violations = [ctx.violation_norm(p, aux)]
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
-        w, f, aux = _beam_block(ctx, w, p, rho, f, aux, config, frozen)
-        p, f, aux = _power_block(ctx, w, p, rho, f, aux, config, frozen)
-        if not conventional_noma:
-            rho, f, aux = _rho_block(ctx, w, p, rho, f, aux, config)
-        if config.adaptive_weights:
-            comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
-            ctx.weights = adaptive_weights(ctx.weights, comps)
-            f, aux = ctx.evaluate(w, p, rho)
-        objectives.append(f)
-        violations.append(ctx.violation_norm(p, aux))
-        if abs(objectives[-1] - objectives[-2]) < config.epsilon:
-            converged = True
-            break
-
-    rho = np.clip(rho, 0.0, 1.0)
-    p = _project_powers(p, limits.p_max)
-    solution = ctx.build_solution(w, p, rho)
-    trace = ConvergenceTrace(
-        objectives=np.array(objectives), violations=np.array(violations),
-        iterations_used=iterations, converged=converged,
-    )
-    return solution, trace
+    return _block_ascent(ctx, sol, config, conventional_noma)
 
 
 # =====================================================================
@@ -1025,38 +1066,34 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     It starts from the init_hao_sca start of instance (see run_hao_sca).
     """
     config = config or OptimizerConfig()
-    if instance is None:
-        instance = SolveInstance.from_start(channels, targets, geom,
-                                            num_groups, limits.p_max, sigma_n2)
-    sol = instance.start
+    instance = ensure_instance(instance, channels, targets, geom, num_groups,
+                               limits.p_max, sigma_n2)
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
     h = ctx.h
     g_n, k_n = ctx.num_groups, ctx.k_total
-    w, p, rho = ctx.split_solution(sol)
-    v_all = np.sqrt(p)[:, None] * w  # aggregates; row -1 is the sensing beam
+    w, p, rho = ctx.split_solution(instance.start)
     delta = sigma_n2 / limits.p_max
     gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
 
-    # which streams each private MSE stage hears (interferes or is desired)
+    # which streams each private MSE stage hears (interferes or is desired),
+    # as a mask and as each user's indices: a row gather by the indices
+    # keeps the interpreter lock, where a boolean mask hands it away
     hear_p = ctx.layout.stages[2:].any(axis=0)
+    heard = [np.flatnonzero(row) for row in hear_p]
     scene = ctx.scene
     unit_powers = np.ones(ctx.layout.num_streams)
 
-    def trace_objective(v_cur):
-        w_dirs = _normalize_rows(v_cur, w)
+    def traced(v_cur):
+        """(trace value, violation norm) at the aggregates v_cur: the sum
+        rate less the sensing penalty."""
         p_cur = np.linalg.norm(v_cur, axis=1) ** 2
-        _, aux = ctx.evaluate(w_dirs, p_cur, rho)
+        _, aux = ctx.evaluate(_normalize_rows(v_cur, w), p_cur, rho)
         short = np.maximum(0.0, ctx.gamma_min - aux["gam_l"])
-        return aux["rate_sum"] - lambda_sensing * float(short @ short), aux
+        return (aux["rate_sum"] - lambda_sensing * float(short @ short),
+                ctx.violation_norm(p_cur, aux))
 
-    f, aux = trace_objective(v_all)
-    objectives = [f]
-    violations = [ctx.violation_norm(np.linalg.norm(v_all, axis=1) ** 2, aux)]
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
+    def sweep(v_all):
         inner = ctx.hc @ v_all.T                   # (K, S)
         pow_rx = np.abs(inner) ** 2
 
@@ -1068,7 +1105,7 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
             u[k, 0] = e_wmmse_receive_filter(h[k], v_all[des_c], i_c, sigma_n2)
             om[k, 0] = e_wmmse_mse_weight(u[k, 0], h[k], v_all[des_c])
             des_p = g_n + k
-            i_p = float(pow_rx[k, hear_p[k]].sum() - pow_rx[k, des_p])
+            i_p = float(pow_rx[k][heard[k]].sum() - pow_rx[k, des_p])
             u[k, 1] = e_wmmse_receive_filter(h[k], v_all[des_p], i_p, sigma_n2)
             om[k, 1] = e_wmmse_mse_weight(u[k, 1], h[k], v_all[des_p])
 
@@ -1106,82 +1143,40 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         total = float(np.sum(np.abs(new_v) ** 2))
         if total > limits.p_max:
             new_v *= np.sqrt(limits.p_max / total)
-        v_all = new_v
+        return (new_v, *traced(new_v))
 
-        f, aux = trace_objective(v_all)
-        objectives.append(f)
-        violations.append(ctx.violation_norm(np.linalg.norm(v_all, axis=1) ** 2, aux))
-        if abs(objectives[-1] - objectives[-2]) < config.epsilon:
-            converged = True
-            break
-
+    # aggregates v = sqrt(p) w; row -1 is the sensing beam
+    v_all = np.sqrt(p)[:, None] * w
+    v_all, trace = _iterate(config, sweep, v_all, traced(v_all))
     p_fin = np.linalg.norm(v_all, axis=1) ** 2
     w_fin = _normalize_rows(v_all, w)
     solution = ctx.build_solution(w_fin, _project_powers(p_fin, limits.p_max), rho)
-    trace = ConvergenceTrace(
-        objectives=np.array(objectives), violations=np.array(violations),
-        iterations_used=iterations, converged=converged,
-    )
     return solution, trace
 
 
 # =====================================================================
-# Fractional-programming baseline
+# Private-streams baseline (fp)
 # =====================================================================
-
-def fp_auxiliary(gammas) -> np.ndarray:
-    """Auxiliary variables lambda_k = 1 + gamma_k (exact at the fixed point)."""
-    g = np.asarray(gammas, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError(f"SINRs must be >= 0, got {g}")
-    return 1.0 + g
-
 
 def run_fp(channels, targets, geom: ArrayGeometry,
            weights: ObjectiveWeights, limits: QosLimits,
            sigma_n2: float, sigma_s2: float,
            config: OptimizerConfig | None = None, num_groups: int = 1,
            instance: SolveInstance | None = None):
-    """Private-streams-only fractional-programming baseline.
+    """The private-streams-only baseline: the conventional-NOMA block
+    ascent of run_hao_sca on the private sum rate.
 
-    rho and the common powers stay at zero; auxiliary variables
-    lambda_k = 1 + gamma_k are refreshed after every projected-gradient pass
-    on the private sum rate. The trace objective is
-    sum_k log2(lambda_k) = the private sum rate. It starts from the
-    init_hao_sca start of instance (see run_hao_sca).
+    The common powers and rho stay at zero, the objective weights are
+    rate-only (weights is not read) and never adapt, and the QoS penalty
+    still applies. The trace records the private sum rate, not the
+    penalized objective the blocks climb. This is not the quadratic-
+    transform fractional programming of Shen and Yu (IEEE TSP 2018), which
+    is not implemented. It starts from the init_hao_sca start of instance
+    (see run_hao_sca).
     """
-    config = config or OptimizerConfig()
-    rate_only = ObjectiveWeights(1.0, 0.0, 0.0, 0.0)
-    if instance is None:
-        instance = SolveInstance.from_start(channels, targets, geom,
-                                            num_groups, limits.p_max, sigma_n2)
-    ctx = _EvalContext(instance, rate_only, limits, sigma_n2, sigma_s2,
-                       config.qos_penalty)
-    w, p, rho = ctx.split_solution(instance.start)
-    frozen = np.arange(ctx.num_groups)
-    p[frozen] = 0.0
-    rho[:] = 0.0
-
-    f, aux = ctx.evaluate(w, p, rho)
-    lam = fp_auxiliary(aux["gam_p"])
-    objectives = [float(np.sum(np.log2(lam)))]
-    violations = [ctx.violation_norm(p, aux)]
-    converged = False
-    iterations = 0
-    for _ in range(config.max_iters):
-        iterations += 1
-        w, f, aux = _beam_block(ctx, w, p, rho, f, aux, config, frozen)
-        p, f, aux = _power_block(ctx, w, p, rho, f, aux, config, frozen)
-        lam = fp_auxiliary(aux["gam_p"])
-        objectives.append(float(np.sum(np.log2(lam))))
-        violations.append(ctx.violation_norm(p, aux))
-        if abs(objectives[-1] - objectives[-2]) < config.epsilon:
-            converged = True
-            break
-
-    solution = ctx.build_solution(w, _project_powers(p, limits.p_max), rho)
-    trace = ConvergenceTrace(
-        objectives=np.array(objectives), violations=np.array(violations),
-        iterations_used=iterations, converged=converged,
-    )
-    return solution, trace
+    config = replace(config or OptimizerConfig(), adaptive_weights=False)
+    instance = ensure_instance(instance, channels, targets, geom, num_groups,
+                               limits.p_max, sigma_n2)
+    ctx = _EvalContext(instance, ObjectiveWeights(1.0, 0.0, 0.0, 0.0),
+                       limits, sigma_n2, sigma_s2, config.qos_penalty)
+    return _block_ascent(ctx, instance.start, config, True, "rate_sum")

@@ -24,7 +24,6 @@ from holo_isac.optimizers import (
     _loaded_solve,
     e_wmmse_mse_weight,
     e_wmmse_receive_filter,
-    fp_auxiliary,
     init_hao_sca,
     run_e_wmmse,
     run_fp,
@@ -1004,20 +1003,20 @@ def test_e_wmmse_sensing_step_prices_a_dominant_echo_without_cancellation(
 # Fractional-programming baseline
 # =====================================================================
 
-def test_fp_auxiliary():
-    assert np.allclose(fp_auxiliary([0.0, 3.0]), [1.0, 4.0])
-    with pytest.raises(ValueError):
-        fp_auxiliary([-0.1])
-
-
-def test_fp_private_only_and_monotone():
-    channels, targets, geom, weights, limits = build_problem(seed=52)
+@pytest.mark.parametrize("limits", [
+    {},
+    {"r_min": 2.0, "p_d_min": 0.9, "crlb_max": 1e-3},
+], ids=["default_limits", "active_limits"])
+def test_fp_private_only_and_monotone(limits):
+    channels, targets, geom, weights, _ = build_problem(seed=52)
     cfg = OptimizerConfig(max_iters=10, epsilon=1e-8)
-    sol, trace = run_fp(channels, targets, geom, weights, limits,
+    sol, trace = run_fp(channels, targets, geom, weights,
+                        QosLimits(p_max=P_MAX, **limits),
                         SIGMA_N2, SIGMA_S2, cfg, num_groups=2)
     assert np.all(sol.p_common == 0.0)
     assert np.all(sol.rho == 0.0)
     assert trace.monotone
+    # the trace is the private sum rate, not the penalized objective
     bd = rate_breakdown(sol, channels, SIGMA_N2)
     assert trace.objectives[-1] == pytest.approx(
         float(bd.private_rate.sum()), rel=1e-9)
