@@ -97,20 +97,18 @@ class WeightSection:
     alpha4: float = 0.1
 
 
-@dataclass
-class LimitSection:
-    r_min: float = 0.0
-    p_d_min: float = 0.0
-    crlb_max: float = math.inf
-    p_fa: float = 1.0e-3
+def _section_of(cls, name: str, skip=()):
+    """cls's fields and defaults, less skip, as a mutable section, so each
+    key, default and check exists once, in cls."""
+    return make_dataclass(
+        name, [(f.name, f.type, field(default=f.default))
+               for f in fields(cls) if f.name not in skip],
+        namespace={"__module__": __name__})
 
 
-# OptimizerConfig's fields and defaults as a mutable section, so each
-# optimizer key, default and check exists once
-OptimizerSection = make_dataclass(
-    "OptimizerSection",
-    [(f.name, f.type, field(default=f.default)) for f in fields(OptimizerConfig)],
-    namespace={"__module__": __name__})
+# the budget comes from powers.p_max_dbm
+LimitSection = _section_of(QosLimits, "LimitSection", skip=("p_max",))
+OptimizerSection = _section_of(OptimizerConfig, "OptimizerSection")
 
 
 @dataclass
@@ -160,10 +158,7 @@ class ScenarioConfig:
         return ObjectiveWeights(w.alpha1, w.alpha2, w.alpha3, w.alpha4)
 
     def qos_limits(self) -> QosLimits:
-        lim = self.limits
-        return QosLimits(p_max=self.p_max_watts, r_min=lim.r_min,
-                         p_d_min=lim.p_d_min, crlb_max=lim.crlb_max,
-                         p_fa=lim.p_fa)
+        return QosLimits(p_max=self.p_max_watts, **asdict(self.limits))
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(**asdict(self.optimizer))
@@ -212,24 +207,14 @@ class ScenarioConfig:
             raise ValueError("impairments.irr_db must be positive")
         if not 0.0 <= imp.csi_eps < 1.0:
             raise ValueError("impairments.csi_eps must lie in [0, 1)")
-        w = self.weights
-        if min(w.alpha1, w.alpha2, w.alpha3, w.alpha4) < 0.0 \
-                or w.alpha1 + w.alpha2 + w.alpha3 + w.alpha4 <= 0.0:
-            raise ValueError("weights.alpha* must be nonnegative with a "
-                             "positive sum")
-        lim = self.limits
-        if lim.r_min < 0.0:
-            raise ValueError("limits.r_min must be nonnegative")
-        if not 0.0 <= lim.p_d_min < 1.0:
-            raise ValueError("limits.p_d_min must lie in [0, 1)")
-        if lim.crlb_max <= 0.0:
-            raise ValueError("limits.crlb_max must be positive")
-        if not 0.0 < lim.p_fa < 1.0:
-            raise ValueError("limits.p_fa must lie in (0, 1)")
-        try:
-            self.optimizer_config()
-        except ValueError as exc:
-            raise ValueError(f"optimizer.{exc}") from None
+        # the library objects check their own fields
+        for prefix, build in (("weights", self.objective_weights),
+                              ("limits", self.qos_limits),
+                              ("optimizer", self.optimizer_config)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ValueError(f"{prefix}.{exc}") from None
         e = self.experiment
         if e.trials < 2:
             raise ValueError("experiment.trials must be at least 2")

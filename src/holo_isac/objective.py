@@ -24,7 +24,7 @@ from .sensing import SensingScene, detection_probability, echo_sinrs
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
-    """Nonnegative component weights, renormalized to sum to one."""
+    """Finite nonnegative component weights, renormalized to sum to one."""
 
     alpha_rate: float = 0.25
     alpha_sensing: float = 0.25
@@ -33,11 +33,11 @@ class ObjectiveWeights:
 
     def __post_init__(self):
         vals = self.as_array()
-        if np.any(vals < 0.0):
-            raise ValueError(f"weights must be >= 0, got {vals}")
+        if not np.all((vals >= 0.0) & (vals < np.inf)):
+            raise ValueError(f"alpha* must be finite and >= 0, got {vals}")
         total = vals.sum()
         if total <= 0.0:
-            raise ValueError("at least one weight must be positive")
+            raise ValueError(f"alpha* must have a positive sum, got {vals}")
         if abs(total - 1.0) > 1e-12:
             vals = vals / total
             object.__setattr__(self, "alpha_rate", float(vals[0]))
@@ -52,7 +52,8 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class QosLimits:
-    """Operating limits audited by check_constraints."""
+    """Operating limits audited by check_constraints; crlb_max = inf
+    disables the CRLB limit, and NaN passes no check."""
 
     p_max: float
     r_min: float = 0.0
@@ -61,10 +62,14 @@ class QosLimits:
     p_fa: float = 1e-3
 
     def __post_init__(self):
-        if self.p_max <= 0.0:
-            raise ValueError(f"power budget must be > 0, got {self.p_max}")
-        if not 0.0 < self.p_fa < 1.0:
-            raise ValueError(f"false-alarm rate must be in (0, 1), got {self.p_fa}")
+        for name, ok, rule in (
+                ("p_max", 0.0 < self.p_max < np.inf, "finite and > 0"),
+                ("r_min", 0.0 <= self.r_min < np.inf, "finite and >= 0"),
+                ("p_d_min", 0.0 <= self.p_d_min < 1.0, "in [0, 1)"),
+                ("crlb_max", self.crlb_max > 0.0, "> 0"),
+                ("p_fa", 0.0 < self.p_fa < 1.0, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass

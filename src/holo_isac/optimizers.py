@@ -31,16 +31,17 @@ instead.
   penalty. Each block's step is accepted on the true penalized objective,
   so every iteration is monotone by construction and falls back to the
   entry iterate when no improving step exists.
-* run_e_wmmse: alternating closed-form MMSE receive filters and weights with
-  per-stream regularized normal equations for the beamformers; sensing is
-  pulled in through a quadratic penalty on the echo-SINR shortfall.
+* run_e_wmmse: alternating closed-form MMSE receive filters and weights,
+  read off the stage pricing of rates.stream_rates, with regularized normal
+  equations for all beamformers in one stacked solve; sensing is pulled in
+  through a quadratic penalty on the echo-SINR shortfall.
 * run_fp: the private-streams-only baseline, the conventional-NOMA block
   ascent of run_hao_sca with rate-only weights, traced on the private sum
   rate. The quadratic-transform fractional programming the paper compares
   against (Shen and Yu, IEEE TSP 2018) is not implemented.
 
 All three iterate through one loop (_iterate): one stopping rule, one trace
-of objective values and violation norms.
+of objective values.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .geometry import ArrayGeometry, array_response, vector_norm
 from .objective import (ObjectiveWeights, QosLimits, _rowdot, price_split,
                         price_streams)
 from .rates import (Grouping, RsNomaSolution, StreamLayout, common_shares,
-                    default_grouping)
+                    default_grouping, stream_rates)
 from .sensing import SensingScene, echo_sinrs, q_inverse
 
 _LN2 = np.log(2.0)
@@ -94,10 +95,9 @@ class OptimizerConfig:
 
 @dataclass
 class ConvergenceTrace:
-    """Per-iteration objective values and constraint-violation norms."""
+    """Per-iteration trace values: the entry value, then one per sweep."""
 
     objectives: np.ndarray
-    violations: np.ndarray
     iterations_used: int
     converged: bool
 
@@ -387,17 +387,6 @@ class _EvalContext:
         out = dict(aux)
         out.update(split._asdict(), penalty=penalty)
         return split.value - penalty, out
-
-    def violation_norm(self, p, aux) -> float:
-        """Euclidean norm of all constraint shortfalls at this iterate."""
-        shorts = [max(0.0, p.sum() - self.limits.p_max)]
-        shorts.extend(np.maximum(0.0, self.limits.r_min - aux["total_rate"]))
-        shorts.extend(np.maximum(0.0, self.gamma_min - aux["gam_l"]))
-        if self.crlb_num is not None:
-            ps = p[-1]
-            crlb = self.crlb_num / ps if ps > 0.0 else np.full(self.num_targets, np.inf)
-            shorts.extend(np.minimum(np.maximum(0.0, crlb - self.limits.crlb_max), 1e9))
-        return float(vector_norm(np.array(shorts)))
 
     # -- gradient assembly --------------------------------------------
     def _user_weights(self, aux) -> np.ndarray:
@@ -852,11 +841,12 @@ def _loaded_solve(channels: np.ndarray, gram: np.ndarray, coefs, mu: float,
 
     The push-through identity (A C A^H + mu I_M)^-1 A = A (C A^H A + mu I_K)^-1
     holds for any K and M, so the M x M system becomes one K x K solve;
-    gram = A^H A = channels.conj() @ channels.T.
+    gram = A^H A = channels.conj() @ channels.T. Leading axes of coefs and
+    x stack systems, all solved in one call.
     """
     coefs = np.asarray(coefs, dtype=float)
-    inner = coefs[:, None] * gram + mu * np.eye(len(coefs))
-    return (channels.T @ np.linalg.solve(inner, x)).T
+    inner = coefs[..., :, None] * gram + mu * np.eye(coefs.shape[-1])
+    return np.swapaxes(channels.T @ np.linalg.solve(inner, x), -1, -2)
 
 
 def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
@@ -933,21 +923,20 @@ def ensure_instance(instance, channels, targets, geom: ArrayGeometry,
 def _iterate(config: OptimizerConfig, sweep, state, start):
     """Apply sweep to state up to config.max_iters times, tracing each step.
 
-    start is the (trace value, violation norm) pair of the entry state, and
-    sweep(state) returns (next state, trace value, violation norm). The run
-    converges, and stops, at the first sweep that moves the trace value by
-    less than config.epsilon. Returns (final state, ConvergenceTrace)."""
-    objectives, violations = [start[0]], [start[1]]
+    start is the trace value of the entry state, and sweep(state) returns
+    (next state, trace value). The run converges, and stops, at the first
+    sweep that moves the trace value by less than config.epsilon. Returns
+    (final state, ConvergenceTrace)."""
+    objectives = [start]
     converged = False
     for _ in range(config.max_iters):
-        state, value, violation = sweep(state)
+        state, value = sweep(state)
         objectives.append(value)
-        violations.append(violation)
         if abs(objectives[-1] - objectives[-2]) < config.epsilon:
             converged = True
             break
     trace = ConvergenceTrace(
-        objectives=np.array(objectives), violations=np.array(violations),
+        objectives=np.array(objectives),
         iterations_used=len(objectives) - 1, converged=converged,
     )
     return state, trace
@@ -982,12 +971,11 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
             comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
             ctx.weights = adaptive_weights(ctx.weights, comps)
             f, aux = ctx.evaluate(w, p, rho)
-        return (w, p, rho, f, aux), traced(f, aux), ctx.violation_norm(p, aux)
+        return (w, p, rho, f, aux), traced(f, aux)
 
     f, aux = ctx.evaluate(w, p, rho)
-    (w, p, rho, _, _), trace = _iterate(
-        config, sweep, (w, p, rho, f, aux),
-        (traced(f, aux), ctx.violation_norm(p, aux)))
+    (w, p, rho, _, _), trace = _iterate(config, sweep, (w, p, rho, f, aux),
+                                        traced(f, aux))
     solution = ctx.build_solution(w, _project_powers(p, ctx.limits.p_max),
                                   np.clip(rho, 0.0, 1.0))
     return solution, trace
@@ -1035,19 +1023,62 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
 # E-WMMSE
 # =====================================================================
 
-def e_wmmse_receive_filter(h: np.ndarray, v: np.ndarray, interference: float,
-                           sigma_n2: float) -> complex:
-    """Scalar MMSE receive filter u = (h^H v)^* / (|h^H v|^2 + I + sigma_n2)."""
-    num = np.conj(np.vdot(h, v))
-    return complex(num / (np.abs(np.vdot(h, v)) ** 2 + interference + sigma_n2))
+def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray, gram: np.ndarray,
+                   lambda_sensing: float) -> np.ndarray:
+    """One E-WMMSE sweep: the aggregates v_all = sqrt(p) w (row -1 the
+    sensing beam) updated once; gram = h^* h^T.
 
+    The aggregates carry the powers, so rates.stream_rates at unit powers
+    prices both stages of every user from one gain product: the MMSE receive
+    filter of a stage is u = (h^H v)^* / (own + d) and its MSE weight
+    1 / (1 - u h^H v) equals 1 + SINR there (Shi, Razaviyayn, Luo and He,
+    IEEE TSP 2011). Each communication stream j then solves the regularized
+    normal equations (sum_k c_kj h_k h_k^H + mu I) v_j = sum_k b_kj h_k,
+    where c_kj sums omega |u|^2 over user k's stages that hear stream j and
+    b_kj is omega u^* of the stage that decodes it; the G + K systems are
+    one stacked _loaded_solve. The sensing beam then takes a
+    penalty-gradient step toward the echo-SINR floor, and the whole is
+    rescaled into the power budget."""
+    lay, scene, limits = ctx.layout, ctx.scene, ctx.limits
+    unit_powers = np.ones(lay.num_streams)
+    gains = ctx.hc @ v_all.T                       # h_k^H v_s, (K, S)
+    st = stream_rates(np.abs(gains) ** 2, unit_powers, lay, ctx.sigma_n2)
+    # rows: the common, then the private stage of every user
+    own = (lay.stages[::3] * gains).sum(axis=-1)   # own-stream gains
+    u = own.conj() / (np.stack((st["own_c"], st["own_p"]))
+                      + np.stack((st["d_c"], st["d_p"])))
+    om = 1.0 + np.stack((st["gam_c"], st["gam_p"]))
+    weight = om * np.abs(u) ** 2
+    mu = max(ctx.sigma_n2 * float(weight.sum()) / limits.p_max,
+             ctx.sigma_n2 / limits.p_max)
+    # one system per communication stream j (the probe's row is not
+    # solved): user k's common stage hears every stream, its private stage
+    # its interference and its own private
+    coefs = weight[0] + weight[1] * (lay.stages[2] + lay.stages[3]).T[:-1]
+    desire = om * u.conj()
+    rhs = lay.stages[0].T[:-1] * desire[0] + lay.stages[3].T[:-1] * desire[1]
+    new_v = v_all.copy()
+    new_v[:-1] = _loaded_solve(ctx.h, gram, coefs, mu, rhs[..., None])[:, 0]
 
-def e_wmmse_mse_weight(u: complex, h: np.ndarray, v: np.ndarray) -> float:
-    """MSE weight omega = 1 / (1 - u h^H v); real and >= 1 at the MMSE point."""
-    mse = 1.0 - np.real(u * np.vdot(h, v))
-    if mse <= 0.0:
-        raise RuntimeError(f"nonpositive MSE {mse:.3g} in weight update")
-    return float(1.0 / mse)
+    # sensing beam: penalty-gradient step toward the SINR floor
+    if ctx.num_targets and ctx.gamma_min > 0.0:
+        # the aggregates carry the powers, so every stream weighs one
+        va = scene.steer_c @ new_v.T
+        beam_sum, d_l, gam = echo_sinrs(np.abs(va) ** 2, unit_powers,
+                                        scene, ctx.sigma_s2)
+        short = np.maximum(0.0, ctx.gamma_min - gam)
+        if short.any():
+            coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
+                * 2.0 * beam_sum
+            grad_s = (coef * va[:, -1]) @ scene.steer
+            step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
+                                                         1e-300)
+            new_v[-1] = new_v[-1] + step * grad_s
+
+    total = float(np.sum(np.abs(new_v) ** 2))
+    if total > limits.p_max:
+        new_v *= np.sqrt(limits.p_max / total)
+    return new_v
 
 
 def run_e_wmmse(channels, targets, geom: ArrayGeometry,
@@ -1058,94 +1089,34 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
                 instance: SolveInstance | None = None):
     """Extended WMMSE with SIC-aware MSE stages and a sensing penalty.
 
-    Each iteration: closed-form receive filters and MSE weights per (user,
-    stage), per-stream regularized normal equations over the aggregate
-    beamformers v = sqrt(p) w, a penalty-gradient step on the sensing beam
-    when the echo SINR falls short of the detection threshold, and a budget
-    rescale. The trace objective is sum rate minus the sensing penalty.
-    It starts from the init_hao_sca start of instance (see run_hao_sca).
+    Each iteration is one _e_wmmse_sweep of the aggregate beamformers
+    v = sqrt(p) w: the MMSE filters and weights of every (user, stage) read
+    off one stage pricing, one stacked solve for all communication beams, a
+    penalty-gradient step on the sensing beam when the echo SINR falls
+    short of the detection threshold, and a budget rescale. The trace
+    objective is sum rate minus the sensing penalty. It starts from the
+    init_hao_sca start of instance (see run_hao_sca).
     """
     config = config or OptimizerConfig()
     instance = ensure_instance(instance, channels, targets, geom, num_groups,
                                limits.p_max, sigma_n2)
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
-    h = ctx.h
-    g_n, k_n = ctx.num_groups, ctx.k_total
     w, p, rho = ctx.split_solution(instance.start)
-    delta = sigma_n2 / limits.p_max
-    gram = ctx.hc @ h.T                         # h_i^H h_j, (K, K)
-
-    # which streams each private MSE stage hears (interferes or is desired),
-    # as a mask and as each user's indices: a row gather by the indices
-    # keeps the interpreter lock, where a boolean mask hands it away
-    hear_p = ctx.layout.stages[2:].any(axis=0)
-    heard = [np.flatnonzero(row) for row in hear_p]
-    scene = ctx.scene
-    unit_powers = np.ones(ctx.layout.num_streams)
+    gram = ctx.hc @ ctx.h.T                     # h_i^H h_j, (K, K)
 
     def traced(v_cur):
-        """(trace value, violation norm) at the aggregates v_cur: the sum
-        rate less the sensing penalty."""
+        """The trace value at the aggregates v_cur: the sum rate less the
+        sensing penalty."""
         p_cur = np.linalg.norm(v_cur, axis=1) ** 2
         _, aux = ctx.evaluate(_normalize_rows(v_cur, w), p_cur, rho)
         short = np.maximum(0.0, ctx.gamma_min - aux["gam_l"])
-        return (aux["rate_sum"] - lambda_sensing * float(short @ short),
-                ctx.violation_norm(p_cur, aux))
+        return aux["rate_sum"] - lambda_sensing * float(short @ short)
 
     def sweep(v_all):
-        inner = ctx.hc @ v_all.T                   # (K, S)
-        pow_rx = np.abs(inner) ** 2
+        v_all = _e_wmmse_sweep(ctx, v_all, gram, lambda_sensing)
+        return v_all, traced(v_all)
 
-        u = np.zeros((k_n, 2), dtype=complex)      # columns: common, private
-        om = np.ones((k_n, 2))
-        for k in range(k_n):
-            des_c = ctx.layout.assign[k]
-            i_c = float(pow_rx[k].sum() - pow_rx[k, des_c])
-            u[k, 0] = e_wmmse_receive_filter(h[k], v_all[des_c], i_c, sigma_n2)
-            om[k, 0] = e_wmmse_mse_weight(u[k, 0], h[k], v_all[des_c])
-            des_p = g_n + k
-            i_p = float(pow_rx[k][heard[k]].sum() - pow_rx[k, des_p])
-            u[k, 1] = e_wmmse_receive_filter(h[k], v_all[des_p], i_p, sigma_n2)
-            om[k, 1] = e_wmmse_mse_weight(u[k, 1], h[k], v_all[des_p])
-
-        mu = max(sigma_n2 * float(np.sum(om * np.abs(u) ** 2)) / limits.p_max, delta)
-        weights_ku = om * np.abs(u) ** 2           # (K, 2)
-        new_v = v_all.copy()
-        for j in range(g_n + k_n):
-            if j < g_n:
-                desire = [(k, 0) for k in ctx.layout.members[j]]
-            else:
-                desire = [(j - g_n, 1)]
-            # every user hears stream j at its common stage
-            coefs = weights_ku[:, 0] + weights_ku[:, 1] * hear_p[:, j]
-            # (sum_k coefs_k h_k h_k^H + mu I)^-1 sum_desire om u^* h_k
-            x = np.zeros((k_n, 1), dtype=complex)
-            for (k, stage) in desire:
-                x[k, 0] += om[k, stage] * np.conj(u[k, stage])
-            new_v[j] = _loaded_solve(h, gram, coefs, mu, x)[0]
-
-        # sensing beam: penalty-gradient step toward the SINR floor
-        if ctx.num_targets and ctx.gamma_min > 0.0:
-            # the aggregates carry the powers, so every stream weighs one
-            va = scene.steer_c @ new_v.T
-            beam_sum, d_l, gam = echo_sinrs(np.abs(va) ** 2, unit_powers,
-                                            scene, sigma_s2)
-            short = np.maximum(0.0, ctx.gamma_min - gam)
-            if short.any():
-                coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
-                    * 2.0 * beam_sum
-                grad_s = (coef * va[:, -1]) @ scene.steer
-                step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
-                                                             1e-300)
-                new_v[-1] = new_v[-1] + step * grad_s
-
-        total = float(np.sum(np.abs(new_v) ** 2))
-        if total > limits.p_max:
-            new_v *= np.sqrt(limits.p_max / total)
-        return (new_v, *traced(new_v))
-
-    # aggregates v = sqrt(p) w; row -1 is the sensing beam
     v_all = np.sqrt(p)[:, None] * w
     v_all, trace = _iterate(config, sweep, v_all, traced(v_all))
     p_fin = np.linalg.norm(v_all, axis=1) ** 2

@@ -307,14 +307,6 @@ class RateBreakdown:
     def sum_rate(self) -> float:
         return float(self.total_rate.sum())
 
-    def to_record(self) -> dict:
-        """Flat per-user fields for the result-record schema."""
-        out = {}
-        for k in range(len(self.total_rate)):
-            out[f"rate_user_{k}"] = float(self.total_rate[k])
-        out["sum_rate"] = self.sum_rate
-        return out
-
 
 def rate_breakdown(solution: RsNomaSolution, channels: np.ndarray,
                    sigma_n2: float) -> RateBreakdown:

@@ -8,7 +8,8 @@ transmit covariance and echo matrices with the traces taken directly, and
 the objective components one scalar at a time, so the tests compare the
 kernel against computations it does not share. The paper's closed-form
 rails that the pipeline does not run, and the block-by-block and
-search-based solver steps that the package replaced, live here too, as do
+search-based solver steps that the package replaced, and the per-user
+filters and per-stream solves of the E-WMMSE sweep, live here too, as do
 the gather forms of the stream pricing and gradients that the product
 tables of rates.StreamLayout replaced, the field-by-field record codec that
 the one-pass template and regex of holo_isac.records replaced, and the
@@ -572,6 +573,88 @@ def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
             if fb > best_f:
                 best_rho, best_f, best_aux, best_shares = candb, fb, auxb, sharesb
     return best_rho, best_f, best_aux
+
+
+# =====================================================================
+# E-WMMSE, one user and one stream at a time
+# =====================================================================
+
+def e_wmmse_receive_filter(h, v, interference, sigma_n2) -> complex:
+    """Scalar MMSE receive filter u = (h^H v)^* / (|h^H v|^2 + I + sigma_n2)."""
+    num = np.conj(np.vdot(h, v))
+    return complex(num / (np.abs(np.vdot(h, v)) ** 2 + interference + sigma_n2))
+
+
+def e_wmmse_mse_weight(u, h, v) -> float:
+    """MSE weight omega = 1 / (1 - u h^H v); real and >= 1 at the MMSE point."""
+    mse = 1.0 - np.real(u * np.vdot(h, v))
+    if mse <= 0.0:
+        raise RuntimeError(f"nonpositive MSE {mse:.3g} in weight update")
+    return float(1.0 / mse)
+
+
+def loop_e_wmmse_sweep(ctx, v_all, gram, lambda_sensing):
+    """One sweep of optimizers._e_wmmse_sweep made user by user and stream
+    by stream: each stage's interference as the total received power less
+    the own term, its filter and weight from the two scalar helpers above,
+    and one _loaded_solve per communication stream."""
+    from holo_isac.geometry import vector_norm
+    from holo_isac.optimizers import _loaded_solve
+    from holo_isac.sensing import echo_sinrs
+
+    h, lay, scene = ctx.h, ctx.layout, ctx.scene
+    g_n, k_n = ctx.num_groups, ctx.k_total
+    sigma_n2, p_max = ctx.sigma_n2, ctx.limits.p_max
+    hear_p = lay.stages[2:].any(axis=0)
+    heard = [np.flatnonzero(row) for row in hear_p]
+    pow_rx = np.abs(ctx.hc @ v_all.T) ** 2
+
+    u = np.zeros((k_n, 2), dtype=complex)      # columns: common, private
+    om = np.ones((k_n, 2))
+    for k in range(k_n):
+        des_c = lay.assign[k]
+        i_c = float(pow_rx[k].sum() - pow_rx[k, des_c])
+        u[k, 0] = e_wmmse_receive_filter(h[k], v_all[des_c], i_c, sigma_n2)
+        om[k, 0] = e_wmmse_mse_weight(u[k, 0], h[k], v_all[des_c])
+        des_p = g_n + k
+        i_p = float(pow_rx[k][heard[k]].sum() - pow_rx[k, des_p])
+        u[k, 1] = e_wmmse_receive_filter(h[k], v_all[des_p], i_p, sigma_n2)
+        om[k, 1] = e_wmmse_mse_weight(u[k, 1], h[k], v_all[des_p])
+
+    mu = max(sigma_n2 * float(np.sum(om * np.abs(u) ** 2)) / p_max,
+             sigma_n2 / p_max)
+    weights_ku = om * np.abs(u) ** 2
+    new_v = v_all.copy()
+    for j in range(g_n + k_n):
+        if j < g_n:
+            desire = [(k, 0) for k in lay.members[j]]
+        else:
+            desire = [(j - g_n, 1)]
+        # every user hears stream j at its common stage
+        coefs = weights_ku[:, 0] + weights_ku[:, 1] * hear_p[:, j]
+        x = np.zeros((k_n, 1), dtype=complex)
+        for (k, stage) in desire:
+            x[k, 0] += om[k, stage] * np.conj(u[k, stage])
+        new_v[j] = _loaded_solve(h, gram, coefs, mu, x)[0]
+
+    if ctx.num_targets and ctx.gamma_min > 0.0:
+        va = scene.steer_c @ new_v.T
+        beam_sum, d_l, gam = echo_sinrs(np.abs(va) ** 2,
+                                        np.ones(lay.num_streams), scene,
+                                        ctx.sigma_s2)
+        short = np.maximum(0.0, ctx.gamma_min - gam)
+        if short.any():
+            coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
+                * 2.0 * beam_sum
+            grad_s = (coef * va[:, -1]) @ scene.steer
+            step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
+                                                         1e-300)
+            new_v[-1] = new_v[-1] + step * grad_s
+
+    total = float(np.sum(np.abs(new_v) ** 2))
+    if total > p_max:
+        new_v *= np.sqrt(p_max / total)
+    return new_v
 
 
 # =====================================================================

@@ -1,5 +1,6 @@
 import math
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +14,7 @@ from holo_isac.config import (
     preset_config,
     watts_to_dbm,
 )
+from holo_isac.objective import ObjectiveWeights, QosLimits
 from holo_isac.optimizers import OptimizerConfig
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "desk_small.cfg"
@@ -123,6 +125,39 @@ def test_optimizer_section_checked_in_one_place(field, value):
     cfg = ScenarioConfig()
     setattr(cfg.optimizer, field, value)
     with pytest.raises(ValueError, match=f"optimizer\\.{field}"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_min", -1.0), ("r_min", math.nan), ("p_d_min", 1.0),
+    ("p_d_min", math.nan), ("crlb_max", 0.0), ("crlb_max", math.nan),
+    ("p_fa", 0.0),
+])
+def test_limit_section_checked_in_one_place(field, value):
+    # library callers get the same checks as config files
+    with pytest.raises(ValueError, match=field):
+        QosLimits(p_max=1.0, **{field: value})
+    cfg = ScenarioConfig()
+    setattr(cfg.limits, field, value)
+    with pytest.raises(ValueError, match=f"limits\\.{field}"):
+        cfg.validate()
+
+
+def test_budget_and_weights_checked_by_the_library_objects():
+    for p_max in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="p_max"):
+            QosLimits(p_max=p_max)
+    QosLimits(p_max=1.0, crlb_max=math.inf)
+    for bad in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="alpha"):
+            ObjectiveWeights(bad, 0.2, 0.1, 0.1)
+    cfg = ScenarioConfig()
+    cfg.weights.alpha2 = -0.2
+    with pytest.raises(ValueError, match="weights\\.alpha"):
+        cfg.validate()
+    cfg.weights = replace(cfg.weights, alpha1=0.0, alpha2=0.0, alpha3=0.0,
+                          alpha4=0.0)
+    with pytest.raises(ValueError, match="weights\\.alpha.*positive sum"):
         cfg.validate()
 
 

@@ -22,8 +22,6 @@ from holo_isac.optimizers import (
     adaptive_weights,
     _EvalContext,
     _loaded_solve,
-    e_wmmse_mse_weight,
-    e_wmmse_receive_filter,
     init_hao_sca,
     run_e_wmmse,
     run_fp,
@@ -33,11 +31,12 @@ from holo_isac.optimizers import (
 from holo_isac.rates import (Grouping, RsNomaSolution, rate_breakdown,
                              stream_rates)
 from holo_isac.sensing import SensingScene
-from oracles import (GatherTables, gather_beam_coefficients,
+from oracles import (GatherTables, e_wmmse_mse_weight,
+                     e_wmmse_receive_filter, gather_beam_coefficients,
                      gather_group_sums, gather_power_gradient_rates,
                      gather_stream_rates, golden_rho_block,
-                     m_space_beam_gradient, sequential_beam_block,
-                     sequential_power_block)
+                     loop_e_wmmse_sweep, m_space_beam_gradient,
+                     sequential_beam_block, sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -77,11 +76,11 @@ def test_optimizer_config_validation():
 
 
 def test_trace_monotone_property():
-    up = ConvergenceTrace(np.array([1.0, 2.0, 3.0]), np.zeros(3), 2, True)
+    up = ConvergenceTrace(np.array([1.0, 2.0, 3.0]), 2, True)
     assert up.monotone
-    dip = ConvergenceTrace(np.array([1.0, 2.0, 1.5]), np.zeros(3), 2, True)
+    dip = ConvergenceTrace(np.array([1.0, 2.0, 1.5]), 2, True)
     assert not dip.monotone
-    jitter = ConvergenceTrace(np.array([1.0, 1.0 - 5e-10]), np.zeros(2), 1, True)
+    jitter = ConvergenceTrace(np.array([1.0, 1.0 - 5e-10]), 1, True)
     assert jitter.monotone
 
 
@@ -186,6 +185,12 @@ def test_loaded_solve_push_through_matches_the_dense_system():
         gram = h.conj() @ h.T
         assert np.allclose(_loaded_solve(h, gram, coefs, 0.3, x), ref,
                            rtol=1e-12, atol=1e-12)
+        # stacked systems: each the lone system's solve
+        stack = _loaded_solve(h, gram, np.stack((coefs, 2.0 * coefs)), 0.3,
+                              np.stack((x, x[::-1])))
+        for got, c, b in zip(stack, (coefs, 2.0 * coefs), (x, x[::-1])):
+            assert np.allclose(got, _loaded_solve(h, gram, c, 0.3, b),
+                               rtol=1e-12, atol=1e-12)
 
 
 # =====================================================================
@@ -301,10 +306,11 @@ def short_desk_tiny(mx=4, my=4, num_targets=2):
 
 
 @functools.cache
-def block_entries(block):
+def block_entries(block, algorithms=("hao_sca", "fp")):
     """Every entry of the block optimizers.<block>, as (ctx, *arguments), in
-    short hao_sca (all three legs, the conventional-NOMA one included) and
-    fp solves on impaired desk_tiny and desk_small draws with CSI error, on
+    short solves of algorithms (by default hao_sca, all three legs, the
+    conventional-NOMA one included, and fp) on impaired desk_tiny and
+    desk_small draws with CSI error, on
     one paper_full draw (M = 1024) with CSI error at one sweep, and on three
     edge cases of the span coordinates (see edge_case): a 2-element array
     with 4 users and 2 targets (K + L > M), a desk_tiny draw whose user 1
@@ -316,9 +322,10 @@ def block_entries(block):
     entries = []
     real = getattr(optimizers, block)
 
-    def record(ctx, w, p, rho, f0, aux0, *rest):
-        entries.append((ctx, w.copy(), p.copy(), rho.copy(), f0, aux0, *rest))
-        return real(ctx, w, p, rho, f0, aux0, *rest)
+    def record(ctx, *args):
+        entries.append((ctx, *(a.copy() if isinstance(a, np.ndarray) else a
+                               for a in args)))
+        return real(ctx, *args)
 
     # each draw: (config to draw with, seed, edit of the drawn channels or
     # None, config to solve with)
@@ -349,7 +356,7 @@ def block_entries(block):
             channels = data.channels_est
             if edit is not None:
                 channels = edit(channels)
-            for algorithm in ("hao_sca", "fp"):
+            for algorithm in algorithms:
                 solve_instance(algorithm, channels, data.targets, solve_cfg)
     return entries
 
@@ -949,6 +956,65 @@ def test_e_wmmse_filter_hand_values():
         e_wmmse_mse_weight(1.0, h, v)  # u h^H v = 2 -> negative MSE
 
 
+def detection_floor_entries():
+    """_e_wmmse_sweep entries of a desk_tiny e_wmmse solve with an active
+    detection floor (p_d_min > p_fa), so the sensing step runs."""
+    cfg = short_desk_tiny()
+    cfg.limits.p_d_min = 0.99
+    cfg.powers.sigma_s_dbm = -40.0
+    data = generate_trial_data(cfg, np.random.default_rng(5))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = calls_to(patch, optimizers, "_e_wmmse_sweep")
+        solve_instance("e_wmmse", data.channels_est, data.targets, cfg)
+    # a sweep writes nothing it is given
+    return [args for args, _ in calls]
+
+
+def solved_systems(sweep, *args) -> tuple:
+    """(result, coefs, mu, x, calls) of one sweep: its aggregates, the
+    coefficients, loading and right-hand sides of every system it hands
+    _loaded_solve, one row per system, and the number of calls."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = calls_to(patch, optimizers, "_loaded_solve")
+        out = sweep(*args)
+    coefs = np.vstack([np.atleast_2d(c) for (_, _, c, _, _), _ in calls])
+    x = np.vstack([np.reshape(b, (-1, b.shape[-2])) for (*_, b), _ in calls])
+    mu = np.array([m for (_, _, _, m, _), _ in calls])
+    return out, coefs, mu, x, len(calls)
+
+
+def test_one_e_wmmse_sweep_matches_the_per_user_loop():
+    """The stacked sweep builds the systems of the per-user filter and
+    weight loop with one solve per stream, in one solve, to 1e-12, and
+    gives its aggregates to 1e-12 of each row's norm. Where the channels
+    are rank-deficient (more users than antennas, a duplicated user) the
+    K x K push-through solve is so ill-conditioned that a 1e-15 nudge of
+    its input moves the loop's own aggregates by up to 3e-2, so there only
+    the systems are compared."""
+    entries = block_entries("_e_wmmse_sweep", ("e_wmmse",))
+    cases = {edge_case(ctx) for ctx, *_ in entries}
+    assert cases == {None, "wide", "duplicate", "no_targets"}
+    assert {ctx.m_total for ctx, *_ in entries} >= {16, 64, 1024}
+    sensed = 0
+    for ctx, v_all, gram, lambda_sensing in entries + detection_floor_entries():
+        args = (ctx, v_all, gram, lambda_sensing)
+        got, coefs, mu, x, calls = solved_systems(optimizers._e_wmmse_sweep,
+                                                  *args)
+        want, coefs0, mu0, x0, _ = solved_systems(loop_e_wmmse_sweep, *args)
+        assert calls == 1 and len(coefs0) == len(v_all) - 1
+        assert np.all(np.abs(coefs - coefs0) <= 1e-12 * coefs0)
+        assert np.all(np.abs(mu - mu0) <= 1e-12 * mu0)
+        assert np.all(np.abs(x - x0) <= 1e-12 * np.abs(x0).max(axis=1)[:, None])
+        scale = np.linalg.norm(want, axis=1)
+        if np.linalg.matrix_rank(ctx.h) == ctx.k_total:
+            assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)
+        # the sensing step turns the probe; the budget rescale only scales it
+        cos = abs(np.vdot(v_all[-1], got[-1])) / (np.linalg.norm(got[-1])
+                                                  * np.linalg.norm(v_all[-1]))
+        sensed += cos < 1.0 - 1e-9
+    assert sensed >= 1
+
+
 def test_e_wmmse_runs_within_budget():
     channels, targets, geom, weights, limits = build_problem(seed=51)
     cfg = OptimizerConfig(max_iters=12, epsilon=1e-8)
@@ -1025,6 +1091,39 @@ def test_fp_private_only_and_monotone(limits):
 # =====================================================================
 # Adaptive weights
 # =====================================================================
+
+def adaptive_pair(solver):
+    """solver's results on a desk_tiny draw with adaptive weights off and
+    on, and the draw's power budget."""
+    cfg = preset_config("desk_tiny")
+    data = generate_trial_data(cfg, np.random.default_rng(3))
+    args = (data.channels_est, data.targets, cfg.array_geometry(),
+            cfg.objective_weights(), cfg.qos_limits(), cfg.sigma_n2_watts,
+            cfg.sigma_s2_watts)
+    off = cfg.optimizer_config()
+    return [solver(*args, replace(off, adaptive_weights=flag),
+                   num_groups=cfg.population.num_groups)
+            for flag in (False, True)], cfg.p_max_watts
+
+
+def test_a_hao_sca_solve_with_adaptive_weights_stays_feasible_and_moves():
+    ((sol_off, trace_off), (sol_on, trace_on)), p_max = \
+        adaptive_pair(run_hao_sca)
+    assert np.allclose(np.linalg.norm(sol_on.stacked_beams(), axis=1), 1.0,
+                       atol=1e-12)
+    assert sol_on.total_power() <= p_max * (1.0 + 1e-12)
+    assert np.all(np.isfinite(trace_on.objectives))
+    assert not np.array_equal(trace_on.objectives, trace_off.objectives)
+    assert not np.array_equal(sol_on.stacked_beams(), sol_off.stacked_beams())
+
+
+def test_fp_ignores_adaptive_weights():
+    ((sol_off, trace_off), (sol_on, trace_on)), _ = adaptive_pair(run_fp)
+    assert sol_on.stacked_beams().tobytes() == sol_off.stacked_beams().tobytes()
+    assert sol_on.stacked_powers().tobytes() == \
+        sol_off.stacked_powers().tobytes()
+    assert trace_on.objectives.tobytes() == trace_off.objectives.tobytes()
+
 
 def test_adaptive_weights_balance():
     w = ObjectiveWeights(0.25, 0.25, 0.25, 0.25)
