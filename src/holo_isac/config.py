@@ -30,7 +30,12 @@ INF_MEANS_DISABLED = ("limits.crlb_max", "impairments.irr_db")
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Watts of a dBm value; +inf above about 3,100 dBm, where a float
+    overflows (validate rejects such a value by its key)."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def watts_to_dbm(watts: float) -> float:
@@ -200,6 +205,11 @@ class ScenarioConfig:
             raise ValueError("channel.num_paths must be at least 1")
         if not 0.0 <= c.rho_c <= 1.0:
             raise ValueError("channel.rho_c must lie in [0, 1]")
+        for f in fields(self.powers):
+            dbm = getattr(self.powers, f.name)
+            if not 0.0 < dbm_to_watts(dbm) < math.inf:
+                raise ValueError(f"powers.{f.name} = {dbm} dBm gives no "
+                                 f"finite power above 0 W")
         imp = self.impairments
         if abs(imp.coupling_kappa) >= 0.5:
             raise ValueError("impairments.coupling_kappa magnitude must be < 0.5")

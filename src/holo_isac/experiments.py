@@ -14,6 +14,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -37,6 +39,17 @@ from .optimizers import (SolveInstance, ensure_instance, run_e_wmmse, run_fp,
 from .sensing import SensingScene
 
 SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
+
+# The interpreter's forced switch interval while a thread pool runs. At the
+# default 5 ms, each forced hand-off of the interpreter lock moved the running
+# task to the other core. On a 2-core host with BLAS on one thread, one
+# 2-thread round of the benchmark's tiny_impaired_sweep input (72 impaired
+# desk_tiny tasks, all four algorithms) made 8.7-9.0 k voluntary context
+# switches and took 13.3-15.6 s at 5 ms, and made 2.1-2.3 k and took
+# 10.3-12.2 s at 50 ms; 20, 50 and 100 ms gave the same gain within noise.
+# The lock releases inside BLAS, QR and large ufuncs, which let two
+# paper_full trials overlap, are not forced and do not change.
+POOL_SWITCH_INTERVAL_S = 0.05
 
 
 # =====================================================================
@@ -409,11 +422,51 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
     return [rows[algorithm] for algorithm in plan.algorithms]
 
 
+class _PoolSwitchInterval:
+    """Context manager that holds sys.setswitchinterval at least
+    POOL_SWITCH_INTERVAL_S while any thread pool runs. The interval is
+    process-wide, so overlapping pools share one count: the first to enter
+    saves the caller's interval, and the last to leave, normally or by an
+    exception, puts it back. A caller's longer interval is never lowered."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._active == 0:
+                self._saved = sys.getswitchinterval()
+                if self._saved < POOL_SWITCH_INTERVAL_S:
+                    sys.setswitchinterval(POOL_SWITCH_INTERVAL_S)
+            self._active += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._active -= 1
+            if self._active == 0 and self._saved < POOL_SWITCH_INTERVAL_S:
+                # the interpreter keeps whole microseconds n and reads back
+                # 1e-6 * n, which setswitchinterval can truncate to n - 1;
+                # half a microsecond more puts back n exactly
+                sys.setswitchinterval(self._saved + 0.5e-6)
+
+
+_pool_switch_interval = _PoolSwitchInterval()
+
+
 def run_experiment(plan: ExperimentPlan, threads: int = 1) -> list[TrialResult]:
     """Execute the plan; rows come back canonically sorted.
 
     Each (sweep point, trial) pair is an independent work unit with its own
     RNG stream, so the result list is identical for any thread count.
+
+    With threads > 1 the tasks run on a thread pool, and while it runs the
+    interpreter's switch interval (sys.setswitchinterval), which is
+    process-wide, is at least POOL_SWITCH_INTERVAL_S, so a worker holds the
+    interpreter lock in longer slices instead of handing the running task to
+    another core every 5 ms. The caller's interval is back when the call
+    returns or raises. One thread leaves the interval alone.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -425,7 +478,8 @@ def run_experiment(plan: ExperimentPlan, threads: int = 1) -> list[TrialResult]:
     if threads == 1:
         batches = [_run_task(plan, *task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with _pool_switch_interval, \
+                ThreadPoolExecutor(max_workers=threads) as pool:
             batches = list(pool.map(lambda t: _run_task(plan, *t), tasks))
     results = [row for batch in batches for row in batch]
     results.sort(key=TrialResult.sort_key)

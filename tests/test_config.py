@@ -114,6 +114,15 @@ def test_parse_text_rejects_non_finite_numbers(line):
         parse_config_text(line + "\n")
 
 
+@pytest.mark.parametrize("key", ["p_max_dbm", "sigma_n_dbm", "sigma_s_dbm"])
+@pytest.mark.parametrize("dbm", [4000.0, -4000.0])
+def test_powers_out_of_watt_range_rejected_by_key(key, dbm):
+    # +4000 dBm overflows a float and -4000 dBm underflows to 0 W
+    assert dbm_to_watts(dbm) in (math.inf, 0.0)
+    with pytest.raises(ValueError, match=f"powers\\.{key}"):
+        parse_config_text(f"powers.{key} = {dbm}\n")
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_backtracks", 0), ("qos_penalty", -1.0), ("max_iters", 0),
     ("backtrack", 1.0),

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import holo_isac.optimizers as optimizers
 from holo_isac.config import ALGORITHM_NAMES as ALGORITHMS
 from holo_isac.config import preset_config
 from holo_isac.impairments import coupling_matrix, effective_channel
-from holo_isac.records import format_record
+from holo_isac.records import format_record, write_records
 from holo_isac.experiments import (
     ExperimentPlan,
     TrialResult,
@@ -250,6 +252,130 @@ def test_run_experiment_thread_invariance():
     assert serial == threaded
     with pytest.raises(ValueError):
         run_experiment(plan, threads=0)
+
+
+def test_impaired_sweep_records_identical_across_thread_counts(tmp_path):
+    # the benchmark's path: all four algorithms, impairments, a csi_eps sweep
+    plan = make_plan(impaired_config(algorithms=ALGORITHMS),
+                     sweep_axis="csi_eps", sweep_values=(0.0, 0.1))
+    written = []
+    for threads in (1, 2):
+        rows = run_experiment(plan, threads=threads)
+        assert len(rows) == 2 * 2 * 4 and not any(r.failed for r in rows)
+        path = tmp_path / f"threads{threads}.records"
+        write_records(rows, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+# =====================================================================
+# Switch interval while a thread pool runs
+# =====================================================================
+
+def microseconds(interval):
+    """The interpreter keeps the switch interval in whole microseconds."""
+    return round(interval * 1e6)
+
+
+@pytest.fixture
+def caller_interval():
+    """Sets a caller's switch interval of 5 ms and restores the one before."""
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(0.005)
+    try:
+        yield sys.getswitchinterval()
+    finally:
+        sys.setswitchinterval(before)
+
+
+@pytest.fixture
+def seen_intervals(monkeypatch):
+    """Replaces each task by one that records the switch interval it sees."""
+    seen = []
+
+    def record(plan, sweep_index, sweep_value, trial_index):
+        seen.append(sys.getswitchinterval())
+        return []
+
+    monkeypatch.setattr(experiments, "_run_task", record)
+    return seen
+
+
+def test_pool_holds_long_switch_slices_and_restores_the_callers(
+        caller_interval, seen_intervals):
+    plan = make_plan(tiny_config(trials=4))
+    assert run_experiment(plan, threads=2) == []
+    assert len(seen_intervals) == 4
+    assert min(microseconds(x) for x in seen_intervals) >= 50_000
+    assert sys.getswitchinterval() == caller_interval
+    # one thread leaves the interval alone
+    seen_intervals.clear()
+    run_experiment(plan, threads=1)
+    assert seen_intervals == [caller_interval] * 4
+    assert sys.getswitchinterval() == caller_interval
+
+
+def test_pool_restores_the_exact_interval(caller_interval, seen_intervals):
+    # 1001 us, which setswitchinterval(getswitchinterval()) lowers to 1000 us
+    sys.setswitchinterval(0.0010015)
+    caller = sys.getswitchinterval()
+    assert microseconds(caller) == 1001
+    run_experiment(make_plan(tiny_config(trials=2)), threads=2)
+    assert sys.getswitchinterval() == caller
+
+
+def test_pool_keeps_a_longer_interval(caller_interval, seen_intervals):
+    sys.setswitchinterval(0.2)
+    caller = sys.getswitchinterval()
+    run_experiment(make_plan(tiny_config(trials=2)), threads=2)
+    assert seen_intervals == [caller] * 2
+    assert sys.getswitchinterval() == caller
+
+
+def test_pool_restores_the_callers_interval_when_a_task_raises(
+        caller_interval, monkeypatch):
+    def blow_up(plan, sweep_index, sweep_value, trial_index):
+        raise RuntimeError("synthetic task failure")
+
+    monkeypatch.setattr(experiments, "_run_task", blow_up)
+    with pytest.raises(RuntimeError, match="synthetic"):
+        run_experiment(make_plan(tiny_config(trials=2)), threads=2)
+    assert sys.getswitchinterval() == caller_interval
+
+
+def test_overlapping_pools_restore_the_callers_interval_once_both_end(
+        caller_interval, monkeypatch):
+    # every task of both runs meets at the barrier, so the two pools overlap;
+    # run 2's tasks then wait until run 1 has returned
+    met = threading.Barrier(4, timeout=30)
+    first_done = threading.Event()
+    late = []
+
+    def task(plan, sweep_index, sweep_value, trial_index):
+        met.wait()
+        if plan.master_seed == 2:
+            assert first_done.wait(timeout=30)
+            late.append(sys.getswitchinterval())
+        return []
+
+    monkeypatch.setattr(experiments, "_run_task", task)
+    cfg = tiny_config(trials=2)
+
+    def run(seed):
+        run_experiment(make_plan(cfg, master_seed=seed), threads=2)
+        if seed == 1:
+            first_done.set()
+
+    runs = [threading.Thread(target=run, args=(seed,)) for seed in (1, 2)]
+    for t in runs:
+        t.start()
+    for t in runs:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in runs)
+    # the first run's end left the second's slices in place
+    assert len(late) == 2
+    assert min(microseconds(x) for x in late) >= 50_000
+    assert sys.getswitchinterval() == caller_interval
 
 
 def test_run_experiment_survives_solver_failure(monkeypatch):
