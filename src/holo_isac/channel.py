@@ -90,46 +90,70 @@ class PathSampler:
             raise ValueError(f"empty range interval [{lo}, {hi}]")
         return lo, hi
 
-    def draw_paths(self, geom: ArrayGeometry, rng: np.random.Generator) -> list:
-        """Draw num_paths PathComponents with uniform 1/P power fractions."""
-        r_lo, r_hi = self.range_bounds(geom)
-        out = []
-        for _ in range(self.num_paths):
-            theta = rng.uniform(self.theta_lo, self.theta_hi)
-            phi = rng.uniform(self.phi_lo, self.phi_hi)
-            r = rng.uniform(r_lo, r_hi)
-            out.append(PathComponent(theta, phi, r, 1.0 / self.num_paths))
-        return out
-
 
 def free_space_beta(geom: ArrayGeometry, r: float) -> float:
     """Free-space-like large-scale gain (wavelength / (4 pi r))^2."""
     return (geom.wavelength / (4.0 * np.pi * r)) ** 2
 
 
+def draw_channels(geom: ArrayGeometry, rng: np.random.Generator,
+                  num_users: int, sampler: PathSampler | None = None,
+                  beta: float | None = None) -> tuple:
+    """Draw num_users multipath channels, h = sqrt(beta) sum_p alpha_p a(path_p).
+
+    Path gains alpha_p are complex Gaussian with variance 1/P, so
+    E||h||^2 = beta * E||a||^2 under the sampler; beta defaults to each
+    user's free-space value at its first path's range. The stream is read
+    user by user (paths, then path gains), so each row is bit for bit its
+    user's channel drawn alone. The responses come from one broadcast
+    array_response call per chunk of max(1, num_users // P) users, which
+    keeps every temporary within the (num_users, M) result once
+    num_users >= P, and h is summed path by path over all users at once.
+
+    Returns:
+        (h, coords, beta): the (num_users, M) channels, each path's
+        (theta, phi, r) in a (num_users, P, 3) array, and each user's beta.
+    """
+    sampler = sampler or PathSampler()
+    num_paths = sampler.num_paths
+    r_lo, r_hi = sampler.range_bounds(geom)
+    lo = (sampler.theta_lo, sampler.phi_lo, r_lo)
+    hi = (sampler.theta_hi, sampler.phi_hi, r_hi)
+    coords = np.empty((num_users, num_paths, 3))
+    normals = np.empty((num_users, num_paths, 2))
+    for i in range(num_users):
+        coords[i] = rng.uniform(lo, hi, (num_paths, 3))
+        normals[i] = rng.standard_normal((num_paths, 2))
+    if beta is None:
+        beta = [free_space_beta(geom, r) for r in coords[:, 0, 2].tolist()]
+    else:
+        beta = [beta] * num_users
+    alpha = (normals[..., 0] + 1j * normals[..., 1]) \
+        * np.sqrt(1.0 / num_paths / 2.0)
+    h = np.zeros((num_users, geom.m_total), dtype=complex)
+    chunk = max(1, num_users // num_paths)
+    for start in range(0, num_users, chunk):
+        rows = slice(start, start + chunk)
+        responses = array_response(geom, *coords[rows].transpose(2, 0, 1))
+        for p in range(num_paths):
+            h[rows] += alpha[rows, p, None] * responses[:, p]
+    return np.sqrt(beta)[:, None] * h, coords, beta
+
+
 def generate_user_channel(geom: ArrayGeometry, rng: np.random.Generator,
                           sampler: PathSampler | None = None,
                           beta: float | None = None) -> UserChannel:
-    """Draw one multipath user channel h = sqrt(beta) * sum_p alpha_p a(path_p).
-
-    Path gains alpha_p are complex Gaussian with variance sigma2_p, the path
-    power fractions (which sum to one), so E||h||^2 = beta * E||a||^2 under the
-    sampler. beta defaults to the free-space value at the first path's range.
+    """Draw one multipath user channel: draw_channels for one user.
 
     Returns:
-        UserChannel with the channel vector, the drawn paths, and beta.
+        UserChannel with the channel vector, the drawn paths (with uniform
+        1/P power fractions), and beta.
     """
     sampler = sampler or PathSampler()
-    paths = sampler.draw_paths(geom, rng)
-    if beta is None:
-        beta = free_space_beta(geom, paths[0].r)
-    responses = array_response(geom, [p.theta for p in paths],
-                               [p.phi for p in paths], [p.r for p in paths])
-    h = np.zeros(geom.m_total, dtype=complex)
-    for p, a in zip(paths, responses):
-        alpha = (rng.standard_normal() + 1j * rng.standard_normal()) * np.sqrt(p.sigma2 / 2.0)
-        h += alpha * a
-    return UserChannel(h=np.sqrt(beta) * h, paths=paths, beta=beta)
+    h, coords, beta = draw_channels(geom, rng, 1, sampler, beta)
+    paths = [PathComponent(theta, phi, r, 1.0 / sampler.num_paths)
+             for theta, phi, r in coords[0].tolist()]
+    return UserChannel(h=h[0], paths=paths, beta=beta[0])
 
 
 def spatial_correlation(geom: ArrayGeometry, paths) -> np.ndarray:
@@ -170,6 +194,15 @@ def condition_number(matrix: np.ndarray) -> float:
     if lam_min <= 1e-14 * lam_max:
         return np.inf
     return float(lam_max / lam_min)
+
+
+def target_responses(geom: ArrayGeometry, targets) -> np.ndarray:
+    """The (L, M) table of the targets' array responses, one row per target,
+    from one broadcast array_response call: each row is bit for bit the
+    target's response alone."""
+    coords = np.array([(t.theta, t.phi, t.r) for t in targets],
+                      dtype=float).reshape(-1, 3)
+    return array_response(geom, *coords.T)
 
 
 def echo_amplitude(geom: ArrayGeometry, target: SensingTarget) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import PathSampler, SensingTarget, generate_user_channel
+from .channel import PathSampler, SensingTarget, draw_channels
 from .config import ALGORITHM_NAMES, ScenarioConfig, WeightSection
 from .geometry import ArrayGeometry
 from .impairments import (
@@ -47,8 +47,12 @@ SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
 # desk_tiny tasks, all four algorithms) made 8.7-9.0 k voluntary context
 # switches and took 13.3-15.6 s at 5 ms, and made 2.1-2.3 k and took
 # 10.3-12.2 s at 50 ms; 20, 50 and 100 ms gave the same gain within noise.
-# The lock releases inside BLAS, QR and large ufuncs, which let two
-# paper_full trials overlap, are not forced and do not change.
+# The lock releases inside BLAS, QR and large ufuncs are not forced and do
+# not change. At paper_full they let two trials overlap in some phases only:
+# run on two threads against one after the other, the channel draw (a few
+# whole-trial array calls) ran at 1.3-1.6x, e_wmmse at 1.9x and the row
+# metrics at 1.2-1.4x, while conv_noma, hao_sca and fp ran at 0.7-0.8x at
+# the default budget (medians, same host and settings).
 POOL_SWITCH_INTERVAL_S = 0.05
 
 
@@ -230,15 +234,11 @@ def generate_trial_data(cfg: ScenarioConfig,
     rho_c = cfg.channel.rho_c
 
     if rho_c > 0.0:
-        shared = generate_user_channel(geom, rng, sampler).h
-        rows = [
-            np.sqrt(rho_c) * shared
-            + np.sqrt(1.0 - rho_c) * generate_user_channel(geom, rng, sampler).h
-            for _ in range(k)
-        ]
+        # the shared component is drawn first, then the k private ones
+        h, _, _ = draw_channels(geom, rng, k + 1, sampler)
+        h = np.sqrt(rho_c) * h[0] + np.sqrt(1.0 - rho_c) * h[1:]
     else:
-        rows = [generate_user_channel(geom, rng, sampler).h for _ in range(k)]
-    h = np.vstack(rows)
+        h, _, _ = draw_channels(geom, rng, k, sampler)
 
     t = cfg.targets
     r_lo, r_hi = sampler.range_bounds(geom)

@@ -179,8 +179,13 @@ def array_response(geom: ArrayGeometry, theta, phi, r) -> np.ndarray:
     m, n = geom.element_offsets()
     grid = (..., None, None)
     dist = element_distance(geom, theta[grid], phi[grid], r[grid], m, n)
-    a = np.exp(1j * geom.wavenumber * dist) / dist
-    return a.reshape(*theta.shape, geom.m_total) / np.sqrt(geom.m_total)
+    # in place, so a batch of sources holds one complex array at a time
+    a = 1j * geom.wavenumber * dist
+    np.exp(a, out=a)
+    a /= dist
+    a = a.reshape(*theta.shape, geom.m_total)
+    a /= np.sqrt(geom.m_total)
+    return a
 
 
 def steering_derivative(geom: ArrayGeometry, theta: float, phi: float, r: float,

@@ -51,7 +51,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ArrayGeometry, array_response, vector_norm
+from .channel import target_responses
+from .geometry import ArrayGeometry, vector_norm
 from .objective import (ObjectiveWeights, QosLimits, _rowdot, price_split,
                         price_streams)
 from .rates import (Grouping, RsNomaSolution, StreamLayout, common_shares,
@@ -138,15 +139,16 @@ class SolveInstance:
     Holds the channels, the targets' SensingScene, the grouping's
     StreamLayout, the span basis of [h; a_l] and, when built by from_start,
     the init_hao_sca start with its stacked beams and their span
-    coordinates. The solves only read these; their arrays are read-only."""
+    coordinates and gains. The solves only read these; their arrays are
+    read-only."""
 
-    def __init__(self, channels, targets, geom: ArrayGeometry,
-                 grouping: Grouping, start: RsNomaSolution | None = None):
+    def __init__(self, channels, scene: SensingScene, grouping: Grouping,
+                 start: RsNomaSolution | None = None):
         self.h = np.asarray(channels, dtype=complex)
         self.hc = self.h.conj()
         self.grouping = grouping
         self.layout = StreamLayout(grouping)
-        self.scene = SensingScene(targets, geom)
+        self.scene = scene
         self.start = start
         if start is not None:
             self.start_beams, = _read_only(start.stacked_beams())
@@ -155,10 +157,12 @@ class SolveInstance:
     def from_start(cls, channels, targets, geom: ArrayGeometry,
                    num_groups: int, p_max: float,
                    sigma_n2: float) -> "SolveInstance":
-        """The instance of the init_hao_sca start, which holds it."""
+        """The instance of the init_hao_sca start, which holds it; the start
+        and the scene share one steering table."""
+        scene = SensingScene(targets, geom)
         start = init_hao_sca(channels, targets, geom, num_groups, p_max,
-                             sigma_n2)
-        return cls(channels, targets, geom, start.grouping, start)
+                             sigma_n2, steer=scene.steer)
+        return cls(channels, scene, start.grouping, start)
 
     @functools.cached_property
     def span(self) -> tuple:
@@ -182,6 +186,20 @@ class SolveInstance:
     def start_span(self) -> tuple:
         """_span_coordinates of start_beams."""
         return _read_only(*_span_coordinates(self.span[0], self.start_beams))
+
+    @functools.cached_property
+    def start_gains(self) -> dict:
+        """gains of start_beams, read-only."""
+        gains = self.gains(self.start_beams)
+        _read_only(*gains.values())
+        return gains
+
+    def gains(self, w: np.ndarray) -> dict:
+        """The user and target gains of every stream of w: v = h_k^H w_s,
+        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2, from one product each."""
+        v = self.hc @ w.T                  # (K, S)
+        va = self.scene.steer_c @ w.T      # (L, S)
+        return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
 
 
 def _read_only(*arrays) -> tuple:
@@ -229,6 +247,7 @@ class _EvalContext:
         self.layout = instance.layout
         self.scene = instance.scene
         self.num_targets = self.scene.num_targets
+        self.kept_span = None       # (w, x, u) of the last to_span(w)
 
         # detection constraint folded to a minimum echo SINR
         if limits.p_d_min > limits.p_fa:
@@ -300,11 +319,12 @@ class _EvalContext:
                 for key, value in aux.items()}
 
     def _gains(self, w: np.ndarray) -> dict:
-        """The user and target gains of every stream of w: v = h_k^H w_s,
-        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2, from one product each."""
-        v = self.hc @ w.T                  # (K, S)
-        va = self.scene.steer_c @ w.T      # (L, S)
-        return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
+        """SolveInstance.gains of w; the instance's start_beams take the
+        instance's start_gains."""
+        inst = self.instance
+        if inst.start is not None and w is inst.start_beams:
+            return dict(inst.start_gains)
+        return inst.gains(w)
 
     # -- span coordinates -------------------------------------------------
     @property
@@ -316,11 +336,19 @@ class _EvalContext:
         """(x, u): the span coordinates of the rows of w and the unit
         direction of each row's part outside the span (zero where the row
         has none); from_span(x, u, w, x) is w. The instance's start_beams
-        take their coordinates from the instance."""
+        take their coordinates from the instance. Any other w is marked
+        read-only and kept in kept_span with its coordinates, which it
+        takes again when it comes back, as a beam block that moved nothing
+        returns it to the next sweep."""
         inst = self.instance
         if inst.start is not None and w is inst.start_beams:
             return inst.start_span
-        return _span_coordinates(self.span[0], w)
+        kept = self.kept_span
+        if kept is None or kept[0] is not w:
+            w.flags.writeable = False
+            x, u = _span_coordinates(self.span[0], w)
+            kept = self.kept_span = (w, *_read_only(x, u))
+        return kept[1:]
 
     def from_span(self, x: np.ndarray, u: np.ndarray, w: np.ndarray,
                   x0: np.ndarray) -> np.ndarray:
@@ -722,6 +750,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     best_w = ctx.from_span(best_x, out_of_span, w, x)
     f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
     if f_out > f0:
+        ctx.kept_span = None        # w will not come back; free its arrays
         return best_w, f_out, aux_out
     return w, f0, aux0
 
@@ -850,17 +879,19 @@ def _loaded_solve(channels: np.ndarray, gram: np.ndarray, coefs, mu: float,
 
 
 def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
-                 p_max: float, sigma_n2: float) -> RsNomaSolution:
+                 p_max: float, sigma_n2: float,
+                 steer: np.ndarray | None = None) -> RsNomaSolution:
     """Deterministic warm start.
 
     Groups come from default_grouping; common beams point along group-mean
-    channels, the sensing beam is the RCS-weighted steering mixture, powers
-    split the budget uniformly across the G + K + 1 streams, and every rho
-    starts at 1/2. Private beams are the regularized MMSE directions
-    (sum_{j != k} h_j h_j^H + delta I)^-1 h_k with loading
-    delta = sigma_n2 / p_max. By Sherman-Morrison each is a positive multiple
-    of (sum_j h_j h_j^H + delta I)^-1 h_k, so all K come from one K x K
-    _loaded_solve.
+    channels, the sensing beam is the RCS-weighted mixture of the rows of
+    steer, the targets' steering table (channel.target_responses, formed
+    here when not given), powers split the budget uniformly across the
+    G + K + 1 streams, and every rho starts at 1/2. Private beams are the
+    regularized MMSE directions (sum_{j != k} h_j h_j^H + delta I)^-1 h_k
+    with loading delta = sigma_n2 / p_max. By Sherman-Morrison each is a
+    positive multiple of (sum_j h_j h_j^H + delta I)^-1 h_k, so all K come
+    from one K x K _loaded_solve.
     """
     channels = np.asarray(channels, dtype=complex)
     k_total, m_total = channels.shape
@@ -882,9 +913,11 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
     w_private /= np.linalg.norm(w_private, axis=1)[:, None]
 
     if len(targets):
+        if steer is None:
+            steer = target_responses(geom, targets)
         mix = np.zeros(m_total, dtype=complex)
-        for t in targets:
-            mix += np.sqrt(t.rcs) * array_response(geom, t.theta, t.phi, t.r)
+        for t, a in zip(targets, steer):
+            mix += np.sqrt(t.rcs) * a
         w_sensing = mix / vector_norm(mix)
     else:
         w_sensing = np.zeros(m_total, dtype=complex)
@@ -915,7 +948,8 @@ def ensure_instance(instance, channels, targets, geom: ArrayGeometry,
     if instance is not None:
         return instance
     if warm_start is not None:
-        return SolveInstance(channels, targets, geom, warm_start.grouping)
+        return SolveInstance(channels, SensingScene(targets, geom),
+                             warm_start.grouping)
     return SolveInstance.from_start(channels, targets, geom, num_groups,
                                     p_max, sigma_n2)
 

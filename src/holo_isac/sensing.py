@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SensingTarget, echo_amplitude
-from .geometry import ArrayGeometry, array_response, steering_derivative
+from .channel import SensingTarget, echo_amplitude, target_responses
+from .geometry import ArrayGeometry, steering_derivative
 from .rates import RsNomaSolution, stream_gains
 
 
@@ -35,9 +35,7 @@ class SensingScene:
         self.targets = list(targets)
         self.geom = geom
         self.num_targets = len(self.targets)
-        self.steer = np.vstack([
-            array_response(geom, t.theta, t.phi, t.r) for t in self.targets
-        ]) if self.targets else np.zeros((0, geom.m_total), dtype=complex)
+        self.steer = target_responses(geom, self.targets)
         self.steer_c = self.steer.conj()
         self.rcs = np.array([t.rcs for t in self.targets])
         amp = np.array([echo_amplitude(geom, t) for t in self.targets])

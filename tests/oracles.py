@@ -12,19 +12,24 @@ search-based solver steps that the package replaced, and the per-user
 filters and per-stream solves of the E-WMMSE sweep, live here too, as do
 the gather forms of the stream pricing and gradients that the product
 tables of rates.StreamLayout replaced, the field-by-field record codec that
-the one-pass template and regex of holo_isac.records replaced, and the
-helpers no pipeline code runs: Welch's t test, the dense echo channel, the
-SINR form of the CRLB and the stage-by-stage impairment cascade.
+the one-pass template and regex of holo_isac.records replaced, the trial
+draw one user and one path at a time that channel.draw_channels replaced,
+and the helpers no pipeline code runs: Welch's t test, the dense echo
+channel, the SINR form of the CRLB and the stage-by-stage impairment
+cascade.
 """
+
+import hashlib
 
 import numpy as np
 
 from dataclasses import dataclass
 
-from holo_isac.channel import SensingTarget, echo_amplitude
-from holo_isac.experiments import TrialResult
+from holo_isac.channel import (PathSampler, SensingTarget, echo_amplitude,
+                               free_space_beta)
+from holo_isac.experiments import TrialData, TrialResult, _impairment_chain
 from holo_isac.geometry import ArrayGeometry, array_response
-from holo_isac.impairments import ImpairmentChain
+from holo_isac.impairments import ImpairmentChain, inject_csi_error
 from holo_isac.records import RECORD_FIELDS, SCHEMA_VERSION
 from holo_isac.sensing import _crlb, _derivative_norm2
 from holo_isac.stats import StatTestResult, _two_sided_p, cohens_d, t_quantile
@@ -320,6 +325,64 @@ def dense_sensing_sinr(l, solution, targets, sigma_s2, geom) -> float:
     ])
     clutter = float(sum(e for i, e in enumerate(echoes) if i != l))
     return float(echoes[l] / (clutter + sigma_s2))
+
+
+# =====================================================================
+# Trial draw, one user and one path at a time
+# =====================================================================
+
+def loop_user_channel(geom: ArrayGeometry, rng, sampler: PathSampler):
+    """(h, paths): one user's channel from one scalar draw per path
+    coordinate, then one (real, imaginary) gain draw per path, with h
+    accumulated path by path from lone array responses and scaled by the
+    free-space beta of the first path."""
+    r_lo, r_hi = sampler.range_bounds(geom)
+    paths = [(rng.uniform(sampler.theta_lo, sampler.theta_hi),
+              rng.uniform(sampler.phi_lo, sampler.phi_hi),
+              rng.uniform(r_lo, r_hi)) for _ in range(sampler.num_paths)]
+    h = np.zeros(geom.m_total, dtype=complex)
+    for theta, phi, r in paths:
+        alpha = (rng.standard_normal() + 1j * rng.standard_normal()) \
+            * np.sqrt(1.0 / sampler.num_paths / 2.0)
+        h += alpha * array_response(geom, theta, phi, r)
+    return np.sqrt(free_space_beta(geom, paths[0][2])) * h, paths
+
+
+def loop_trial_data(cfg, rng) -> TrialData:
+    """generate_trial_data with the user channels drawn one user at a time
+    (loop_user_channel) and the impaired and estimated channels formed one
+    row at a time."""
+    geom = cfg.array_geometry()
+    sampler = PathSampler(num_paths=cfg.channel.num_paths)
+    k = cfg.population.num_users
+    rho_c = cfg.channel.rho_c
+    if rho_c > 0.0:
+        shared = loop_user_channel(geom, rng, sampler)[0]
+        h = np.vstack([np.sqrt(rho_c) * shared + np.sqrt(1.0 - rho_c)
+                       * loop_user_channel(geom, rng, sampler)[0]
+                       for _ in range(k)])
+    else:
+        h = np.vstack([loop_user_channel(geom, rng, sampler)[0]
+                       for _ in range(k)])
+    t = cfg.targets
+    r_lo, r_hi = sampler.range_bounds(geom)
+    targets = [SensingTarget(theta=rng.uniform(-t.theta_abs, t.theta_abs),
+                             phi=rng.uniform(-t.phi_abs, t.phi_abs),
+                             r=rng.uniform(r_lo, r_hi),
+                             rcs=rng.uniform(t.rcs_lo, t.rcs_hi))
+               for _ in range(cfg.population.num_targets)]
+    chain = _impairment_chain(cfg, geom.m_total, rng)
+    if chain is not None:
+        t_h = chain.transform(geom.m_total).conj().T
+        h = np.vstack([t_h @ row for row in h])
+    eps = cfg.impairments.csi_eps
+    h_est = np.vstack([inject_csi_error(row, eps, rng) for row in h])
+    digest = hashlib.sha256()
+    for a in (h, h_est, np.array([[tt.theta, tt.phi, tt.r, tt.rcs]
+                                  for tt in targets], dtype=float)):
+        digest.update(a.tobytes())
+    return TrialData(channels_true=h, channels_est=h_est, targets=targets,
+                     channel_hash=digest.hexdigest()[:16])
 
 
 # =====================================================================

@@ -6,12 +6,16 @@ from holo_isac.channel import (
     PathSampler,
     SensingTarget,
     condition_number,
+    draw_channels,
     free_space_beta,
     generate_user_channel,
     spatial_correlation,
+    target_responses,
 )
 from holo_isac.geometry import ArrayGeometry, array_response
-from oracles import sensing_channel
+from holo_isac.optimizers import init_hao_sca
+from holo_isac.sensing import SensingScene
+from oracles import loop_user_channel, sensing_channel
 
 
 def desk_geom(mx=8, my=8, wavelength=3e-3):
@@ -60,7 +64,7 @@ def test_draw_paths_respects_bounds():
     rng = np.random.default_rng(42)
     lo, hi = sampler.range_bounds(g)
     for _ in range(20):
-        paths = sampler.draw_paths(g, rng)
+        paths = generate_user_channel(g, rng, sampler).paths
         assert len(paths) == 5
         for p in paths:
             assert sampler.theta_lo <= p.theta <= sampler.theta_hi
@@ -107,15 +111,57 @@ def test_channel_sums_the_paths_in_draw_order():
     sampler = PathSampler(num_paths=6)
     for seed in range(3):
         ch = generate_user_channel(g, np.random.default_rng(seed), sampler)
+        h, paths = loop_user_channel(g, np.random.default_rng(seed), sampler)
+        assert ch.paths == [PathComponent(*p, 1.0 / 6) for p in paths]
+        assert ch.beta == free_space_beta(g, paths[0][2])
+        assert ch.h.tobytes() == h.tobytes()
+
+
+@pytest.mark.parametrize("mx, my, users, num_paths", [
+    (4, 4, 13, 6),      # chunks of two users and a lone last one
+    (4, 4, 1, 6),       # one user: a chunk of one
+    (3, 5, 7, 1),       # one path: one chunk of every user
+    (8, 8, 24, 4),
+])
+def test_draw_channels_equals_the_per_user_loop(mx, my, users, num_paths):
+    g = desk_geom(mx, my)
+    sampler = PathSampler(num_paths=num_paths)
+    for seed in range(3):
         rng = np.random.default_rng(seed)
-        paths = sampler.draw_paths(g, rng)
-        h = np.zeros(g.m_total, dtype=complex)
-        for p in paths:
-            alpha = (rng.standard_normal() + 1j * rng.standard_normal()) \
-                * np.sqrt(p.sigma2 / 2.0)
-            h += alpha * array_response(g, p.theta, p.phi, p.r)
-        assert ch.paths == paths
-        assert ch.h.tobytes() == (np.sqrt(ch.beta) * h).tobytes()
+        h, coords, beta = draw_channels(g, rng, users, sampler)
+        loop = np.random.default_rng(seed)
+        rows = [loop_user_channel(g, loop, sampler) for _ in range(users)]
+        assert h.tobytes() == np.vstack([row for row, _ in rows]).tobytes()
+        assert coords.tolist() == [[list(p) for p in paths]
+                                   for _, paths in rows]
+        assert beta == [free_space_beta(g, paths[0][2]) for _, paths in rows]
+        # the stream is left where the loop leaves it
+        assert rng.bit_generator.state == loop.bit_generator.state
+    h, _, beta = draw_channels(g, np.random.default_rng(0), 2, sampler,
+                               beta=2.5)
+    assert beta == [2.5, 2.5]
+    assert draw_channels(g, np.random.default_rng(0), 0, sampler)[0].shape \
+        == (0, g.m_total)
+
+
+def test_target_responses_equal_the_per_target_rows():
+    g = desk_geom(4, 4)
+    rng = np.random.default_rng(5)
+    targets = [SensingTarget(rng.uniform(-1, 1), rng.uniform(-3, 3),
+                             rng.uniform(0.05, 0.4), rng.uniform(0.1, 1.0))
+               for _ in range(5)]
+    table = target_responses(g, targets)
+    lone = np.vstack([array_response(g, t.theta, t.phi, t.r)
+                      for t in targets])
+    assert table.tobytes() == lone.tobytes()
+    assert SensingScene(targets, g).steer.tobytes() == lone.tobytes()
+    empty = target_responses(g, [])
+    assert empty.shape == (0, g.m_total) and empty.dtype == complex
+    # the start's sensing mix is the same from a given table
+    h = np.vstack([generate_user_channel(g, rng).h for _ in range(3)])
+    own = init_hao_sca(h, targets, g, 1, 1.0, 1e-9)
+    given = init_hao_sca(h, targets, g, 1, 1.0, 1e-9, steer=table)
+    assert own.w_sensing.tobytes() == given.w_sensing.tobytes()
 
 
 def test_free_space_beta_hand_value():

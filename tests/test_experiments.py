@@ -21,6 +21,7 @@ from holo_isac.experiments import (
     run_experiment,
     solve_instance,
 )
+from oracles import loop_trial_data
 
 
 def tiny_config(trials=2, algorithms=("fp", "conv_noma")):
@@ -185,6 +186,38 @@ def test_impaired_draw_matches_the_per_user_effective_channel():
     assert np.array_equal(c, coupling_matrix(geom, [0.1]))
 
 
+def trial_case(name):
+    """tiny_config with one feature of the trial draw switched on."""
+    cfg = impaired_config() if name == "impaired" else tiny_config()
+    if name == "shared":
+        cfg.channel.rho_c = 0.3
+        cfg.impairments.csi_eps = 0.05
+    elif name == "csi":
+        cfg.impairments.csi_eps = 0.2
+    elif name == "one_user_one_path":
+        cfg.population.num_users = cfg.population.num_groups = 1
+        cfg.channel.num_paths = 1
+    elif name == "no_targets":
+        cfg.population.num_targets = 0
+    elif name == "many_users":
+        cfg.population.num_users = 20
+    return cfg
+
+
+@pytest.mark.parametrize("case", ["plain", "shared", "impaired", "csi",
+                                  "one_user_one_path", "no_targets",
+                                  "many_users"])
+def test_trial_draw_equals_the_per_user_loop(case):
+    cfg = trial_case(case)
+    for trial in range(3):
+        data = generate_trial_data(cfg, trial_rng(61, 0, trial))
+        loop = loop_trial_data(cfg, trial_rng(61, 0, trial))
+        assert data.channels_true.tobytes() == loop.channels_true.tobytes()
+        assert data.channels_est.tobytes() == loop.channels_est.tobytes()
+        assert data.targets == loop.targets
+        assert data.channel_hash == loop.channel_hash
+
+
 def test_shared_component_raises_user_correlation():
     plain = tiny_config()
     mixed = tiny_config()
@@ -252,6 +285,22 @@ def test_run_experiment_thread_invariance():
     assert serial == threaded
     with pytest.raises(ValueError):
         run_experiment(plan, threads=0)
+
+
+def test_small_array_many_user_records_identical_across_thread_counts(
+        tmp_path):
+    # M = 16 antennas and 20 users: the draw's chunks hold three users each
+    cfg = trial_case("many_users")
+    cfg.population.num_groups = 4
+    plan = make_plan(cfg, algorithms=ALGORITHMS)
+    written = []
+    for threads in (1, 2):
+        rows = run_experiment(plan, threads=threads)
+        assert len(rows) == 2 * 4 and not any(r.failed for r in rows)
+        path = tmp_path / f"threads{threads}.records"
+        write_records(rows, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_impaired_sweep_records_identical_across_thread_counts(tmp_path):

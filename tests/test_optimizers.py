@@ -201,7 +201,8 @@ def test_reprice_equals_evaluate_bit_for_bit():
     channels, targets, geom, weights, _ = build_problem(seed=54)
     limits = QosLimits(p_max=P_MAX, r_min=2.0, p_d_min=0.9, crlb_max=1e-6)
     sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
-    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
+                                     sol.grouping),
                        weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
     w, p, rho = ctx.split_solution(sol)
     _, aux = ctx.evaluate(w, p, rho)
@@ -240,7 +241,7 @@ def test_other_group_commons_do_not_cancel_against_the_own_common():
     bd = rate_breakdown(sol, channels, 1.0)
     assert bd.private_sinr[0] == pytest.approx(expected, rel=1e-12)
     two = ArrayGeometry(mx=1, my=2, dx=7.5e-4, dy=7.5e-4, wavelength=3e-3)
-    ctx = _EvalContext(SolveInstance(channels, [], two, grouping),
+    ctx = _EvalContext(SolveInstance(channels, SensingScene([], two), grouping),
                        ObjectiveWeights(), QosLimits(p_max=1e19), 1.0, 1.0,
                        10.0)
     _, aux = ctx.evaluate(sol.stacked_beams(), sol.stacked_powers(), sol.rho)
@@ -260,7 +261,8 @@ def obj_value(sol, channels, targets, geom, weights):
 
 def run_block(block, sol, channels, targets, geom, weights, limits, cfg):
     """One block from sol through a fresh context, as a solution."""
-    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
+                                     sol.grouping),
                        weights, limits, SIGMA_N2, SIGMA_S2, cfg.qos_penalty)
     w, p, rho = ctx.split_solution(sol)
     f0, aux0 = ctx.evaluate(w, p, rho)
@@ -631,7 +633,8 @@ def unequal_groups_entry():
     limits = QosLimits(p_max=P_MAX, r_min=1.0, p_d_min=0.9)
     sol = init_hao_sca(channels, targets, geom, 2, P_MAX, SIGMA_N2)
     assert sorted(map(len, sol.grouping.sic_order)) == [2, 3]
-    ctx = _EvalContext(SolveInstance(channels, targets, geom, sol.grouping),
+    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
+                                     sol.grouping),
                        weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
     w, p, rho = ctx.split_solution(sol)
     return (ctx, w, p, rho, *ctx.evaluate(w, p, rho))
@@ -769,7 +772,8 @@ def split_instance(sizes, cap, p_rate, rho, r_min=0.0, seed=60):
     k = users[-1]
     channels, targets, geom, _, _ = build_problem(seed=seed, k=k)
     limits = QosLimits(p_max=P_MAX, r_min=r_min)
-    ctx = _EvalContext(SolveInstance(channels, targets, geom, grouping),
+    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
+                                     grouping),
                        ObjectiveWeights(0.4, 0.2, 0.1, 0.3), limits, SIGMA_N2,
                        SIGMA_S2, 10.0)
     rng = np.random.default_rng(seed)
@@ -938,6 +942,53 @@ def test_warm_start_resumes_upward():
     assert trace2.objectives[-1] >= trace1.objectives[-1] - 1e-9
     # warm start must not mutate the donor solution
     assert np.all(sol1.p_common >= 0.0)
+
+
+def test_a_solve_whose_beams_never_move_enters_the_span_once(monkeypatch):
+    # conv_noma restarted from its own converged point: no beam block moves,
+    # so each block takes the span coordinates the first one formed
+    cfg = preset_config("desk_tiny")
+    data = generate_trial_data(cfg, np.random.default_rng(7))
+    noma, _ = solve_instance("conv_noma", data.channels_est, data.targets, cfg)
+    moved = []
+    real_block = optimizers._beam_block
+
+    def block(ctx, w, *args, **kwargs):
+        out = real_block(ctx, w, *args, **kwargs)
+        moved.append(out[0] is not w)
+        return out
+
+    monkeypatch.setattr(optimizers, "_beam_block", block)
+    spans = calls_to(monkeypatch, optimizers, "_span_coordinates")
+    config = replace(cfg.optimizer_config(), max_iters=6, epsilon=1e-300)
+    _, trace = run_hao_sca(data.channels_est, data.targets,
+                           cfg.array_geometry(), cfg.objective_weights(),
+                           cfg.qos_limits(), cfg.sigma_n2_watts,
+                           cfg.sigma_s2_watts, config,
+                           warm_start=noma, conventional_noma=True)
+    assert trace.iterations_used == 6 and moved == [False] * 6
+    assert len(spans) <= 1
+
+
+def test_solves_from_the_start_share_its_gains(monkeypatch):
+    cfg = preset_config("desk_tiny")
+    data = generate_trial_data(cfg, np.random.default_rng(8))
+    args = (data.channels_est, data.targets, cfg.array_geometry(),
+            cfg.objective_weights(), cfg.qos_limits(), cfg.sigma_n2_watts,
+            cfg.sigma_s2_watts, OptimizerConfig(max_iters=2))
+    instance = SolveInstance.from_start(
+        data.channels_est, data.targets, cfg.array_geometry(),
+        cfg.population.num_groups, cfg.p_max_watts, cfg.sigma_n2_watts)
+    alone = [run(*args, num_groups=cfg.population.num_groups)
+             for run in (run_hao_sca, run_fp)]
+    formed = calls_to(monkeypatch, SolveInstance, "gains")
+    shared = [run(*args, instance=instance) for run in (run_hao_sca, run_fp)]
+    at_start = [a for a, _ in formed if a[1] is instance.start_beams]
+    assert len(at_start) == 1
+    assert not instance.start_gains["v"].flags.writeable
+    for (sol, trace), (want, want_trace) in zip(shared, alone):
+        assert sol.stacked_beams().tobytes() == want.stacked_beams().tobytes()
+        assert trace.objectives.tobytes() == want_trace.objectives.tobytes()
 
 
 # =====================================================================
