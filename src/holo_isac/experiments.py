@@ -50,9 +50,9 @@ SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
 # The lock releases inside BLAS, QR and large ufuncs are not forced and do
 # not change. At paper_full they let two trials overlap in some phases only:
 # run on two threads against one after the other, the channel draw (a few
-# whole-trial array calls) ran at 1.3-1.6x, e_wmmse at 1.9x and the row
-# metrics at 1.2-1.4x, while conv_noma, hao_sca and fp ran at 0.7-0.8x at
-# the default budget (medians, same host and settings).
+# whole-trial array calls) ran at 1.9x, e_wmmse at 2.0x and the row metrics
+# at 1.4x, while conv_noma, hao_sca and fp ran at about 0.95x at the default
+# budget (medians, same settings; README, "At paper scale").
 POOL_SWITCH_INTERVAL_S = 0.05
 
 

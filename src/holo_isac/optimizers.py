@@ -23,14 +23,19 @@ release is a hand-off of the lock (about 280 k context switches in one
 +inf-minimum tables of rates.StreamLayout, np.where and Python ordering
 instead.
 
-* run_hao_sca: block-coordinate ascent on the composite objective. The beam
-  and power blocks move along the gradient of a surrogate whose
-  interference denominators are frozen at the block anchor; the split block
-  water-fills each group's common capacity over its members in closed form,
-  which is exact because the split moves only fairness and the rate-floor
-  penalty. Each block's step is accepted on the true penalized objective,
-  so every iteration is monotone by construction and falls back to the
-  entry iterate when no improving step exists.
+* run_hao_sca: block-coordinate ascent on the composite objective. Every
+  inner step of the beam and power blocks takes the gradient of the
+  penalized objective at its own iterate: the SCA surrogate whose
+  interference denominators are linearized there is tight at that point
+  and has the same gradient, so each step is one SCA iteration with one
+  gradient step on its surrogate. The beams move along the Riemannian
+  gradient on their product of unit spheres (Absil, Mahony and Sepulchre,
+  Optimization Algorithms on Matrix Manifolds, 2008). The split block
+  water-fills each group's common capacity over its members in closed
+  form, which is exact because the split moves only fairness and the
+  rate-floor penalty. Each block's step is accepted on the true penalized
+  objective, so every iteration is monotone by construction and falls back
+  to the entry iterate when no improving step exists.
 * run_e_wmmse: alternating closed-form MMSE receive filters and weights,
   read off the stage pricing of rates.stream_rates, with regularized normal
   equations for all beamformers in one stacked solve; sensing is pulled in
@@ -306,17 +311,8 @@ class _EvalContext:
             shares = self.shares(rho)
         return self.price_powers(self._gains(w), p, shares)
 
-    # aux entries that depend on the powers alone, so a stack shares them
-    _P_ONLY = ("ptot", "crlb_pen")
     # aux entries that depend on the beams alone
     _GAINS = ("v", "g2", "va", "m2")
-
-    @classmethod
-    def pick(cls, aux: dict, i: int) -> dict:
-        """Candidate i's entries of a stacked pricing, such as the row steps
-        of _beam_block priced over _Retraction.row_gains."""
-        return {key: value if key in cls._P_ONLY else value[i]
-                for key, value in aux.items()}
 
     def _gains(self, w: np.ndarray) -> dict:
         """SolveInstance.gains of w; the instance's start_beams take the
@@ -437,48 +433,47 @@ class _EvalContext:
         b = np.exp(-(c_rate - lo) / tau)
         return b / (b @ lay.same_group)
 
-    def _stage_weights(self, shares, aux, anchor) -> np.ndarray:
-        """(K, S) weight of each gain |h_k^H w_s|^2 in the surrogate's
-        gradient: the sum over user k's four stages (StreamLayout.stages)
-        of the stage mask times the stage's factor. A stage term enters as
-        weight / (S + I) where the stage sums its signal and interference
-        (at the current powers) and as -weight / I0 where it sums the
-        interference alone (linearized at the block anchor). The rate
-        weights are u per user and, on the common stage, the group's
-        share-weighted u spread by the softmin blend."""
-        d_c0, d_p0, _ = anchor
+    def _stage_weights(self, shares, aux) -> np.ndarray:
+        """(K, S) weight of each gain |h_k^H w_s|^2 in the gradient at the
+        point aux was priced at: the sum over user k's four stages
+        (StreamLayout.stages) of the stage mask times the stage's factor. A
+        stage term enters as weight / (S + I) where the stage sums its
+        signal and interference and as -weight / I where it sums the
+        interference alone, both read from aux. The rate weights are u per
+        user and, on the common stage, the group's share-weighted u spread
+        by the softmin blend."""
         lay = self.layout
         u = self._user_weights(aux)
         wc = self._common_blend(aux["c_rate"]) * ((u * shares) @ lay.same_group)
         wc, u = wc / _LN2, u / _LN2
         cfac = wc / (aux["own_c"] + aux["d_c"])
         pfac = u / (aux["own_p"] + aux["d_p"])
-        fac = np.array([cfac, cfac - wc / d_c0, pfac - u / d_p0, pfac])
+        fac = np.array([cfac, cfac - wc / aux["d_c"], pfac - u / aux["d_p"],
+                        pfac])
         return (fac[:, :, None] * lay.stages).sum(axis=0)
 
-    def beam_gradient(self, x, p, shares, aux, anchor) -> np.ndarray:
-        """Ascent direction for all beamformers, in span coordinates.
+    def beam_gradient(self, x, p, shares, aux) -> np.ndarray:
+        """Gradient of the penalized objective in all beamformers, at the
+        beams x that aux was priced at, in span coordinates.
 
-        Same construction as the power gradient: signal quadratics are
-        minorized at the current iterate, interference enters through its
-        linearization at the block anchor, so streams feel the damage they
-        do to other streams. The conjugate-coordinate gradient is the
-        combination Z^T B of the channels and steering vectors with the
-        coefficients of _beam_coefficients; it is returned as its span
-        coordinates Z^T rt (see span), one row per stream, whose last entry
-        is zero. It depends on the beams x through the gains in aux only."""
-        zc, zs = self._beam_coefficients(p, shares, aux, anchor)
+        Every interference term enters with its own sign, so streams feel
+        the damage they do to other streams. The conjugate-coordinate
+        gradient is the combination Z^T B of the channels and steering
+        vectors with the coefficients of _beam_coefficients; it is returned
+        as its span coordinates Z^T rt (see span), one row per stream, whose
+        last entry is zero. It depends on the beams x through the gains in
+        aux only."""
+        zc, zs = self._beam_coefficients(p, shares, aux)
         _, rt, _ = self.span
         grad = zc.T @ rt[:self.k_total]
         if zs is not None:
             grad += zs.T @ rt[self.k_total:]
         return grad
 
-    def _beam_coefficients(self, p, shares, aux, anchor) -> tuple:
+    def _beam_coefficients(self, p, shares, aux) -> tuple:
         """(zc, zs): the (K, S) and (L, S) coefficients of the channels and
         steering vectors in the beam gradient, zs None without targets."""
-        d_l0 = anchor[2]
-        zc = self._stage_weights(shares, aux, anchor) * p * aux["v"]
+        zc = self._stage_weights(shares, aux) * p * aux["v"]
         if not self.num_targets:
             return zc, None
         va, beam_sum = aux["va"], aux["beam_sum"]
@@ -486,27 +481,26 @@ class _EvalContext:
         tot = float((self.scene.echo_power * beam_sum**2).sum())
         a1 = self.aw[1]
         short = np.maximum(0.0, self.gamma_min - gam_l)
-        inv0 = 1.0 / d_l0
+        inv = 1.0 / d_l
         base = a1 / _LN2 * (self.num_targets / (tot + self.sigma_s2)
-                            - (inv0.sum() - inv0))
+                            - (inv.sum() - inv))
         sg = short * gam_l / d_l
         pen = 2.0 * self.qos_penalty * (short / d_l - (sg.sum() - sg))
         cs = (2.0 * self.scene.echo_power * beam_sum * (base + pen))[:, None] \
             * p[None, :]
         return zc, cs * va
 
-    def power_gradient(self, w, p, shares, aux, anchor) -> np.ndarray:
-        """Gradient of the linearized-interference composite in the powers.
+    def power_gradient(self, w, p, shares, aux) -> np.ndarray:
+        """Gradient of the penalized objective in the powers, at the powers
+        p that aux was priced at.
 
-        Signal-plus-interference terms are evaluated at the current powers
-        while each interference denominator enters through its first-order
-        expansion around the block anchor, so at the anchor itself this
-        coincides with the exact gradient of the true objective. That keeps
-        the interference cost of every stream visible: power drains away
-        from streams that hurt other streams more than they carry."""
-        d_l0 = anchor[2]
-        grad = (self._stage_weights(shares, aux, anchor)
-                * aux["g2"]).sum(axis=0)
+        Each stage's signal-plus-interference and interference-alone sums
+        are read from aux, so this is the gradient of the true objective
+        there, up to the softmin blend that _common_blend puts on each
+        group's minimum common rate. That keeps the interference cost of every stream visible:
+        power drains away from streams that hurt other streams more than
+        they carry."""
+        grad = (self._stage_weights(shares, aux) * aux["g2"]).sum(axis=0)
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
             gam_l = aux["gam_l"]
@@ -516,7 +510,7 @@ class _EvalContext:
             a1 = self.aw[1]
             if a1 > 0.0:
                 grad += a1 / _LN2 * (self.num_targets * dt / (tot + self.sigma_s2)
-                                     - (1.0 / d_l0) @ (dt[None, :] - de))
+                                     - (1.0 / d_l) @ (dt[None, :] - de))
             short = np.maximum(0.0, self.gamma_min - gam_l)
             if np.any(short > 0.0):
                 dgam = (de - gam_l[:, None] * (dt[None, :] - de)) / d_l[:, None]
@@ -607,15 +601,9 @@ class _Retraction:
         self.tn2 = _rowdot(tr, tr)
         self.xn2[held] = 1.0
 
-    def norms(self, c, s=slice(None)):
-        """n_s at step c of the streams s (all by default), or of stream s
-        at each of an array of steps c."""
-        return np.sqrt(self.xn2[s] + (2.0 * c) * self.xt[s]
-                       + (c * c) * self.tn2[s])
-
     def joint(self, c: float):
         """(gains, n, kept streams) of the candidate moving every stream by c."""
-        n = self.norms(c)
+        n = np.sqrt(self.xn2 + (2.0 * c) * self.xt + (c * c) * self.tn2)
         kept = self.held
         dead = None
         if not n.min() > 1e-300:
@@ -638,112 +626,56 @@ class _Retraction:
         out /= n[:, None]
         return np.where(kept[:, None], self.x, out.view(complex))
 
-    def row_gains(self, j: int, c: np.ndarray, n: np.ndarray) -> dict:
-        """Gains of the candidates that move stream j alone, one per step
-        c[i] with n[i] > 1e-300, stacked on a leading axis: the entry gains
-        with column j replaced."""
-        gains = {}
-        for key, sq in (("v", "g2"), ("va", "m2")):
-            x = np.repeat(self.entry[key][None], len(c), axis=0)
-            x[..., j] = (self.entry[key][:, j] + c[:, None] * self.moved[key][:, j]) \
-                / n[:, None]
-            g = np.repeat(self.entry[sq][None], len(c), axis=0)
-            g[..., j] = np.abs(x[..., j]) ** 2
-            gains[key], gains[sq] = x, g
-        return gains
-
-    def row(self, j: int, c: float, n: float) -> np.ndarray:
-        """The candidate moving stream j alone by c."""
-        out = self.x.copy()
-        out[j] = (self.x[j] + c * self.tang[j]) / n
-        return out
-
 
 def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                 frozen_streams=None):
-    """Gradient pass over the beamformers. Never returns a worse iterate.
+    """Riemannian gradient ascent over the beamformers on their product of
+    unit spheres. Never returns a worse iterate.
 
-    A joint step over all rows is tried first; when it is rejected the rows
-    are retried one at a time with the same gradient, so streams whose
-    directions conflict cannot deadlock the whole block. The block runs in
-    the span coordinates of ctx.span: w enters them once (ctx.to_span), and
-    every gradient, tangent, step and candidate gain is min(M, K + L) + 1
-    wide. Each inner step forms the gains of its tangent once and prices
-    every candidate from those and the entry gains (_Retraction); a row's
-    up to four backtracking steps are priced together in one stacked call,
-    and the first improving step in backtracking order is kept. If the
-    block moved, its result is formed as beams (ctx.from_span: rows it
-    never moved are w's rows bit for bit), priced once more by
-    ctx.evaluate, and kept only when that value is above f0, so the
-    returned gains are those of the returned beams bit for bit and roundoff
-    in the identity never leaves the block."""
-    anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
+    Each inner step takes the gradient at its own iterate, projects it onto
+    the tangent space and backtracks along it over all rows at once: up to
+    config.max_backtracks sizes from eta, each scaled by the largest tangent
+    row, so weak streams move proportionally less instead of jittering;
+    eta grows by 1.5 when a step is accepted. The block ends at the first
+    step whose ladder finds no improvement. It runs in the span coordinates
+    of ctx.span: w enters them once (ctx.to_span), and every gradient,
+    tangent, step and candidate gain is min(M, K + L) + 1 wide. Each step
+    forms the gains of its tangent once and prices every candidate from
+    those and the gains of its iterate (_Retraction). If the block moved,
+    its result is formed as beams (ctx.from_span: rows it never moved are
+    w's rows bit for bit), priced once more by ctx.evaluate, and kept only
+    when that value is above f0, so the returned gains are those of the
+    returned beams bit for bit and roundoff in the identity never leaves
+    the block."""
     x, out_of_span = ctx.to_span(w)
     best_x, best_f, best_aux = x, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
     if frozen_streams is not None:
         frozen[frozen_streams] = True
-    frozen_rows = frozen.tolist()
     shares = ctx.shares(rho)
     eta = config.step_size
-    row_eta = np.full(w.shape[0], config.step_size)
-    joint_ok = True
     scratch = np.empty((x.shape[0], 2 * x.shape[1]))
     for _ in range(config.inner_steps):
-        grad = ctx.beam_gradient(best_x, p, shares, best_aux, anchor)
+        grad = ctx.beam_gradient(best_x, p, shares, best_aux)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite beamformer gradient")
         grad = np.where(frozen[:, None], 0.0, grad)
         step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
                            best_aux, frozen)
-        tn = np.sqrt(step.tn2).tolist()
-        tn_max = max(tn)
+        tn_max = np.sqrt(max(step.tn2.tolist()))
         if tn_max < 1e-14:
             break
-        accepted = False
-        if joint_ok:
-            # steps scaled by the largest row, so weak streams move
-            # proportionally less instead of jittering
-            size = eta
-            for _bt in range(config.max_backtracks):
-                c = size / tn_max
-                gains, n, kept = step.joint(c)
-                f_c, aux_c = ctx.price_powers(gains, p, shares)
-                if f_c > best_f:
-                    best_x, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
-                    eta = min(size * 1.5, 1.0)
-                    accepted = True
-                    break
-                size *= config.backtrack
-            if not accepted:
-                joint_ok = False
-        if not accepted:
-            # one row at a time, most promising first; stop at the first
-            # improvement so the next pass works with a fresh gradient
-            for j in sorted(range(len(tn)), key=tn.__getitem__, reverse=True):
-                if frozen_rows[j] or tn[j] < 1e-14:
-                    continue
-                steps = [row_eta[j]]
-                for _bt in range(3):
-                    steps.append(steps[-1] * config.backtrack)
-                steps = np.array(steps)
-                c = steps / tn[j]
-                n = step.norms(c, j)
-                live = n > 1e-300
-                if live.any():
-                    c, n = c[live], n[live]
-                    f_c, aux_c = ctx.price_powers(step.row_gains(j, c, n), p,
-                                                  shares)
-                    better = np.flatnonzero(f_c > best_f)
-                    if better.size:
-                        i = better[0]
-                        best_x = step.row(j, c[i], n[i])
-                        best_f, best_aux = f_c[i], ctx.pick(aux_c, i)
-                        row_eta[j] = min(steps[live][i] * 1.5, 1.0)
-                        accepted = True
-                        break
-                row_eta[j] = max(steps[-1] * config.backtrack, 1e-3)
-        if not accepted:
+        size = eta
+        for _bt in range(config.max_backtracks):
+            c = size / tn_max
+            gains, n, kept = step.joint(c)
+            f_c, aux_c = ctx.price_powers(gains, p, shares)
+            if f_c > best_f:
+                best_x, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
+                eta = min(size * 1.5, 1.0)
+                break
+            size *= config.backtrack
+        else:
             break
     if best_x is x:
         return w, f0, aux0
@@ -757,19 +689,21 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
 
 def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
                  frozen_streams=None):
-    """Gradient pass over the stream powers under the budget projection.
+    """Projected gradient ascent over the stream powers under the budget.
 
-    w is fixed inside the block, so every backtracking candidate is priced
-    by ctx.price_powers over the gains of aux0, with no stream-gain product;
+    Each inner step takes the gradient at its own iterate and backtracks
+    along its unit direction from eta (grown by 1.5 on acceptance); the
+    block ends at the first step whose ladder finds no improvement. w is
+    fixed inside the block, so every backtracking candidate is priced by
+    ctx.price_powers over the gains of aux0, with no stream-gain product;
     they are the arrays an evaluation at w forms, so each candidate's value
     is ctx.evaluate's, bit for bit."""
-    anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     gains = {key: aux0[key] for key in ctx._GAINS}
     best_p, best_f, best_aux = p, f0, aux0
     shares = ctx.shares(rho)
     eta = config.step_size
     for _ in range(config.inner_steps):
-        grad = ctx.power_gradient(w, best_p, shares, best_aux, anchor)
+        grad = ctx.power_gradient(w, best_p, shares, best_aux)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:

@@ -206,42 +206,42 @@ def gather_common_weights(ctx, tables, aux, shares):
     return u, blend * group_u[tables.assign]
 
 
-def gather_beam_coefficients(ctx, p, shares, aux, anchor):
+def gather_beam_coefficients(ctx, p, shares, aux):
     """The channel coefficients zc of the beam gradient
     (_EvalContext._beam_coefficients) by gathers, one term per stage."""
     tables = GatherTables(ctx.grouping)
     g, k = ctx.num_groups, ctx.k_total
-    d_c0, d_p0, _ = anchor
+    d_c, d_p = aux["d_c"], aux["d_p"]
     g2, v = aux["g2"], aux["v"]
     ar, own_col = tables.users, tables.assign
     u, wc = gather_common_weights(ctx, tables, aux, shares)
     own_c = g2[ar, own_col] * p[own_col]
     own_p = g2[ar, tables.private_cols] * p[g:g + k]
     cmat = (wc / _LN2)[:, None] * p[None, :] \
-        * (1.0 / (own_c + aux["d_c"])[:, None] - tables.hear_c / d_c0[:, None])
+        * (1.0 / (own_c + d_c)[:, None] - tables.hear_c / d_c[:, None])
     pmat = (u / _LN2)[:, None] * p[None, :] \
-        * (tables.own_or_hear_p / (own_p + aux["d_p"])[:, None]
-           - tables.hear_p / d_p0[:, None])
+        * (tables.own_or_hear_p / (own_p + d_p)[:, None]
+           - tables.hear_p / d_p[:, None])
     return (cmat + pmat) * v
 
 
-def gather_power_gradient_rates(ctx, p, shares, aux, anchor):
+def gather_power_gradient_rates(ctx, p, shares, aux):
     """The rate part of _EvalContext.power_gradient by gathers and add.at,
     one matrix-vector product per term, and the sum of the absolute values
     of its terms per stream, which bounds the roundoff of any order of
     summation."""
     tables = GatherTables(ctx.grouping)
     g, k = ctx.num_groups, ctx.k_total
-    d_c0, d_p0, _ = anchor
+    d_c, d_p = aux["d_c"], aux["d_p"]
     g2 = aux["g2"]
     ar, own_col = tables.users, tables.assign
     u, wc = gather_common_weights(ctx, tables, aux, shares)
     own_c = g2[ar, own_col] * p[own_col]
     own_p = g2[ar, tables.private_cols] * p[g:g + k]
-    cfac = wc / _LN2 / (own_c + aux["d_c"])
-    lfac = wc / _LN2 / d_c0
-    pfac = u / _LN2 / (own_p + aux["d_p"])
-    qfac = u / _LN2 / d_p0
+    cfac = wc / _LN2 / (own_c + d_c)
+    lfac = wc / _LN2 / d_c
+    pfac = u / _LN2 / (own_p + d_p)
+    qfac = u / _LN2 / d_p
     terms = ((cfac, g2), (-lfac, g2 * tables.hear_c),
              (pfac, g2 * tables.own_or_hear_p), (-qfac, g2 * tables.hear_p))
     grad = np.zeros(g + k + 1)
@@ -441,104 +441,13 @@ def rs_gain_lower_bound(rho_c: float, p_common: float, mean_channel: np.ndarray,
 
 
 # =====================================================================
-# Beam block, one candidate per pricing
+# Beam gradient in M space
 # =====================================================================
 
-def lone_row_gains(step, j, c, n):
-    """The gains of the one candidate that moves stream j of an
-    optimizers._Retraction step by c: its entry gains with column j
-    replaced by (v_j + c vt_j) / n."""
-    gains = {}
-    for key, sq in (("v", "g2"), ("va", "m2")):
-        x = step.entry[key].copy()
-        x[:, j] = (step.entry[key][:, j] + c * step.moved[key][:, j]) / n
-        g = step.entry[sq].copy()
-        g[:, j] = np.abs(x[:, j]) ** 2
-        gains[key], gains[sq] = x, g
-    return gains
-
-
-def sequential_beam_block(ctx, w, p, rho, f0, aux0, config, frozen_streams=None):
-    """The beamformer block with its row-by-row fallback priced one
-    candidate per ctx.price_powers call, in backtracking order.
-
-    optimizers._beam_block prices a row's steps in one stacked call; this
-    is the loop that tries them one by one, in the same span coordinates,
-    kept to show both give the same iterate."""
-    from holo_isac.optimizers import _Retraction, _tangent
-
-    anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
-    x, out_of_span = ctx.to_span(w)
-    best_x, best_f, best_aux = x, f0, aux0
-    frozen = np.zeros(w.shape[0], dtype=bool)
-    if frozen_streams is not None:
-        frozen[frozen_streams] = True
-    shares = ctx.shares(rho)
-    eta = config.step_size
-    row_eta = np.full(w.shape[0], config.step_size)
-    joint_ok = True
-    scratch = np.empty((x.shape[0], 2 * x.shape[1]))
-    for _ in range(config.inner_steps):
-        grad = ctx.beam_gradient(best_x, p, shares, best_aux, anchor)
-        if not np.all(np.isfinite(grad)):
-            raise RuntimeError("non-finite beamformer gradient")
-        grad[frozen] = 0.0
-        step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
-                           best_aux, frozen)
-        tn = np.sqrt(step.tn2)
-        tn_max = tn.max()
-        if tn_max < 1e-14:
-            break
-        accepted = False
-        if joint_ok:
-            size = eta
-            for _bt in range(config.max_backtracks):
-                c = size / tn_max
-                gains, n, kept = step.joint(c)
-                f_c, aux_c = ctx.price_powers(gains, p, shares)
-                if f_c > best_f:
-                    best_x, best_f, best_aux = step.iterate(c, n, kept), f_c, aux_c
-                    eta = min(size * 1.5, 1.0)
-                    accepted = True
-                    break
-                size *= config.backtrack
-            if not accepted:
-                joint_ok = False
-        if not accepted:
-            for j in np.argsort(-tn):
-                if frozen[j] or tn[j] < 1e-14:
-                    continue
-                size = row_eta[j]
-                for _bt in range(4):
-                    c = size / tn[j]
-                    n = step.norms(c, j)
-                    if n > 1e-300:
-                        f_c, aux_c = ctx.price_powers(
-                            lone_row_gains(step, j, c, n), p, shares)
-                        if f_c > best_f:
-                            best_x, best_f, best_aux = step.row(j, c, n), f_c, aux_c
-                            row_eta[j] = min(size * 1.5, 1.0)
-                            accepted = True
-                            break
-                    size *= config.backtrack
-                if accepted:
-                    break
-                row_eta[j] = max(size, 1e-3)
-        if not accepted:
-            break
-    if best_x is x:
-        return w, f0, aux0
-    best_w = ctx.from_span(best_x, out_of_span, w, x)
-    f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
-    if f_out > f0:
-        return best_w, f_out, aux_out
-    return w, f0, aux0
-
-
-def m_space_beam_gradient(ctx, p, shares, aux, anchor):
+def m_space_beam_gradient(ctx, p, shares, aux):
     """The beam gradient as beams: its coefficients Z times B = [h; a_l],
     the M-wide product _EvalContext.beam_gradient replaces by Z^T rt."""
-    zc, zs = ctx._beam_coefficients(p, shares, aux, anchor)
+    zc, zs = ctx._beam_coefficients(p, shares, aux)
     grad = zc.T @ ctx.h
     if zs is not None:
         grad += zs.T @ ctx.scene.steer
@@ -558,12 +467,11 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
     the loop it replaced, kept to show both give the same iterate."""
     from holo_isac.optimizers import _project_powers
 
-    anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
     best_p, best_f, best_aux = p, f0, aux0
     shares = ctx.shares(rho)
     eta = config.step_size
     for _ in range(config.inner_steps):
-        grad = ctx.power_gradient(w, best_p, shares, best_aux, anchor)
+        grad = ctx.power_gradient(w, best_p, shares, best_aux)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:

@@ -36,7 +36,7 @@ from oracles import (GatherTables, e_wmmse_mse_weight,
                      gather_group_sums, gather_power_gradient_rates,
                      gather_stream_rates, golden_rho_block,
                      loop_e_wmmse_sweep, m_space_beam_gradient,
-                     sequential_beam_block, sequential_power_block)
+                     sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -386,60 +386,6 @@ def assert_same_result(got, want):
             np.asarray(aux2[key]).tobytes(), key
 
 
-def stacked(gains) -> bool:
-    """Whether a pricing call's gains carry a candidate axis (a row step)."""
-    return gains["v"].ndim == 3
-
-
-def test_stacked_row_fallback_matches_the_sequential_block(monkeypatch):
-    entries = block_entries("_beam_block")
-    assert len(entries) >= 10
-    assert any(ctx.m_total == 1024 for ctx, *_ in entries)
-    fallbacks = 0
-    for ctx, *args in entries:
-        with monkeypatch.context() as patch:
-            calls = calls_to(patch, ctx, "price_powers")
-            got = optimizers._beam_block(ctx, *args)
-        assert_same_result(got, sequential_beam_block(ctx, *args))
-        fallbacks += any(stacked(gains) for (gains, *_), _ in calls)
-    assert fallbacks >= 3
-
-
-def test_a_fallback_step_prices_each_row_it_visits_once(monkeypatch):
-    visited = []
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
-            block_entries("_beam_block"):
-        one_step = OptimizerConfig(inner_steps=1,
-                                   max_backtracks=config.max_backtracks)
-        with monkeypatch.context() as patch:
-            formed = calls_to(patch, ctx, "_gains")
-            evaluated = calls_to(patch, ctx, "evaluate")
-            priced = calls_to(patch, ctx, "price_powers")
-            optimizers._beam_block(ctx, w, p, rho, f0, aux0, one_step, frozen)
-        # the step runs in span coordinates: gains are formed only to price
-        # the result
-        assert len(evaluated) <= 1
-        assert len(formed) == len(evaluated)
-        joint = [g for (g, *_), _ in priced if not stacked(g)]
-        assert len(joint) - len(evaluated) <= one_step.max_backtracks
-        rows = []
-        for (gains, *_), _ in priced:
-            if not stacked(gains):
-                continue
-            # a row step keeps every gain of the entry iterate but stream j's
-            moved = np.flatnonzero(np.any(gains["v"] != aux0["v"], axis=(0, 1)))
-            assert len(moved) == 1
-            j = moved[0]
-            for key in ctx._GAINS:
-                kept = np.delete(gains[key], j, axis=-1)
-                assert np.array_equal(kept, np.broadcast_to(
-                    np.delete(aux0[key], j, axis=-1), kept.shape))
-            rows.append(j)
-        assert len(rows) == len(set(rows))
-        visited.extend(rows)
-    assert len(visited) >= 3
-
-
 def rescaled_entries():
     """beam-block entries whose rows are off the unit spheres (norms 0.5 to
     2, one free row zero), priced afresh, so Re<w_s, t_s> is not ~0 and a
@@ -482,47 +428,36 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
     entries = block_entries("_beam_block") \
         + rescaled_entries()
     spy("joint")
-    spy("row_gains")
 
     def close(got, want):
         # within 1e-12 of each column's largest gain
         scale = np.abs(want).max(axis=-2, keepdims=True, initial=0.0)
         return np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    counts = {"joint": 0, "row_gains": 0}
+    count = 0
     for ctx, w, *args in entries:
         seen.clear()
         optimizers._beam_block(ctx, w, *args)
         _, u = ctx.to_span(w)
-        for name, step, args_, out in seen:
-            counts[name] += 1
+        for _, step, (c,), (gains, _, _) in seen:
+            count += 1
             x, t = step.x, step.tang
-            if name == "joint":
-                (c,), (gains, _, _) = args_, out
-                cand = optimizers._normalize_rows(x + c * t, x)
-                cand[step.held] = x[step.held]
-                want = ctx._gains(span_beams(ctx, cand, u))
-                assert close(gains["v"], want["v"])
-                assert close(gains["va"], want["va"])
-                continue
-            (j, c, _), gains = args_, out
-            for i, ci in enumerate(c):
-                r = x[j] + ci * t[j]
-                r = span_beams(ctx, r[None] / np.linalg.norm(r), u[[j]])
-                assert close(gains["v"][i][:, [j]], ctx.hc @ r.T)
-                assert close(gains["va"][i][:, [j]], ctx.scene.steer_c @ r.T)
-    assert counts["joint"] >= 20 and counts["row_gains"] >= 20
+            cand = optimizers._normalize_rows(x + c * t, x)
+            cand[step.held] = x[step.held]
+            want = ctx._gains(span_beams(ctx, cand, u))
+            assert close(gains["v"], want["v"])
+            assert close(gains["va"], want["va"])
+    assert count >= 20
 
 
 def test_the_span_gradient_is_the_m_space_gradient():
     checked = set()
     for ctx, w, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
-        anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
         shares = ctx.shares(rho)
-        got = ctx.beam_gradient(ctx.to_span(w)[0], p, shares, aux0, anchor)
+        got = ctx.beam_gradient(ctx.to_span(w)[0], p, shares, aux0)
         assert np.all(got[:, -1] == 0.0)
-        want = m_space_beam_gradient(ctx, p, shares, aux0, anchor)
+        want = m_space_beam_gradient(ctx, p, shares, aux0)
         # within 1e-12 of each row's largest entry
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got[:, :-1] @ ctx.span[0].T - want) <= 1e-12 * scale)
@@ -546,13 +481,88 @@ def test_beam_block_returns_the_gains_of_its_beams():
     assert moved >= 10
 
 
+def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
+        monkeypatch):
+    """Every accepted beam step starts from the pricing of its own iterate:
+    the gains of its beams (within 1e-12 of each column's largest gain),
+    priced. Its tangent is the M-space gradient over that pricing less its
+    radial part, within 1e-12 of each row's largest entry; held rows have
+    none. (The gradient is checked over the block's pricing, not over one
+    of evaluate: where a beam nearly nulls a user, roundoff in the gains
+    moves the interference sums, and the gradient with them, by far more
+    than 1e-12.)"""
+    accepted = []
+    real = optimizers._Retraction.iterate
+
+    def record(step, *args):
+        accepted.append(step)
+        return real(step, *args)
+
+    monkeypatch.setattr(optimizers._Retraction, "iterate", record)
+    moved_iterates = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries("_beam_block"):
+        accepted.clear()
+        optimizers._beam_block(ctx, w, p, rho, f0, aux0, config, frozen)
+        _, u = ctx.to_span(w)
+        shares = ctx.shares(rho)
+        for i, step in enumerate(accepted):
+            beams = span_beams(ctx, step.x, u)
+            aux = step.entry
+            if i:
+                # a moved iterate: the gains of its beams, priced
+                fresh = ctx._gains(beams)
+                for key in ("v", "va"):
+                    scale = np.abs(fresh[key]).max(axis=0, initial=0.0)
+                    assert within(aux[key], fresh[key], scale), key
+                _, priced = ctx.price_powers(
+                    {key: aux[key] for key in ctx._GAINS}, p, shares)
+                for key in ("d_c", "d_p", "d_l"):
+                    assert bits(aux[key]) == bits(priced[key]), key
+                moved_iterates += 1
+            else:
+                assert aux is aux0
+            grad = m_space_beam_gradient(ctx, p, shares, aux)
+            grad[step.held] = 0.0
+            radial = np.real(np.sum(beams.conj() * grad, axis=1))
+            want = grad - radial[:, None] * beams
+            scale = np.abs(want).max(axis=1, keepdims=True)
+            assert within(span_beams(ctx, step.tang, u), want, scale)
+    assert moved_iterates >= 10
+
+
+def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
+    """At most max_backtracks candidates, no gains formed, no evaluate. (A
+    block that moves prices at most one ladder per step, and forms gains
+    only to price its result.)"""
+    idle = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries("_beam_block"):
+        with monkeypatch.context() as patch:
+            accepted = calls_to(patch, optimizers._Retraction, "iterate")
+            formed = calls_to(patch, ctx, "_gains")
+            evaluated = calls_to(patch, ctx, "evaluate")
+            priced = calls_to(patch, ctx, "price_powers")
+            w_out, f_out, aux_out = optimizers._beam_block(
+                ctx, w, p, rho, f0, aux0, config, frozen)
+        assert len(formed) == len(evaluated) <= 1
+        ladders = min(len(accepted) + 1, config.inner_steps)
+        assert len(priced) - len(evaluated) <= ladders * config.max_backtracks
+        if accepted:
+            continue
+        assert w_out is w and f_out == f0 and aux_out is aux0
+        assert len(priced) <= config.max_backtracks
+        assert not formed and not evaluated
+        idle += 1
+    assert idle >= 3
+
+
 def test_zero_and_held_beam_rows_keep_their_entry_rows():
     held_rows = 0
     entries = rescaled_entries()
     for ctx, w, p, rho, f0, aux0, config, frozen in entries:
         w_out, _, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0, config,
                                              frozen)
-        assert w_out is not w
         assert np.all(w_out[ctx.num_groups] == 0.0)
         if frozen is not None:
             assert w_out[frozen].tobytes() == w[frozen].tobytes()
@@ -697,15 +707,12 @@ def test_gradients_match_the_gather_forms():
     largest entry, and the rate part of the power gradient within 1e-12 of
     the sum of the absolute values of its terms."""
     for ctx, w, p, rho, f0, aux0 in kernel_entries():
-        anchor = (aux0["d_c"], aux0["d_p"], aux0["d_l"])
         shares = ctx.shares(rho)
-        zc, _ = ctx._beam_coefficients(p, shares, aux0, anchor)
-        want = gather_beam_coefficients(ctx, p, shares, aux0, anchor)
+        zc, _ = ctx._beam_coefficients(p, shares, aux0)
+        want = gather_beam_coefficients(ctx, p, shares, aux0)
         assert within(zc, want, np.abs(want).max(axis=1, keepdims=True))
-        grad = (ctx._stage_weights(shares, aux0, anchor)
-                * aux0["g2"]).sum(axis=0)
-        want, scale = gather_power_gradient_rates(ctx, p, shares, aux0,
-                                                  anchor)
+        grad = (ctx._stage_weights(shares, aux0) * aux0["g2"]).sum(axis=0)
+        want, scale = gather_power_gradient_rates(ctx, p, shares, aux0)
         assert within(grad, want, scale)
 
 
@@ -736,6 +743,42 @@ def test_a_power_block_forms_no_gains(monkeypatch):
             assert all(gains[key] is aux0[key] for key in ctx._GAINS)
         priced += len(candidates)
     assert priced >= 10
+
+
+def test_every_power_step_follows_the_gradient_at_its_own_iterate(
+        monkeypatch):
+    """Each power step takes its gradient over the pricing of its own
+    iterate, whose interference sums are evaluate's there bit for bit. On
+    the fp entries, whose rate-only weights leave the power gradient its
+    rate part alone, that gradient is the gather form at the iterate within
+    1e-12 of the sum of the absolute values of its terms."""
+    moved_iterates = rate_only = 0
+    for ctx, w, p, rho, f0, aux0, config, frozen in \
+            block_entries("_power_block"):
+        taken = []
+        real = ctx.power_gradient
+
+        def record(*args):
+            grad = real(*args)
+            taken.append((args, grad.copy()))
+            return grad
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ctx, "power_gradient", record)
+            optimizers._power_block(ctx, w, p, rho, f0, aux0, config, frozen)
+        shares = ctx.shares(rho)
+        fp = not ctx.aw[1:].any()
+        for (_, p_i, _, aux_i), grad in taken:
+            _, fresh = ctx.evaluate(w, p_i, rho)
+            for key in ("d_c", "d_p", "d_l"):
+                assert bits(aux_i[key]) == bits(fresh[key]), key
+            if fp:
+                want, scale = gather_power_gradient_rates(ctx, p_i, shares,
+                                                          fresh)
+                assert within(grad, want, scale)
+                rate_only += 1
+        moved_iterates += max(len(taken) - 1, 0)
+    assert moved_iterates >= 10 and rate_only >= 10
 
 
 def test_the_water_filled_split_is_at_least_the_golden_section_split():
