@@ -51,7 +51,7 @@ SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
 # not change. At paper_full they let two trials overlap in some phases only:
 # run on two threads against one after the other, the channel draw (a few
 # whole-trial array calls) ran at 1.9x, e_wmmse at 2.0x and the row metrics
-# at 1.4x, while conv_noma, hao_sca and fp ran at about 0.95x at the default
+# at 1.3x, while conv_noma, hao_sca and fp ran at about 0.9x at the default
 # budget (medians, same settings; README, "At paper scale").
 POOL_SWITCH_INTERVAL_S = 0.05
 

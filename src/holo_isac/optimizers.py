@@ -450,7 +450,9 @@ class _EvalContext:
         pfac = u / (aux["own_p"] + aux["d_p"])
         fac = np.array([cfac, cfac - wc / aux["d_c"], pfac - u / aux["d_p"],
                         pfac])
-        return (fac[:, :, None] * lay.stages).sum(axis=0)
+        # at most two stages hold any one stream, so the order in which
+        # einsum adds the four products, each exact, changes no bit
+        return np.einsum("ik,iks->ks", fac, lay.stages)
 
     def beam_gradient(self, x, p, shares, aux) -> np.ndarray:
         """Gradient of the penalized objective in all beamformers, at the
@@ -497,9 +499,9 @@ class _EvalContext:
         Each stage's signal-plus-interference and interference-alone sums
         are read from aux, so this is the gradient of the true objective
         there, up to the softmin blend that _common_blend puts on each
-        group's minimum common rate. That keeps the interference cost of every stream visible:
-        power drains away from streams that hurt other streams more than
-        they carry."""
+        group's minimum common rate. That keeps the interference cost of
+        every stream visible: power drains away from streams that hurt
+        other streams more than they carry."""
         grad = (self._stage_weights(shares, aux) * aux["g2"]).sum(axis=0)
         if self.num_targets:
             m2, beam_sum, d_l = aux["m2"], aux["beam_sum"], aux["d_l"]
@@ -610,9 +612,14 @@ class _Retraction:
             dead = ~(n > 1e-300)
             kept = kept | dead
             n[dead] = 1.0
+        # numpy divides a complex by a real as the product with the real's
+        # reciprocal, so this gives the quotient's bits with one reciprocal
+        # per stream instead of one per entry
+        inv = 1.0 / n
         gains = {}
         for key, sq in (("v", "g2"), ("va", "m2")):
-            x = (self.entry[key] + c * self.moved[key]) / n
+            x = self.entry[key] + c * self.moved[key]
+            x *= inv
             gains[key], gains[sq] = x, np.abs(x) ** 2
         if dead is not None:
             for key in _EvalContext._GAINS:
@@ -657,7 +664,7 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     scratch = np.empty((x.shape[0], 2 * x.shape[1]))
     for _ in range(config.inner_steps):
         grad = ctx.beam_gradient(best_x, p, shares, best_aux)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(_reals(grad)).all():
             raise RuntimeError("non-finite beamformer gradient")
         grad = np.where(frozen[:, None], 0.0, grad)
         step = _Retraction(ctx, best_x, _tangent(grad, best_x, scratch),
@@ -960,7 +967,8 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
 
     Cycles beamformer, power, and split blocks until the objective change
     drops below config.epsilon or max_iters is exhausted. The beam and
-    power blocks take surrogate-gradient steps; the split block sets each
+    power blocks step along the gradient at each of their iterates, the
+    gradient of the SCA surrogate tight there; the split block sets each
     group's rho by water-filling its common capacity over the members'
     private rates (_rho_block), one closed-form solve per group. With
     conventional_noma=True the common powers and rho are frozen at zero
