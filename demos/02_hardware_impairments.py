@@ -3,26 +3,27 @@
 Walks the four front-end stages one at a time: nearest-neighbor mutual
 coupling, IQ imbalance pinned to a target image-rejection ratio, a phase
 noise random walk, and Gaussian CSI estimation error. For each stage the
-script reports how far the effective channel drifts from the ideal one.
+script reports how far a trial's effective channels drift from the ideal
+ones.
 """
 
 import numpy as np
 
 from holo_isac import (ArrayGeometry, ImpairmentChain, coupling_matrix,
-                       effective_channel, inject_csi_error, iq_coefficients,
-                       irr_db, phase_noise_from_dbc, phase_noise_step,
-                       solve_iq_for_irr)
+                       draw_channels, effective_channel, inject_csi_error,
+                       iq_coefficients, irr_db, phase_noise_from_dbc,
+                       phase_noise_step, solve_iq_for_irr)
 
 rng = np.random.default_rng(11)
 
 lam = 3.0e-3
 geom = ArrayGeometry(mx=4, my=4, dx=lam / 4.0, dy=lam / 4.0, wavelength=lam)
-h = rng.standard_normal(geom.m_total) + 1j * rng.standard_normal(geom.m_total)
-h /= np.linalg.norm(h)
+h, _, _ = draw_channels(geom, rng, 4)     # one trial's four users
 
 
 def drift(h_eff):
-    return np.linalg.norm(h_eff - h) / np.linalg.norm(h)
+    """The largest relative change of any user's channel."""
+    return np.max(np.linalg.norm(h_eff - h, axis=1) / np.linalg.norm(h, axis=1))
 
 
 # ===== mutual coupling ===============================================
@@ -62,5 +63,5 @@ for step in range(5):
 
 print("\ncsi error injection (relative error is exact by construction):")
 for eps in (0.0, 0.1, 0.2, 0.4):
-    h_est = inject_csi_error(h, eps, rng)
+    h_est = np.vstack([inject_csi_error(row, eps, rng) for row in h])
     print(f"  eps = {eps:3.1f}: ||h_est - h|| / ||h|| = {drift(h_est):.12f}")

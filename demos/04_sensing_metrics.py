@@ -1,17 +1,18 @@
 """Sensing metric chain on one illuminated target.
 
-Builds a design point, computes the echo SINR at the target, and follows it
-through the two downstream metrics: detection probability at a fixed false
-alarm rate and the range CRLB. Also cross-checks the closed-form CRLB
+Builds a design point, prices it as a result row is priced (price_design on
+the targets' SensingScene), and follows each target's echo SINR through the
+two downstream metrics: detection probability at a fixed false alarm rate
+and the angle CRLB. Also cross-checks the closed-form CRLB
 against the Fisher information route and shows the full-power floor.
 """
 
 import numpy as np
 
-from holo_isac import (ArrayGeometry, PathSampler, crlb_closed_form,
-                       crlb_lower_bound, detection_probability,
-                       evaluate_sensing, fisher_information,
-                       generate_user_channel, init_hao_sca, sensing_sinr)
+from holo_isac import (ArrayGeometry, ObjectiveWeights, PathSampler,
+                       SensingScene, crlb_closed_form, crlb_lower_bound,
+                       detection_probability, draw_channels,
+                       fisher_information, init_hao_sca, price_design)
 from holo_isac.channel import SensingTarget
 
 rng = np.random.default_rng(31)
@@ -22,10 +23,7 @@ sigma_n2 = 1e-12
 sigma_s2 = 10.0 ** (-11.5)
 p_max = 100.0
 
-channels = np.stack(
-    [generate_user_channel(rng=rng, geom=geom,
-                           sampler=PathSampler(num_paths=6)).h
-     for _ in range(4)])
+channels, _, _ = draw_channels(geom, rng, 4, PathSampler(num_paths=6))
 targets = [SensingTarget(theta=0.4, phi=0.8, r=0.05, rcs=0.8),
            SensingTarget(theta=-0.2, phi=-1.5, r=0.08, rcs=0.3)]
 
@@ -34,15 +32,18 @@ sol = init_hao_sca(channels, targets, geom, num_groups=2,
 
 # ===== echo sinr and the bundled evaluation ==========================
 
-report = evaluate_sensing(sol, targets, geom, sigma_s2, p_fa=1e-3,
-                          p_max=p_max)
+scene = SensingScene(targets, geom)
+price = price_design(sol, channels, scene, ObjectiveWeights(), sigma_n2,
+                     sigma_s2)
+report = scene.evaluation(price.echo_sinr, sol.p_sensing, sigma_s2,
+                          p_fa=1e-3, p_max=p_max)
 print("per-target sensing evaluation (p_fa = 1e-3):")
 for l, t in enumerate(targets):
     print(f"  target {l} (rcs {t.rcs:.1f} at r = {t.r:.2f} m): "
           f"sinr = {report.sinr_db[l]:6.2f} dB, "
           f"p_detect = {report.detection_prob[l]:.4f}, "
-          f"crlb = {report.crlb[l]:.3e} m^2, "
-          f"floor = {report.crlb_floor[l]:.3e} m^2")
+          f"crlb = {report.crlb[l]:.3e} rad^2, "
+          f"floor = {report.crlb_floor[l]:.3e} rad^2")
 
 # ===== detection probability vs sinr =================================
 
@@ -60,7 +61,7 @@ base_ps = sol.p_sensing
 for scale in (0.5, 1.0, 2.0, 4.0):
     sol.p_sensing = base_ps * scale
     print(f"  p_sensing = {sol.p_sensing:7.3f} W: "
-          f"crlb = {crlb_closed_form(targets[0], sol, geom, sigma_s2):.4e} m^2")
+          f"crlb = {crlb_closed_form(targets[0], sol, geom, sigma_s2):.4e} rad^2")
 sol.p_sensing = base_ps
 
 prod = crlb_closed_form(targets[0], sol, geom, sigma_s2) \
@@ -69,5 +70,5 @@ print(f"\nclosed form x fisher information = {prod:.6f} (want ~1; the two"
       " routes use independent derivative discretizations)")
 
 floor = crlb_lower_bound(targets[0], geom, sigma_s2, p_max)
-gamma0 = sensing_sinr(0, sol, targets, sigma_s2, geom)
-print(f"full-power floor = {floor:.4e} m^2 at echo sinr {gamma0:.2f}")
+gamma0 = report.sinr[0]
+print(f"full-power floor = {floor:.4e} rad^2 at echo sinr {gamma0:.2f}")

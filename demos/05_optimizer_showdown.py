@@ -11,15 +11,14 @@ import time
 
 import numpy as np
 
-from holo_isac import (check_constraints, composite_objective,
-                       generate_trial_data, preset_config, rate_breakdown,
-                       solve_instance)
+from holo_isac import (SensingScene, generate_trial_data, preset_config,
+                       price_design, solve_instance)
 
 cfg = preset_config("desk_tiny")
 rng = np.random.default_rng(np.random.SeedSequence((cfg.experiment.master_seed, 0, 0)))
 data = generate_trial_data(cfg, rng)
 
-geom = cfg.array_geometry()
+scene = SensingScene(data.targets, cfg.array_geometry())
 weights = cfg.objective_weights()
 s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
 
@@ -33,11 +32,10 @@ for name in ("hao_sca", "e_wmmse", "fp", "conv_noma"):
     t0 = time.perf_counter()
     sol, trace = solve_instance(name, data.channels_est, data.targets, cfg)
     dt = time.perf_counter() - t0
-    value, _ = composite_objective(sol, data.channels_true, data.targets,
-                                   geom, weights, s2n, s2s)
-    bd = rate_breakdown(sol, data.channels_true, s2n)
-    results[name] = (sol, trace)
-    print(f"  {name:10s}  {value:9.3f}  {bd.sum_rate:8.3f}  "
+    price = price_design(sol, data.channels_true, scene, weights, s2n, s2s)
+    results[name] = (sol, trace, price)
+    print(f"  {name:10s}  {price.value:9.3f}  "
+          f"{price.components.sum_rate:8.3f}  "
           f"{trace.iterations_used:5d}  {str(trace.monotone):8s}  {dt:7.2f}")
 
 print("\n(the e_wmmse sweep uses closed-form filter updates and is not an"
@@ -55,11 +53,11 @@ for i, v in enumerate(objs):
     bar = "#" * int(round(40.0 * (v - objs[0]) / max(objs[-1] - objs[0], 1e-12)))
     print(f"  sweep {i:2d}: {v:9.4f} {bar}")
 
-# ===== feasibility audit =============================================
+# ===== operating limits ==============================================
 
-sol = results["hao_sca"][0]
-report = check_constraints(sol, data.channels_true, data.targets, geom,
-                           cfg.qos_limits(), s2n, s2s)
-print(f"\nconstraint audit of the block-ascent solution: "
-      f"feasible = {report.feasible}")
-print(f"  power used = {sol.total_power():.3f} / {cfg.p_max_watts:.0f} W")
+sol, _, price = results["hao_sca"]
+limits = cfg.qos_limits()
+print("\noperating limits of the block-ascent solution (true channels):")
+print(f"  power used = {sol.total_power():.3f} / {limits.p_max:.0f} W")
+print(f"  lowest user rate = {price.total_rate.min():.3f} bit/s/Hz "
+      f"(floor {limits.r_min:g})")

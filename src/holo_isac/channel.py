@@ -2,7 +2,7 @@
 
 User channels follow a clustered near-field model: a handful of point-source
 paths, each with its own (theta, phi, r) and a complex Gaussian gain whose
-variance is the path's share of the total power. A point target's echo is
+variance is an equal share of the total power. A point target's echo is
 rank-one; its amplitude follows the radar equation (echo_amplitude).
 """
 
@@ -13,33 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import ArrayGeometry, array_response
-
-_FRACTION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path: angles/range plus its power fraction."""
-
-    theta: float
-    phi: float
-    r: float
-    sigma2: float  # power fraction; fractions across a channel sum to 1
-
-    def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError(f"path power fraction must be >= 0, got {self.sigma2}")
-        if self.r <= 0.0:
-            raise ValueError(f"path range must be > 0, got {self.r}")
-
-
-@dataclass
-class UserChannel:
-    """Generated channel vector together with the paths that produced it."""
-
-    h: np.ndarray
-    paths: list
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -97,13 +70,12 @@ def free_space_beta(geom: ArrayGeometry, r: float) -> float:
 
 
 def draw_channels(geom: ArrayGeometry, rng: np.random.Generator,
-                  num_users: int, sampler: PathSampler | None = None,
-                  beta: float | None = None) -> tuple:
+                  num_users: int, sampler: PathSampler | None = None) -> tuple:
     """Draw num_users multipath channels, h = sqrt(beta) sum_p alpha_p a(path_p).
 
     Path gains alpha_p are complex Gaussian with variance 1/P, so
-    E||h||^2 = beta * E||a||^2 under the sampler; beta defaults to each
-    user's free-space value at its first path's range. The stream is read
+    E||h||^2 = beta * E||a||^2 under the sampler; beta is each user's
+    free-space value at its first path's range. The stream is read
     user by user (paths, then path gains), so each row is bit for bit its
     user's channel drawn alone. The responses come from one broadcast
     array_response call per chunk of max(1, num_users // P) users, which
@@ -124,10 +96,7 @@ def draw_channels(geom: ArrayGeometry, rng: np.random.Generator,
     for i in range(num_users):
         coords[i] = rng.uniform(lo, hi, (num_paths, 3))
         normals[i] = rng.standard_normal((num_paths, 2))
-    if beta is None:
-        beta = [free_space_beta(geom, r) for r in coords[:, 0, 2].tolist()]
-    else:
-        beta = [beta] * num_users
+    beta = [free_space_beta(geom, r) for r in coords[:, 0, 2].tolist()]
     alpha = (normals[..., 0] + 1j * normals[..., 1]) \
         * np.sqrt(1.0 / num_paths / 2.0)
     h = np.zeros((num_users, geom.m_total), dtype=complex)
@@ -138,62 +107,6 @@ def draw_channels(geom: ArrayGeometry, rng: np.random.Generator,
         for p in range(num_paths):
             h[rows] += alpha[rows, p, None] * responses[:, p]
     return np.sqrt(beta)[:, None] * h, coords, beta
-
-
-def generate_user_channel(geom: ArrayGeometry, rng: np.random.Generator,
-                          sampler: PathSampler | None = None,
-                          beta: float | None = None) -> UserChannel:
-    """Draw one multipath user channel: draw_channels for one user.
-
-    Returns:
-        UserChannel with the channel vector, the drawn paths (with uniform
-        1/P power fractions), and beta.
-    """
-    sampler = sampler or PathSampler()
-    h, coords, beta = draw_channels(geom, rng, 1, sampler, beta)
-    paths = [PathComponent(theta, phi, r, 1.0 / sampler.num_paths)
-             for theta, phi, r in coords[0].tolist()]
-    return UserChannel(h=h[0], paths=paths, beta=beta[0])
-
-
-def spatial_correlation(geom: ArrayGeometry, paths) -> np.ndarray:
-    """Spatial correlation matrix R = sum_p sigma2_p a_p a_p^H.
-
-    The path power fractions must sum to one (checked to 1e-9). The result is
-    Hermitian positive semidefinite by construction.
-    """
-    total = sum(p.sigma2 for p in paths)
-    if abs(total - 1.0) > _FRACTION_TOL:
-        raise ValueError(f"path power fractions must sum to 1, got {total!r}")
-    m = geom.m_total
-    cov = np.zeros((m, m), dtype=complex)
-    for p in paths:
-        a = array_response(geom, p.theta, p.phi, p.r)
-        cov += p.sigma2 * np.outer(a, a.conj())
-    return cov
-
-
-def condition_number(matrix: np.ndarray) -> float:
-    """Eigenvalue condition number of a Hermitian PSD matrix.
-
-    Returns lambda_max / lambda_min, or +inf once lambda_min drops below
-    1e-14 * lambda_max (rank-deficient to machine precision).
-
-    Raises:
-        ValueError: if the matrix is not Hermitian within 1e-9.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-9:
-        raise ValueError("matrix is not Hermitian within 1e-9")
-    eigs = np.linalg.eigvalsh(matrix)
-    lam_min, lam_max = eigs[0], eigs[-1]
-    if lam_max <= 0.0:
-        return np.inf
-    if lam_min <= 1e-14 * lam_max:
-        return np.inf
-    return float(lam_max / lam_min)
 
 
 def target_responses(geom: ArrayGeometry, targets) -> np.ndarray:

@@ -24,6 +24,7 @@ from .config import (
 )
 from .experiments import SWEEP_AXES, make_plan, run_experiment
 from .records import (
+    PLOT_METRICS,
     STATS_METRICS,
     merge_records,
     write_csv,
@@ -193,16 +194,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    rows = merge_records([args.results])
-    baseline = merge_records([args.baseline]) if args.baseline else None
     metrics = tuple(tok.strip() for tok in args.metrics.split(",")
                     if tok.strip())
-    known = ("objective", "sum_rate", "detection_prob", "crlb",
-             "energy_efficiency", "fairness", "iterations_used")
+    known = PLOT_METRICS + ("iterations_used",)
     for metric in metrics:
         if metric not in known:
             raise ValueError(f"unknown metric {metric!r}; choose from "
                              f"{', '.join(known)}")
+    if not metrics:
+        raise ValueError("--metrics list is empty")
+    rows = merge_records([args.results])
+    baseline = merge_records([args.baseline]) if args.baseline else None
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.results)), "stats_report.txt")
     write_stats_report(rows, out, baseline_rows=baseline, metrics=metrics)

@@ -38,12 +38,6 @@ def dbm_to_watts(dbm: float) -> float:
         return math.inf
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("watts must be positive for a dBm value")
-    return 10.0 * math.log10(watts) + 30.0
-
-
 # =====================================================================
 # Sections
 # =====================================================================

@@ -27,6 +27,7 @@ from .geometry import ArrayGeometry
 from .impairments import (
     ImpairmentChain,
     coupling_matrix,
+    effective_channel,
     inject_csi_error,
     iq_coefficients,
     phase_noise_from_dbc,
@@ -67,7 +68,9 @@ class ExperimentPlan:
     sweep_axis "none" runs the scenario as configured; the other axes
     reinterpret sweep_values as, in order: the rate-vs-sensing weight split
     (alpha, 1 - alpha), the square-array side length, the phase-noise level
-    in dBc, and the CSI error fraction.
+    in dBc, and the CSI error fraction. Every point of the grid is applied
+    and its config validated here, so a bad value fails the plan before
+    any trial runs.
     """
 
     config: ScenarioConfig
@@ -91,6 +94,12 @@ class ExperimentPlan:
             raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
         if self.sweep_axis != "none" and len(self.sweep_values) == 0:
             raise ValueError("sweep grid must not be empty")
+        for value in self.grid:
+            try:
+                apply_sweep(self.config, self.sweep_axis, value).validate()
+            except ValueError as exc:
+                raise ValueError(
+                    f"sweep {self.sweep_axis} = {value}: {exc}") from None
 
     @property
     def grid(self) -> tuple:
@@ -148,20 +157,20 @@ class TrialResult:
 # =====================================================================
 
 def apply_sweep(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
-    """A copy of the config with one sweep point applied."""
+    """A copy of the config with one sweep point applied; its ranges are
+    checked by ScenarioConfig.validate (ExperimentPlan checks every point)."""
     if axis == "none":
         return config
     if axis == "alpha":
         v = float(value)
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"alpha sweep value {v} outside [0, 1]")
         return replace(config,
                        weights=WeightSection(alpha1=v, alpha2=1.0 - v,
                                              alpha3=0.0, alpha4=0.0))
     if axis == "antennas":
+        if not float(value).is_integer():
+            raise ValueError(f"antenna sweep value {value} is not a whole "
+                             f"number of elements")
         side = int(value)
-        if side < 1:
-            raise ValueError(f"antenna sweep value {value} must be >= 1")
         return replace(config,
                        geometry=replace(config.geometry, mx=side, my=side))
     if axis == "impairment":
@@ -169,11 +178,9 @@ def apply_sweep(config: ScenarioConfig, axis: str, value) -> ScenarioConfig:
                        impairments=replace(config.impairments,
                                            phase_noise_dbc=float(value)))
     if axis == "csi_eps":
-        v = float(value)
-        if not 0.0 <= v < 1.0:
-            raise ValueError(f"csi_eps sweep value {v} outside [0, 1)")
         return replace(config,
-                       impairments=replace(config.impairments, csi_eps=v))
+                       impairments=replace(config.impairments,
+                                           csi_eps=float(value)))
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
@@ -251,12 +258,7 @@ def generate_trial_data(cfg: ScenarioConfig,
     ]
 
     chain = _impairment_chain(cfg, geom.m_total, rng)
-    if chain is not None:
-        # effective_channel's product per user, with the cascade formed once
-        t_h = chain.transform(geom.m_total).conj().T
-        h_true = np.vstack([t_h @ h[i] for i in range(k)])
-    else:
-        h_true = h
+    h_true = h if chain is None else effective_channel(h, chain)
 
     eps = cfg.impairments.csi_eps
     if eps > 0.0:

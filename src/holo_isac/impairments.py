@@ -225,13 +225,13 @@ class ImpairmentChain:
 
 
 def effective_channel(h: np.ndarray, chain: ImpairmentChain) -> np.ndarray:
-    """Channel seen through the impaired front end.
+    """The (K, M) channels h of a trial seen through the impaired front end.
 
-    With received signal h^H T x, the effective channel column is T^H h.
-    """
-    h = np.asarray(h, dtype=complex)
-    t = chain.transform(h.shape[0])
-    return t.conj().T @ h
+    With received signal h_k^H T x, user k's effective channel is T^H h_k.
+    The cascade is formed once, and each user takes its own matrix-vector
+    product."""
+    t_h = chain.transform(h.shape[1]).conj().T
+    return np.vstack([t_h @ row for row in h])
 
 
 def inject_csi_error(h: np.ndarray, eps_csi: float, rng: np.random.Generator) -> np.ndarray:

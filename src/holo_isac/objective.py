@@ -1,12 +1,14 @@
-"""Composite design objective, QoS constraint audit, and the
-interference-free sum-rate ceiling used as a runtime sanity rail.
+"""Composite design objective and the interference-free sum-rate ceiling
+used as a runtime sanity rail.
 
 The objective blends four normalized-weight components: sum rate, sensing
 utility (log2(1 + SINR) per target), energy efficiency, and Jain fairness.
 price_streams and price_split are the one kernel that prices a design point,
 over rates.stream_rates and sensing.echo_sinrs and over any number of
 stacked candidates; the optimizers add their QoS penalty to it, and
-composite_objective, check_constraints and the result rows are views of it.
+price_design prices one design point for the result rows.
+composite_objective is a one-call view of price_design that the benchmark
+tracer times.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .geometry import ArrayGeometry
 from .rates import (RsNomaSolution, StreamLayout, allocate, common_shares,
-                    rate_breakdown, stream_gains, stream_rates)
-from .sensing import SensingScene, detection_probability, echo_sinrs
+                    stream_gains, stream_rates)
+from .sensing import SensingScene, echo_sinrs
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class QosLimits:
-    """Operating limits audited by check_constraints; crlb_max = inf
-    disables the CRLB limit, and NaN passes no check."""
+    """Operating limits that the optimizers' QoS penalty holds a design
+    to; crlb_max = inf disables the CRLB limit, and NaN passes no check."""
 
     p_max: float
     r_min: float = 0.0
@@ -178,19 +180,13 @@ class DesignPrice:
 
 def price_design(solution: RsNomaSolution, channels: np.ndarray,
                  scene: SensingScene, weights: ObjectiveWeights,
-                 sigma_n2: float, sigma_s2: float,
-                 component_scales=None) -> DesignPrice:
+                 sigma_n2: float, sigma_s2: float) -> DesignPrice:
     """Composite objective, its components, the user rates and the echo
     SINRs of one design point; energy efficiency divides by
     solution.total_power()."""
     if sigma_s2 <= 0.0:
         raise ValueError(f"sensing noise power must be > 0, got {sigma_s2}")
     aw = weights.as_array()
-    if component_scales is not None:
-        scales = np.asarray(component_scales, dtype=float)
-        if scales.shape != (4,) or np.any(scales <= 0.0):
-            raise ValueError(f"component scales must be 4 positive values, got {scales}")
-        aw = aw / scales
     power = solution.total_power()
     layout = StreamLayout(solution.grouping)
     g2, m2 = stream_gains(solution, channels, scene.steer)
@@ -208,85 +204,11 @@ def price_design(solution: RsNomaSolution, channels: np.ndarray,
 
 def composite_objective(solution: RsNomaSolution, channels: np.ndarray, targets,
                         geom: ArrayGeometry, weights: ObjectiveWeights,
-                        sigma_n2: float, sigma_s2: float,
-                        component_scales=None):
-    """Weighted blend of rate, sensing, efficiency, and fairness.
-
-    The value is linear in the weights for fixed component values. With
-    component_scales (length-4 positive array) each raw component is divided
-    by its scale first, which keeps weight sweeps comparable across regimes
-    while preserving that linearity. An all-zero rate vector contributes
-    fairness 0 rather than raising.
-
-    Returns:
-        (value, ObjectiveComponents) pair; the components are the raw
-        (unscaled) values.
-    """
+                        sigma_n2: float, sigma_s2: float):
+    """(value, ObjectiveComponents) of price_design on the scene of targets."""
     price = price_design(solution, channels, SensingScene(targets, geom),
-                         weights, sigma_n2, sigma_s2, component_scales)
+                         weights, sigma_n2, sigma_s2)
     return price.value, price.components
-
-
-@dataclass
-class ConstraintReport:
-    """Signed slacks for every operating constraint (negative = violated)."""
-
-    power_margin: float
-    rate_slack: np.ndarray
-    detection_slack: np.ndarray
-    crlb_slack: np.ndarray
-    rho_in_bounds: bool
-    norm_residual: float
-    feasible: bool
-
-
-_FEAS_TOL = 1e-9
-
-
-def check_constraints(solution: RsNomaSolution, channels: np.ndarray, targets,
-                      geom: ArrayGeometry, limits: QosLimits,
-                      sigma_n2: float, sigma_s2: float) -> ConstraintReport:
-    """Audit power budget, per-user QoS, sensing QoS, rho bounds, beam norms.
-
-    A solution is feasible iff every slack clears -1e-9, rho stays in [0, 1]
-    to the same tolerance, and all beamformer norms sit within 1e-9 of one.
-    """
-    bd = rate_breakdown(solution, channels, sigma_n2)
-    power_margin = float(limits.p_max - solution.total_power())
-    rate_slack = bd.total_rate - limits.r_min
-
-    scene = SensingScene(targets, geom)
-    det_slack = np.array([
-        detection_probability(g, limits.p_fa) - limits.p_d_min
-        for g in scene.sinrs(solution, sigma_s2)
-    ])
-    crlbs = scene.crlb(solution.p_sensing, sigma_s2)
-    with np.errstate(invalid="ignore"):
-        crlb_slack = limits.crlb_max - crlbs
-    crlb_slack = np.where(np.isnan(crlb_slack), 0.0, crlb_slack)  # inf - inf
-
-    rho_ok = bool(np.all(solution.rho >= -_FEAS_TOL)
-                  and np.all(solution.rho <= 1.0 + _FEAS_TOL))
-    beams = solution.stacked_beams()
-    norm_residual = float(np.max(np.abs(np.linalg.norm(beams, axis=1) - 1.0)))
-
-    feasible = (
-        power_margin >= -_FEAS_TOL
-        and bool(np.all(rate_slack >= -_FEAS_TOL))
-        and bool(np.all(det_slack >= -_FEAS_TOL))
-        and bool(np.all(crlb_slack >= -_FEAS_TOL))
-        and rho_ok
-        and norm_residual <= _FEAS_TOL
-    )
-    return ConstraintReport(
-        power_margin=power_margin,
-        rate_slack=rate_slack,
-        detection_slack=det_slack,
-        crlb_slack=crlb_slack,
-        rho_in_bounds=rho_ok,
-        norm_residual=norm_residual,
-        feasible=feasible,
-    )
 
 
 # =====================================================================

@@ -66,6 +66,8 @@ from .sensing import SensingScene, echo_sinrs, q_inverse
 
 _LN2 = np.log(2.0)
 _MONO_SLACK = 1e-9
+# weight of run_e_wmmse's sensing penalty, the squared echo-SINR shortfall
+_LAMBDA_SENSING = 1.0
 
 
 @dataclass(frozen=True)
@@ -1061,7 +1063,6 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
                 weights: ObjectiveWeights, limits: QosLimits,
                 sigma_n2: float, sigma_s2: float,
                 config: OptimizerConfig | None = None, num_groups: int = 1,
-                lambda_sensing: float = 1.0,
                 instance: SolveInstance | None = None):
     """Extended WMMSE with SIC-aware MSE stages and a sensing penalty.
 
@@ -1070,7 +1071,8 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     off one stage pricing, one stacked solve for all communication beams, a
     penalty-gradient step on the sensing beam when the echo SINR falls
     short of the detection threshold, and a budget rescale. The trace
-    objective is sum rate minus the sensing penalty. It starts from the
+    objective is sum rate minus the sensing penalty, the squared shortfall
+    weighted by _LAMBDA_SENSING. It starts from the
     init_hao_sca start of instance (see run_hao_sca).
     """
     config = config or OptimizerConfig()
@@ -1087,10 +1089,10 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         p_cur = np.linalg.norm(v_cur, axis=1) ** 2
         _, aux = ctx.evaluate(_normalize_rows(v_cur, w), p_cur, rho)
         short = np.maximum(0.0, ctx.gamma_min - aux["gam_l"])
-        return aux["rate_sum"] - lambda_sensing * float(short @ short)
+        return aux["rate_sum"] - _LAMBDA_SENSING * float(short @ short)
 
     def sweep(v_all):
-        v_all = _e_wmmse_sweep(ctx, v_all, gram, lambda_sensing)
+        v_all = _e_wmmse_sweep(ctx, v_all, gram, _LAMBDA_SENSING)
         return v_all, traced(v_all)
 
     v_all = np.sqrt(p)[:, None] * w

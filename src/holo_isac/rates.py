@@ -159,18 +159,6 @@ class RsNomaSolution:
         return np.concatenate([self.p_common, self.p_private, [self.p_sensing]])
 
 
-def conventional_noma_view(solution: RsNomaSolution) -> RsNomaSolution:
-    """The same design point with the rate-splitting layer switched off.
-
-    Common powers and rho are zeroed; beam directions are untouched, so the
-    view degrades gracefully to plain grouped NOMA.
-    """
-    out = solution.copy()
-    out.p_common = np.zeros_like(out.p_common)
-    out.rho = np.zeros_like(out.rho)
-    return out
-
-
 # =====================================================================
 # Stream pricing
 # =====================================================================

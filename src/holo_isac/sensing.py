@@ -3,7 +3,10 @@ and Cramer-Rao bounds for target angle estimation.
 
 echo_sinrs over a SensingScene (one instance's target tables) is the echo
 half of the one pricing kernel (objective.price_streams / price_split);
-the optimizers, the result rows and sensing_sinrs all price echoes there.
+the optimizers and the result rows price echoes there, and
+SensingScene.evaluation bundles a row's echo SINRs with their detection
+probabilities and CRLBs. sensing_sinr and evaluate_sensing are one-call
+views of the scene that the benchmark tracer times.
 
 The Gaussian tail function Q and its inverse are implemented locally (erf
 Maclaurin series below |x| = 2, Laplace continued fraction above) so the
@@ -95,18 +98,12 @@ def echo_sinrs(m2: np.ndarray, p: np.ndarray, scene: SensingScene,
     return beam_sum, d_l, echoes / d_l
 
 
-def sensing_sinrs(solution: RsNomaSolution, targets, sigma_s2: float,
-                  geom: ArrayGeometry) -> np.ndarray:
-    """Echo SINR of every target under the current transmit covariance."""
-    return SensingScene(targets, geom).sinrs(solution, sigma_s2)
-
-
 def sensing_sinr(l: int, solution: RsNomaSolution, targets,
                  sigma_s2: float, geom: ArrayGeometry) -> float:
-    """Echo SINR of target l; one entry of sensing_sinrs."""
+    """Echo SINR of target l: one entry of SensingScene.sinrs."""
     if not 0 <= l < len(targets):
         raise ValueError(f"target index {l} out of range for {len(targets)} targets")
-    return float(sensing_sinrs(solution, targets, sigma_s2, geom)[l])
+    return float(SensingScene(targets, geom).sinrs(solution, sigma_s2)[l])
 
 
 # =====================================================================
@@ -261,7 +258,7 @@ class SensingEvaluation:
 
 def evaluate_sensing(solution: RsNomaSolution, targets, geom: ArrayGeometry,
                      sigma_s2: float, p_fa: float, p_max: float) -> SensingEvaluation:
-    """Bundle SINR, detection probability, and CRLB for every target."""
+    """SensingScene.evaluation of the targets' echo SINRs under solution."""
     scene = SensingScene(targets, geom)
     return scene.evaluation(scene.sinrs(solution, sigma_s2), solution.p_sensing,
                             sigma_s2, p_fa, p_max)

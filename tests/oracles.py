@@ -31,7 +31,7 @@ from holo_isac.experiments import TrialData, TrialResult, _impairment_chain
 from holo_isac.geometry import ArrayGeometry, array_response
 from holo_isac.impairments import ImpairmentChain, inject_csi_error
 from holo_isac.records import RECORD_FIELDS, SCHEMA_VERSION
-from holo_isac.sensing import _crlb, _derivative_norm2
+from holo_isac.sensing import _crlb, _derivative_norm2, detection_probability
 from holo_isac.stats import StatTestResult, _two_sided_p, cohens_d, t_quantile
 
 _LN2 = np.log(2.0)
@@ -325,6 +325,28 @@ def dense_sensing_sinr(l, solution, targets, sigma_s2, geom) -> float:
     ])
     clutter = float(sum(e for i, e in enumerate(echoes) if i != l))
     return float(echoes[l] / (clutter + sigma_s2))
+
+
+def feasible(solution, channels, targets, geom, limits, sigma_n2, sigma_s2,
+             tol=1e-9) -> bool:
+    """Whether a design point meets every operating limit to tol: the power
+    budget, each user's rate floor (user_total_rate), each target's
+    detection floor (dense_sensing_sinr) and CRLB cap (an infinite bound
+    meets an infinite cap), rho in [0, 1] and unit-norm beams."""
+    rates = [user_total_rate(k, solution, channels, sigma_n2)
+             for k in range(solution.num_users)]
+    detect = [detection_probability(
+        dense_sensing_sinr(l, solution, targets, sigma_s2, geom), limits.p_fa)
+        for l in range(len(targets))]
+    crlbs = [_crlb(sigma_s2, solution.p_sensing, t.rcs,
+                   _derivative_norm2(geom, t)) for t in targets]
+    norms = np.linalg.norm(solution.stacked_beams(), axis=1)
+    return bool(solution.total_power() <= limits.p_max + tol
+                and all(r >= limits.r_min - tol for r in rates)
+                and all(d >= limits.p_d_min - tol for d in detect)
+                and all(c <= limits.crlb_max + tol for c in crlbs)
+                and np.all((-tol <= solution.rho) & (solution.rho <= 1.0 + tol))
+                and np.max(np.abs(norms - 1.0)) <= tol)
 
 
 # =====================================================================

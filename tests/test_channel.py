@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from holo_isac.channel import (
-    PathComponent,
     PathSampler,
     SensingTarget,
-    condition_number,
     draw_channels,
     free_space_beta,
-    generate_user_channel,
-    spatial_correlation,
     target_responses,
 )
 from holo_isac.geometry import ArrayGeometry, array_response
@@ -26,13 +22,6 @@ def desk_geom(mx=8, my=8, wavelength=3e-3):
 # =====================================================================
 # Value-object validation
 # =====================================================================
-
-def test_path_component_validation():
-    with pytest.raises(ValueError):
-        PathComponent(0.1, 0.1, 1.0, -0.2)
-    with pytest.raises(ValueError):
-        PathComponent(0.1, 0.1, 0.0, 0.5)
-
 
 def test_sensing_target_validation():
     with pytest.raises(ValueError):
@@ -63,44 +52,35 @@ def test_draw_paths_respects_bounds():
     sampler = PathSampler(num_paths=5)
     rng = np.random.default_rng(42)
     lo, hi = sampler.range_bounds(g)
-    for _ in range(20):
-        paths = generate_user_channel(g, rng, sampler).paths
-        assert len(paths) == 5
-        for p in paths:
-            assert sampler.theta_lo <= p.theta <= sampler.theta_hi
-            assert sampler.phi_lo <= p.phi <= sampler.phi_hi
-            assert lo <= p.r <= hi
-            assert p.sigma2 == pytest.approx(0.2)
+    _, coords, _ = draw_channels(g, rng, 20, sampler)
+    assert coords.shape == (20, 5, 3)
+    theta, phi, r = coords.transpose(2, 0, 1)
+    assert np.all((sampler.theta_lo <= theta) & (theta <= sampler.theta_hi))
+    assert np.all((sampler.phi_lo <= phi) & (phi <= sampler.phi_hi))
+    assert np.all((lo <= r) & (r <= hi))
 
 
 # =====================================================================
 # User channels
 # =====================================================================
 
-def test_generate_user_channel_shape_and_beta():
+def test_draw_channels_shape_and_beta():
     g = desk_geom()
-    rng = np.random.default_rng(7)
-    ch = generate_user_channel(g, rng)
-    assert ch.h.shape == (64,)
-    assert ch.beta == pytest.approx(free_space_beta(g, ch.paths[0].r))
-    explicit = generate_user_channel(g, rng, beta=2.5)
-    assert explicit.beta == 2.5
+    h, coords, beta = draw_channels(g, np.random.default_rng(7), 3)
+    assert h.shape == (3, 64)
+    assert beta == [free_space_beta(g, r) for r in coords[:, 0, 2]]
 
 
 def test_channel_mean_energy_statistics():
-    # E||h||^2 = beta * E||a||^2 under unit-sum power fractions; check the
+    # E||h||^2 = beta * E||a||^2 under equal path power fractions; check the
     # ratio against the sampled mean steering energy with a generous band
     g = desk_geom(4, 4)
     sampler = PathSampler(num_paths=4)
-    rng = np.random.default_rng(2024)
-    h_energy, a_energy = [], []
-    for _ in range(400):
-        ch = generate_user_channel(g, rng, sampler, beta=1.0)
-        h_energy.append(np.linalg.norm(ch.h) ** 2)
-        for p in ch.paths:
-            a = array_response(g, p.theta, p.phi, p.r)
-            a_energy.append(p.sigma2 * np.linalg.norm(a) ** 2)
-    ratio = np.mean(h_energy) / (4 * np.mean(a_energy))
+    h, coords, beta = draw_channels(g, np.random.default_rng(2024), 400,
+                                    sampler)
+    h_energy = np.sum(np.abs(h) ** 2, axis=1) / np.array(beta)
+    a = array_response(g, *coords.transpose(2, 0, 1))
+    ratio = np.mean(h_energy) / np.mean(np.sum(np.abs(a) ** 2, axis=-1))
     assert 0.8 < ratio < 1.2
 
 
@@ -110,11 +90,13 @@ def test_channel_sums_the_paths_in_draw_order():
     g = desk_geom(4, 4)
     sampler = PathSampler(num_paths=6)
     for seed in range(3):
-        ch = generate_user_channel(g, np.random.default_rng(seed), sampler)
-        h, paths = loop_user_channel(g, np.random.default_rng(seed), sampler)
-        assert ch.paths == [PathComponent(*p, 1.0 / 6) for p in paths]
-        assert ch.beta == free_space_beta(g, paths[0][2])
-        assert ch.h.tobytes() == h.tobytes()
+        h, coords, beta = draw_channels(g, np.random.default_rng(seed), 1,
+                                        sampler)
+        loop, paths = loop_user_channel(g, np.random.default_rng(seed),
+                                        sampler)
+        assert coords[0].tolist() == [list(p) for p in paths]
+        assert beta == [free_space_beta(g, paths[0][2])]
+        assert h[0].tobytes() == loop.tobytes()
 
 
 @pytest.mark.parametrize("mx, my, users, num_paths", [
@@ -137,9 +119,6 @@ def test_draw_channels_equals_the_per_user_loop(mx, my, users, num_paths):
         assert beta == [free_space_beta(g, paths[0][2]) for _, paths in rows]
         # the stream is left where the loop leaves it
         assert rng.bit_generator.state == loop.bit_generator.state
-    h, _, beta = draw_channels(g, np.random.default_rng(0), 2, sampler,
-                               beta=2.5)
-    assert beta == [2.5, 2.5]
     assert draw_channels(g, np.random.default_rng(0), 0, sampler)[0].shape \
         == (0, g.m_total)
 
@@ -158,7 +137,7 @@ def test_target_responses_equal_the_per_target_rows():
     empty = target_responses(g, [])
     assert empty.shape == (0, g.m_total) and empty.dtype == complex
     # the start's sensing mix is the same from a given table
-    h = np.vstack([generate_user_channel(g, rng).h for _ in range(3)])
+    h = draw_channels(g, rng, 3)[0]
     own = init_hao_sca(h, targets, g, 1, 1.0, 1e-9)
     given = init_hao_sca(h, targets, g, 1, 1.0, 1e-9, steer=table)
     assert own.w_sensing.tobytes() == given.w_sensing.tobytes()
@@ -168,40 +147,6 @@ def test_free_space_beta_hand_value():
     g = desk_geom()
     assert free_space_beta(g, 2.0) == pytest.approx(
         (3e-3 / (4.0 * np.pi * 2.0)) ** 2, rel=1e-14)
-
-
-# =====================================================================
-# Spatial correlation and conditioning
-# =====================================================================
-
-def test_spatial_correlation_structure():
-    g = desk_geom(4, 4)
-    paths = [PathComponent(0.2, 0.5, 0.1, 0.5), PathComponent(-0.4, 1.5, 0.2, 0.5)]
-    cov = spatial_correlation(g, paths)
-    assert np.allclose(cov, cov.conj().T, atol=1e-14)
-    assert np.all(np.linalg.eigvalsh(cov) > -1e-12)
-    trace_expected = sum(
-        p.sigma2 * np.linalg.norm(array_response(g, p.theta, p.phi, p.r)) ** 2
-        for p in paths
-    )
-    assert np.trace(cov).real == pytest.approx(trace_expected, rel=1e-12)
-
-
-def test_spatial_correlation_fraction_check():
-    g = desk_geom(4, 4)
-    with pytest.raises(ValueError):
-        spatial_correlation(g, [PathComponent(0.1, 0.1, 0.1, 0.7)])
-
-
-def test_condition_number_cases():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0)
-    assert condition_number(np.diag([4.0, 2.0, 1.0])) == pytest.approx(4.0)
-    rank1 = np.outer([1.0, 1.0], [1.0, 1.0])
-    assert condition_number(rank1) == np.inf
-    with pytest.raises(ValueError):
-        condition_number(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        condition_number(np.zeros((2, 3)))
 
 
 # =====================================================================

@@ -217,6 +217,39 @@ def test_stats_rejects_unknown_metric(tiny_cfg_path, tmp_path, capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+def test_stats_rejects_an_empty_metric_list(tiny_cfg_path, tmp_path, capsys):
+    out_dir = tmp_path / "m"
+    main(["run", "--config", tiny_cfg_path, "--out", str(out_dir),
+          "--algorithms", "fp"])
+    report = tmp_path / "empty.txt"
+    code = main(["stats", str(out_dir / "results.records"),
+                 "--metrics", ",", "--out", str(report)])
+    assert code == 1
+    assert "--metrics list is empty" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("impairment", "nan,-30"),
+    ("impairment", "inf,-30"),
+    ("antennas", "4.5"),
+    ("antennas", "4,0"),
+])
+def test_sweep_rejects_a_bad_grid_before_any_trial(tiny_cfg_path, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   axis, grid):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_run_task", no_trial)
+    out_dir = tmp_path / "swept"
+    code = main(["sweep", "--config", tiny_cfg_path, "--out", str(out_dir),
+                 "--axis", axis, "--grid", grid])
+    assert code == 1
+    assert f"sweep {axis} = " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 # =====================================================================
 # argparse plumbing
 # =====================================================================

@@ -12,7 +12,6 @@ from holo_isac.config import (
     parse_config,
     parse_config_text,
     preset_config,
-    watts_to_dbm,
 )
 from holo_isac.objective import ObjectiveWeights, QosLimits
 from holo_isac.optimizers import OptimizerConfig
@@ -29,9 +28,8 @@ def test_dbm_watts_round_trip():
     assert dbm_to_watts(-90.0) == pytest.approx(1e-12, rel=1e-12)
     assert dbm_to_watts(0.0) == pytest.approx(1e-3, rel=1e-12)
     for dbm in [-30.0, 0.0, 17.0, 50.0]:
-        assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-10)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
+        watts = dbm_to_watts(dbm)
+        assert 10.0 * math.log10(watts) + 30.0 == pytest.approx(dbm, abs=1e-10)
 
 
 # =====================================================================

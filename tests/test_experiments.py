@@ -65,6 +65,15 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         ExperimentPlan(cfg, ("fp",), num_trials=2, master_seed=1,
                        sweep_axis="alpha", sweep_values=())
+    # every sweep point is applied and validated before any trial runs
+    for axis, grid in (("alpha", (0.5, -0.1)), ("csi_eps", (0.1, 1.0)),
+                       ("antennas", (4.0, 4.5))):
+        with pytest.raises(ValueError, match=f"sweep {axis} = "):
+            ExperimentPlan(cfg, ("fp",), num_trials=2, master_seed=1,
+                           sweep_axis=axis, sweep_values=grid)
+    cfg.geometry.mx = 0
+    with pytest.raises(ValueError, match="geometry.mx"):
+        ExperimentPlan(cfg, ("fp",), num_trials=2, master_seed=1)
 
 
 def test_plan_grid_property():
@@ -112,13 +121,16 @@ def test_apply_sweep_axes():
 
 
 def test_apply_sweep_rejects_bad_values():
+    # apply_sweep refuses what no config can hold; validate checks ranges
     cfg = tiny_config()
-    with pytest.raises(ValueError):
-        apply_sweep(cfg, "alpha", 1.2)
-    with pytest.raises(ValueError):
-        apply_sweep(cfg, "antennas", 0)
-    with pytest.raises(ValueError):
-        apply_sweep(cfg, "csi_eps", 1.0)
+    for axis, value in (("alpha", 1.2), ("alpha", math.nan),
+                        ("antennas", 0), ("impairment", math.inf),
+                        ("csi_eps", 1.0)):
+        with pytest.raises(ValueError):
+            apply_sweep(cfg, axis, value).validate()
+    for value in (4.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number"):
+            apply_sweep(cfg, "antennas", value)
     with pytest.raises(ValueError):
         apply_sweep(cfg, "diagonal", 1.0)
 
@@ -177,8 +189,8 @@ def test_impaired_draw_matches_the_per_user_effective_channel():
         rng = trial_rng(23, 0, trial)
         h = generate_trial_data(plain, rng).channels_true
         chain = experiments._impairment_chain(cfg, h.shape[1], rng)
-        per_user = np.vstack([effective_channel(row, chain) for row in h])
-        assert data.channels_true.tobytes() == per_user.tobytes()
+        assert data.channels_true.tobytes() == \
+            effective_channel(h, chain).tobytes()
     geom = cfg.array_geometry()
     c = experiments._coupling(geom, 0.1)
     assert experiments._coupling(geom, 0.1) is c

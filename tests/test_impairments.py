@@ -138,8 +138,11 @@ def test_chain_composition_order():
 
     x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     assert np.allclose(apply_impairments(x, chain), t @ x, rtol=1e-12)
-    h = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    assert np.allclose(effective_channel(h, chain), t.conj().T @ h, rtol=1e-12)
+    h = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    assert np.allclose(effective_channel(h, chain), h @ t.conj(), rtol=1e-12)
+    # one matrix-vector product per user, bit for bit
+    per_user = np.vstack([t.conj().T @ row for row in h])
+    assert effective_channel(h, chain).tobytes() == per_user.tobytes()
 
 
 def test_transform_matches_the_dense_cascade():
@@ -166,7 +169,7 @@ def test_transform_matches_the_dense_cascade():
 
 
 def test_effective_channel_identity_chain():
-    h = np.array([1.0 + 2.0j, -0.5j, 0.25])
+    h = np.array([[1.0 + 2.0j, -0.5j, 0.25], [0.5, 1.0j, -2.0]])
     assert np.allclose(effective_channel(h, ImpairmentChain()), h)
 
 

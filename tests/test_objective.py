@@ -6,7 +6,6 @@ from holo_isac.geometry import ArrayGeometry
 from holo_isac.objective import (
     ObjectiveWeights,
     QosLimits,
-    check_constraints,
     composite_objective,
     sum_rate_upper_bound,
 )
@@ -126,78 +125,6 @@ def test_composite_is_linear_in_weights():
     vmix, _ = composite_objective(sol, h, targets, geom, mix, SIGMA_N2, SIGMA_S2)
     assert vmix == pytest.approx(0.7 * va + 0.3 * vb, rel=1e-12)
     assert va == pytest.approx(comps.sum_rate, rel=1e-12)
-
-
-def test_component_scales():
-    sol, h, targets, geom = build_instance(seed=23)
-    weights = ObjectiveWeights(0.25, 0.25, 0.25, 0.25)
-    scales = np.array([10.0, 2.0, 5.0, 1.0])
-    v_scaled, comps = composite_objective(sol, h, targets, geom, weights,
-                                          SIGMA_N2, SIGMA_S2,
-                                          component_scales=scales)
-    assert v_scaled == pytest.approx(
-        float(weights.as_array() @ (comps.as_array() / scales)), rel=1e-12)
-    with pytest.raises(ValueError):
-        composite_objective(sol, h, targets, geom, weights, SIGMA_N2, SIGMA_S2,
-                            component_scales=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        composite_objective(sol, h, targets, geom, weights, SIGMA_N2, SIGMA_S2,
-                            component_scales=[1.0, 0.0, 1.0, 1.0])
-
-
-# =====================================================================
-# Constraint audit
-# =====================================================================
-
-def test_constraints_feasible_instance():
-    sol, h, targets, geom = build_instance(seed=24)
-    limits = QosLimits(p_max=sol.total_power() + 1.0)
-    rep = check_constraints(sol, h, targets, geom, limits, SIGMA_N2, SIGMA_S2)
-    assert rep.feasible
-    assert rep.power_margin == pytest.approx(1.0, rel=1e-9)
-    assert np.all(rep.rate_slack >= 0.0)
-    assert np.all(rep.detection_slack >= 0.0)
-    assert rep.rho_in_bounds
-    assert rep.norm_residual < 1e-9
-
-
-def test_constraints_flag_violations():
-    sol, h, targets, geom = build_instance(seed=25)
-    tight = QosLimits(p_max=0.5 * sol.total_power())
-    rep = check_constraints(sol, h, targets, geom, tight, SIGMA_N2, SIGMA_S2)
-    assert not rep.feasible and rep.power_margin < 0.0
-
-    greedy = QosLimits(p_max=sol.total_power() + 1.0, r_min=1e6)
-    rep = check_constraints(sol, h, targets, geom, greedy, SIGMA_N2, SIGMA_S2)
-    assert not rep.feasible and np.all(rep.rate_slack < 0.0)
-
-    bad_rho = sol.copy()
-    bad_rho.rho = np.array([1.5, 0.2, 0.2, 0.2])
-    rep = check_constraints(bad_rho, h, targets, geom,
-                            QosLimits(p_max=1e9), SIGMA_N2, SIGMA_S2)
-    assert not rep.rho_in_bounds and not rep.feasible
-
-    lopsided = sol.copy()
-    lopsided.w_sensing = 2.0 * sol.w_sensing
-    rep = check_constraints(lopsided, h, targets, geom,
-                            QosLimits(p_max=1e9), SIGMA_N2, SIGMA_S2)
-    assert rep.norm_residual == pytest.approx(1.0, rel=1e-9)
-    assert not rep.feasible
-
-
-def test_constraints_infinite_crlb_against_infinite_cap():
-    sol, h, targets, geom = build_instance(seed=26)
-    dead = sol.copy()
-    dead.p_sensing = 0.0  # CRLB blows up to +inf
-    rep = check_constraints(dead, h, targets, geom,
-                            QosLimits(p_max=1e9), SIGMA_N2, SIGMA_S2)
-    # inf cap minus inf bound counts as zero slack, not a violation
-    assert np.all(rep.crlb_slack == 0.0)
-    assert rep.feasible
-    capped = check_constraints(dead, h, targets, geom,
-                               QosLimits(p_max=1e9, crlb_max=1e-3),
-                               SIGMA_N2, SIGMA_S2)
-    assert not capped.feasible and np.all(capped.crlb_slack == -np.inf)
 
 
 # =====================================================================

@@ -12,7 +12,6 @@ from holo_isac.geometry import ArrayGeometry
 from holo_isac.objective import (
     ObjectiveWeights,
     QosLimits,
-    check_constraints,
     composite_objective,
 )
 from holo_isac.optimizers import (
@@ -32,7 +31,7 @@ from holo_isac.rates import (Grouping, RsNomaSolution, rate_breakdown,
                              stream_rates)
 from holo_isac.sensing import SensingScene
 from oracles import (GatherTables, e_wmmse_mse_weight,
-                     e_wmmse_receive_filter, gather_beam_coefficients,
+                     e_wmmse_receive_filter, feasible, gather_beam_coefficients,
                      gather_group_sums, gather_power_gradient_rates,
                      gather_stream_rates, golden_rho_block,
                      loop_e_wmmse_sweep, m_space_beam_gradient,
@@ -946,9 +945,7 @@ def test_hao_sca_monotone_and_feasible():
     assert trace.monotone
     assert len(trace.objectives) == trace.iterations_used + 1
     assert trace.iterations_used <= cfg.max_iters
-    rep = check_constraints(sol, channels, targets, geom, limits,
-                            SIGMA_N2, SIGMA_S2)
-    assert rep.feasible
+    assert feasible(sol, channels, targets, geom, limits, SIGMA_N2, SIGMA_S2)
     # the run must actually improve on the deterministic start
     assert trace.objectives[-1] > trace.objectives[0]
 

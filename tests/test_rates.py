@@ -4,7 +4,6 @@ import pytest
 from holo_isac.rates import (
     Grouping,
     RsNomaSolution,
-    conventional_noma_view,
     default_grouping,
     rate_breakdown,
 )
@@ -164,18 +163,6 @@ def test_zero_rho_group_splits_uniformly():
     assert alloc[0] == pytest.approx(alloc[1])
     bd = rate_breakdown(sol, h, s2)
     assert bd.allocated_common == pytest.approx(alloc, rel=1e-12)
-
-
-def test_conventional_view_zeroes_common_layer():
-    sol, h, s2 = hand_instance()
-    view = conventional_noma_view(sol)
-    assert np.all(view.p_common == 0.0)
-    assert np.all(view.rho == 0.0)
-    assert np.all(sol.p_common == [2.0])  # original untouched
-    bd = rate_breakdown(view, h, s2)
-    assert np.all(bd.allocated_common == 0.0)
-    # stripping the common stream can only help the private stage
-    assert bd.private_rate[0] >= rate_breakdown(sol, h, s2).private_rate[0]
 
 
 def test_total_power_and_stacking():

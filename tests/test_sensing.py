@@ -18,7 +18,6 @@ from holo_isac.sensing import (
     q_function,
     q_inverse,
     sensing_sinr,
-    sensing_sinrs,
 )
 from oracles import (crlb_sinr_form, dense_sensing_sinr, sensing_channel,
                      total_covariance)
@@ -119,13 +118,13 @@ def test_sensing_sinrs_matches_dense_oracle():
     targets = some_targets(3)
     for _ in range(5):
         sol = random_solution(rng, geom.m_total)
-        fast = sensing_sinrs(sol, targets, SIGMA_S2, geom)
+        fast = SensingScene(targets, geom).sinrs(sol, SIGMA_S2)
         dense = np.array([dense_sensing_sinr(l, sol, targets, SIGMA_S2, geom)
                           for l in range(3)])
         assert np.allclose(fast, dense, rtol=1e-12, atol=0.0)
         for l in range(3):
             assert sensing_sinr(l, sol, targets, SIGMA_S2, geom) == fast[l]
-    assert sensing_sinrs(sol, [], SIGMA_S2, geom).shape == (0,)
+    assert SensingScene([], geom).sinrs(sol, SIGMA_S2).shape == (0,)
 
 
 def test_sensing_sinrs_finite_for_an_all_but_missed_target():
@@ -143,7 +142,7 @@ def test_sensing_sinrs_finite_for_an_all_but_missed_target():
     k = sol.num_users
     sol.w_common, sol.w_private, sol.w_sensing = (
         beams[:g], beams[g:g + k], beams[-1])
-    fast = sensing_sinrs(sol, targets, SIGMA_S2, geom)
+    fast = SensingScene(targets, geom).sinrs(sol, SIGMA_S2)
     assert np.all(np.isfinite(fast)) and np.all(fast >= 0.0)
     assert fast[0] < 1e-20 * fast[1]
     # the well-lit target sees the missed one as (almost no) clutter
@@ -168,7 +167,7 @@ def test_echo_clutter_does_not_cancel_against_a_dominant_echo():
     echoes = echo_power * beam_sum**2
     sigma_s2 = 1e-6 * echoes[0]     # the weak echo dominates the noise
     expected = echoes[1] / (echoes[0] + sigma_s2)
-    got = sensing_sinrs(sol, targets, sigma_s2, geom)
+    got = SensingScene(targets, geom).sinrs(sol, sigma_s2)
     assert got[1] == pytest.approx(expected, rel=1e-12)
     assert got[0] == pytest.approx(echoes[0] / (echoes[1] + sigma_s2), rel=1e-12)
 
