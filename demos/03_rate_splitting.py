@@ -19,7 +19,8 @@ data = generate_trial_data(cfg, np.random.default_rng(23))
 s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
 
 noma, _ = solve_instance("conv_noma", data.channels_est, data.targets, cfg)
-sol, _ = solve_instance("hao_sca", data.channels_est, data.targets, cfg)
+sol, _ = solve_instance("hao_sca", data.channels_est, data.targets, cfg,
+                        noma_solution=noma)
 bd = rate_breakdown(sol, data.channels_true, s2n)
 
 print("grouping (snake fold over channel strength):")

@@ -6,7 +6,8 @@ seed, and an optional sweep axis. Every trial draws its own RNG stream from
 matter how trials are scheduled across workers. Within a trial all
 algorithms see the same channel realization (paired design); the estimated
 channels go to the optimizers while metrics are computed on the true
-impaired channels.
+impaired channels. A trial's solves share one SolveInstance
+(trial_instance), and conv_noma's solution is hao_sca's NOMA warm start.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .impairments import (
     solve_iq_for_irr,
 )
 from .objective import price_design
-from .optimizers import (SolveInstance, ensure_instance, run_e_wmmse, run_fp,
-                         run_hao_sca)
+from .optimizers import SolveInstance, run_e_wmmse, run_fp, run_hao_sca
 from .sensing import SensingScene
 
 SWEEP_AXES = ("none", "alpha", "antennas", "impairment", "csi_eps")
@@ -291,8 +291,8 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     guarantees the RS solution never falls below the NOMA baseline.
 
     noma_solution, for hao_sca only, is that conventional-NOMA point when
-    the caller already holds it: the solution of
-    solve_instance("conv_noma", ...) on the same instance, which is the same
+    the caller holds it: solve_instance("conv_noma", ...) on the same
+    channels, targets and config, on any instance. That is the same
     deterministic solve, so passing it changes no result.
 
     instance is the trial's SolveInstance (trial_instance), which every
@@ -300,14 +300,13 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     """
     if algorithm not in ALGORITHM_NAMES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    geom = cfg.array_geometry()
-    weights = cfg.objective_weights()
-    limits = cfg.qos_limits()
+    weights, limits = cfg.objective_weights(), cfg.qos_limits()
     opt = cfg.optimizer_config()
     s2n, s2s = cfg.sigma_n2_watts, cfg.sigma_s2_watts
-    instance = ensure_instance(instance, channels, targets, geom,
-                               cfg.population.num_groups, limits.p_max, s2n)
-    args = (channels, targets, geom, weights, limits, s2n, s2s, opt)
+    if instance is None:
+        instance = trial_instance(channels, targets, cfg)
+    args = (channels, targets, cfg.array_geometry(), weights, limits, s2n,
+            s2s, opt)
 
     if algorithm == "hao_sca":
         if noma_solution is None:
@@ -322,16 +321,16 @@ def solve_instance(algorithm: str, channels, targets, cfg: ScenarioConfig,
     if algorithm == "conv_noma":
         return run_hao_sca(*args, conventional_noma=True, instance=instance)
     if algorithm == "e_wmmse":
-        return run_e_wmmse(*args, instance=instance)
-    return run_fp(*args, instance=instance)
+        return run_e_wmmse(instance, weights, limits, s2n, s2s, opt)
+    return run_fp(instance, limits, s2n, s2s, opt)
 
 
 def trial_instance(channels, targets, cfg: ScenarioConfig) -> SolveInstance:
     """The SolveInstance of one trial's solves: its scene, stream tables,
     span basis and init_hao_sca start."""
-    return ensure_instance(None, channels, targets, cfg.array_geometry(),
-                           cfg.population.num_groups, cfg.p_max_watts,
-                           cfg.sigma_n2_watts)
+    return SolveInstance.from_start(channels, targets, cfg.array_geometry(),
+                                    cfg.population.num_groups,
+                                    cfg.p_max_watts, cfg.sigma_n2_watts)
 
 
 def _evaluate_trial(sol, trace, data: TrialData, scene: SensingScene,
@@ -393,7 +392,7 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
     rng = np.random.default_rng(seed)
     data = generate_trial_data(cfg, rng)
     rows = {}
-    shared = {}
+    noma = None
     failures = (ValueError, RuntimeError, np.linalg.LinAlgError)
     try:
         instance = trial_instance(data.channels_est, data.targets, cfg)
@@ -405,13 +404,12 @@ def _run_task(plan: ExperimentPlan, sweep_index: int, sweep_value,
                 for algorithm in plan.algorithms]
     # conv_noma first: its solution is the warm start of hao_sca's NOMA leg
     for algorithm in sorted(plan.algorithms, key=lambda a: a != "conv_noma"):
-        extra = shared if algorithm == "hao_sca" else {}
         try:
             sol, trace = solve_instance(algorithm, data.channels_est,
-                                        data.targets, cfg, instance=instance,
-                                        **extra)
+                                        data.targets, cfg, noma_solution=noma,
+                                        instance=instance)
             if algorithm == "conv_noma":
-                shared["noma_solution"] = sol
+                noma = sol
             rows[algorithm] = _evaluate_trial(sol, trace, data,
                                               instance.scene, cfg,
                                               sweep_index, sweep_value,

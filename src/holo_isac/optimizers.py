@@ -8,10 +8,12 @@ entry beams, and the split block the whole stream part. The beam block runs
 in orthonormal coordinates of the span of the channels and steering vectors,
 where every gain, gradient and step is at most K + L + 1 wide, not M; it
 touches M-wide arrays only to enter those coordinates, to form its result
-and to price that result once in full.
+and to price that result once in full; a block that moves nothing hands
+its coordinates on to the next sweep.
 
-Every solve of a trial reads one SolveInstance: the scene, the stream
-tables, the span basis and the init_hao_sca start are built once per trial.
+Every solve of a trial reads one SolveInstance (experiments.trial_instance):
+the scene, the stream tables, the span basis and the init_hao_sca start with
+its gains and span coordinates, built once per trial.
 
 The per-candidate and per-step path (pricing, gradients, the blocks' loops)
 makes no numpy call that releases the interpreter lock at desk scale:
@@ -254,7 +256,6 @@ class _EvalContext:
         self.layout = instance.layout
         self.scene = instance.scene
         self.num_targets = self.scene.num_targets
-        self.kept_span = None       # (w, x, u) of the last to_span(w)
 
         # detection constraint folded to a minimum echo SINR
         if limits.p_d_min > limits.p_fa:
@@ -279,14 +280,6 @@ class _EvalContext:
         self.aw = value.as_array()
 
     # -- stream slicing helpers ---------------------------------------
-    def split_solution(self, solution: RsNomaSolution):
-        """(w, p, rho) of a solution; the instance's start gives its shared,
-        read-only start_beams as w."""
-        inst = self.instance
-        w = (inst.start_beams if solution is inst.start
-             else solution.stacked_beams())
-        return w, solution.stacked_powers(), solution.rho.copy()
-
     def build_solution(self, w, p, rho) -> RsNomaSolution:
         g, k = self.num_groups, self.k_total
         return RsNomaSolution(
@@ -311,18 +304,10 @@ class _EvalContext:
         precomputed share vector to skip its recomputation in hot loops."""
         if shares is None:
             shares = self.shares(rho)
-        return self.price_powers(self._gains(w), p, shares)
+        return self.price_powers(self.instance.gains(w), p, shares)
 
     # aux entries that depend on the beams alone
     _GAINS = ("v", "g2", "va", "m2")
-
-    def _gains(self, w: np.ndarray) -> dict:
-        """SolveInstance.gains of w; the instance's start_beams take the
-        instance's start_gains."""
-        inst = self.instance
-        if inst.start is not None and w is inst.start_beams:
-            return dict(inst.start_gains)
-        return inst.gains(w)
 
     # -- span coordinates -------------------------------------------------
     @property
@@ -330,29 +315,11 @@ class _EvalContext:
         """The instance's span basis (SolveInstance.span)."""
         return self.instance.span
 
-    def to_span(self, w: np.ndarray) -> tuple:
-        """(x, u): the span coordinates of the rows of w and the unit
-        direction of each row's part outside the span (zero where the row
-        has none); from_span(x, u, w, x) is w. The instance's start_beams
-        take their coordinates from the instance. Any other w is marked
-        read-only and kept in kept_span with its coordinates, which it
-        takes again when it comes back, as a beam block that moved nothing
-        returns it to the next sweep."""
-        inst = self.instance
-        if inst.start is not None and w is inst.start_beams:
-            return inst.start_span
-        kept = self.kept_span
-        if kept is None or kept[0] is not w:
-            w.flags.writeable = False
-            x, u = _span_coordinates(self.span[0], w)
-            kept = self.kept_span = (w, *_read_only(x, u))
-        return kept[1:]
-
     def from_span(self, x: np.ndarray, u: np.ndarray, w: np.ndarray,
                   x0: np.ndarray) -> np.ndarray:
-        """The beams of span coordinates x, where (x0, u) = to_span(w): row s
-        is c_s q^T + x_s[-1] u_s, except that a row whose coordinates equal
-        x0's is w's row, bit for bit."""
+        """The beams of span coordinates x, where (x0, u) are w's
+        (_span_coordinates): row s is c_s q^T + x_s[-1] u_s, except that a
+        row whose coordinates equal x0's is w's row, bit for bit."""
         out = x[:, :-1] @ self.span[0].T
         out += x[:, -1:].real * u
         return np.where(np.all(x == x0, axis=1)[:, None], w, out)
@@ -592,8 +559,8 @@ class _Retraction:
 
     Held streams have t_s = 0 and are given n_s = 1, so they keep their
     coordinates and their gains; a stream whose n_s is not above 1e-300, or
-    is NaN, keeps them too. The gains agree with ctx._gains of the formed
-    beams up to roundoff only, so _beam_block prices its result once more."""
+    is NaN, keeps them too. The gains agree with those of the formed beams
+    up to roundoff only, so _beam_block prices its result once more."""
 
     def __init__(self, ctx: _EvalContext, x, tang, gains: dict, held):
         self.x, self.tang, self.held = x, tang, held
@@ -636,10 +603,14 @@ class _Retraction:
         return np.where(kept[:, None], self.x, out.view(complex))
 
 
-def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
-                frozen_streams=None):
+def _beam_block(ctx: _EvalContext, w, span, p, rho, f0, aux0,
+                config: OptimizerConfig, frozen_streams=None):
     """Riemannian gradient ascent over the beamformers on their product of
     unit spheres. Never returns a worse iterate.
+
+    span is (x, u), the _span_coordinates of w in ctx.span, or None to
+    enter them here. Returns (w, span, f, aux): span is the coordinates of
+    the returned w when the block moved nothing, and None when it moved.
 
     Each inner step takes the gradient at its own iterate, projects it onto
     the tangent space and backtracks along it over all rows at once: up to
@@ -647,16 +618,17 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
     row, so weak streams move proportionally less instead of jittering;
     eta grows by 1.5 when a step is accepted. The block ends at the first
     step whose ladder finds no improvement. It runs in the span coordinates
-    of ctx.span: w enters them once (ctx.to_span), and every gradient,
-    tangent, step and candidate gain is min(M, K + L) + 1 wide. Each step
-    forms the gains of its tangent once and prices every candidate from
-    those and the gains of its iterate (_Retraction). If the block moved,
-    its result is formed as beams (ctx.from_span: rows it never moved are
-    w's rows bit for bit), priced once more by ctx.evaluate, and kept only
-    when that value is above f0, so the returned gains are those of the
-    returned beams bit for bit and roundoff in the identity never leaves
-    the block."""
-    x, out_of_span = ctx.to_span(w)
+    of ctx.span, and every gradient, tangent, step and candidate gain is
+    min(M, K + L) + 1 wide. Each step forms the gains of its tangent once
+    and prices every candidate from those and the gains of its iterate
+    (_Retraction). If the block moved, its result is formed as beams
+    (ctx.from_span: rows it never moved are w's rows bit for bit), priced
+    once more by ctx.evaluate, and kept only when that value is above f0,
+    so the returned gains are those of the returned beams bit for bit and
+    roundoff in the identity never leaves the block."""
+    if span is None:
+        span = _span_coordinates(ctx.span[0], w)
+    x, out_of_span = span
     best_x, best_f, best_aux = x, f0, aux0
     frozen = np.zeros(w.shape[0], dtype=bool)
     if frozen_streams is not None:
@@ -687,13 +659,12 @@ def _beam_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
         else:
             break
     if best_x is x:
-        return w, f0, aux0
+        return w, span, f0, aux0
     best_w = ctx.from_span(best_x, out_of_span, w, x)
     f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
     if f_out > f0:
-        ctx.kept_span = None        # w will not come back; free its arrays
-        return best_w, f_out, aux_out
-    return w, f0, aux0
+        return best_w, None, f_out, aux_out
+    return w, span, f0, aux0
 
 
 def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
@@ -882,21 +853,6 @@ def init_hao_sca(channels, targets, geom: ArrayGeometry, num_groups: int,
 # Full runs
 # =====================================================================
 
-def ensure_instance(instance, channels, targets, geom: ArrayGeometry,
-                    num_groups: int, p_max: float, sigma_n2: float,
-                    warm_start: RsNomaSolution | None = None) -> SolveInstance:
-    """instance when given, else the one built here: the instance of the
-    init_hao_sca start (SolveInstance.from_start) or, for a warm start, an
-    instance over its grouping without a start."""
-    if instance is not None:
-        return instance
-    if warm_start is not None:
-        return SolveInstance(channels, SensingScene(targets, geom),
-                             warm_start.grouping)
-    return SolveInstance.from_start(channels, targets, geom, num_groups,
-                                    p_max, sigma_n2)
-
-
 def _iterate(config: OptimizerConfig, sweep, state, start):
     """Apply sweep to state up to config.max_iters times, tracing each step.
 
@@ -927,11 +883,19 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
     Each sweep runs the beam block, the power block and, unless the common
     streams are frozen (their powers and every rho held at zero), the split
     block, then the adaptive weights when config asks for them. The trace
-    records the penalized objective, or aux[trace_key] when given."""
-    w, p, rho = ctx.split_solution(sol)
-    frozen = None
+    records the penalized objective, or aux[trace_key] when given. The
+    instance's start enters with its shared beams, gains and span
+    coordinates; outside the beam block every pricing is over gains the
+    state already holds."""
+    inst = ctx.instance
+    if sol is inst.start:
+        w, gains, span = inst.start_beams, inst.start_gains, inst.start_span
+    else:
+        w = sol.stacked_beams()
+        gains, span = inst.gains(w), None
+    p, rho = sol.stacked_powers(), sol.rho.copy()
+    frozen = np.arange(ctx.num_groups) if frozen_commons else None
     if frozen_commons:
-        frozen = np.arange(ctx.num_groups)
         p[frozen] = 0.0
         rho[:] = 0.0
 
@@ -939,20 +903,22 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
         return f if trace_key is None else aux[trace_key]
 
     def sweep(state):
-        w, p, rho, f, aux = state
-        w, f, aux = _beam_block(ctx, w, p, rho, f, aux, config, frozen)
+        w, span, p, rho, f, aux = state
+        w, span, f, aux = _beam_block(ctx, w, span, p, rho, f, aux, config,
+                                      frozen)
         p, f, aux = _power_block(ctx, w, p, rho, f, aux, config, frozen)
         if not frozen_commons:
             rho, f, aux = _rho_block(ctx, w, p, rho, f, aux, config)
         if config.adaptive_weights:
             comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
             ctx.weights = adaptive_weights(ctx.weights, comps)
-            f, aux = ctx.evaluate(w, p, rho)
-        return (w, p, rho, f, aux), traced(f, aux)
+            f, aux = ctx.price_powers({key: aux[key] for key in ctx._GAINS},
+                                      p, ctx.shares(rho))
+        return (w, span, p, rho, f, aux), traced(f, aux)
 
-    f, aux = ctx.evaluate(w, p, rho)
-    (w, p, rho, _, _), trace = _iterate(config, sweep, (w, p, rho, f, aux),
-                                        traced(f, aux))
+    f, aux = ctx.price_powers(gains, p, ctx.shares(rho))
+    (w, _, p, rho, _, _), trace = _iterate(
+        config, sweep, (w, span, p, rho, f, aux), traced(f, aux))
     solution = ctx.build_solution(w, _project_powers(p, ctx.limits.p_max),
                                   np.clip(rho, 0.0, 1.0))
     return solution, trace
@@ -977,21 +943,27 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
     throughout (the grouped-NOMA baseline).
 
     instance is the trial's SolveInstance (from_start on the same channels,
-    targets, array, num_groups, p_max and sigma_n2), built here when not
-    given (ensure_instance); a warm start must use its grouping.
+    targets, array, num_groups, p_max and sigma_n2); when not given, it is
+    built here, over the warm start's grouping for a warm start. A warm
+    start must have the instance's assignment and SIC orders.
 
     Returns:
         (solution, ConvergenceTrace) pair.
     """
     config = config or OptimizerConfig()
-    instance = ensure_instance(instance, channels, targets, geom, num_groups,
-                               limits.p_max, sigma_n2, warm_start)
-    if warm_start is not None:
-        if warm_start.grouping is not instance.grouping:
-            raise ValueError("warm start and instance have different groupings")
-        sol = warm_start
-    else:
+    sol = warm_start
+    if instance is None and sol is None:
+        instance = SolveInstance.from_start(channels, targets, geom,
+                                            num_groups, limits.p_max, sigma_n2)
+    elif instance is None:
+        instance = SolveInstance(channels, SensingScene(targets, geom),
+                                 sol.grouping)
+    if sol is None:
         sol = instance.start
+    # equal SIC orders give equal assignments (Grouping.__post_init__)
+    elif list(map(list, sol.grouping.sic_order)) != \
+            list(map(list, instance.grouping.sic_order)):
+        raise ValueError("warm start and instance have different groupings")
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
     return _block_ascent(ctx, sol, config, conventional_noma)
@@ -1001,8 +973,8 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
 # E-WMMSE
 # =====================================================================
 
-def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray, gram: np.ndarray,
-                   lambda_sensing: float) -> np.ndarray:
+def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray,
+                   gram: np.ndarray) -> np.ndarray:
     """One E-WMMSE sweep: the aggregates v_all = sqrt(p) w (row -1 the
     sensing beam) updated once; gram = h^* h^T.
 
@@ -1015,8 +987,8 @@ def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray, gram: np.ndarray,
     where c_kj sums omega |u|^2 over user k's stages that hear stream j and
     b_kj is omega u^* of the stage that decodes it; the G + K systems are
     one stacked _loaded_solve. The sensing beam then takes a
-    penalty-gradient step toward the echo-SINR floor, and the whole is
-    rescaled into the power budget."""
+    penalty-gradient step, weighted by _LAMBDA_SENSING, toward the echo-SINR
+    floor, and the whole is rescaled into the power budget."""
     lay, scene, limits = ctx.layout, ctx.scene, ctx.limits
     unit_powers = np.ones(lay.num_streams)
     gains = ctx.hc @ v_all.T                       # h_k^H v_s, (K, S)
@@ -1046,7 +1018,7 @@ def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray, gram: np.ndarray,
                                         scene, ctx.sigma_s2)
         short = np.maximum(0.0, ctx.gamma_min - gam)
         if short.any():
-            coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
+            coef = 2.0 * _LAMBDA_SENSING * short * scene.echo_power / d_l \
                 * 2.0 * beam_sum
             grad_s = (coef * va[:, -1]) @ scene.steer
             step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
@@ -1059,11 +1031,9 @@ def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray, gram: np.ndarray,
     return new_v
 
 
-def run_e_wmmse(channels, targets, geom: ArrayGeometry,
-                weights: ObjectiveWeights, limits: QosLimits,
-                sigma_n2: float, sigma_s2: float,
-                config: OptimizerConfig | None = None, num_groups: int = 1,
-                instance: SolveInstance | None = None):
+def run_e_wmmse(instance: SolveInstance, weights: ObjectiveWeights,
+                limits: QosLimits, sigma_n2: float, sigma_s2: float,
+                config: OptimizerConfig | None = None):
     """Extended WMMSE with SIC-aware MSE stages and a sensing penalty.
 
     Each iteration is one _e_wmmse_sweep of the aggregate beamformers
@@ -1072,15 +1042,13 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
     penalty-gradient step on the sensing beam when the echo SINR falls
     short of the detection threshold, and a budget rescale. The trace
     objective is sum rate minus the sensing penalty, the squared shortfall
-    weighted by _LAMBDA_SENSING. It starts from the
-    init_hao_sca start of instance (see run_hao_sca).
+    weighted by _LAMBDA_SENSING. It starts from the init_hao_sca start of
+    instance (SolveInstance.from_start).
     """
     config = config or OptimizerConfig()
-    instance = ensure_instance(instance, channels, targets, geom, num_groups,
-                               limits.p_max, sigma_n2)
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
-    w, p, rho = ctx.split_solution(instance.start)
+    w, rho = instance.start_beams, instance.start.rho
     gram = ctx.hc @ ctx.h.T                     # h_i^H h_j, (K, K)
 
     def traced(v_cur):
@@ -1092,10 +1060,10 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
         return aux["rate_sum"] - _LAMBDA_SENSING * float(short @ short)
 
     def sweep(v_all):
-        v_all = _e_wmmse_sweep(ctx, v_all, gram, _LAMBDA_SENSING)
+        v_all = _e_wmmse_sweep(ctx, v_all, gram)
         return v_all, traced(v_all)
 
-    v_all = np.sqrt(p)[:, None] * w
+    v_all = np.sqrt(instance.start.stacked_powers())[:, None] * w
     v_all, trace = _iterate(config, sweep, v_all, traced(v_all))
     p_fin = np.linalg.norm(v_all, axis=1) ** 2
     w_fin = _normalize_rows(v_all, w)
@@ -1107,25 +1075,19 @@ def run_e_wmmse(channels, targets, geom: ArrayGeometry,
 # Private-streams baseline (fp)
 # =====================================================================
 
-def run_fp(channels, targets, geom: ArrayGeometry,
-           weights: ObjectiveWeights, limits: QosLimits,
-           sigma_n2: float, sigma_s2: float,
-           config: OptimizerConfig | None = None, num_groups: int = 1,
-           instance: SolveInstance | None = None):
+def run_fp(instance: SolveInstance, limits: QosLimits, sigma_n2: float,
+           sigma_s2: float, config: OptimizerConfig | None = None):
     """The private-streams-only baseline: the conventional-NOMA block
     ascent of run_hao_sca on the private sum rate.
 
     The common powers and rho stay at zero, the objective weights are
-    rate-only (weights is not read) and never adapt, and the QoS penalty
-    still applies. The trace records the private sum rate, not the
-    penalized objective the blocks climb. This is not the quadratic-
-    transform fractional programming of Shen and Yu (IEEE TSP 2018), which
-    is not implemented. It starts from the init_hao_sca start of instance
-    (see run_hao_sca).
+    rate-only and never adapt, and the QoS penalty still applies. The trace
+    records the private sum rate, not the penalized objective the blocks
+    climb. This is not the quadratic-transform fractional programming of
+    Shen and Yu (IEEE TSP 2018), which is not implemented. It starts from
+    the init_hao_sca start of instance (SolveInstance.from_start).
     """
     config = replace(config or OptimizerConfig(), adaptive_weights=False)
-    instance = ensure_instance(instance, channels, targets, geom, num_groups,
-                               limits.p_max, sigma_n2)
     ctx = _EvalContext(instance, ObjectiveWeights(1.0, 0.0, 0.0, 0.0),
                        limits, sigma_n2, sigma_s2, config.qos_penalty)
     return _block_ascent(ctx, instance.start, config, True, "rate_sum")

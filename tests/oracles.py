@@ -586,13 +586,13 @@ def e_wmmse_mse_weight(u, h, v) -> float:
     return float(1.0 / mse)
 
 
-def loop_e_wmmse_sweep(ctx, v_all, gram, lambda_sensing):
+def loop_e_wmmse_sweep(ctx, v_all, gram):
     """One sweep of optimizers._e_wmmse_sweep made user by user and stream
     by stream: each stage's interference as the total received power less
     the own term, its filter and weight from the two scalar helpers above,
     and one _loaded_solve per communication stream."""
     from holo_isac.geometry import vector_norm
-    from holo_isac.optimizers import _loaded_solve
+    from holo_isac.optimizers import _LAMBDA_SENSING, _loaded_solve
     from holo_isac.sensing import echo_sinrs
 
     h, lay, scene = ctx.h, ctx.layout, ctx.scene
@@ -637,7 +637,7 @@ def loop_e_wmmse_sweep(ctx, v_all, gram, lambda_sensing):
                                         ctx.sigma_s2)
         short = np.maximum(0.0, ctx.gamma_min - gam)
         if short.any():
-            coef = 2.0 * lambda_sensing * short * scene.echo_power / d_l \
+            coef = 2.0 * _LAMBDA_SENSING * short * scene.echo_power / d_l \
                 * 2.0 * beam_sum
             grad_s = (coef * va[:, -1]) @ scene.steer
             step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),

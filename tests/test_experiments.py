@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import holo_isac.optimizers as optimizers
 from holo_isac.config import ALGORITHM_NAMES as ALGORITHMS
 from holo_isac.config import preset_config
 from holo_isac.impairments import coupling_matrix, effective_channel
+from holo_isac.rates import Grouping
 from holo_isac.records import format_record, write_records
 from holo_isac.experiments import (
     ExperimentPlan,
@@ -500,43 +502,61 @@ def instance_digest(instance) -> str:
 
 
 def test_a_trials_solves_share_one_instance_and_leave_it_unchanged():
+    """Each solve gives on an instance of its own the solution and trace it
+    gives on the shared one, hao_sca with the warm start of a conv_noma
+    solve on another instance, whose grouping equals the shared one in
+    value only. A warm start whose grouping differs in value raises."""
     cfg = impaired_config(algorithms=ALGORITHMS)
     data = generate_trial_data(cfg, trial_rng(47, 0, 0))
     args = (data.channels_est, data.targets, cfg)
     instance = experiments.trial_instance(*args)
     before = instance_digest(instance)
     noma, _ = solve_instance("conv_noma", *args, instance=instance)
-    shared = {"conv_noma": noma}
-    for algorithm in ("hao_sca", "e_wmmse", "fp"):
-        extra = {"noma_solution": noma} if algorithm == "hao_sca" else {}
-        shared[algorithm], _ = solve_instance(algorithm, *args,
-                                              instance=instance, **extra)
+    noma_apart, _ = solve_instance("conv_noma", *args)
+    assert noma_apart.grouping is not instance.grouping
+    for algorithm in ALGORITHMS:
+        shared = solve_instance(algorithm, *args, noma_solution=noma,
+                                instance=instance)
+        alone = solve_instance(algorithm, *args, noma_solution=noma_apart)
+        assert design_bytes(*shared) == design_bytes(*alone)
     assert instance_digest(instance) == before
-    # each solve gives what it gives on an instance of its own
-    for algorithm, sol in shared.items():
-        alone, _ = solve_instance(algorithm, *args)
-        assert sol.stacked_beams().tobytes() == alone.stacked_beams().tobytes()
-        assert sol.stacked_powers().tobytes() == \
-            alone.stacked_powers().tobytes()
-        assert sol.rho.tobytes() == alone.rho.tobytes()
+    grouping = noma.grouping
+    flipped = replace(noma, grouping=Grouping(
+        grouping.assignment, [order[::-1] for order in grouping.sic_order]))
+    with pytest.raises(ValueError, match="different groupings"):
+        solve_instance("hao_sca", *args, noma_solution=flipped,
+                       instance=instance)
+
+
+def design_bytes(sol, trace) -> tuple:
+    """The bytes of a solve's beams, powers, split and trace values."""
+    return (sol.stacked_beams().tobytes(), sol.stacked_powers().tobytes(),
+            sol.rho.tobytes(), trace.objectives.tobytes())
 
 
 def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
-    cfg = impaired_config(algorithms=ALGORITHMS)
-    counts = {"init": 0, "qr": 0}
+    """Four desk_tiny trials (master seed 7, all four algorithms) build one
+    start and one span basis each, enter the span 20 times and form stream
+    gains 124 times: the start's once per trial, and a solve's beams once
+    per move of its beam block."""
+    counts = {}
 
     def counted(name, real):
         def spy(*args, **kwargs):
             counts[name] += 1
             return real(*args, **kwargs)
+        counts[name] = 0
         return spy
 
-    monkeypatch.setattr(optimizers, "init_hao_sca",
-                        counted("init", optimizers.init_hao_sca))
-    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
-    rows = run_experiment(make_plan(cfg))
-    assert not any(r.failed for r in rows)
-    assert counts == {"init": 2, "qr": 2}
+    for owner, name in ((optimizers, "init_hao_sca"), (np.linalg, "qr"),
+                        (optimizers, "_span_coordinates"),
+                        (optimizers.SolveInstance, "gains")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    rows = run_experiment(make_plan(preset_config("desk_tiny"),
+                                    num_trials=4, master_seed=7))
+    assert len(rows) == 16 and not any(r.failed for r in rows)
+    assert counts == {"init_hao_sca": 4, "qr": 4, "_span_coordinates": 20,
+                      "gains": 124}
 
 
 def test_result_sort_key():

@@ -7,7 +7,8 @@ import pytest
 import holo_isac.optimizers as optimizers
 from holo_isac.channel import SensingTarget
 from holo_isac.config import preset_config
-from holo_isac.experiments import generate_trial_data, solve_instance
+from holo_isac.experiments import (generate_trial_data, solve_instance,
+                                   trial_instance)
 from holo_isac.geometry import ArrayGeometry
 from holo_isac.objective import (
     ObjectiveWeights,
@@ -45,6 +46,19 @@ P_MAX = 100.0
 def desk_geom():
     lam = 3.0e-3
     return ArrayGeometry(mx=4, my=4, dx=lam / 4, dy=lam / 4, wavelength=lam)
+
+
+def start_instance(channels, targets, geom):
+    """The SolveInstance of the two-group init_hao_sca start at P_MAX."""
+    return SolveInstance.from_start(channels, targets, geom, 2, P_MAX, SIGMA_N2)
+
+
+def start_entry(channels, targets, geom, weights, limits):
+    """(ctx, w, p, rho) at the start of start_instance, penalty 10."""
+    ctx = _EvalContext(start_instance(channels, targets, geom), weights, limits,
+                       SIGMA_N2, SIGMA_S2, 10.0)
+    sol = ctx.instance.start
+    return ctx, sol.stacked_beams(), sol.stacked_powers(), sol.rho.copy()
 
 
 def build_problem(seed=41, k=4):
@@ -199,11 +213,7 @@ def test_loaded_solve_push_through_matches_the_dense_system():
 def test_reprice_equals_evaluate_bit_for_bit():
     channels, targets, geom, weights, _ = build_problem(seed=54)
     limits = QosLimits(p_max=P_MAX, r_min=2.0, p_d_min=0.9, crlb_max=1e-6)
-    sol = init_hao_sca(channels, targets, geom, 2, limits.p_max, SIGMA_N2)
-    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
-                                     sol.grouping),
-                       weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
-    w, p, rho = ctx.split_solution(sol)
+    ctx, w, p, rho = start_entry(channels, targets, geom, weights, limits)
     _, aux = ctx.evaluate(w, p, rho)
     rng = np.random.default_rng(55)
     for _ in range(50):
@@ -263,9 +273,10 @@ def run_block(block, sol, channels, targets, geom, weights, limits, cfg):
     ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
                                      sol.grouping),
                        weights, limits, SIGMA_N2, SIGMA_S2, cfg.qos_penalty)
-    w, p, rho = ctx.split_solution(sol)
+    w, p, rho = sol.stacked_beams(), sol.stacked_powers(), sol.rho.copy()
     f0, aux0 = ctx.evaluate(w, p, rho)
-    out, _, _ = block(ctx, w, p, rho, f0, aux0, cfg)
+    lead = (w, None) if block is optimizers._beam_block else (w,)
+    out = block(ctx, *lead, p, rho, f0, aux0, cfg)[0]
     parts = {optimizers._beam_block: (out, p, rho),
              optimizers._power_block: (w, out, rho),
              optimizers._rho_block: (w, p, out)}[block]
@@ -392,7 +403,7 @@ def rescaled_entries():
     hao_sca and fp (whose common streams are held)."""
     out, seen = [], set()
     rng = np.random.default_rng(57)
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    for ctx, w, _, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         key = (ctx.m_total, frozen is None)
         if key in seen or ctx.m_total not in (16, 64):
@@ -401,9 +412,13 @@ def rescaled_entries():
         w = w * rng.uniform(0.5, 2.0, len(w))[:, None]
         w[ctx.num_groups] = 0.0          # the first private stream
         f0, aux0 = ctx.evaluate(w, p, rho)
-        out.append((ctx, w, p, rho, f0, aux0, config, frozen))
+        out.append((ctx, w, None, p, rho, f0, aux0, config, frozen))
     assert len(out) == 4
     return out
+
+
+def coordinates(ctx, w) -> tuple:
+    return optimizers._span_coordinates(ctx.span[0], w)
 
 
 def span_beams(ctx, x, u):
@@ -437,13 +452,13 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
     for ctx, w, *args in entries:
         seen.clear()
         optimizers._beam_block(ctx, w, *args)
-        _, u = ctx.to_span(w)
+        _, u = coordinates(ctx, w)
         for _, step, (c,), (gains, _, _) in seen:
             count += 1
             x, t = step.x, step.tang
             cand = optimizers._normalize_rows(x + c * t, x)
             cand[step.held] = x[step.held]
-            want = ctx._gains(span_beams(ctx, cand, u))
+            want = ctx.instance.gains(span_beams(ctx, cand, u))
             assert close(gains["v"], want["v"])
             assert close(gains["va"], want["va"])
     assert count >= 20
@@ -451,10 +466,10 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
 
 def test_the_span_gradient_is_the_m_space_gradient():
     checked = set()
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    for ctx, w, _, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         shares = ctx.shares(rho)
-        got = ctx.beam_gradient(ctx.to_span(w)[0], p, shares, aux0)
+        got = ctx.beam_gradient(coordinates(ctx, w)[0], p, shares, aux0)
         assert np.all(got[:, -1] == 0.0)
         want = m_space_beam_gradient(ctx, p, shares, aux0)
         # within 1e-12 of each row's largest entry
@@ -465,19 +480,27 @@ def test_the_span_gradient_is_the_m_space_gradient():
 
 
 def test_beam_block_returns_the_gains_of_its_beams():
-    moved = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    """The gains of its beams bit for bit and, when it moved nothing, their
+    span coordinates (None when it moved); a carried span is w's, bit for
+    bit."""
+    moved = carried = 0
+    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block") \
             + rescaled_entries():
-        w_out, f_out, aux_out = optimizers._beam_block(ctx, w, p, rho, f0,
-                                                       aux0, config, frozen)
+        w_out, span_out, f_out, aux_out = optimizers._beam_block(
+            ctx, w, span, p, rho, f0, aux0, config, frozen)
+        want = list(map(bits, coordinates(ctx, w)))
+        assert span is None or list(map(bits, span)) == want
+        assert span_out is None if w_out is not w else \
+            list(map(bits, span_out)) == want
+        carried += span is not None
         assert f_out >= f0
-        formed = ctx._gains(w_out)
+        formed = ctx.instance.gains(w_out)
         for key in ctx._GAINS:
             assert aux_out[key].tobytes() == formed[key].tobytes(), key
         assert ctx.evaluate(w_out, p, rho)[0] == f_out
         moved += w_out is not w
-    assert moved >= 10
+    assert moved >= 10 and carried >= 10
 
 
 def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
@@ -499,18 +522,18 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
 
     monkeypatch.setattr(optimizers._Retraction, "iterate", record)
     moved_iterates = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         accepted.clear()
-        optimizers._beam_block(ctx, w, p, rho, f0, aux0, config, frozen)
-        _, u = ctx.to_span(w)
+        optimizers._beam_block(ctx, w, span, p, rho, f0, aux0, config, frozen)
+        _, u = coordinates(ctx, w)
         shares = ctx.shares(rho)
         for i, step in enumerate(accepted):
             beams = span_beams(ctx, step.x, u)
             aux = step.entry
             if i:
                 # a moved iterate: the gains of its beams, priced
-                fresh = ctx._gains(beams)
+                fresh = ctx.instance.gains(beams)
                 for key in ("v", "va"):
                     scale = np.abs(fresh[key]).max(axis=0, initial=0.0)
                     assert within(aux[key], fresh[key], scale), key
@@ -535,15 +558,15 @@ def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
     block that moves prices at most one ladder per step, and forms gains
     only to price its result.)"""
     idle = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         with monkeypatch.context() as patch:
             accepted = calls_to(patch, optimizers._Retraction, "iterate")
-            formed = calls_to(patch, ctx, "_gains")
+            formed = calls_to(patch, ctx.instance, "gains")
             evaluated = calls_to(patch, ctx, "evaluate")
             priced = calls_to(patch, ctx, "price_powers")
-            w_out, f_out, aux_out = optimizers._beam_block(
-                ctx, w, p, rho, f0, aux0, config, frozen)
+            w_out, _, f_out, aux_out = optimizers._beam_block(
+                ctx, w, span, p, rho, f0, aux0, config, frozen)
         assert len(formed) == len(evaluated) <= 1
         ladders = min(len(accepted) + 1, config.inner_steps)
         assert len(priced) - len(evaluated) <= ladders * config.max_backtracks
@@ -559,9 +582,9 @@ def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
 def test_zero_and_held_beam_rows_keep_their_entry_rows():
     held_rows = 0
     entries = rescaled_entries()
-    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
-        w_out, _, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0, config,
-                                             frozen)
+    for ctx, w, span, p, rho, f0, aux0, config, frozen in entries:
+        w_out = optimizers._beam_block(ctx, w, span, p, rho, f0, aux0, config,
+                                       frozen)[0]
         assert np.all(w_out[ctx.num_groups] == 0.0)
         if frozen is not None:
             assert w_out[frozen].tobytes() == w[frozen].tobytes()
@@ -569,8 +592,8 @@ def test_zero_and_held_beam_rows_keep_their_entry_rows():
     assert held_rows >= 2
     # a stream whose n underflows to 0 keeps its coordinates and its gains
     # even when its tangent is not zero
-    ctx, w, p, rho, f0, aux0, config, frozen = entries[0]
-    x, _ = ctx.to_span(w)
+    ctx, w, _, p, rho, f0, aux0, config, frozen = entries[0]
+    x, _ = coordinates(ctx, w)
     dead = ctx.num_groups
     tang = np.zeros_like(x)
     tang[dead] = 1e-310
@@ -608,8 +631,8 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
         entries = [entry for entry in block_entries("_beam_block")
                    if edge_case(entry[0]) == case]
     moved = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in entries:
-        x, u = ctx.to_span(w)
+    for ctx, w, span, p, rho, f0, aux0, config, frozen in entries:
+        x, u = coordinates(ctx, w)
         norms = np.linalg.norm(w, axis=1)
         assert np.all(np.abs(span_beams(ctx, x, u) - w)
                       <= 1e-13 * norms[:, None])
@@ -618,8 +641,8 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
             scale = np.abs(aux0[key]).max(axis=0, initial=0.0)
             assert np.all(np.abs(gains[key] - aux0[key]) <= 1e-12 * scale)
 
-        w_out, f_out, _ = optimizers._beam_block(ctx, w, p, rho, f0, aux0,
-                                                 config, frozen)
+        w_out, _, f_out, _ = optimizers._beam_block(ctx, w, span, p, rho, f0,
+                                                    aux0, config, frozen)
         assert f_out >= f0
         kept = np.all(w_out == w, axis=1)
         assert np.all(np.abs(np.linalg.norm(w_out[~kept], axis=1) - 1.0)
@@ -631,7 +654,7 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
     assert moved >= 2
     if case == "no_targets":
         # the sensing probe's part outside the span is carried, not lost
-        assert any(np.abs(ctx.to_span(w)[0][-1, -1]) > 0.1
+        assert any(np.abs(coordinates(ctx, w)[0][-1, -1]) > 0.1
                    for ctx, w, *_ in entries)
 
 
@@ -640,20 +663,16 @@ def unequal_groups_entry():
     and three users) with active rate and detection floors."""
     channels, targets, geom, weights, _ = build_problem(seed=58, k=5)
     limits = QosLimits(p_max=P_MAX, r_min=1.0, p_d_min=0.9)
-    sol = init_hao_sca(channels, targets, geom, 2, P_MAX, SIGMA_N2)
-    assert sorted(map(len, sol.grouping.sic_order)) == [2, 3]
-    ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
-                                     sol.grouping),
-                       weights, limits, SIGMA_N2, SIGMA_S2, 10.0)
-    w, p, rho = ctx.split_solution(sol)
+    ctx, w, p, rho = start_entry(channels, targets, geom, weights, limits)
+    assert sorted(map(len, ctx.grouping.sic_order)) == [2, 3]
     return (ctx, w, p, rho, *ctx.evaluate(w, p, rho))
 
 
 def kernel_entries():
     """(ctx, w, p, rho, f0, aux0) of every beam- and power-block entry of
     block_entries, and of unequal_groups_entry."""
-    return [entry[:6] for entry in block_entries("_beam_block")
-            + block_entries("_power_block")] + [unequal_groups_entry()]
+    return [e[:2] + e[3:7] for e in block_entries("_beam_block")] \
+        + [e[:6] for e in block_entries("_power_block")] + [unequal_groups_entry()]
 
 
 def bits(a) -> bytes:
@@ -730,7 +749,7 @@ def test_a_power_block_forms_no_gains(monkeypatch):
     priced = 0
     for ctx, *args in block_entries("_power_block"):
         with monkeypatch.context() as patch:
-            formed = calls_to(patch, ctx, "_gains")
+            formed = calls_to(patch, ctx.instance, "gains")
             evaluated = calls_to(patch, ctx, "evaluate")
             candidates = calls_to(patch, ctx, "price_powers")
             optimizers._power_block(ctx, *args)
@@ -796,7 +815,7 @@ def test_a_split_block_prices_once_and_forms_no_gains(monkeypatch):
     for ctx, *args in block_entries("_rho_block"):
         with monkeypatch.context() as patch:
             streams = calls_to(patch, optimizers, "price_streams")
-            formed = calls_to(patch, ctx, "_gains")
+            formed = calls_to(patch, ctx.instance, "gains")
             full = calls_to(patch, ctx, "reprice")
             optimizers._rho_block(ctx, *args)
         assert not streams and not formed and len(full) <= 1
@@ -1016,13 +1035,12 @@ def test_solves_from_the_start_share_its_gains(monkeypatch):
     args = (data.channels_est, data.targets, cfg.array_geometry(),
             cfg.objective_weights(), cfg.qos_limits(), cfg.sigma_n2_watts,
             cfg.sigma_s2_watts, OptimizerConfig(max_iters=2))
-    instance = SolveInstance.from_start(
-        data.channels_est, data.targets, cfg.array_geometry(),
-        cfg.population.num_groups, cfg.p_max_watts, cfg.sigma_n2_watts)
-    alone = [run(*args, num_groups=cfg.population.num_groups)
-             for run in (run_hao_sca, run_fp)]
+    trial = (data.channels_est, data.targets, cfg)
+    instance = trial_instance(*trial)
+    alone = [run_hao_sca(*args, num_groups=cfg.population.num_groups),
+             run_fp(trial_instance(*trial), *args[4:])]
     formed = calls_to(monkeypatch, SolveInstance, "gains")
-    shared = [run(*args, instance=instance) for run in (run_hao_sca, run_fp)]
+    shared = [run_hao_sca(*args, instance=instance), run_fp(instance, *args[4:])]
     at_start = [a for a, _ in formed if a[1] is instance.start_beams]
     assert len(at_start) == 1
     assert not instance.start_gains["v"].flags.writeable
@@ -1087,8 +1105,8 @@ def test_one_e_wmmse_sweep_matches_the_per_user_loop():
     assert cases == {None, "wide", "duplicate", "no_targets"}
     assert {ctx.m_total for ctx, *_ in entries} >= {16, 64, 1024}
     sensed = 0
-    for ctx, v_all, gram, lambda_sensing in entries + detection_floor_entries():
-        args = (ctx, v_all, gram, lambda_sensing)
+    for ctx, v_all, gram in entries + detection_floor_entries():
+        args = (ctx, v_all, gram)
         got, coefs, mu, x, calls = solved_systems(optimizers._e_wmmse_sweep,
                                                   *args)
         want, coefs0, mu0, x0, _ = solved_systems(loop_e_wmmse_sweep, *args)
@@ -1109,8 +1127,8 @@ def test_one_e_wmmse_sweep_matches_the_per_user_loop():
 def test_e_wmmse_runs_within_budget():
     channels, targets, geom, weights, limits = build_problem(seed=51)
     cfg = OptimizerConfig(max_iters=12, epsilon=1e-8)
-    sol, trace = run_e_wmmse(channels, targets, geom, weights, limits,
-                             SIGMA_N2, SIGMA_S2, cfg, num_groups=2)
+    sol, trace = run_e_wmmse(start_instance(channels, targets, geom), weights,
+                             limits, SIGMA_N2, SIGMA_S2, cfg)
     assert sol.total_power() <= limits.p_max * (1.0 + 1e-9)
     beams = sol.stacked_beams()
     assert np.allclose(np.linalg.norm(beams, axis=1), 1.0, atol=1e-9)
@@ -1130,7 +1148,8 @@ def test_e_wmmse_sensing_step_prices_a_dominant_echo_without_cancellation(
                SensingTarget(theta=-0.4, phi=-0.9, r=0.5, rcs=1.0)]
     limits = QosLimits(p_max=P_MAX, p_d_min=0.5, p_fa=1e-3)
     scene = SensingScene(targets, geom)
-    start = init_hao_sca(channels, targets, geom, 2, P_MAX, SIGMA_N2)
+    instance = start_instance(channels, targets, geom)
+    start = instance.start
     m2 = np.abs(scene.steer_c @ start.stacked_beams().T) ** 2
     echoes = scene.echo_power * (m2 @ start.stacked_powers()) ** 2
     assert echoes[0] < 1e-18 * echoes[1]
@@ -1146,8 +1165,8 @@ def test_e_wmmse_sensing_step_prices_a_dominant_echo_without_cancellation(
         return out
 
     monkeypatch.setattr(optimizers, "echo_sinrs", spy)
-    run_e_wmmse(channels, targets, geom, weights, limits, SIGMA_N2, sigma_s2,
-                OptimizerConfig(max_iters=3), num_groups=2)
+    run_e_wmmse(instance, weights, limits, SIGMA_N2, sigma_s2,
+                OptimizerConfig(max_iters=3))
     assert steps
     for e, (_, d_l, gam) in steps:
         assert d_l[1] == pytest.approx(e[0] + sigma_s2, rel=1e-12)
@@ -1167,9 +1186,9 @@ def test_e_wmmse_sensing_step_prices_a_dominant_echo_without_cancellation(
 def test_fp_private_only_and_monotone(limits):
     channels, targets, geom, weights, _ = build_problem(seed=52)
     cfg = OptimizerConfig(max_iters=10, epsilon=1e-8)
-    sol, trace = run_fp(channels, targets, geom, weights,
+    sol, trace = run_fp(start_instance(channels, targets, geom),
                         QosLimits(p_max=P_MAX, **limits),
-                        SIGMA_N2, SIGMA_S2, cfg, num_groups=2)
+                        SIGMA_N2, SIGMA_S2, cfg)
     assert np.all(sol.p_common == 0.0)
     assert np.all(sol.rho == 0.0)
     assert trace.monotone
@@ -1183,23 +1202,22 @@ def test_fp_private_only_and_monotone(limits):
 # Adaptive weights
 # =====================================================================
 
-def adaptive_pair(solver):
-    """solver's results on a desk_tiny draw with adaptive weights off and
-    on, and the draw's power budget."""
+def adaptive_pair(algorithm):
+    """algorithm's solve_instance results on a desk_tiny draw with adaptive
+    weights off and on, and the draw's power budget."""
     cfg = preset_config("desk_tiny")
     data = generate_trial_data(cfg, np.random.default_rng(3))
-    args = (data.channels_est, data.targets, cfg.array_geometry(),
-            cfg.objective_weights(), cfg.qos_limits(), cfg.sigma_n2_watts,
-            cfg.sigma_s2_watts)
-    off = cfg.optimizer_config()
-    return [solver(*args, replace(off, adaptive_weights=flag),
-                   num_groups=cfg.population.num_groups)
-            for flag in (False, True)], cfg.p_max_watts
+    pair = []
+    for flag in (False, True):
+        cfg.optimizer.adaptive_weights = flag
+        pair.append(solve_instance(algorithm, data.channels_est, data.targets,
+                                   cfg))
+    return pair, cfg.p_max_watts
 
 
 def test_a_hao_sca_solve_with_adaptive_weights_stays_feasible_and_moves():
     ((sol_off, trace_off), (sol_on, trace_on)), p_max = \
-        adaptive_pair(run_hao_sca)
+        adaptive_pair("hao_sca")
     assert np.allclose(np.linalg.norm(sol_on.stacked_beams(), axis=1), 1.0,
                        atol=1e-12)
     assert sol_on.total_power() <= p_max * (1.0 + 1e-12)
@@ -1209,7 +1227,7 @@ def test_a_hao_sca_solve_with_adaptive_weights_stays_feasible_and_moves():
 
 
 def test_fp_ignores_adaptive_weights():
-    ((sol_off, trace_off), (sol_on, trace_on)), _ = adaptive_pair(run_fp)
+    ((sol_off, trace_off), (sol_on, trace_on)), _ = adaptive_pair("fp")
     assert sol_on.stacked_beams().tobytes() == sol_off.stacked_beams().tobytes()
     assert sol_on.stacked_powers().tobytes() == \
         sol_off.stacked_powers().tobytes()
