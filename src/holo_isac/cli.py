@@ -4,8 +4,8 @@ Subcommands: run a configured plan, sweep it over one axis, compute a stats
 report from saved results, or validate a config and print derived physical
 quantities without running anything. Scenario input comes from a preset
 name or a key=value config file (grammar documented in the README); a few
-flags override the experiment block. Thread count falls back to the
-HOLO_ISAC_THREADS environment variable, then to 1.
+flags override the experiment block; --threads sets the worker thread
+count (default 1).
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ from .records import (
     write_stats_report,
 )
 
-THREADS_ENV_VAR = "HOLO_ISAC_THREADS"
-
-
 # =====================================================================
 # Argument plumbing
 # =====================================================================
@@ -58,8 +55,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--algorithms", metavar="LIST",
                      help="comma-separated subset of "
                           f"{{{','.join(ALGORITHM_NAMES)}}}")
-    sub.add_argument("--threads", type=int, metavar="N",
-                     help=f"worker threads (default: ${THREADS_ENV_VAR} or 1)")
+    sub.add_argument("--threads", type=int, default=1, metavar="N",
+                     help="worker threads (default: 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,21 +109,9 @@ def load_scenario(args) -> ScenarioConfig:
 
 
 def resolve_threads(args) -> int:
-    if args.threads is not None:
-        threads = args.threads
-    else:
-        text = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if text:
-            try:
-                threads = int(text)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {text!r}")
-        else:
-            threads = 1
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
+    if args.threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _parse_algorithms(text):

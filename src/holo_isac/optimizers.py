@@ -4,16 +4,16 @@ Three solvers climb one penalized objective, priced by _EvalContext over the
 kernel in objective.price_streams / price_split (the pricing the result rows
 use too) with a quadratic QoS penalty added. A block prices its candidates
 from what it holds fixed: the power block reuses the stream gains of its
-entry beams, and the split block the whole stream part. The beam block runs
-in orthonormal coordinates of the span of the channels and steering vectors,
-where every gain, gradient and step is at most K + L + 1 wide, not M; it
-touches M-wide arrays only to enter those coordinates, to form its result
-and to price that result once in full; a block that moves nothing hands
-its coordinates on to the next sweep.
+entry beams, and the split block the whole stream part. A block-ascent
+solve holds its beams in orthonormal coordinates of the span of the
+channels and steering vectors from entry to exit, where every gain,
+gradient and step is at most K + L + 1 wide, not M: it enters those
+coordinates once, prices its entry from their gains, and forms M-wide
+beams once, for its result.
 
 Every solve of a trial reads one SolveInstance (experiments.trial_instance):
 the scene, the stream tables, the span basis and the init_hao_sca start with
-its gains and span coordinates, built once per trial.
+its span coordinates, built once per trial.
 
 The per-candidate and per-step path (pricing, gradients, the blocks' loops)
 makes no numpy call that releases the interpreter lock at desk scale:
@@ -148,8 +148,7 @@ class SolveInstance:
     Holds the channels, the targets' SensingScene, the grouping's
     StreamLayout, the span basis of [h; a_l] and, when built by from_start,
     the init_hao_sca start with its stacked beams and their span
-    coordinates and gains. The solves only read these; their arrays are
-    read-only."""
+    coordinates. The solves only read these; their arrays are read-only."""
 
     def __init__(self, channels, scene: SensingScene, grouping: Grouping,
                  start: RsNomaSolution | None = None):
@@ -195,13 +194,6 @@ class SolveInstance:
     def start_span(self) -> tuple:
         """_span_coordinates of start_beams."""
         return _read_only(*_span_coordinates(self.span[0], self.start_beams))
-
-    @functools.cached_property
-    def start_gains(self) -> dict:
-        """gains of start_beams, read-only."""
-        gains = self.gains(self.start_beams)
-        _read_only(*gains.values())
-        return gains
 
     def gains(self, w: np.ndarray) -> dict:
         """The user and target gains of every stream of w: v = h_k^H w_s,
@@ -314,15 +306,6 @@ class _EvalContext:
     def span(self) -> tuple:
         """The instance's span basis (SolveInstance.span)."""
         return self.instance.span
-
-    def from_span(self, x: np.ndarray, u: np.ndarray, w: np.ndarray,
-                  x0: np.ndarray) -> np.ndarray:
-        """The beams of span coordinates x, where (x0, u) are w's
-        (_span_coordinates): row s is c_s q^T + x_s[-1] u_s, except that a
-        row whose coordinates equal x0's is w's row, bit for bit."""
-        out = x[:, :-1] @ self.span[0].T
-        out += x[:, -1:].real * u
-        return np.where(np.all(x == x0, axis=1)[:, None], w, out)
 
     def span_gains(self, x: np.ndarray) -> dict:
         """The v and va gains of the beams of span coordinates x, from one
@@ -461,7 +444,7 @@ class _EvalContext:
             * p[None, :]
         return zc, cs * va
 
-    def power_gradient(self, w, p, shares, aux) -> np.ndarray:
+    def power_gradient(self, p, shares, aux) -> np.ndarray:
         """Gradient of the penalized objective in the powers, at the powers
         p that aux was priced at.
 
@@ -559,8 +542,7 @@ class _Retraction:
 
     Held streams have t_s = 0 and are given n_s = 1, so they keep their
     coordinates and their gains; a stream whose n_s is not above 1e-300, or
-    is NaN, keeps them too. The gains agree with those of the formed beams
-    up to roundoff only, so _beam_block prices its result once more."""
+    is NaN, keeps them too."""
 
     def __init__(self, ctx: _EvalContext, x, tang, gains: dict, held):
         self.x, self.tang, self.held = x, tang, held
@@ -603,34 +585,25 @@ class _Retraction:
         return np.where(kept[:, None], self.x, out.view(complex))
 
 
-def _beam_block(ctx: _EvalContext, w, span, p, rho, f0, aux0,
+def _beam_block(ctx: _EvalContext, x, p, rho, f0, aux0,
                 config: OptimizerConfig, frozen_streams=None):
     """Riemannian gradient ascent over the beamformers on their product of
-    unit spheres. Never returns a worse iterate.
-
-    span is (x, u), the _span_coordinates of w in ctx.span, or None to
-    enter them here. Returns (w, span, f, aux): span is the coordinates of
-    the returned w when the block moved nothing, and None when it moved.
+    unit spheres, in the span coordinates x of ctx.span
+    (_span_coordinates), priced by aux0. Returns (x, f, aux): the
+    coordinates reached and their pricing, the entry's when no step
+    improved f0, so f never falls.
 
     Each inner step takes the gradient at its own iterate, projects it onto
     the tangent space and backtracks along it over all rows at once: up to
     config.max_backtracks sizes from eta, each scaled by the largest tangent
     row, so weak streams move proportionally less instead of jittering;
     eta grows by 1.5 when a step is accepted. The block ends at the first
-    step whose ladder finds no improvement. It runs in the span coordinates
-    of ctx.span, and every gradient, tangent, step and candidate gain is
-    min(M, K + L) + 1 wide. Each step forms the gains of its tangent once
-    and prices every candidate from those and the gains of its iterate
-    (_Retraction). If the block moved, its result is formed as beams
-    (ctx.from_span: rows it never moved are w's rows bit for bit), priced
-    once more by ctx.evaluate, and kept only when that value is above f0,
-    so the returned gains are those of the returned beams bit for bit and
-    roundoff in the identity never leaves the block."""
-    if span is None:
-        span = _span_coordinates(ctx.span[0], w)
-    x, out_of_span = span
+    step whose ladder finds no improvement. Every gradient, tangent, step
+    and candidate gain is min(M, K + L) + 1 wide, and no M-wide array is
+    formed: each step forms the gains of its tangent once and prices every
+    candidate from those and the gains of its iterate (_Retraction)."""
     best_x, best_f, best_aux = x, f0, aux0
-    frozen = np.zeros(w.shape[0], dtype=bool)
+    frozen = np.zeros(x.shape[0], dtype=bool)
     if frozen_streams is not None:
         frozen[frozen_streams] = True
     shares = ctx.shares(rho)
@@ -658,32 +631,25 @@ def _beam_block(ctx: _EvalContext, w, span, p, rho, f0, aux0,
             size *= config.backtrack
         else:
             break
-    if best_x is x:
-        return w, span, f0, aux0
-    best_w = ctx.from_span(best_x, out_of_span, w, x)
-    f_out, aux_out = ctx.evaluate(best_w, p, rho, shares)
-    if f_out > f0:
-        return best_w, None, f_out, aux_out
-    return w, span, f0, aux0
+    return best_x, best_f, best_aux
 
 
-def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig,
+def _power_block(ctx: _EvalContext, p, rho, f0, aux0, config: OptimizerConfig,
                  frozen_streams=None):
     """Projected gradient ascent over the stream powers under the budget.
 
     Each inner step takes the gradient at its own iterate and backtracks
     along its unit direction from eta (grown by 1.5 on acceptance); the
-    block ends at the first step whose ladder finds no improvement. w is
-    fixed inside the block, so every backtracking candidate is priced by
-    ctx.price_powers over the gains of aux0, with no stream-gain product;
-    they are the arrays an evaluation at w forms, so each candidate's value
-    is ctx.evaluate's, bit for bit."""
+    block ends at the first step whose ladder finds no improvement. The
+    beams are fixed inside the block, so every backtracking candidate is
+    priced by ctx.price_powers over the gains of aux0, with no stream-gain
+    product."""
     gains = {key: aux0[key] for key in ctx._GAINS}
     best_p, best_f, best_aux = p, f0, aux0
     shares = ctx.shares(rho)
     eta = config.step_size
     for _ in range(config.inner_steps):
-        grad = ctx.power_gradient(w, best_p, shares, best_aux)
+        grad = ctx.power_gradient(best_p, shares, best_aux)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:
@@ -710,7 +676,7 @@ def _power_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig
     return best_p, best_f, best_aux
 
 
-def _rho_block(ctx: _EvalContext, w, p, rho, f0, aux0, config: OptimizerConfig):
+def _rho_block(ctx: _EvalContext, p, rho, f0, aux0, config: OptimizerConfig):
     """Water-fill each group's common capacity over its members.
 
     In group g, user k's rate is r_k = cap_g s_k + p_k, where cap_g is the
@@ -883,16 +849,19 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
     Each sweep runs the beam block, the power block and, unless the common
     streams are frozen (their powers and every rho held at zero), the split
     block, then the adaptive weights when config asks for them. The trace
-    records the penalized objective, or aux[trace_key] when given. The
-    instance's start enters with its shared beams, gains and span
-    coordinates; outside the beam block every pricing is over gains the
-    state already holds."""
+    records the penalized objective, or aux[trace_key] when given.
+
+    The beams stay in span coordinates (x, u) from entry to exit: the
+    instance's start enters with its shared coordinates, any other sol
+    through one _span_coordinates call, and the entry is priced from the
+    gains of x. Every later pricing is over gains the state already holds,
+    and the result's beams are formed once, from x and u."""
     inst = ctx.instance
+    q = ctx.span[0]
     if sol is inst.start:
-        w, gains, span = inst.start_beams, inst.start_gains, inst.start_span
+        x, u = inst.start_span
     else:
-        w = sol.stacked_beams()
-        gains, span = inst.gains(w), None
+        x, u = _span_coordinates(q, sol.stacked_beams())
     p, rho = sol.stacked_powers(), sol.rho.copy()
     frozen = np.arange(ctx.num_groups) if frozen_commons else None
     if frozen_commons:
@@ -903,22 +872,24 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
         return f if trace_key is None else aux[trace_key]
 
     def sweep(state):
-        w, span, p, rho, f, aux = state
-        w, span, f, aux = _beam_block(ctx, w, span, p, rho, f, aux, config,
-                                      frozen)
-        p, f, aux = _power_block(ctx, w, p, rho, f, aux, config, frozen)
+        x, p, rho, f, aux = state
+        x, f, aux = _beam_block(ctx, x, p, rho, f, aux, config, frozen)
+        p, f, aux = _power_block(ctx, p, rho, f, aux, config, frozen)
         if not frozen_commons:
-            rho, f, aux = _rho_block(ctx, w, p, rho, f, aux, config)
+            rho, f, aux = _rho_block(ctx, p, rho, f, aux, config)
         if config.adaptive_weights:
             comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
             ctx.weights = adaptive_weights(ctx.weights, comps)
             f, aux = ctx.price_powers({key: aux[key] for key in ctx._GAINS},
                                       p, ctx.shares(rho))
-        return (w, span, p, rho, f, aux), traced(f, aux)
+        return (x, p, rho, f, aux), traced(f, aux)
 
+    gains = ctx.span_gains(x)
+    gains.update(g2=np.abs(gains["v"]) ** 2, m2=np.abs(gains["va"]) ** 2)
     f, aux = ctx.price_powers(gains, p, ctx.shares(rho))
-    (w, _, p, rho, _, _), trace = _iterate(
-        config, sweep, (w, span, p, rho, f, aux), traced(f, aux))
+    (x, p, rho, _, _), trace = _iterate(
+        config, sweep, (x, p, rho, f, aux), traced(f, aux))
+    w = x[:, :-1] @ q.T + x[:, -1:].real * u
     solution = ctx.build_solution(w, _project_powers(p, ctx.limits.p_max),
                                   np.clip(rho, 0.0, 1.0))
     return solution, trace
@@ -960,9 +931,7 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
                                  sol.grouping)
     if sol is None:
         sol = instance.start
-    # equal SIC orders give equal assignments (Grouping.__post_init__)
-    elif list(map(list, sol.grouping.sic_order)) != \
-            list(map(list, instance.grouping.sic_order)):
+    elif sol.grouping != instance.grouping:
         raise ValueError("warm start and instance have different groupings")
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)

@@ -25,12 +25,14 @@ from .geometry import vector_norm
 _RHO_TOL = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class Grouping:
     """User-to-group assignment plus per-group SIC decode orders.
 
     assignment[k] is the group index of user k. sic_order[g] lists the members
-    of group g in decode order (position 0 decoded first).
+    of group g in decode order (position 0 decoded first). Two groupings are
+    equal when their SIC orders are, which fixes the assignment
+    (__post_init__); a grouping is not hashable.
     """
 
     assignment: np.ndarray
@@ -51,6 +53,11 @@ class Grouping:
             seen.extend(order)
         if sorted(seen) != list(range(len(self.assignment))):
             raise ValueError("SIC orders must cover every user exactly once")
+
+    def __eq__(self, other):
+        if not isinstance(other, Grouping):
+            return NotImplemented
+        return list(map(list, self.sic_order)) == list(map(list, other.sic_order))
 
     @property
     def num_groups(self) -> int:

@@ -493,7 +493,7 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
     shares = ctx.shares(rho)
     eta = config.step_size
     for _ in range(config.inner_steps):
-        grad = ctx.power_gradient(w, best_p, shares, best_aux)
+        grad = ctx.power_gradient(best_p, shares, best_aux)
         if not np.all(np.isfinite(grad)):
             raise RuntimeError("non-finite power gradient")
         if frozen_streams is not None:
@@ -523,7 +523,7 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_rho_block(ctx, w, p, rho, f0, aux0, config):
+def golden_rho_block(ctx, p, rho, f0, aux0, config):
     """The split block by golden-section search: each rho_k in turn is
     maximized on [0, 1] in 42 probes, each priced by ctx.reprice on fresh
     copies of rho and of the share vector, and kept when it strictly

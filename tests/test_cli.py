@@ -142,30 +142,17 @@ def test_config_and_preset_are_exclusive(tiny_cfg_path, capsys):
 # threads resolution
 # =====================================================================
 
-def test_threads_env_var(tiny_cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOLO_ISAC_THREADS", "2")
-    code = main(["run", "--config", tiny_cfg_path,
-                 "--out", str(tmp_path / "t"), "--algorithms", "fp"])
-    assert code == 0
-    assert "threads=2" in capsys.readouterr().out
-
-
 def test_threads_flag_beats_env(tiny_cfg_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOLO_ISAC_THREADS", "7")
-    code = main(["run", "--config", tiny_cfg_path,
-                 "--out", str(tmp_path / "t"), "--algorithms", "fp",
-                 "--threads", "1"])
-    assert code == 0
-    assert "threads=1" in capsys.readouterr().out
-
-
-def test_threads_env_var_must_be_integer(tiny_cfg_path, tmp_path,
-                                         monkeypatch, capsys):
+    # --threads alone sets the count: HOLO_ISAC_THREADS, once read as the
+    # default, is ignored even when it is not an integer
     monkeypatch.setenv("HOLO_ISAC_THREADS", "many")
-    code = main(["run", "--config", tiny_cfg_path,
-                 "--out", str(tmp_path / "t")])
-    assert code == 1
-    assert "HOLO_ISAC_THREADS" in capsys.readouterr().err
+    run = ["run", "--config", tiny_cfg_path, "--algorithms", "fp"]
+    assert main(run + ["--out", str(tmp_path / "a")]) == 0
+    assert "threads=1" in capsys.readouterr().out
+    assert main(run + ["--out", str(tmp_path / "b"), "--threads", "2"]) == 0
+    assert "threads=2" in capsys.readouterr().out
+    assert main(run + ["--out", str(tmp_path / "c"), "--threads", "0"]) == 1
+    assert "thread count must be >= 1" in capsys.readouterr().err
 
 
 # =====================================================================

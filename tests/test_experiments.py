@@ -536,9 +536,10 @@ def design_bytes(sol, trace) -> tuple:
 
 def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
     """Four desk_tiny trials (master seed 7, all four algorithms) build one
-    start and one span basis each, enter the span 20 times and form stream
-    gains 124 times: the start's once per trial, and a solve's beams once
-    per move of its beam block."""
+    start and one span basis each and enter the span 8 times: the start's
+    coordinates and the warm hao_sca leg's, once per trial. They form
+    M-wide stream gains 104 times, all in e_wmmse's evaluations; no
+    block-ascent solve forms them."""
     counts = {}
 
     def counted(name, real):
@@ -555,8 +556,8 @@ def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
     rows = run_experiment(make_plan(preset_config("desk_tiny"),
                                     num_trials=4, master_seed=7))
     assert len(rows) == 16 and not any(r.failed for r in rows)
-    assert counts == {"init_hao_sca": 4, "qr": 4, "_span_coordinates": 20,
-                      "gains": 124}
+    assert counts == {"init_hao_sca": 4, "qr": 4, "_span_coordinates": 8,
+                      "gains": 104}
 
 
 def test_result_sort_key():

@@ -269,18 +269,21 @@ def obj_value(sol, channels, targets, geom, weights):
 
 
 def run_block(block, sol, channels, targets, geom, weights, limits, cfg):
-    """One block from sol through a fresh context, as a solution."""
+    """One block from sol through a fresh context, entered as a block-ascent
+    solve enters it, as a solution."""
     ctx = _EvalContext(SolveInstance(channels, SensingScene(targets, geom),
                                      sol.grouping),
                        weights, limits, SIGMA_N2, SIGMA_S2, cfg.qos_penalty)
     w, p, rho = sol.stacked_beams(), sol.stacked_powers(), sol.rho.copy()
-    f0, aux0 = ctx.evaluate(w, p, rho)
-    lead = (w, None) if block is optimizers._beam_block else (w,)
-    out = block(ctx, *lead, p, rho, f0, aux0, cfg)[0]
-    parts = {optimizers._beam_block: (out, p, rho),
-             optimizers._power_block: (w, out, rho),
-             optimizers._rho_block: (w, p, out)}[block]
-    return ctx.build_solution(*parts)
+    x, u = coordinates(ctx, w)
+    f0, aux0 = priced_entry(ctx, x, p, rho)
+    if block is optimizers._beam_block:
+        w = span_beams(ctx, block(ctx, x, p, rho, f0, aux0, cfg)[0], u)
+    elif block is optimizers._power_block:
+        p = block(ctx, p, rho, f0, aux0, cfg)[0]
+    else:
+        rho = block(ctx, p, rho, f0, aux0, cfg)[0]
+    return ctx.build_solution(w, p, rho)
 
 
 def test_each_block_never_decreases_objective():
@@ -398,21 +401,21 @@ def assert_same_result(got, want):
 
 def rescaled_entries():
     """beam-block entries whose rows are off the unit spheres (norms 0.5 to
-    2, one free row zero), priced afresh, so Re<w_s, t_s> is not ~0 and a
+    2, one free row zero), priced afresh, so Re<x_s, t_s> is not ~0 and a
     dead stream occurs; one desk_tiny and one desk_small entry each of
     hao_sca and fp (whose common streams are held)."""
     out, seen = [], set()
     rng = np.random.default_rng(57)
-    for ctx, w, _, p, rho, f0, aux0, config, frozen in \
+    for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         key = (ctx.m_total, frozen is None)
         if key in seen or ctx.m_total not in (16, 64):
             continue
         seen.add(key)
-        w = w * rng.uniform(0.5, 2.0, len(w))[:, None]
-        w[ctx.num_groups] = 0.0          # the first private stream
-        f0, aux0 = ctx.evaluate(w, p, rho)
-        out.append((ctx, w, None, p, rho, f0, aux0, config, frozen))
+        x = x * rng.uniform(0.5, 2.0, len(x))[:, None]
+        x[ctx.num_groups] = 0.0          # the first private stream
+        out.append((ctx, x, p, rho, *priced_entry(ctx, x, p, rho), config,
+                    frozen))
     assert len(out) == 4
     return out
 
@@ -421,10 +424,20 @@ def coordinates(ctx, w) -> tuple:
     return optimizers._span_coordinates(ctx.span[0], w)
 
 
-def span_beams(ctx, x, u):
+def priced_entry(ctx, x, p, rho) -> tuple:
+    """(f, aux) at span coordinates x, priced from their gains as a
+    block-ascent solve prices its entry."""
+    gains = ctx.span_gains(x)
+    gains.update(g2=np.abs(gains["v"]) ** 2, m2=np.abs(gains["va"]) ** 2)
+    return ctx.price_powers(gains, p, ctx.shares(rho))
+
+
+def span_beams(ctx, x, u=None):
     """The beams of span coordinates x: c_s q^T plus x_s[-1] times the
-    out-of-span direction u_s of their block entry."""
-    return x[:, :-1] @ ctx.span[0].T + x[:, -1:].real * u
+    out-of-span direction u_s; without u, their in-span part c_s q^T,
+    which carries all their gains."""
+    beams = x[:, :-1] @ ctx.span[0].T
+    return beams if u is None else beams + x[:, -1:].real * u
 
 
 def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
@@ -449,16 +462,15 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
         return np.all(np.abs(got - want) <= 1e-12 * scale)
 
     count = 0
-    for ctx, w, *args in entries:
+    for ctx, *args in entries:
         seen.clear()
-        optimizers._beam_block(ctx, w, *args)
-        _, u = coordinates(ctx, w)
+        optimizers._beam_block(ctx, *args)
         for _, step, (c,), (gains, _, _) in seen:
             count += 1
             x, t = step.x, step.tang
             cand = optimizers._normalize_rows(x + c * t, x)
             cand[step.held] = x[step.held]
-            want = ctx.instance.gains(span_beams(ctx, cand, u))
+            want = ctx.instance.gains(span_beams(ctx, cand))
             assert close(gains["v"], want["v"])
             assert close(gains["va"], want["va"])
     assert count >= 20
@@ -466,10 +478,10 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
 
 def test_the_span_gradient_is_the_m_space_gradient():
     checked = set()
-    for ctx, w, _, p, rho, f0, aux0, config, frozen in \
+    for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         shares = ctx.shares(rho)
-        got = ctx.beam_gradient(coordinates(ctx, w)[0], p, shares, aux0)
+        got = ctx.beam_gradient(x, p, shares, aux0)
         assert np.all(got[:, -1] == 0.0)
         want = m_space_beam_gradient(ctx, p, shares, aux0)
         # within 1e-12 of each row's largest entry
@@ -480,27 +492,28 @@ def test_the_span_gradient_is_the_m_space_gradient():
 
 
 def test_beam_block_returns_the_gains_of_its_beams():
-    """The gains of its beams bit for bit and, when it moved nothing, their
-    span coordinates (None when it moved); a carried span is w's, bit for
-    bit."""
-    moved = carried = 0
-    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
+    """The returned aux prices the returned coordinates: its gains are those
+    of x (ctx.span_gains, within 1e-12 of each column's largest gain), their
+    squares bit for bit, and it prices to the returned f, which never falls
+    below f0. A block that moves nothing returns its entry."""
+    moved = 0
+    for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block") \
             + rescaled_entries():
-        w_out, span_out, f_out, aux_out = optimizers._beam_block(
-            ctx, w, span, p, rho, f0, aux0, config, frozen)
-        want = list(map(bits, coordinates(ctx, w)))
-        assert span is None or list(map(bits, span)) == want
-        assert span_out is None if w_out is not w else \
-            list(map(bits, span_out)) == want
-        carried += span is not None
+        x_out, f_out, aux_out = optimizers._beam_block(
+            ctx, x, p, rho, f0, aux0, config, frozen)
         assert f_out >= f0
-        formed = ctx.instance.gains(w_out)
-        for key in ctx._GAINS:
-            assert aux_out[key].tobytes() == formed[key].tobytes(), key
-        assert ctx.evaluate(w_out, p, rho)[0] == f_out
-        moved += w_out is not w
-    assert moved >= 10 and carried >= 10
+        formed = ctx.span_gains(x_out)
+        for key, sq in (("v", "g2"), ("va", "m2")):
+            scale = np.abs(formed[key]).max(axis=0, initial=0.0)
+            assert within(aux_out[key], formed[key], scale), key
+            assert bits(aux_out[sq]) == bits(np.abs(aux_out[key]) ** 2), sq
+        gains = {key: aux_out[key] for key in ctx._GAINS}
+        assert ctx.price_powers(gains, p, ctx.shares(rho))[0] == f_out
+        if x_out is x:
+            assert f_out == f0 and aux_out is aux0
+        moved += x_out is not x
+    assert moved >= 10
 
 
 def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
@@ -508,8 +521,8 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
     """Every accepted beam step starts from the pricing of its own iterate:
     the gains of its beams (within 1e-12 of each column's largest gain),
     priced. Its tangent is the M-space gradient over that pricing less its
-    radial part, within 1e-12 of each row's largest entry; held rows have
-    none. (The gradient is checked over the block's pricing, not over one
+    radial part, within 1e-12 of each row's largest entry, and its
+    out-of-span coordinate is that radial part's; held rows have none. (The gradient is checked over the block's pricing, not over one
     of evaluate: where a beam nearly nulls a user, roundoff in the gains
     moves the interference sums, and the gradient with them, by far more
     than 1e-12.)"""
@@ -522,14 +535,13 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
 
     monkeypatch.setattr(optimizers._Retraction, "iterate", record)
     moved_iterates = 0
-    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
+    for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         accepted.clear()
-        optimizers._beam_block(ctx, w, span, p, rho, f0, aux0, config, frozen)
-        _, u = coordinates(ctx, w)
+        optimizers._beam_block(ctx, x, p, rho, f0, aux0, config, frozen)
         shares = ctx.shares(rho)
         for i, step in enumerate(accepted):
-            beams = span_beams(ctx, step.x, u)
+            beams = span_beams(ctx, step.x)
             aux = step.entry
             if i:
                 # a moved iterate: the gains of its beams, priced
@@ -549,32 +561,34 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
             radial = np.real(np.sum(beams.conj() * grad, axis=1))
             want = grad - radial[:, None] * beams
             scale = np.abs(want).max(axis=1, keepdims=True)
-            assert within(span_beams(ctx, step.tang, u), want, scale)
+            assert within(span_beams(ctx, step.tang), want, scale)
+            # the out-of-span coordinate moves by its radial part alone
+            assert within(step.tang[:, -1], -radial * step.x[:, -1],
+                          np.abs(grad).max(axis=1))
     assert moved_iterates >= 10
 
 
 def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
-    """At most max_backtracks candidates, no gains formed, no evaluate. (A
-    block that moves prices at most one ladder per step, and forms gains
-    only to price its result.)"""
+    """At most max_backtracks candidates, and the entry returned. No block
+    forms M-wide gains or calls evaluate, and one that moves prices at most
+    one ladder per step."""
     idle = 0
-    for ctx, w, span, p, rho, f0, aux0, config, frozen in \
+    for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         with monkeypatch.context() as patch:
             accepted = calls_to(patch, optimizers._Retraction, "iterate")
             formed = calls_to(patch, ctx.instance, "gains")
             evaluated = calls_to(patch, ctx, "evaluate")
             priced = calls_to(patch, ctx, "price_powers")
-            w_out, _, f_out, aux_out = optimizers._beam_block(
-                ctx, w, span, p, rho, f0, aux0, config, frozen)
-        assert len(formed) == len(evaluated) <= 1
+            x_out, f_out, aux_out = optimizers._beam_block(
+                ctx, x, p, rho, f0, aux0, config, frozen)
+        assert not formed and not evaluated
         ladders = min(len(accepted) + 1, config.inner_steps)
-        assert len(priced) - len(evaluated) <= ladders * config.max_backtracks
+        assert len(priced) <= ladders * config.max_backtracks
         if accepted:
             continue
-        assert w_out is w and f_out == f0 and aux_out is aux0
+        assert x_out is x and f_out == f0 and aux_out is aux0
         assert len(priced) <= config.max_backtracks
-        assert not formed and not evaluated
         idle += 1
     assert idle >= 3
 
@@ -582,18 +596,17 @@ def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
 def test_zero_and_held_beam_rows_keep_their_entry_rows():
     held_rows = 0
     entries = rescaled_entries()
-    for ctx, w, span, p, rho, f0, aux0, config, frozen in entries:
-        w_out = optimizers._beam_block(ctx, w, span, p, rho, f0, aux0, config,
+    for ctx, x, p, rho, f0, aux0, config, frozen in entries:
+        x_out = optimizers._beam_block(ctx, x, p, rho, f0, aux0, config,
                                        frozen)[0]
-        assert np.all(w_out[ctx.num_groups] == 0.0)
+        assert np.all(x_out[ctx.num_groups] == 0.0)
         if frozen is not None:
-            assert w_out[frozen].tobytes() == w[frozen].tobytes()
+            assert x_out[frozen].tobytes() == x[frozen].tobytes()
             held_rows += len(frozen)
     assert held_rows >= 2
     # a stream whose n underflows to 0 keeps its coordinates and its gains
     # even when its tangent is not zero
-    ctx, w, _, p, rho, f0, aux0, config, frozen = entries[0]
-    x, _ = coordinates(ctx, w)
+    ctx, x, p, rho, f0, aux0, config, frozen = entries[0]
     dead = ctx.num_groups
     tang = np.zeros_like(x)
     tang[dead] = 1e-310
@@ -622,40 +635,40 @@ def edge_case(ctx) -> str | None:
 
 @pytest.mark.parametrize("case", ["wide", "duplicate", "no_targets", "rescaled"])
 def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
-    """The coordinates hold each beam and its gains, and the block returns
-    unit-norm rows, keeps its zero and held rows and never loses objective.
-    (rescaled: the entries of rescaled_entries, off the unit spheres.)"""
+    """The start's coordinates hold its beams, an entry's gains are those of
+    its beams, and the block returns unit-norm rows, keeps its zero and
+    held rows and never loses objective. (rescaled: the entries of
+    rescaled_entries, off the unit spheres.)"""
     if case == "rescaled":
         entries = rescaled_entries()
     else:
         entries = [entry for entry in block_entries("_beam_block")
                    if edge_case(entry[0]) == case]
     moved = 0
-    for ctx, w, span, p, rho, f0, aux0, config, frozen in entries:
-        x, u = coordinates(ctx, w)
-        norms = np.linalg.norm(w, axis=1)
-        assert np.all(np.abs(span_beams(ctx, x, u) - w)
+    for ctx, x, p, rho, f0, aux0, config, frozen in entries:
+        start = ctx.instance.start_beams
+        norms = np.linalg.norm(start, axis=1)
+        assert np.all(np.abs(span_beams(ctx, *ctx.instance.start_span) - start)
                       <= 1e-13 * norms[:, None])
-        gains = ctx.span_gains(x)
+        gains = ctx.instance.gains(span_beams(ctx, x))
         for key in ("v", "va"):
-            scale = np.abs(aux0[key]).max(axis=0, initial=0.0)
-            assert np.all(np.abs(gains[key] - aux0[key]) <= 1e-12 * scale)
+            scale = np.abs(gains[key]).max(axis=0, initial=0.0)
+            assert within(aux0[key], gains[key], scale), key
 
-        w_out, _, f_out, _ = optimizers._beam_block(ctx, w, span, p, rho, f0,
-                                                    aux0, config, frozen)
+        x_out, f_out, _ = optimizers._beam_block(ctx, x, p, rho, f0, aux0,
+                                                 config, frozen)
         assert f_out >= f0
-        kept = np.all(w_out == w, axis=1)
-        assert np.all(np.abs(np.linalg.norm(w_out[~kept], axis=1) - 1.0)
+        kept = np.all(x_out == x, axis=1)
+        assert np.all(np.abs(np.linalg.norm(x_out[~kept], axis=1) - 1.0)
                       <= 1e-13)
-        assert np.all(kept[norms == 0.0])
+        assert np.all(kept[np.linalg.norm(x, axis=1) == 0.0])
         if frozen is not None:
             assert np.all(kept[frozen])
-        moved += w_out is not w
+        moved += x_out is not x
     assert moved >= 2
     if case == "no_targets":
         # the sensing probe's part outside the span is carried, not lost
-        assert any(np.abs(coordinates(ctx, w)[0][-1, -1]) > 0.1
-                   for ctx, w, *_ in entries)
+        assert any(np.abs(x[-1, -1]) > 0.1 for _, x, *_ in entries)
 
 
 def unequal_groups_entry():
@@ -665,14 +678,14 @@ def unequal_groups_entry():
     limits = QosLimits(p_max=P_MAX, r_min=1.0, p_d_min=0.9)
     ctx, w, p, rho = start_entry(channels, targets, geom, weights, limits)
     assert sorted(map(len, ctx.grouping.sic_order)) == [2, 3]
-    return (ctx, w, p, rho, *ctx.evaluate(w, p, rho))
+    return (ctx, p, rho, *ctx.evaluate(w, p, rho))
 
 
 def kernel_entries():
-    """(ctx, w, p, rho, f0, aux0) of every beam- and power-block entry of
+    """(ctx, p, rho, f0, aux0) of every beam- and power-block entry of
     block_entries, and of unequal_groups_entry."""
-    return [e[:2] + e[3:7] for e in block_entries("_beam_block")] \
-        + [e[:6] for e in block_entries("_power_block")] + [unequal_groups_entry()]
+    return [e[:1] + e[2:6] for e in block_entries("_beam_block")] \
+        + [e[:5] for e in block_entries("_power_block")] + [unequal_groups_entry()]
 
 
 def bits(a) -> bytes:
@@ -689,7 +702,7 @@ def test_stream_rates_match_the_gather_forms():
     candidates is priced alone bit for bit as in its stack."""
     rng = np.random.default_rng(61)
     stacked = 0
-    for ctx, w, p, rho, f0, aux0 in kernel_entries():
+    for ctx, p, rho, f0, aux0 in kernel_entries():
         lay, tables = ctx.layout, GatherTables(ctx.grouping)
         stacks = [aux0["g2"] * rng.uniform(0.5, 2.0, (n, *aux0["g2"].shape))
                   for n in (1, 4, 8)]
@@ -724,7 +737,7 @@ def test_gradients_match_the_gather_forms():
     """The beam gradient's channel coefficients within 1e-12 of each row's
     largest entry, and the rate part of the power gradient within 1e-12 of
     the sum of the absolute values of its terms."""
-    for ctx, w, p, rho, f0, aux0 in kernel_entries():
+    for ctx, p, rho, f0, aux0 in kernel_entries():
         shares = ctx.shares(rho)
         zc, _ = ctx._beam_coefficients(p, shares, aux0)
         want = gather_beam_coefficients(ctx, p, shares, aux0)
@@ -735,13 +748,18 @@ def test_gradients_match_the_gather_forms():
 
 
 def test_power_steps_priced_over_the_entry_gains_match_full_evaluations():
+    """From each entry's powers and split at the start's beams, priced by
+    evaluate, the block reaches the iterate of the loop that prices every
+    candidate by evaluate, bit for bit."""
     entries = block_entries("_power_block")
     assert len(entries) >= 10
     moved = 0
-    for ctx, *args in entries:
+    for ctx, p, rho, _, _, config, frozen in entries:
+        w = ctx.instance.start_beams
+        args = (p, rho, *ctx.evaluate(w, p, rho), config, frozen)
         got = optimizers._power_block(ctx, *args)
-        assert_same_result(got, sequential_power_block(ctx, *args))
-        moved += got[0] is not args[1]
+        assert_same_result(got, sequential_power_block(ctx, w, *args))
+        moved += got[0] is not p
     assert moved >= 3
 
 
@@ -755,7 +773,7 @@ def test_a_power_block_forms_no_gains(monkeypatch):
             optimizers._power_block(ctx, *args)
         assert not formed and not evaluated
         # every candidate is priced over the gains the block entered with
-        aux0 = args[4]
+        aux0 = args[3]
         for (gains, _, _), _ in candidates:
             assert gains.keys() == set(ctx._GAINS)
             assert all(gains[key] is aux0[key] for key in ctx._GAINS)
@@ -766,12 +784,13 @@ def test_a_power_block_forms_no_gains(monkeypatch):
 def test_every_power_step_follows_the_gradient_at_its_own_iterate(
         monkeypatch):
     """Each power step takes its gradient over the pricing of its own
-    iterate, whose interference sums are evaluate's there bit for bit. On
+    iterate, whose interference sums are those of the block's gains priced
+    there, bit for bit. On
     the fp entries, whose rate-only weights leave the power gradient its
     rate part alone, that gradient is the gather form at the iterate within
     1e-12 of the sum of the absolute values of its terms."""
     moved_iterates = rate_only = 0
-    for ctx, w, p, rho, f0, aux0, config, frozen in \
+    for ctx, p, rho, f0, aux0, config, frozen in \
             block_entries("_power_block"):
         taken = []
         real = ctx.power_gradient
@@ -783,11 +802,12 @@ def test_every_power_step_follows_the_gradient_at_its_own_iterate(
 
         with monkeypatch.context() as patch:
             patch.setattr(ctx, "power_gradient", record)
-            optimizers._power_block(ctx, w, p, rho, f0, aux0, config, frozen)
+            optimizers._power_block(ctx, p, rho, f0, aux0, config, frozen)
         shares = ctx.shares(rho)
+        gains = {key: aux0[key] for key in ctx._GAINS}
         fp = not ctx.aw[1:].any()
-        for (_, p_i, _, aux_i), grad in taken:
-            _, fresh = ctx.evaluate(w, p_i, rho)
+        for (p_i, _, aux_i), grad in taken:
+            _, fresh = ctx.price_powers(gains, p_i, shares)
             for key in ("d_c", "d_p", "d_l"):
                 assert bits(aux_i[key]) == bits(fresh[key]), key
             if fp:
@@ -807,7 +827,7 @@ def test_the_water_filled_split_is_at_least_the_golden_section_split():
         rho_w, f_w, _ = optimizers._rho_block(ctx, *args)
         _, f_g, _ = golden_rho_block(ctx, *args)
         assert f_w >= f_g - 1e-12 * abs(f_g)
-        moved += rho_w is not args[2]
+        moved += rho_w is not args[1]
     assert moved >= 3
 
 
@@ -847,7 +867,7 @@ def split_instance(sizes, cap, p_rate, rho, r_min=0.0, seed=60):
     aux = dict(aux, group_c=np.asarray(cap, dtype=float),
                p_rate=np.asarray(p_rate, dtype=float))
     f0, aux0 = ctx.reprice(aux, ctx.shares(rho))
-    return ctx, (w, p, rho, f0, aux0, OptimizerConfig())
+    return ctx, (p, rho, f0, aux0, OptimizerConfig())
 
 
 def simplex_grid(n, points):
@@ -874,7 +894,7 @@ def test_the_water_filled_split_matches_a_brute_force_over_the_simplex(seed):
     # a feasible split: no negative share, and the shares of each group
     # sum to one
     assert np.all(rho >= 0.0)
-    aux0 = args[4]
+    aux0 = args[3]
     shares = ctx.shares(rho)
     for mem, points in zip(ctx.layout.members, (201, 61)):
         assert rho[mem].sum() == pytest.approx(1.0, rel=1e-12)
@@ -892,13 +912,13 @@ def test_a_zero_capacity_group_and_lone_users_keep_their_split():
     rho = np.array([0.3, 0.8, 0.1, 0.6, 0.9, 0.2])
     ctx, args = split_instance((1, 2, 1, 2), [1.5, 0.0, 2.0, 1.0],
                                [1.0, 0.5, 3.0, 2.0, 1.0, 3.0], rho)
-    w, p, _, _, _, cfg = args
+    p, _, _, _, cfg = args
     out, f, aux = optimizers._rho_block(ctx, *args)
-    assert f > args[3]
+    assert f > args[2]
     assert out[:4].tobytes() == rho[:4].tobytes()
     assert not np.array_equal(out[4:], rho[4:])
     # a second block finds nothing to improve and keeps its entry
-    again = optimizers._rho_block(ctx, w, p, out, f, aux, cfg)
+    again = optimizers._rho_block(ctx, p, out, f, aux, cfg)
     assert again[0] is out and again[1] == f and again[2] is aux
 
 
@@ -909,7 +929,7 @@ def test_the_water_filled_allocations_sum_to_the_group_capacity(seed):
     ctx, args = split_instance((2, 3, 4), cap, rng.uniform(0.5, 4.0, 9),
                                rng.uniform(0.0, 1.0, 9), seed=seed)
     rho, f, aux = optimizers._rho_block(ctx, *args)
-    assert f > args[3]
+    assert f > args[2]
     for g, mem in enumerate(ctx.layout.members):
         assert rho[mem].sum() == pytest.approx(1.0, rel=1e-12)
         assert aux["alloc"][mem].sum() == pytest.approx(cap[g], rel=1e-12)
@@ -922,7 +942,7 @@ def test_tied_private_rates_get_equal_shares():
                                [3.0, 1.0, 1.0, 2.0, 2.0, 2.0],
                                [0.9, 0.1, 0.5, 0.9, 0.1, 0.5])
     rho, f, _ = optimizers._rho_block(ctx, *args)
-    assert f > args[3]
+    assert f > args[2]
     assert rho[0] == 0.0 and rho[1] == rho[2] == pytest.approx(0.5)
     assert rho[3] == rho[4] == rho[5] == pytest.approx(1.0 / 3.0)
 
@@ -1003,33 +1023,40 @@ def test_warm_start_resumes_upward():
     assert np.all(sol1.p_common >= 0.0)
 
 
-def test_a_solve_whose_beams_never_move_enters_the_span_once(monkeypatch):
-    # conv_noma restarted from its own converged point: no beam block moves,
-    # so each block takes the span coordinates the first one formed
+def test_every_block_ascent_solve_enters_the_span_at_most_once(monkeypatch):
+    """Every block-ascent solve of two desk_tiny trials (the three hao_sca
+    legs and fp, on the trial's instance) enters the span coordinates at
+    most once: a solve from the start takes the instance's, formed on the
+    trial's first, and the warm hao_sca leg enters with the NOMA solution's
+    beams. No solve forms M-wide gains or calls evaluate."""
     cfg = preset_config("desk_tiny")
-    data = generate_trial_data(cfg, np.random.default_rng(7))
-    noma, _ = solve_instance("conv_noma", data.channels_est, data.targets, cfg)
-    moved = []
-    real_block = optimizers._beam_block
+    entered = calls_to(monkeypatch, optimizers, "_span_coordinates")
+    formed = calls_to(monkeypatch, SolveInstance, "gains")
+    evaluated = calls_to(monkeypatch, _EvalContext, "evaluate")
+    solves = []
+    real = optimizers._block_ascent
 
-    def block(ctx, w, *args, **kwargs):
-        out = real_block(ctx, w, *args, **kwargs)
-        moved.append(out[0] is not w)
+    def solve(*args, **kwargs):
+        before = len(entered), len(formed), len(evaluated)
+        out = real(*args, **kwargs)
+        solves.append((len(entered) - before[0], len(formed) - before[1],
+                       len(evaluated) - before[2]))
         return out
 
-    monkeypatch.setattr(optimizers, "_beam_block", block)
-    spans = calls_to(monkeypatch, optimizers, "_span_coordinates")
-    config = replace(cfg.optimizer_config(), max_iters=6, epsilon=1e-300)
-    _, trace = run_hao_sca(data.channels_est, data.targets,
-                           cfg.array_geometry(), cfg.objective_weights(),
-                           cfg.qos_limits(), cfg.sigma_n2_watts,
-                           cfg.sigma_s2_watts, config,
-                           warm_start=noma, conventional_noma=True)
-    assert trace.iterations_used == 6 and moved == [False] * 6
-    assert len(spans) <= 1
+    monkeypatch.setattr(optimizers, "_block_ascent", solve)
+    for seed in range(2):
+        data = generate_trial_data(cfg, np.random.default_rng(seed))
+        trial = (data.channels_est, data.targets, cfg)
+        instance = trial_instance(*trial)
+        for algorithm in ("hao_sca", "fp"):
+            solve_instance(algorithm, *trial, instance=instance)
+    assert solves == [(1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0)] * 2
 
 
 def test_solves_from_the_start_share_its_gains(monkeypatch):
+    """Solves from the start enter with the instance's span coordinates,
+    formed once and read-only, and price their entry from those: on a
+    shared instance each gives what it gives on one of its own."""
     cfg = preset_config("desk_tiny")
     data = generate_trial_data(cfg, np.random.default_rng(8))
     args = (data.channels_est, data.targets, cfg.array_geometry(),
@@ -1039,11 +1066,10 @@ def test_solves_from_the_start_share_its_gains(monkeypatch):
     instance = trial_instance(*trial)
     alone = [run_hao_sca(*args, num_groups=cfg.population.num_groups),
              run_fp(trial_instance(*trial), *args[4:])]
-    formed = calls_to(monkeypatch, SolveInstance, "gains")
+    entered = calls_to(monkeypatch, optimizers, "_span_coordinates")
     shared = [run_hao_sca(*args, instance=instance), run_fp(instance, *args[4:])]
-    at_start = [a for a, _ in formed if a[1] is instance.start_beams]
-    assert len(at_start) == 1
-    assert not instance.start_gains["v"].flags.writeable
+    assert [a[1] is instance.start_beams for a, _ in entered] == [True]
+    assert not any(a.flags.writeable for a in instance.start_span)
     for (sol, trace), (want, want_trace) in zip(shared, alone):
         assert sol.stacked_beams().tobytes() == want.stacked_beams().tobytes()
         assert trace.objectives.tobytes() == want_trace.objectives.tobytes()

@@ -30,6 +30,17 @@ def test_grouping_validation():
         Grouping(assignment=[0, 2], sic_order=[[0], [1]])  # index out of range
 
 
+def test_groupings_compare_by_sic_orders():
+    a = Grouping(assignment=[0, 1, 0], sic_order=[[0, 2], [1]])
+    assert a == Grouping(assignment=np.array([0, 1, 0]),
+                         sic_order=[np.array([0, 2]), [1]])
+    assert a != Grouping(assignment=[0, 1, 0], sic_order=[[2, 0], [1]])
+    assert a != Grouping(assignment=[0, 0, 0], sic_order=[[0, 2, 1]])
+    assert a != [[0, 2], [1]]
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_interference_mask_two_groups():
     g = Grouping(assignment=[0, 0, 1, 1], sic_order=[[0, 1], [2, 3]])
     mask = g.interference_mask()
