@@ -8,15 +8,15 @@ SensingScene.evaluation bundles a row's echo SINRs with their detection
 probabilities and CRLBs. sensing_sinr and evaluate_sensing are one-call
 views of the scene that the benchmark tracer times.
 
-The Gaussian tail function Q and its inverse are implemented locally (erf
-Maclaurin series below |x| = 2, Laplace continued fraction above) so the
-detection chain has no dependencies beyond numpy; both are accurate to well
-under 1e-10 absolute.
+The Gaussian tail function Q is the standard library's math.erfc, and its
+inverse a bisection on Q, so the detection chain needs nothing beyond numpy
+and the standard library.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,39 +110,10 @@ def sensing_sinr(l: int, solution: RsNomaSolution, targets,
 # Gaussian tail function
 # =====================================================================
 
-def _erfc(x: float) -> float:
-    """Complementary error function, |error| < 1e-13.
-
-    Maclaurin series of erf for |x| <= 2; for larger arguments the Laplace
-    continued fraction erfc(x) = exp(-x^2)/sqrt(pi) / (x + 1/2/(x + 1/(x +
-    3/2/(x + ...)))) evaluated by backward recurrence.
-    """
-    ax = abs(x)
-    if ax <= 2.0:
-        # erf(x) = 2/sqrt(pi) * sum_n (-1)^n x^(2n+1) / (n! (2n+1))
-        term = ax
-        total = ax
-        x2 = ax * ax
-        for n in range(1, 200):
-            term *= -x2 / n
-            inc = term / (2 * n + 1)
-            total += inc
-            if abs(inc) < 1e-17 * abs(total) + 1e-300:
-                break
-        erf = 2.0 / np.sqrt(np.pi) * total
-        val = 1.0 - erf
-    else:
-        cf = 0.0
-        for k in range(60, 0, -1):
-            cf = (k / 2.0) / (ax + cf)
-        val = np.exp(-ax * ax) / np.sqrt(np.pi) / (ax + cf)
-    return val if x >= 0.0 else 2.0 - val
-
-
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x / sqrt 2) / 2."""
     xs = np.asarray(x, dtype=float)
-    flat = np.array([0.5 * _erfc(v / np.sqrt(2.0)) for v in np.atleast_1d(xs)])
+    flat = np.array([0.5 * math.erfc(v / np.sqrt(2.0)) for v in np.atleast_1d(xs)])
     return float(flat[0]) if xs.ndim == 0 else flat.reshape(xs.shape)
 
 
