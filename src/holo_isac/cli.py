@@ -108,12 +108,6 @@ def load_scenario(args) -> ScenarioConfig:
     return preset_config(args.preset or "desk_small")
 
 
-def resolve_threads(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {args.threads}")
-    return args.threads
-
-
 def _parse_algorithms(text):
     names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for name in names:
@@ -144,9 +138,7 @@ def _execute_plan(args, sweep_axis="none", sweep_values=()) -> int:
                   if args.algorithms is not None else None)
     plan = make_plan(config, sweep_axis=sweep_axis, sweep_values=sweep_values,
                      algorithms=algorithms)
-    threads = resolve_threads(args)
-
-    rows = run_experiment(plan, threads=threads)
+    rows = run_experiment(plan, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
     rec_path = os.path.join(args.out, "results.records")
     write_records(rows, rec_path)
@@ -158,7 +150,7 @@ def _execute_plan(args, sweep_axis="none", sweep_values=()) -> int:
     print(f"wrote {len(rows)} rows to {rec_path} (+ results.csv, "
           f"plot_data.csv)")
     print(f"trials={plan.num_trials} sweep_points={len(plan.grid)} "
-          f"algorithms={len(plan.algorithms)} threads={threads}")
+          f"algorithms={len(plan.algorithms)} threads={args.threads}")
     print(f"failures={failures} non_converged={stalled}")
     if rows and failures == len(rows):
         print(f"error: every one of the {len(rows)} rows failed",

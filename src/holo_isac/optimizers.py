@@ -287,16 +287,12 @@ class _EvalContext:
         return common_shares(rho, self.layout.members)
 
     # -- evaluation -----------------------------------------------------
-    def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray,
-                 shares: np.ndarray | None = None):
+    def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray):
         """Penalized composite objective plus every intermediate quantity.
 
         The gains of w are formed first, price_powers prices them at p and
-        reprice finishes the split. Callers that hold rho fixed may pass the
-        precomputed share vector to skip its recomputation in hot loops."""
-        if shares is None:
-            shares = self.shares(rho)
-        return self.price_powers(self.instance.gains(w), p, shares)
+        reprice finishes the split."""
+        return self.price_powers(self.instance.gains(w), p, self.shares(rho))
 
     # aux entries that depend on the beams alone
     _GAINS = ("v", "g2", "va", "m2")
@@ -856,10 +852,9 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
     through one _span_coordinates call, and the entry is priced from the
     gains of x. Every later pricing is over gains the state already holds,
     and the result's beams are formed once, from x and u."""
-    inst = ctx.instance
     q = ctx.span[0]
-    if sol is inst.start:
-        x, u = inst.start_span
+    if sol is ctx.instance.start:
+        x, u = ctx.instance.start_span
     else:
         x, u = _span_coordinates(q, sol.stacked_beams())
     p, rho = sol.stacked_powers(), sol.rho.copy()

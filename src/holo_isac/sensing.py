@@ -113,7 +113,7 @@ def sensing_sinr(l: int, solution: RsNomaSolution, targets,
 def q_function(x):
     """Gaussian tail probability Q(x) = P(N(0,1) > x) = erfc(x / sqrt 2) / 2."""
     xs = np.asarray(x, dtype=float)
-    flat = np.array([0.5 * math.erfc(v / np.sqrt(2.0)) for v in np.atleast_1d(xs)])
+    flat = np.array([0.5 * math.erfc(v / np.sqrt(2.0)) for v in xs.ravel()])
     return float(flat[0]) if xs.ndim == 0 else flat.reshape(xs.shape)
 
 

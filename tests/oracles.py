@@ -508,7 +508,7 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
                                    ctx.limits.p_max)
             if frozen_streams is not None:
                 cand[frozen_streams] = 0.0
-            f_c, aux_c = ctx.evaluate(w, cand, rho, shares)
+            f_c, aux_c = ctx.evaluate(w, cand, rho)
             if f_c > best_f:
                 best_p, best_f, best_aux = cand, f_c, aux_c
                 eta = min(eta * 1.5, 1.0)

@@ -143,8 +143,7 @@ def test_config_and_preset_are_exclusive(tiny_cfg_path, capsys):
 # =====================================================================
 
 def test_threads_flag_beats_env(tiny_cfg_path, tmp_path, monkeypatch, capsys):
-    # --threads alone sets the count: HOLO_ISAC_THREADS, once read as the
-    # default, is ignored even when it is not an integer
+    # --threads alone sets the count; the environment plays no part
     monkeypatch.setenv("HOLO_ISAC_THREADS", "many")
     run = ["run", "--config", tiny_cfg_path, "--algorithms", "fp"]
     assert main(run + ["--out", str(tmp_path / "a")]) == 0
@@ -152,7 +151,7 @@ def test_threads_flag_beats_env(tiny_cfg_path, tmp_path, monkeypatch, capsys):
     assert main(run + ["--out", str(tmp_path / "b"), "--threads", "2"]) == 0
     assert "threads=2" in capsys.readouterr().out
     assert main(run + ["--out", str(tmp_path / "c"), "--threads", "0"]) == 1
-    assert "thread count must be >= 1" in capsys.readouterr().err
+    assert "threads must be at least 1" in capsys.readouterr().err
 
 
 # =====================================================================

@@ -522,10 +522,11 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
     the gains of its beams (within 1e-12 of each column's largest gain),
     priced. Its tangent is the M-space gradient over that pricing less its
     radial part, within 1e-12 of each row's largest entry, and its
-    out-of-span coordinate is that radial part's; held rows have none. (The gradient is checked over the block's pricing, not over one
-    of evaluate: where a beam nearly nulls a user, roundoff in the gains
-    moves the interference sums, and the gradient with them, by far more
-    than 1e-12.)"""
+    out-of-span coordinate is that radial part's; held rows have none.
+    (The gradient is checked over the block's pricing, not over one of
+    evaluate: where a beam nearly nulls a user, roundoff in the gains moves
+    the interference sums, and the gradient with them, by far more than
+    1e-12.)"""
     accepted = []
     real = optimizers._Retraction.iterate
 
@@ -785,10 +786,10 @@ def test_every_power_step_follows_the_gradient_at_its_own_iterate(
         monkeypatch):
     """Each power step takes its gradient over the pricing of its own
     iterate, whose interference sums are those of the block's gains priced
-    there, bit for bit. On
-    the fp entries, whose rate-only weights leave the power gradient its
-    rate part alone, that gradient is the gather form at the iterate within
-    1e-12 of the sum of the absolute values of its terms."""
+    there, bit for bit. On the fp entries, whose rate-only weights leave the
+    power gradient its rate part alone, that gradient is the gather form at
+    the iterate within 1e-12 of the sum of the absolute values of its
+    terms."""
     moved_iterates = rate_only = 0
     for ctx, p, rho, f0, aux0, config, frozen in \
             block_entries("_power_block"):
