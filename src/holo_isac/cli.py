@@ -26,7 +26,6 @@ from .experiments import SWEEP_AXES, make_plan, run_experiment
 from .records import (
     PLOT_METRICS,
     STATS_METRICS,
-    merge_records,
     write_csv,
     write_plot_data,
     write_records,
@@ -180,13 +179,11 @@ def cmd_stats(args) -> int:
                              f"{', '.join(known)}")
     if not metrics:
         raise ValueError("--metrics list is empty")
-    rows = merge_records([args.results])
-    baseline = merge_records([args.baseline]) if args.baseline else None
     out = args.out or os.path.join(
         os.path.dirname(os.path.abspath(args.results)), "stats_report.txt")
-    write_stats_report(rows, out, baseline_rows=baseline, metrics=metrics)
-    with open(out, "r", encoding="ascii") as fh:
-        findings = sum(1 for line in fh) - 1
+    findings = write_stats_report(args.results, out,
+                                  baseline_rows=args.baseline,
+                                  metrics=metrics)
     print(f"wrote {findings} findings to {out}")
     return 0
 

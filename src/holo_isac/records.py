@@ -16,9 +16,11 @@ into a comma template.
 
 from __future__ import annotations
 
+import os
 import re
+from array import array
 from itertools import combinations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -129,20 +131,35 @@ def _reject(line: str):
     raise ValueError(f"malformed record {line!r}")
 
 
-def parse_record(line: str) -> TrialResult:
+def parse_record(line: str, shared: dict | None = None) -> TrialResult:
     """One record line back into its row: one regex match, then float(),
     int() and the word tests. A rejected line raises ValueError naming the
-    first field at fault."""
+    first field at fault.
+
+    shared, when given, is a dict kept across the lines of one file; the
+    rows then share one object per distinct algorithm name, channel hash
+    and sweep value. It is keyed on the token text, so -0.0 and 0.0 stay
+    distinct."""
     match = _RECORD_RE.fullmatch(line)
     if match is None:
         _reject(line)
     (sweep_index, sweep_value, algorithm, trial_index, channel_hash, failed,
      converged, monotone, iterations_used, objective, sum_rate, sinr_db,
      detection_prob, crlb, energy_efficiency, fairness) = match.groups()
+    if shared is None:
+        shared = {}
+    # a sweep value is filed apart from the text tokens, which map to
+    # themselves
+    token = ("sweep_value", sweep_value)
+    try:
+        value = shared[token]
+    except KeyError:
+        value = shared[token] = (None if sweep_value == "none"
+                                 else float(sweep_value))
+    share = shared.setdefault
     return TrialResult(
-        int(sweep_index),
-        None if sweep_value == "none" else float(sweep_value),
-        algorithm, int(trial_index), channel_hash, failed == "true",
+        int(sweep_index), value, share(algorithm, algorithm),
+        int(trial_index), share(channel_hash, channel_hash), failed == "true",
         converged == "true", monotone == "true", int(iterations_used),
         float(objective), float(sum_rate),
         tuple([float(v) for v in sinr_db.split(";")]) if sinr_db else (),
@@ -156,20 +173,28 @@ def write_records(rows, path) -> None:
             fh.write(_RECORD_TEMPLATE % _cells(row) + "\n")
 
 
-def read_records(path):
-    """Parse a record file back into TrialResult rows (bit-exact floats),
-    streaming it line by line."""
-    rows = []
+def iter_records(path):
+    """Stream the TrialResult rows of a record file (bit-exact floats).
+
+    The rows of one file share their repeated algorithm names, channel
+    hashes and sweep values (see parse_record), so the rows of one trial
+    hold one channel_hash string."""
+    shared = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             try:
-                rows.append(parse_record(line))
+                row = parse_record(line, shared)
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
-    return rows
+            yield row
+
+
+def read_records(path):
+    """Parse a record file back into a list of TrialResult rows."""
+    return list(iter_records(path))
 
 
 def merge_records(paths):
@@ -178,25 +203,88 @@ def merge_records(paths):
     Raises ValueError, naming the key and the file of each occurrence, when
     a (sweep_index, sweep_value, algorithm, trial_index) key repeats."""
     shards = [(path, read_records(path)) for path in paths]
+    _key_table(shards, ())
     rows = [row for _, shard in shards for row in shard]
     rows.sort(key=attrgetter("sweep_index", "algorithm", "trial_index"))
-    # a repeat sits in one run of adjacent rows with equal sort keys, where
-    # only the sweep value can tell rows apart
-    run_key, run_values = None, []
-    for row in rows:
-        key = (row.sweep_index, row.algorithm, row.trial_index)
-        if key != run_key:
-            run_key, run_values = key, []
-        elif row.sweep_value in run_values:
-            files = [str(path) for path, shard in shards for other in shard
-                     if other.sort_key() == key
-                     and other.sweep_value == row.sweep_value]
-            raise ValueError(
-                f"duplicate row key (sweep_index={key[0]}, sweep_value="
-                f"{row.sweep_value!r}, algorithm={key[1]}, trial_index="
-                f"{key[2]}) in {' and '.join(files)}")
-        run_values.append(row.sweep_value)
     return rows
+
+
+# =====================================================================
+# Key-and-metric tables
+# =====================================================================
+
+def _source(rows):
+    """(name, rows) for _key_table: a record file's path is streamed once
+    and named when it repeats a key; other rows have no name."""
+    if isinstance(rows, (str, os.PathLike)):
+        return rows, iter_records(rows)
+    return None, rows
+
+
+def _key_table(sources, metrics):
+    """The rows of (name, rows) sources reduced to what the aggregates read.
+
+    Returns {(sweep_index, sweep_value, algorithm): (trials, samples)} in
+    the order the groups first appear, where trials holds the trial
+    indices of the group's non-failed rows in ascending order and samples
+    maps each metric to its float64 values at those trials. A group with
+    no such row is left out. A repeated (sweep_index, sweep_value,
+    algorithm, trial_index) key raises ValueError naming the key and the
+    source of each occurrence; of several, the first in the canonical row
+    order is named.
+    """
+    get = attrgetter("sweep_index", "sweep_value", "algorithm",
+                     "trial_index", "failed", *metrics)
+    names, columns_of = [], {}
+    for number, (name, rows) in enumerate(sources):
+        names.append(name)
+        for row in rows:
+            values = get(row)
+            key = values[:3]
+            columns = columns_of.get(key)
+            if columns is None:
+                # trial index, failed flag (a list: it may be a numpy
+                # bool), one column per metric, then the source number
+                columns = columns_of[key] = (
+                    array("q"), [], *[array("d") for _ in metrics],
+                    array("I"))
+            # zip stops before the source column
+            for column, value in zip(columns, values[3:]):
+                column.append(value)
+            columns[-1].append(number)
+
+    table, repeats = {}, []
+    for key, (trials, failed, *samples, numbers) in columns_of.items():
+        trials = np.frombuffer(trials, dtype=np.int64)
+        order = np.argsort(trials, kind="stable")
+        ordered = trials[order]
+        same = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if same.size:
+            trial = ordered[same[0]]
+            where = [names[numbers[i]] for i in np.flatnonzero(trials == trial)]
+            repeats.append(((key[0], key[2], trial), key, where))
+        kept = order[~np.array(failed, dtype=bool)[order]]
+        if kept.size:
+            table[key] = (trials[kept], {
+                metric: np.frombuffer(column, dtype=np.float64)[kept]
+                for metric, column in zip(metrics, samples)})
+    if repeats:
+        (_, _, trial), (sweep_index, sweep_value, algorithm), where = min(
+            repeats, key=itemgetter(0))
+        files = " and ".join(str(name) for name in where if name is not None)
+        raise ValueError(
+            f"duplicate row key (sweep_index={sweep_index}, sweep_value="
+            f"{sweep_value!r}, algorithm={algorithm}, trial_index={trial})"
+            + (f" in {files}" if files else ""))
+    return table
+
+
+def _paired(group_a, group_b, metric):
+    """One metric's samples of two groups at the trials both hold, in trial
+    order."""
+    _, i, j = np.intersect1d(group_a[0], group_b[0], assume_unique=True,
+                             return_indices=True)
+    return group_a[1][metric][i], group_b[1][metric][j]
 
 
 # =====================================================================
@@ -216,32 +304,21 @@ def write_csv(rows, path) -> None:
 # Plot-ready tidy tables
 # =====================================================================
 
-def _group_rows(rows):
-    """(sweep_index, sweep_value, algorithm) -> list of non-failed rows."""
-    grouped = {}
-    for row in rows:
-        if row.failed:
-            continue
-        key = (row.sweep_index, row.sweep_value, row.algorithm)
-        grouped.setdefault(key, []).append(row)
-    return grouped
-
-
 def write_plot_data(rows, path, metrics=PLOT_METRICS,
                     confidence: float = 0.95) -> None:
     """Tidy table (x, series, y, ci_low, ci_high), one series per
     algorithm.metric pair; x is the sweep value (sweep index when the run
-    had no sweep). Failed trials are excluded from the aggregates."""
-    grouped = _group_rows(rows)
+    had no sweep). Failed trials are excluded from the aggregates, and the
+    rows may come in any order."""
+    table = _key_table([(None, rows)], metrics)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,series,y,ci_low,ci_high\n")
-        for (sweep_index, sweep_value, algorithm) in sorted(
-                grouped, key=lambda k: (k[0], k[2])):
-            batch = grouped[(sweep_index, sweep_value, algorithm)]
+        for (sweep_index, sweep_value, algorithm), (_, samples_of) in sorted(
+                table.items(), key=lambda item: (item[0][0], item[0][2])):
             x = float(sweep_index) if sweep_value is None else sweep_value
             for metric in metrics:
-                samples = [getattr(row, metric) for row in batch]
-                if len(samples) >= 2 and np.all(np.isfinite(samples)):
+                samples = samples_of[metric]
+                if samples.size >= 2 and np.all(np.isfinite(samples)):
                     y, lo, hi = mean_ci(samples, confidence)
                 else:
                     y = float(np.mean(samples))
@@ -254,19 +331,6 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
 # =====================================================================
 
 STATS_METRICS = ("objective", "sum_rate")
-
-
-def _metric_matrix(batch, metric):
-    """Trial-indexed samples of one metric over one algorithm's rows."""
-    return dict(sorted((row.trial_index, getattr(row, metric))
-                       for row in batch))
-
-
-def _paired_samples(by_trial_a, by_trial_b):
-    common = sorted(set(by_trial_a) & set(by_trial_b))
-    a = np.array([by_trial_a[i] for i in common])
-    b = np.array([by_trial_b[i] for i in common])
-    return a, b
 
 
 def _fmt_test(result: StatTestResult) -> str:
@@ -283,9 +347,12 @@ def _fmt_test(result: StatTestResult) -> str:
 
 
 def write_stats_report(rows, path, baseline_rows=None,
-                       metrics=STATS_METRICS) -> None:
-    """Comparison battery over a result set, one finding per line.
+                       metrics=STATS_METRICS) -> int:
+    """Comparison battery over a result set, one finding per line; returns
+    the number of findings.
 
+    rows and baseline_rows are TrialResult rows in any order, or the path
+    of a record file, which is read once and named if it repeats a key.
     Rows are grouped by sweep point, the pair (sweep_index, sweep_value).
     Single-set mode reports, per sweep point and metric:
     per-algorithm means with 95% and 99% intervals, a one-way ANOVA across
@@ -296,30 +363,30 @@ def write_stats_report(rows, path, baseline_rows=None,
     baseline samples at the same sweep point, trial by trial; identical
     inputs give p = 1 exactly.
     """
+    table = _key_table([_source(rows)], metrics)
+    base = (None if baseline_rows is None
+            else _key_table([_source(baseline_rows)], metrics))
     lines = [f"schema_version={SCHEMA_VERSION} report=stats "
              f"correction=bonferroni_pairwise"]
-    grouped = _group_rows(rows)
-    base_grouped = _group_rows(baseline_rows or ())
-    # an algorithm whose rows all failed at a point has no samples there,
-    # so it adds no line in either mode
-    for point in sorted({key[:2] for key in grouped}):
+    # an algorithm whose rows all failed at a point has no group there, so
+    # it adds no line in either mode
+    points = {}
+    for (sweep_index, sweep_value, algorithm), group in table.items():
+        points.setdefault((sweep_index, sweep_value), {})[algorithm] = group
+    for point in sorted(points):
         sweep_index, sweep_value = point
-        at_point = {key[2]: batch for key, batch in grouped.items()
-                    if key[:2] == point}
+        at_point = points[point]
         algorithms = sorted(at_point)
         sv = "none" if sweep_value is None else repr(sweep_value)
         prefix = f"sweep_index={sweep_index} sweep_value={sv}"
 
-        if baseline_rows is not None:
-            base_at_point = {key[2]: batch
-                             for key, batch in base_grouped.items()
-                             if key[:2] == point}
+        if base is not None:
             for metric in metrics:
                 for algorithm in algorithms:
-                    a, b = _paired_samples(
-                        _metric_matrix(at_point[algorithm], metric),
-                        _metric_matrix(base_at_point.get(algorithm, ()),
-                                       metric))
+                    other = base.get(point + (algorithm,))
+                    if other is None:
+                        continue
+                    a, b = _paired(at_point[algorithm], other, metric)
                     if a.size < 2:
                         continue
                     test = paired_t_test(a, b)
@@ -329,22 +396,21 @@ def write_stats_report(rows, path, baseline_rows=None,
             continue
 
         for metric in metrics:
-            samples = {alg: _metric_matrix(at_point[alg], metric)
-                       for alg in algorithms}
+            samples = {alg: at_point[alg][1][metric] for alg in algorithms}
             for alg in algorithms:
-                vals = list(samples[alg].values())
-                if len(vals) < 2:
+                vals = samples[alg]
+                if vals.size < 2:
                     continue
                 m95 = mean_ci(vals, 0.95)
                 m99 = mean_ci(vals, 0.99)
                 lines.append(
                     f"{prefix} summary=mean metric={metric} algorithm={alg} "
-                    f"n={len(vals)} mean={m95[0]!r} "
+                    f"n={vals.size} mean={m95[0]!r} "
                     f"ci95_low={m95[1]!r} ci95_high={m95[2]!r} "
                     f"ci99_low={m99[1]!r} ci99_high={m99[2]!r}")
 
-            groups = [list(samples[alg].values()) for alg in algorithms
-                      if len(samples[alg]) >= 2]
+            groups = [samples[alg] for alg in algorithms
+                      if samples[alg].size >= 2]
             if len(groups) >= 2:
                 test = one_way_anova(groups)
                 lines.append(f"{prefix} comparison=across_algorithms "
@@ -352,7 +418,7 @@ def write_stats_report(rows, path, baseline_rows=None,
 
             pair_tests = []
             for alg_a, alg_b in combinations(algorithms, 2):
-                a, b = _paired_samples(samples[alg_a], samples[alg_b])
+                a, b = _paired(at_point[alg_a], at_point[alg_b], metric)
                 if a.size < 2:
                     continue
                 pair_tests.append((alg_a, alg_b, a.size, paired_t_test(a, b),
@@ -370,3 +436,4 @@ def write_stats_report(rows, path, baseline_rows=None,
                                  f"p_adjusted={p_adj_text}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+    return len(lines) - 1

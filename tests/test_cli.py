@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
-from holo_isac import experiments
+from holo_isac import cli, experiments, records
 from holo_isac.cli import main
-from holo_isac.records import read_records
+from holo_isac.experiments import TrialResult
+from holo_isac.records import read_records, write_records
 
 TINY_CFG = """
 geometry.mx = 4
@@ -191,6 +194,56 @@ def test_stats_baseline_and_custom_out(tiny_cfg_path, tmp_path, capsys):
     assert "metric=sum_rate" in text
     assert "p=1.0" in text
     capsys.readouterr()
+
+
+def stats_rows(trials=4):
+    return [TrialResult(
+        sweep_index=0, sweep_value=0.5, algorithm=algorithm, trial_index=trial,
+        channel_hash=f"{trial:016x}", failed=False, converged=True,
+        monotone=True, iterations_used=3, objective=10.0 + trial + 0.25 * j,
+        sum_rate=20.0 + 0.5 * trial - j, sinr_db=(1.0,), detection_prob=0.5,
+        crlb=1e-6, energy_efficiency=0.2, fairness=0.9)
+        for j, algorithm in enumerate(("conv_noma", "fp"))
+        for trial in range(trials)]
+
+
+def test_stats_streams_each_file_and_counts_its_findings(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_list_reader(*args, **kwargs):
+        raise AssertionError("stats built a full row list")
+
+    for module in (records, cli):
+        for name in ("read_records", "merge_records"):
+            monkeypatch.setattr(module, name, no_list_reader, raising=False)
+    rec = tmp_path / "results.records"
+    write_records(stats_rows(), rec)
+    for extra, name in (([], "across.txt"),
+                        (["--baseline", str(rec)], "baseline.txt")):
+        report = tmp_path / name
+        assert main(["stats", str(rec), "--out", str(report), *extra]) == 0
+        findings = len(report.read_text().splitlines()) - 1
+        assert findings > 0
+        assert capsys.readouterr().out == \
+            f"wrote {findings} findings to {report}\n"
+
+
+@pytest.mark.parametrize("repeat_in", ["results", "baseline"])
+def test_stats_refuses_a_repeated_key(tmp_path, capsys, repeat_in):
+    rows = stats_rows()
+    good, bad = tmp_path / "good.records", tmp_path / "bad.records"
+    write_records(rows, good)
+    # fp trial 2 again, with another objective
+    write_records(rows + [replace(rows[6], objective=-1.0)], bad)
+    args = (["stats", str(bad), "--baseline", str(good)]
+            if repeat_in == "results"
+            else ["stats", str(good), "--baseline", str(bad)])
+    report = tmp_path / "report.txt"
+    assert main([*args, "--out", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate row key (sweep_index=0, sweep_value=0.5, " \
+        "algorithm=fp, trial_index=2)" in err
+    assert err.count(str(bad)) == 2 and str(good) not in err
+    assert not report.exists()
 
 
 def test_stats_rejects_unknown_metric(tiny_cfg_path, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from holo_isac.experiments import TrialResult, _failure_result
 from holo_isac.records import (
     RECORD_FIELDS,
     format_record,
+    iter_records,
     merge_records,
     parse_record,
     read_records,
@@ -172,6 +174,36 @@ def test_one_pass_codec_matches_the_field_by_field_codec(tmp_path):
         [",".join(csv_cells_by_field(row)) for row in rows]
 
 
+def test_rows_of_a_file_share_their_repeated_text(tmp_path):
+    rows = [sample_row(sweep_index=index, sweep_value=value, algorithm=alg,
+                       trial_index=trial, channel_hash=f"{index}{trial:015x}")
+            for index, value in enumerate((0.0, -0.0, None))
+            for trial in range(3) for alg in ("fp", "hao_sca")]
+    rows.append(_failure_result(1, -0.0, "conv_noma", 2, "1000000000000002",
+                                2))
+    path = tmp_path / "shared.records"
+    write_records(rows, path)
+    back = read_records(path)
+    assert [float_bits(row) for row in back] == [float_bits(row)
+                                                 for row in rows]
+    assert [format_record(row) for row in back] == [format_record(row)
+                                                    for row in rows]
+    assert all(np.isnan(getattr(back[-1], metric)) for metric in
+               ("objective", "sum_rate", "detection_prob", "fairness"))
+    assert math.copysign(1.0, back[0].sweep_value) == 1.0
+    assert math.copysign(1.0, back[6].sweep_value) == -1.0
+    by_trial = {}
+    for row in back:
+        by_trial.setdefault((row.sweep_index, row.trial_index), []).append(row)
+    for trial_rows in by_trial.values():
+        assert len({id(row.channel_hash) for row in trial_rows}) == 1
+    # one object per distinct token: 0.0 and -0.0 stay two floats
+    assert len({id(row.sweep_value) for row in back}) == 3
+    assert len({id(row.algorithm) for row in back}) == 3
+    assert [float_bits(row) for row in iter_records(path)] == \
+        [float_bits(row) for row in back]
+
+
 def test_read_reports_bad_line_number(tmp_path):
     path = tmp_path / "bad.records"
     path.write_text(format_record(sample_row()) + "\nnot a record\n")
@@ -224,6 +256,20 @@ def test_a_shard_that_repeats_two_keys_is_refused(tmp_path):
                               trial_index=r.trial_index)
                    for r in (rows[2], rows[7])], repeat)
     assert len(merge_records([full, repeat])) == len(rows) + 2
+
+
+def test_reports_refuse_a_repeated_key_in_rows(tmp_path):
+    rows = make_batch(trials=4)
+    again = rows + [replace(rows[5], objective=-1.0)]
+    path = tmp_path / "out.txt"
+    key = "algorithm=conv_noma, trial_index=2)"
+    with pytest.raises(ValueError, match=re.escape(key)):
+        write_stats_report(again, path)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        write_stats_report(rows, path, baseline_rows=again)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        write_plot_data(again, path)
+    assert not path.exists()
 
 
 # =====================================================================
@@ -348,3 +394,44 @@ def test_stats_report_keeps_sweep_values_at_one_index_apart(tmp_path):
     write_stats_report(low + high, path, baseline_rows=low + high)
     lines = path.read_text().splitlines()[1:]
     assert lines and all("p=1.0" in line and "n=6" in line for line in lines)
+
+
+def test_outputs_do_not_depend_on_how_the_rows_arrive(tmp_path):
+    def at_points(shift, seed):
+        batch = make_batch(algorithms=("fp", "conv_noma", "hao_sca"),
+                           trials=9, shift=shift, seed=seed)
+        return [replace(row, sweep_index=index, sweep_value=value,
+                        objective=row.objective + index)
+                for index, value in enumerate((0.1, 0.2)) for row in batch]
+
+    rows = at_points(0.0, 81)
+    rows.append(_failure_result(1, 0.2, "fp", 9, "feedfacecafebeef", 2))
+    base = at_points(-0.3, 82)
+    files = {}
+    for name, kept in (("rows", rows), ("base", base)):
+        for parity in (0, 1):
+            files[name, parity] = tmp_path / f"{name}-{parity}.records"
+            write_records([r for r in kept if r.trial_index % 2 == parity],
+                          files[name, parity])
+    arrivals = {
+        "list": lambda name, kept: kept,
+        "generator": lambda name, kept: (row for row in kept),
+        "unsorted shards": lambda name, kept: (read_records(files[name, 1])
+                                               + read_records(files[name, 0])),
+        "merged shards": lambda name, kept: merge_records(
+            [files[name, 0], files[name, 1]]),
+    }
+    outputs = {}
+    for arrival, given in arrivals.items():
+        out = tmp_path / arrival
+        out.mkdir()
+        write_stats_report(given("rows", rows), out / "stats_report.txt")
+        write_stats_report(given("rows", rows), out / "stats_baseline.txt",
+                           baseline_rows=given("base", base))
+        write_plot_data(given("rows", rows), out / "plot_data.csv")
+        outputs[arrival] = {path.name: path.read_bytes()
+                            for path in sorted(out.iterdir())}
+    assert len(outputs["list"]) == 3
+    for arrival in arrivals:
+        assert outputs[arrival] == outputs["list"], arrival
+
