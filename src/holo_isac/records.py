@@ -244,17 +244,17 @@ def _key_table(sources, metrics):
             columns = columns_of.get(key)
             if columns is None:
                 # trial index, failed flag (a list: it may be a numpy
-                # bool), one column per metric, then the source number
-                columns = columns_of[key] = (
-                    array("q"), [], *[array("d") for _ in metrics],
-                    array("I"))
-            # zip stops before the source column
-            for column, value in zip(columns, values[3:]):
-                column.append(value)
-            columns[-1].append(number)
+                # bool), the metrics row after row, the source number
+                columns = columns_of[key] = (array("q"), [], array("d"),
+                                             array("I"))
+            trials, failed, samples, numbers = columns
+            trials.append(values[3])
+            failed.append(values[4])
+            samples.extend(values[5:])
+            numbers.append(number)
 
     table, repeats = {}, []
-    for key, (trials, failed, *samples, numbers) in columns_of.items():
+    for key, (trials, failed, samples, numbers) in columns_of.items():
         trials = np.frombuffer(trials, dtype=np.int64)
         order = np.argsort(trials, kind="stable")
         ordered = trials[order]
@@ -265,9 +265,10 @@ def _key_table(sources, metrics):
             repeats.append(((key[0], key[2], trial), key, where))
         kept = order[~np.array(failed, dtype=bool)[order]]
         if kept.size:
-            table[key] = (trials[kept], {
-                metric: np.frombuffer(column, dtype=np.float64)[kept]
-                for metric, column in zip(metrics, samples)})
+            samples = np.frombuffer(samples, dtype=np.float64).reshape(
+                trials.size, len(metrics))
+            table[key] = (trials[kept], {metric: samples[kept, i]
+                                         for i, metric in enumerate(metrics)})
     if repeats:
         (_, _, trial), (sweep_index, sweep_value, algorithm), where = min(
             repeats, key=itemgetter(0))
