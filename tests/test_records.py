@@ -188,8 +188,13 @@ def test_rows_of_a_file_share_their_repeated_text(tmp_path):
                                                  for row in rows]
     assert [format_record(row) for row in back] == [format_record(row)
                                                     for row in rows]
-    assert all(np.isnan(getattr(back[-1], metric)) for metric in
-               ("objective", "sum_rate", "detection_prob", "fairness"))
+    # the failed row's NaN and inf metrics, bit for bit
+    metrics = ("objective", "sum_rate", "detection_prob", "crlb",
+               "energy_efficiency", "fairness")
+    assert np.array([getattr(back[-1], m) for m in metrics]).view(
+        np.uint64).tolist() == np.array([getattr(rows[-1], m) for m in
+                                         metrics]).view(np.uint64).tolist()
+    assert np.isnan(back[-1].objective) and back[-1].crlb == math.inf
     assert math.copysign(1.0, back[0].sweep_value) == 1.0
     assert math.copysign(1.0, back[6].sweep_value) == -1.0
     by_trial = {}
