@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import re
 from array import array
-from itertools import combinations
+from itertools import combinations, islice
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -173,6 +173,24 @@ def write_records(rows, path) -> None:
             fh.write(_RECORD_TEMPLATE % _cells(row) + "\n")
 
 
+def _parsed_lines(path, parse):
+    """parse(line) of each non-empty line of a record file, in file order.
+
+    The one loop over the lines of a record file, for rows and for the
+    column read alike: a ValueError that parse raises is raised again
+    with the path and the line number in front."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                value = parse(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+            yield value
+
+
 def iter_records(path):
     """Stream the TrialResult rows of a record file (bit-exact floats).
 
@@ -180,16 +198,7 @@ def iter_records(path):
     hashes and sweep values (see parse_record), so the rows of one trial
     hold one channel_hash string."""
     shared = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                row = parse_record(line, shared)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            yield row
+    return _parsed_lines(path, lambda line: parse_record(line, shared))
 
 
 def read_records(path):
@@ -203,7 +212,8 @@ def merge_records(paths):
     Raises ValueError, naming the key and the file of each occurrence, when
     a (sweep_index, sweep_value, algorithm, trial_index) key repeats."""
     shards = [(path, read_records(path)) for path in paths]
-    _key_table(shards, ())
+    _key_table([(path, _row_chunks(shard, ())) for path, shard in shards],
+               ())
     rows = [row for _, shard in shards for row in shard]
     rows.sort(key=attrgetter("sweep_index", "algorithm", "trial_index"))
     return rows
@@ -213,16 +223,75 @@ def merge_records(paths):
 # Key-and-metric tables
 # =====================================================================
 
-def _source(rows):
-    """(name, rows) for _key_table: a record file's path is streamed once
-    and named when it repeats a key; other rows have no name."""
+# rows or lines converted at once into the columns of a key table; 4096
+# is no faster and holds about 4 MB more at a time
+_CHUNK_LINES = 1024
+
+_KEY_FIELDS = ("sweep_index", "sweep_value", "algorithm", "trial_index",
+               "failed")
+
+
+def _row_chunks(rows, metrics):
+    """The key and metric columns of rows, a chunk of rows at a time: per
+    chunk (keys, trial indices, failed flags, one column per metric)."""
+    get = attrgetter(*_KEY_FIELDS, *metrics)
+    rows = iter(rows)
+    while chunk := list(map(get, islice(rows, _CHUNK_LINES))):
+        sweep_index, sweep_value, algorithm, trials, failed, *columns = \
+            zip(*chunk)
+        # a failed flag may be a numpy bool
+        yield (zip(sweep_index, sweep_value, algorithm), trials,
+               map(bool, failed), columns)
+
+
+def _column_chunks(path, metrics):
+    """The key and metric columns of a record file, as _row_chunks gives
+    them, without building a row.
+
+    Each line is checked by the full record regex; of its groups only the
+    key, the failed flag and the metrics are taken, and a chunk of lines
+    is converted column by column. A key is converted once per distinct
+    token triple, so 0.0 and -0.0 give two floats, as parse_record does;
+    iterations_used is read as an int."""
+    groups = [RECORD_FIELDS.index(field)
+              for field in (*_KEY_FIELDS, *metrics)]
+
+    def fields(line):
+        match = _RECORD_RE.fullmatch(line)
+        if match is None:
+            _reject(line)
+        return match.group(*groups)
+
+    lines = _parsed_lines(path, fields)
+    key_of = {}
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        sweep_index, sweep_value, algorithm, trials, failed, *columns = \
+            zip(*chunk)
+        keys = []
+        for tokens in zip(sweep_index, sweep_value, algorithm):
+            key = key_of.get(tokens)
+            if key is None:
+                index, value, name = tokens
+                key = key_of[tokens] = (
+                    int(index), None if value == "none" else float(value),
+                    name)
+            keys.append(key)
+        yield (keys, map(int, trials), map("true".__eq__, failed),
+               [map(int if metric == "iterations_used" else float, column)
+                for metric, column in zip(metrics, columns)])
+
+
+def _source(rows, metrics):
+    """(name, chunks) for _key_table: a record file's path is read once by
+    columns and named when it repeats a key; other rows have no name."""
     if isinstance(rows, (str, os.PathLike)):
-        return rows, iter_records(rows)
-    return None, rows
+        return rows, _column_chunks(rows, metrics)
+    return None, _row_chunks(rows, metrics)
 
 
 def _key_table(sources, metrics):
-    """The rows of (name, rows) sources reduced to what the aggregates read.
+    """The rows of (name, chunks) sources reduced to what the aggregates
+    read; chunks are those of _row_chunks or _column_chunks.
 
     Returns {(sweep_index, sweep_value, algorithm): (trials, samples)} in
     the order the groups first appear, where trials holds the trial
@@ -233,50 +302,58 @@ def _key_table(sources, metrics):
     source of each occurrence; of several, the first in the canonical row
     order is named.
     """
-    get = attrgetter("sweep_index", "sweep_value", "algorithm",
-                     "trial_index", "failed", *metrics)
-    names, columns_of = [], {}
-    for number, (name, rows) in enumerate(sources):
+    names, ends, code_of = [], [], {}
+    # per row: its group's number (in order of first appearance), trial
+    # index, failed flag and metrics
+    group, trial, failed = array("I"), array("q"), array("b")
+    samples = [array("d") for _ in metrics]
+    for name, chunks in sources:
         names.append(name)
-        for row in rows:
-            values = get(row)
-            key = values[:3]
-            columns = columns_of.get(key)
-            if columns is None:
-                # trial index, failed flag (a list: it may be a numpy
-                # bool), the metrics row after row, the source number
-                columns = columns_of[key] = (array("q"), [], array("d"),
-                                             array("I"))
-            trials, failed, samples, numbers = columns
-            trials.append(values[3])
-            failed.append(values[4])
-            samples.extend(values[5:])
-            numbers.append(number)
+        for keys, trials, flags, columns in chunks:
+            group.extend([code_of.setdefault(key, len(code_of))
+                          for key in keys])
+            trial.extend(trials)
+            failed.extend(flags)
+            for column, values in zip(columns, samples):
+                values.extend(column)
+        ends.append(len(group))
 
-    table, repeats = {}, []
-    for key, (trials, failed, samples, numbers) in columns_of.items():
-        trials = np.frombuffer(trials, dtype=np.int64)
-        order = np.argsort(trials, kind="stable")
-        ordered = trials[order]
-        same = np.flatnonzero(ordered[1:] == ordered[:-1])
-        if same.size:
-            trial = ordered[same[0]]
-            where = [names[numbers[i]] for i in np.flatnonzero(trials == trial)]
-            repeats.append(((key[0], key[2], trial), key, where))
-        kept = order[~np.array(failed, dtype=bool)[order]]
-        if kept.size:
-            samples = np.frombuffer(samples, dtype=np.float64).reshape(
-                trials.size, len(metrics))
-            table[key] = (trials[kept], {metric: samples[kept, i]
-                                         for i, metric in enumerate(metrics)})
-    if repeats:
-        (_, _, trial), (sweep_index, sweep_value, algorithm), where = min(
+    group = np.frombuffer(group, dtype=np.uint32)
+    trial = np.frombuffer(trial, dtype=np.int64)
+    keys = list(code_of)
+    order = np.lexsort((trial, group))
+    ordered_group, ordered_trial = group[order], trial[order]
+    same = np.flatnonzero((ordered_group[1:] == ordered_group[:-1])
+                          & (ordered_trial[1:] == ordered_trial[:-1]))
+    if same.size:
+        # the first repeated trial of each group that repeats one
+        _, first = np.unique(ordered_group[same], return_index=True)
+        repeats = []
+        for code, repeated in zip(ordered_group[same[first]],
+                                  ordered_trial[same[first]]):
+            rows = np.flatnonzero((group == code) & (trial == repeated))
+            where = [names[i] for i in np.searchsorted(ends, rows,
+                                                       side="right")]
+            key = keys[code]
+            repeats.append(((key[0], key[2], repeated), key, where))
+        (_, _, repeated), (sweep_index, sweep_value, algorithm), where = min(
             repeats, key=itemgetter(0))
         files = " and ".join(str(name) for name in where if name is not None)
         raise ValueError(
             f"duplicate row key (sweep_index={sweep_index}, sweep_value="
-            f"{sweep_value!r}, algorithm={algorithm}, trial_index={trial})"
-            + (f" in {files}" if files else ""))
+            f"{sweep_value!r}, algorithm={algorithm}, trial_index="
+            f"{repeated})" + (f" in {files}" if files else ""))
+
+    kept = order[~np.frombuffer(failed, dtype=bool)[order]]
+    kept_group = group[kept]
+    samples = [np.frombuffer(values, dtype=np.float64) for values in samples]
+    table = {}
+    for rows in np.split(kept, np.flatnonzero(kept_group[1:]
+                                              != kept_group[:-1]) + 1):
+        if rows.size:
+            table[keys[group[rows[0]]]] = (
+                trial[rows], {metric: values[rows]
+                              for metric, values in zip(metrics, samples)})
     return table
 
 
@@ -311,7 +388,7 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
     algorithm.metric pair; x is the sweep value (sweep index when the run
     had no sweep). Failed trials are excluded from the aggregates, and the
     rows may come in any order."""
-    table = _key_table([(None, rows)], metrics)
+    table = _key_table([(None, _row_chunks(rows, metrics))], metrics)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("x,series,y,ci_low,ci_high\n")
         for (sweep_index, sweep_value, algorithm), (_, samples_of) in sorted(
@@ -347,6 +424,15 @@ def _fmt_test(result: StatTestResult) -> str:
     return " ".join(bits)
 
 
+# what a comparison line holds in place of its test when a sample is NaN or
+# infinite, where the t and F statistics are undefined
+_SKIPPED = "skipped=non_finite_samples"
+
+
+def _finite(*samples) -> bool:
+    return all(np.isfinite(x).all() for x in samples)
+
+
 def write_stats_report(rows, path, baseline_rows=None,
                        metrics=STATS_METRICS) -> int:
     """Comparison battery over a result set, one finding per line; returns
@@ -363,10 +449,16 @@ def write_stats_report(rows, path, baseline_rows=None,
     With baseline_rows, each algorithm is instead compared against its own
     baseline samples at the same sweep point, trial by trial; identical
     inputs give p = 1 exactly.
+
+    A test whose samples hold a NaN or an infinity is not run: its line
+    ends in skipped=non_finite_samples, and the Bonferroni correction
+    counts the pairwise tests that were run. A summary over such samples
+    gives the plain mean, which is also each of its interval bounds, as
+    the plot table does.
     """
-    table = _key_table([_source(rows)], metrics)
+    table = _key_table([_source(rows, metrics)], metrics)
     base = (None if baseline_rows is None
-            else _key_table([_source(baseline_rows)], metrics))
+            else _key_table([_source(baseline_rows, metrics)], metrics))
     lines = [f"schema_version={SCHEMA_VERSION} report=stats "
              f"correction=bonferroni_pairwise"]
     # an algorithm whose rows all failed at a point has no group there, so
@@ -390,10 +482,11 @@ def write_stats_report(rows, path, baseline_rows=None,
                     a, b = _paired(at_point[algorithm], other, metric)
                     if a.size < 2:
                         continue
-                    test = paired_t_test(a, b)
+                    outcome = (_fmt_test(paired_t_test(a, b))
+                               if _finite(a, b) else _SKIPPED)
                     lines.append(f"{prefix} comparison=vs_baseline "
                                  f"metric={metric} algorithm={algorithm} "
-                                 f"n={a.size} {_fmt_test(test)}")
+                                 f"n={a.size} {outcome}")
             continue
 
         for metric in metrics:
@@ -402,8 +495,12 @@ def write_stats_report(rows, path, baseline_rows=None,
                 vals = samples[alg]
                 if vals.size < 2:
                     continue
-                m95 = mean_ci(vals, 0.95)
-                m99 = mean_ci(vals, 0.99)
+                if _finite(vals):
+                    m95 = mean_ci(vals, 0.95)
+                    m99 = mean_ci(vals, 0.99)
+                else:
+                    # the plain mean, as in the plot table
+                    m95 = m99 = (float(np.mean(vals)),) * 3
                 lines.append(
                     f"{prefix} summary=mean metric={metric} algorithm={alg} "
                     f"n={vals.size} mean={m95[0]!r} "
@@ -413,28 +510,36 @@ def write_stats_report(rows, path, baseline_rows=None,
             groups = [samples[alg] for alg in algorithms
                       if samples[alg].size >= 2]
             if len(groups) >= 2:
-                test = one_way_anova(groups)
+                outcome = (_fmt_test(one_way_anova(groups))
+                           if _finite(*groups) else _SKIPPED)
                 lines.append(f"{prefix} comparison=across_algorithms "
-                             f"metric={metric} {_fmt_test(test)}")
+                             f"metric={metric} {outcome}")
 
+            # (a, b, n, test, d) per pair; test is None for a skipped one
             pair_tests = []
             for alg_a, alg_b in combinations(algorithms, 2):
                 a, b = _paired(at_point[alg_a], at_point[alg_b], metric)
                 if a.size < 2:
                     continue
-                pair_tests.append((alg_a, alg_b, a.size, paired_t_test(a, b),
-                                   cohens_d(a, b)))
-            if pair_tests:
-                adjusted = bonferroni([t.p_value for _, _, _, t, _
-                                       in pair_tests], len(pair_tests))
-                for (alg_a, alg_b, n, test, d), p_adj in zip(pair_tests,
-                                                             adjusted):
+                pair_tests.append(
+                    (alg_a, alg_b, a.size, paired_t_test(a, b),
+                     cohens_d(a, b)) if _finite(a, b)
+                    else (alg_a, alg_b, a.size, None, None))
+            run = [t.p_value for _, _, _, t, _ in pair_tests if t is not None]
+            # the correction counts the tests run
+            adjusted = iter(bonferroni(run, len(run)) if run else ())
+            for alg_a, alg_b, n, test, d in pair_tests:
+                if test is None:
+                    outcome = _SKIPPED
+                else:
+                    p_adj = next(adjusted)
                     p_adj_text = ("<1e-300" if test.p_value == 0.0
                                   else repr(float(p_adj)))
-                    lines.append(f"{prefix} comparison=pairwise "
-                                 f"metric={metric} a={alg_a} b={alg_b} n={n} "
-                                 f"{_fmt_test(test)} cohens_d={d!r} "
-                                 f"p_adjusted={p_adj_text}")
+                    outcome = (f"{_fmt_test(test)} cohens_d={d!r} "
+                               f"p_adjusted={p_adj_text}")
+                lines.append(f"{prefix} comparison=pairwise "
+                             f"metric={metric} a={alg_a} b={alg_b} n={n} "
+                             f"{outcome}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     return len(lines) - 1

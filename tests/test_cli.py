@@ -246,6 +246,63 @@ def test_stats_refuses_a_repeated_key(tmp_path, capsys, repeat_in):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("bad_in", ["results", "baseline"])
+@pytest.mark.parametrize("token, bad", [
+    ("objective=10.0", "objective=1e1"),
+    ("failed=false", "failed=no"),
+    ("crlb=1e-06", "crlb=1e-06 extra=1"),
+])
+def test_stats_refuses_a_malformed_line(tmp_path, capsys, bad_in, token,
+                                        bad):
+    rows = stats_rows()
+    good, broken = tmp_path / "good.records", tmp_path / "broken.records"
+    write_records(rows, good)
+    write_records(rows, broken)
+    lines = broken.read_text().splitlines()
+    assert token in lines[0]
+    lines[0] = lines[0].replace(token, bad)
+    broken.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_records(broken)
+    assert f"{broken}, line 1: " in str(err.value)
+    args = (["stats", str(broken), "--baseline", str(good)]
+            if bad_in == "results"
+            else ["stats", str(good), "--baseline", str(broken)])
+    report = tmp_path / "report.txt"
+    assert main([*args, "--out", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+    assert not report.exists()
+
+
+def test_stats_skips_the_tests_of_a_non_finite_metric(tmp_path, capsys):
+    # crlb is inf on every fp row, as on a failed sensing solve
+    rows = [replace(row, crlb=float("inf")) if row.algorithm == "fp" else row
+            for row in stats_rows()]
+    rec = tmp_path / "results.records"
+    write_records(rows, rec)
+    for extra in ([], ["--baseline", str(rec)]):
+        reports = {}
+        for metrics in ("objective,sum_rate,iterations_used,crlb,fairness",
+                        "objective,sum_rate,iterations_used,fairness"):
+            reports[metrics] = tmp_path / f"{len(metrics)}.txt"
+            assert main(["stats", str(rec), *extra, "--metrics", metrics,
+                         "--out", str(reports[metrics])]) == 0
+        with_crlb, without = (path.read_text().splitlines()
+                              for path in reports.values())
+        crlb = [line for line in with_crlb if "metric=crlb" in line]
+        assert [line for line in with_crlb if line not in crlb] == without
+        skipped = [line for line in crlb
+                   if line.endswith(" skipped=non_finite_samples")]
+        if extra:
+            assert len(crlb) == 2 and len(skipped) == 1
+            assert "algorithm=fp n=4 skipped" in skipped[0]
+        else:
+            assert len(crlb) == 4 and len(skipped) == 2
+            assert "metric=crlb algorithm=fp n=4 mean=inf ci95_low=inf " \
+                "ci95_high=inf ci99_low=inf ci99_high=inf" in crlb[1]
+    capsys.readouterr()
+
+
 def test_stats_rejects_unknown_metric(tiny_cfg_path, tmp_path, capsys):
     out_dir = tmp_path / "m"
     main(["run", "--config", tiny_cfg_path, "--out", str(out_dir),

@@ -5,9 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from holo_isac import records
 from holo_isac.config import ALGORITHM_NAMES
 from holo_isac.experiments import TrialResult, _failure_result
 from holo_isac.records import (
+    PLOT_METRICS,
     RECORD_FIELDS,
     format_record,
     iter_records,
@@ -399,6 +401,82 @@ def test_stats_report_keeps_sweep_values_at_one_index_apart(tmp_path):
     write_stats_report(low + high, path, baseline_rows=low + high)
     lines = path.read_text().splitlines()[1:]
     assert lines and all("p=1.0" in line and "n=6" in line for line in lines)
+
+
+def random_metric(rng, scale):
+    """A finite draw at scale, or now and then NaN or an infinity."""
+    u = rng.random()
+    if u < 0.06:
+        return math.nan
+    if u < 0.1:
+        return math.inf if u < 0.08 else -math.inf
+    return float(rng.standard_normal() * scale)
+
+
+def random_result_set(rng):
+    """Canonically ordered rows and a baseline on the same keys: a point
+    without a sweep, one whose rows hold 0.0 or -0.0, one at a random value;
+    failed rows, non-finite metrics and empty sinr_db among them."""
+    points = [(0, None), (1, 0.0), (2, float(rng.standard_normal()))]
+    points = [points[i] for i in sorted(rng.choice(3, rng.integers(1, 4),
+                                                   replace=False))]
+    algorithms = sorted(rng.choice(ALGORITHM_NAMES, rng.integers(1, 5),
+                                   replace=False))
+    trials = sorted(rng.choice(40, rng.integers(1, 8), replace=False))
+    # a metric drawn at one scale per set, and now and then held constant
+    scales = {metric: 10.0 ** rng.integers(-8, 4) for metric in
+              ("objective", "sum_rate", "detection_prob", "crlb",
+               "energy_efficiency", "fairness")}
+    constant = {metric: rng.random() < 0.1 for metric in scales}
+
+    def row(index, value, algorithm, trial):
+        if value == 0.0:
+            value = (0.0, -0.0)[rng.integers(2)]
+        channel_hash = f"{index}{trial:015x}"
+        if rng.random() < 0.15:
+            return _failure_result(index, value, algorithm, int(trial),
+                                   channel_hash, 2)
+        metrics = {metric: scale if constant[metric]
+                   else random_metric(rng, scale)
+                   for metric, scale in scales.items()}
+        return TrialResult(
+            sweep_index=index, sweep_value=value, algorithm=str(algorithm),
+            trial_index=int(trial), channel_hash=channel_hash,
+            failed=bool(rng.random() < 0.1), converged=True, monotone=True,
+            iterations_used=int(rng.integers(0, 4)),
+            sinr_db=tuple(rng.standard_normal(rng.integers(0, 3))),
+            **metrics)
+
+    keys = [(index, value, algorithm, trial) for index, value in points
+            for algorithm in algorithms for trial in trials]
+    return ([row(*key) for key in keys],
+            [row(*key) for key in keys if rng.random() < 0.9])
+
+
+def test_stats_report_reads_a_file_by_columns_as_it_reads_rows(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(74)
+    metrics = PLOT_METRICS + ("iterations_used",)
+    rows_path, base_path = tmp_path / "rows.records", tmp_path / "base.records"
+    by_rows, by_columns = tmp_path / "by_rows.txt", tmp_path / "by_columns.txt"
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a record line was parsed into a row")
+
+    for _ in range(300):
+        rows, base = random_result_set(rng)
+        write_records(rows, rows_path)
+        write_records(base, base_path)
+        for baseline in (None, base_path):
+            write_stats_report(
+                read_records(rows_path), by_rows, metrics=metrics,
+                baseline_rows=None if baseline is None
+                else read_records(baseline))
+            with monkeypatch.context() as patch:
+                patch.setattr(records, "parse_record", no_rows)
+                write_stats_report(rows_path, by_columns, metrics=metrics,
+                                   baseline_rows=baseline)
+            assert by_columns.read_bytes() == by_rows.read_bytes()
 
 
 def test_outputs_do_not_depend_on_how_the_rows_arrive(tmp_path):
