@@ -4,12 +4,11 @@ Three solvers climb one penalized objective, priced by _EvalContext over the
 kernel in objective.price_streams / price_split (the pricing the result rows
 use too) with a quadratic QoS penalty added. A block prices its candidates
 from what it holds fixed: the power block reuses the stream gains of its
-entry beams, and the split block the whole stream part. A block-ascent
-solve holds its beams in orthonormal coordinates of the span of the
-channels and steering vectors from entry to exit, where every gain,
-gradient and step is at most K + L + 1 wide, not M: it enters those
-coordinates once, prices its entry from their gains, and forms M-wide
-beams once, for its result.
+entry beams, and the split block the whole stream part. Every solve holds
+its beams in orthonormal coordinates of the span of the channels and
+steering vectors from entry to exit, where every gain, gradient and step
+is at most K + L + 1 wide, not M: it enters them once, prices its entry
+by _EvalContext.evaluate, and forms M-wide beams once, by _span_beams.
 
 Every solve of a trial reads one SolveInstance (experiments.trial_instance):
 the scene, the stream tables, the span basis and the init_hao_sca start with
@@ -147,19 +146,16 @@ class SolveInstance:
 
     Holds the channels, the targets' SensingScene, the grouping's
     StreamLayout, the span basis of [h; a_l] and, when built by from_start,
-    the init_hao_sca start with its stacked beams and their span
-    coordinates. The solves only read these; their arrays are read-only."""
+    the init_hao_sca start with the span coordinates of its beams. The
+    solves only read these; their arrays are read-only."""
 
     def __init__(self, channels, scene: SensingScene, grouping: Grouping,
                  start: RsNomaSolution | None = None):
         self.h = np.asarray(channels, dtype=complex)
-        self.hc = self.h.conj()
         self.grouping = grouping
         self.layout = StreamLayout(grouping)
         self.scene = scene
         self.start = start
-        if start is not None:
-            self.start_beams, = _read_only(start.stacked_beams())
 
     @classmethod
     def from_start(cls, channels, targets, geom: ArrayGeometry,
@@ -192,15 +188,9 @@ class SolveInstance:
 
     @functools.cached_property
     def start_span(self) -> tuple:
-        """_span_coordinates of start_beams."""
-        return _read_only(*_span_coordinates(self.span[0], self.start_beams))
-
-    def gains(self, w: np.ndarray) -> dict:
-        """The user and target gains of every stream of w: v = h_k^H w_s,
-        g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2, from one product each."""
-        v = self.hc @ w.T                  # (K, S)
-        va = self.scene.steer_c @ w.T      # (L, S)
-        return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
+        """_span_coordinates of the start's stacked beams."""
+        return _read_only(*_span_coordinates(self.span[0],
+                                             self.start.stacked_beams()))
 
 
 def _read_only(*arrays) -> tuple:
@@ -220,25 +210,31 @@ def _span_coordinates(q: np.ndarray, w: np.ndarray) -> tuple:
     return x, rest / np.where(norm > 0.0, norm, 1.0)[:, None]
 
 
+def _span_beams(q: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The beams of span coordinates x, u (_span_coordinates inverted)."""
+    return x[:, :-1] @ q.T + x[:, -1:].real * u
+
+
 class _EvalContext:
     """Per-solve weights and limits over a shared SolveInstance, plus the
     penalized objective the solvers climb.
 
-    Works on the stacked representation (W rows = unit beamformers in the
+    Works on the stacked span coordinates (x rows = unit beamformers in the
     order commons, privates, sensing; p = matching powers; rho = split
-    coefficients) so one complex GEMM prices all stream gains. The pricing
-    itself is the kernel of objective.price_streams / price_split, the same
-    one rate_breakdown, composite_objective and the result rows use; this
-    class adds the QoS penalty and the gradients.
+    coefficients), so one span_gains product prices all stream gains. The
+    pricing itself is the kernel of objective.price_streams / price_split,
+    the same one rate_breakdown, composite_objective and the result rows
+    use; this class adds the QoS penalty and the gradients.
     """
 
     def __init__(self, instance: SolveInstance, weights: ObjectiveWeights,
                  limits: QosLimits, sigma_n2: float, sigma_s2: float,
                  qos_penalty: float):
         self.instance = instance
-        self.h, self.hc = instance.h, instance.hc
+        self.h = instance.h
+        self.span = instance.span          # (q, rt, rtc), SolveInstance.span
         self.k_total, self.m_total = self.h.shape
-        self.weights = weights
+        self.weights, self.aw = weights, weights.as_array()  # aw for pricing
         self.limits = limits
         self.sigma_n2 = float(sigma_n2)
         self.sigma_s2 = float(sigma_s2)
@@ -262,16 +258,6 @@ class _EvalContext:
         else:
             self.crlb_num = None
 
-    @property
-    def weights(self) -> ObjectiveWeights:
-        return self._weights
-
-    @weights.setter
-    def weights(self, value: ObjectiveWeights):
-        self._weights = value
-        self.aw = value.as_array()
-
-    # -- stream slicing helpers ---------------------------------------
     def build_solution(self, w, p, rho) -> RsNomaSolution:
         g, k = self.num_groups, self.k_total
         return RsNomaSolution(
@@ -286,22 +272,16 @@ class _EvalContext:
         """Per-user share of the own-group common capacity under rho."""
         return common_shares(rho, self.layout.members)
 
-    # -- evaluation -----------------------------------------------------
-    def evaluate(self, w: np.ndarray, p: np.ndarray, rho: np.ndarray):
-        """Penalized composite objective plus every intermediate quantity.
-
-        The gains of w are formed first, price_powers prices them at p and
-        reprice finishes the split."""
-        return self.price_powers(self.instance.gains(w), p, self.shares(rho))
+    def evaluate(self, x: np.ndarray, p: np.ndarray, rho: np.ndarray):
+        """Penalized composite objective plus every intermediate quantity at
+        span coordinates x: their gains (span_gains) priced at p by
+        price_powers, which reprice finishes at the split."""
+        gains = self.span_gains(x)
+        gains.update(g2=np.abs(gains["v"]) ** 2, m2=np.abs(gains["va"]) ** 2)
+        return self.price_powers(gains, p, self.shares(rho))
 
     # aux entries that depend on the beams alone
     _GAINS = ("v", "g2", "va", "m2")
-
-    # -- span coordinates -------------------------------------------------
-    @property
-    def span(self) -> tuple:
-        """The instance's span basis (SolveInstance.span)."""
-        return self.instance.span
 
     def span_gains(self, x: np.ndarray) -> dict:
         """The v and va gains of the beams of span coordinates x, from one
@@ -310,12 +290,10 @@ class _EvalContext:
         return {"v": both[:self.k_total], "va": both[self.k_total:]}
 
     def price_powers(self, gains: dict, p: np.ndarray, shares: np.ndarray):
-        """Penalized objective at powers p over the gains of a fixed w.
-
-        gains holds the _GAINS entries of an evaluation at w and nothing
-        else. They are the very arrays evaluate forms at that w, so a block
-        that moves only the powers prices each candidate here, with no
-        stream-gain product, and gets evaluate's value bit for bit."""
+        """Penalized objective at powers p over the gains (the _GAINS
+        entries) of fixed beams: a block that moves only the powers prices
+        each candidate here, with no stream-gain product, bit for bit as
+        evaluate prices it."""
         return self.reprice(self._streams(gains, p), shares)
 
     def _streams(self, gains: dict, p: np.ndarray) -> dict:
@@ -741,13 +719,14 @@ def adaptive_weights(weights: ObjectiveWeights, component_values,
 
 def _loaded_solve(channels: np.ndarray, gram: np.ndarray, coefs, mu: float,
                   x: np.ndarray) -> np.ndarray:
-    """Rows of (A C A^H + mu I_M)^-1 A x, with A = channels^T (columns h_k),
+    """Rows of (A C A^H + mu I)^-1 A x, with A = channels^T (columns h_k),
     C = diag(coefs) >= 0, mu > 0 and x of shape (K, n).
 
-    The push-through identity (A C A^H + mu I_M)^-1 A = A (C A^H A + mu I_K)^-1
-    holds for any K and M, so the M x M system becomes one K x K solve;
-    gram = A^H A = channels.conj() @ channels.T. Leading axes of coefs and
-    x stack systems, all solved in one call.
+    The push-through identity (A C A^H + mu I)^-1 A = A (C A^H A + mu I_K)^-1
+    holds for any K and row width, so the wide system becomes one K x K
+    solve; gram = A^H A = channels.conj() @ channels.T. The rows are M-wide
+    (init_hao_sca) or span coordinates rt[:K], giving coordinates
+    (_e_wmmse_sweep). Leading axes of coefs and x stack systems.
     """
     coefs = np.asarray(coefs, dtype=float)
     inner = coefs[..., :, None] * gram + mu * np.eye(coefs.shape[-1])
@@ -849,9 +828,9 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
 
     The beams stay in span coordinates (x, u) from entry to exit: the
     instance's start enters with its shared coordinates, any other sol
-    through one _span_coordinates call, and the entry is priced from the
-    gains of x. Every later pricing is over gains the state already holds,
-    and the result's beams are formed once, from x and u."""
+    through one _span_coordinates call, and the entry is priced by
+    ctx.evaluate. Every later pricing is over gains the state already
+    holds, and the result's beams are formed once, by _span_beams."""
     q = ctx.span[0]
     if sol is ctx.instance.start:
         x, u = ctx.instance.start_span
@@ -875,17 +854,16 @@ def _block_ascent(ctx: _EvalContext, sol: RsNomaSolution,
         if config.adaptive_weights:
             comps = np.array([aux["rate_sum"], aux["util"], aux["ee"], aux["fair"]])
             ctx.weights = adaptive_weights(ctx.weights, comps)
+            ctx.aw = ctx.weights.as_array()
             f, aux = ctx.price_powers({key: aux[key] for key in ctx._GAINS},
                                       p, ctx.shares(rho))
         return (x, p, rho, f, aux), traced(f, aux)
 
-    gains = ctx.span_gains(x)
-    gains.update(g2=np.abs(gains["v"]) ** 2, m2=np.abs(gains["va"]) ** 2)
-    f, aux = ctx.price_powers(gains, p, ctx.shares(rho))
+    f, aux = ctx.evaluate(x, p, rho)
     (x, p, rho, _, _), trace = _iterate(
         config, sweep, (x, p, rho, f, aux), traced(f, aux))
-    w = x[:, :-1] @ q.T + x[:, -1:].real * u
-    solution = ctx.build_solution(w, _project_powers(p, ctx.limits.p_max),
+    solution = ctx.build_solution(_span_beams(q, x, u),
+                                  _project_powers(p, ctx.limits.p_max),
                                   np.clip(rho, 0.0, 1.0))
     return solution, trace
 
@@ -937,10 +915,10 @@ def run_hao_sca(channels, targets, geom: ArrayGeometry,
 # E-WMMSE
 # =====================================================================
 
-def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray,
+def _e_wmmse_sweep(ctx: _EvalContext, x: np.ndarray,
                    gram: np.ndarray) -> np.ndarray:
-    """One E-WMMSE sweep: the aggregates v_all = sqrt(p) w (row -1 the
-    sensing beam) updated once; gram = h^* h^T.
+    """One E-WMMSE sweep: the span coordinates x of the aggregates
+    v = sqrt(p) w (row -1 the sensing beam) updated once; gram = h^* h^T.
 
     The aggregates carry the powers, so rates.stream_rates at unit powers
     prices both stages of every user from one gain product: the MMSE receive
@@ -950,12 +928,15 @@ def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray,
     normal equations (sum_k c_kj h_k h_k^H + mu I) v_j = sum_k b_kj h_k,
     where c_kj sums omega |u|^2 over user k's stages that hear stream j and
     b_kj is omega u^* of the stage that decodes it; the G + K systems are
-    one stacked _loaded_solve. The sensing beam then takes a
+    one stacked _loaded_solve over rt[:K]. The sensing beam then takes a
     penalty-gradient step, weighted by _LAMBDA_SENSING, toward the echo-SINR
-    floor, and the whole is rescaled into the power budget."""
+    floor, and the whole is rescaled into the power budget (coordinate norms
+    are beam norms). No array of the sweep is M wide."""
     lay, scene, limits = ctx.layout, ctx.scene, ctx.limits
+    k = ctx.k_total
+    _, rt, rtc = ctx.span
     unit_powers = np.ones(lay.num_streams)
-    gains = ctx.hc @ v_all.T                       # h_k^H v_s, (K, S)
+    gains = ctx.span_gains(x)["v"]                 # h_k^H v_s, (K, S)
     st = stream_rates(np.abs(gains) ** 2, unit_powers, lay, ctx.sigma_n2)
     # rows: the common, then the private stage of every user
     own = (lay.stages[::3] * gains).sum(axis=-1)   # own-stream gains
@@ -971,28 +952,28 @@ def _e_wmmse_sweep(ctx: _EvalContext, v_all: np.ndarray,
     coefs = weight[0] + weight[1] * (lay.stages[2] + lay.stages[3]).T[:-1]
     desire = om * u.conj()
     rhs = lay.stages[0].T[:-1] * desire[0] + lay.stages[3].T[:-1] * desire[1]
-    new_v = v_all.copy()
-    new_v[:-1] = _loaded_solve(ctx.h, gram, coefs, mu, rhs[..., None])[:, 0]
+    new_x = x.copy()
+    new_x[:-1] = _loaded_solve(rt[:k], gram, coefs, mu, rhs[..., None])[:, 0]
 
     # sensing beam: penalty-gradient step toward the SINR floor
     if ctx.num_targets and ctx.gamma_min > 0.0:
         # the aggregates carry the powers, so every stream weighs one
-        va = scene.steer_c @ new_v.T
+        va = rtc[k:] @ new_x.T
         beam_sum, d_l, gam = echo_sinrs(np.abs(va) ** 2, unit_powers,
                                         scene, ctx.sigma_s2)
         short = np.maximum(0.0, ctx.gamma_min - gam)
         if short.any():
             coef = 2.0 * _LAMBDA_SENSING * short * scene.echo_power / d_l \
                 * 2.0 * beam_sum
-            grad_s = (coef * va[:, -1]) @ scene.steer
-            step = 0.1 * vector_norm(new_v[-1]) / max(vector_norm(grad_s),
+            grad_s = (coef * va[:, -1]) @ rt[k:]
+            step = 0.1 * vector_norm(new_x[-1]) / max(vector_norm(grad_s),
                                                          1e-300)
-            new_v[-1] = new_v[-1] + step * grad_s
+            new_x[-1] = new_x[-1] + step * grad_s
 
-    total = float(np.sum(np.abs(new_v) ** 2))
+    total = float(np.sum(np.abs(new_x) ** 2))
     if total > limits.p_max:
-        new_v *= np.sqrt(limits.p_max / total)
-    return new_v
+        new_x *= np.sqrt(limits.p_max / total)
+    return new_x
 
 
 def run_e_wmmse(instance: SolveInstance, weights: ObjectiveWeights,
@@ -1000,39 +981,40 @@ def run_e_wmmse(instance: SolveInstance, weights: ObjectiveWeights,
                 config: OptimizerConfig | None = None):
     """Extended WMMSE with SIC-aware MSE stages and a sensing penalty.
 
-    Each iteration is one _e_wmmse_sweep of the aggregate beamformers
-    v = sqrt(p) w: the MMSE filters and weights of every (user, stage) read
-    off one stage pricing, one stacked solve for all communication beams, a
-    penalty-gradient step on the sensing beam when the echo SINR falls
-    short of the detection threshold, and a budget rescale. The trace
-    objective is sum rate minus the sensing penalty, the squared shortfall
-    weighted by _LAMBDA_SENSING. It starts from the init_hao_sca start of
-    instance (SolveInstance.from_start).
+    Each iteration is one _e_wmmse_sweep of the span coordinates of the
+    aggregate beamformers v = sqrt(p) w: the MMSE filters and weights of
+    every (user, stage) read off one stage pricing, one stacked solve for
+    all communication beams, a penalty-gradient step on the sensing beam
+    when the echo SINR falls short of the detection threshold, and a budget
+    rescale. The trace objective is sum rate minus the sensing penalty, the
+    squared shortfall weighted by _LAMBDA_SENSING, priced by ctx.evaluate.
+    It starts from instance.start_span (SolveInstance.from_start), and a
+    row that normalizes to zero takes the start's.
     """
     config = config or OptimizerConfig()
     ctx = _EvalContext(instance, weights, limits, sigma_n2, sigma_s2,
                        config.qos_penalty)
-    w, rho = instance.start_beams, instance.start.rho
-    gram = ctx.hc @ ctx.h.T                     # h_i^H h_j, (K, K)
+    q, rt, rtc = ctx.span
+    x0, u = instance.start_span
+    rho = instance.start.rho
+    gram = rtc[:ctx.k_total] @ rt[:ctx.k_total].T
 
-    def traced(v_cur):
-        """The trace value at the aggregates v_cur: the sum rate less the
-        sensing penalty."""
-        p_cur = np.linalg.norm(v_cur, axis=1) ** 2
-        _, aux = ctx.evaluate(_normalize_rows(v_cur, w), p_cur, rho)
+    def traced(x):
+        """The sum rate less the sensing penalty at the aggregates x."""
+        p_cur = np.linalg.norm(x, axis=1) ** 2
+        _, aux = ctx.evaluate(_normalize_rows(x, x0), p_cur, rho)
         short = np.maximum(0.0, ctx.gamma_min - aux["gam_l"])
         return aux["rate_sum"] - _LAMBDA_SENSING * float(short @ short)
 
-    def sweep(v_all):
-        v_all = _e_wmmse_sweep(ctx, v_all, gram)
-        return v_all, traced(v_all)
+    def sweep(x):
+        x = _e_wmmse_sweep(ctx, x, gram)
+        return x, traced(x)
 
-    v_all = np.sqrt(instance.start.stacked_powers())[:, None] * w
-    v_all, trace = _iterate(config, sweep, v_all, traced(v_all))
-    p_fin = np.linalg.norm(v_all, axis=1) ** 2
-    w_fin = _normalize_rows(v_all, w)
-    solution = ctx.build_solution(w_fin, _project_powers(p_fin, limits.p_max), rho)
-    return solution, trace
+    x = np.sqrt(instance.start.stacked_powers())[:, None] * x0
+    x, trace = _iterate(config, sweep, x, traced(x))
+    w_fin = _span_beams(q, _normalize_rows(x, x0), u)
+    p_fin = _project_powers(np.linalg.norm(x, axis=1) ** 2, limits.p_max)
+    return ctx.build_solution(w_fin, p_fin, rho), trace
 
 
 # =====================================================================

@@ -27,8 +27,8 @@ import numpy as np
 from .experiments import TrialResult
 from .stats import (
     StatTestResult,
+    UntestableSamples,
     bonferroni,
-    cohens_d,
     mean_ci,
     one_way_anova,
     paired_t_test,
@@ -399,8 +399,7 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
                 if samples.size >= 2 and np.all(np.isfinite(samples)):
                     y, lo, hi = mean_ci(samples, confidence)
                 else:
-                    y = float(np.mean(samples))
-                    lo = hi = y
+                    y = lo = hi = _plain_mean(samples)
                 fh.write(f"{x!r},{algorithm}.{metric},{y!r},{lo!r},{hi!r}\n")
 
 
@@ -411,7 +410,24 @@ def write_plot_data(rows, path, metrics=PLOT_METRICS,
 STATS_METRICS = ("objective", "sum_rate")
 
 
-def _fmt_test(result: StatTestResult) -> str:
+def _plain_mean(samples) -> float:
+    """The mean of samples; NaN, unwarned, where they hold inf and -inf."""
+    with np.errstate(invalid="ignore"):
+        return float(np.mean(samples))
+
+
+def _tested(test, *args):
+    """test(*args), or the UntestableSamples it raises."""
+    try:
+        return test(*args)
+    except UntestableSamples as untestable:
+        return untestable
+
+
+def _fmt_test(result) -> str:
+    """A test's report fields, or skipped=<reason> for an untested one."""
+    if isinstance(result, UntestableSamples):
+        return f"skipped={result.reason}"
     bits = [f"kind={result.kind}", f"statistic={float(result.statistic)!r}",
             f"df={float(result.df)!r}"]
     if result.df2 is not None:
@@ -422,15 +438,6 @@ def _fmt_test(result: StatTestResult) -> str:
              f"ci_high={float(result.ci_high)!r}",
              f"confidence={float(result.confidence)!r}"]
     return " ".join(bits)
-
-
-# what a comparison line holds in place of its test when a sample is NaN or
-# infinite, where the t and F statistics are undefined
-_SKIPPED = "skipped=non_finite_samples"
-
-
-def _finite(*samples) -> bool:
-    return all(np.isfinite(x).all() for x in samples)
 
 
 def write_stats_report(rows, path, baseline_rows=None,
@@ -450,11 +457,11 @@ def write_stats_report(rows, path, baseline_rows=None,
     baseline samples at the same sweep point, trial by trial; identical
     inputs give p = 1 exactly.
 
-    A test whose samples hold a NaN or an infinity is not run: its line
-    ends in skipped=non_finite_samples, and the Bonferroni correction
-    counts the pairwise tests that were run. A summary over such samples
-    gives the plain mean, which is also each of its interval bounds, as
-    the plot table does.
+    A test whose samples stats.UntestableSamples refuses is not run: its
+    line ends in skipped=non_finite_samples or skipped=statistic_overflow,
+    and the Bonferroni correction counts the pairwise tests that were run.
+    A summary over non-finite samples gives the plain mean, which is also
+    each of its interval bounds, as the plot table does.
     """
     table = _key_table([_source(rows, metrics)], metrics)
     base = (None if baseline_rows is None
@@ -482,8 +489,7 @@ def write_stats_report(rows, path, baseline_rows=None,
                     a, b = _paired(at_point[algorithm], other, metric)
                     if a.size < 2:
                         continue
-                    outcome = (_fmt_test(paired_t_test(a, b))
-                               if _finite(a, b) else _SKIPPED)
+                    outcome = _fmt_test(_tested(paired_t_test, a, b))
                     lines.append(f"{prefix} comparison=vs_baseline "
                                  f"metric={metric} algorithm={algorithm} "
                                  f"n={a.size} {outcome}")
@@ -495,12 +501,12 @@ def write_stats_report(rows, path, baseline_rows=None,
                 vals = samples[alg]
                 if vals.size < 2:
                     continue
-                if _finite(vals):
+                if np.isfinite(vals).all():
                     m95 = mean_ci(vals, 0.95)
                     m99 = mean_ci(vals, 0.99)
                 else:
                     # the plain mean, as in the plot table
-                    m95 = m99 = (float(np.mean(vals)),) * 3
+                    m95 = m99 = (_plain_mean(vals),) * 3
                 lines.append(
                     f"{prefix} summary=mean metric={metric} algorithm={alg} "
                     f"n={vals.size} mean={m95[0]!r} "
@@ -510,33 +516,30 @@ def write_stats_report(rows, path, baseline_rows=None,
             groups = [samples[alg] for alg in algorithms
                       if samples[alg].size >= 2]
             if len(groups) >= 2:
-                outcome = (_fmt_test(one_way_anova(groups))
-                           if _finite(*groups) else _SKIPPED)
+                outcome = _fmt_test(_tested(one_way_anova, groups))
                 lines.append(f"{prefix} comparison=across_algorithms "
                              f"metric={metric} {outcome}")
 
-            # (a, b, n, test, d) per pair; test is None for a skipped one
+            # (a, b, n, test) per pair, test an UntestableSamples if not run
             pair_tests = []
             for alg_a, alg_b in combinations(algorithms, 2):
                 a, b = _paired(at_point[alg_a], at_point[alg_b], metric)
                 if a.size < 2:
                     continue
-                pair_tests.append(
-                    (alg_a, alg_b, a.size, paired_t_test(a, b),
-                     cohens_d(a, b)) if _finite(a, b)
-                    else (alg_a, alg_b, a.size, None, None))
-            run = [t.p_value for _, _, _, t, _ in pair_tests if t is not None]
+                pair_tests.append((alg_a, alg_b, a.size,
+                                   _tested(paired_t_test, a, b)))
+            run = [t.p_value for *_, t in pair_tests
+                   if isinstance(t, StatTestResult)]
             # the correction counts the tests run
             adjusted = iter(bonferroni(run, len(run)) if run else ())
-            for alg_a, alg_b, n, test, d in pair_tests:
-                if test is None:
-                    outcome = _SKIPPED
-                else:
+            for alg_a, alg_b, n, test in pair_tests:
+                outcome = _fmt_test(test)
+                if isinstance(test, StatTestResult):
                     p_adj = next(adjusted)
                     p_adj_text = ("<1e-300" if test.p_value == 0.0
                                   else repr(float(p_adj)))
-                    outcome = (f"{_fmt_test(test)} cohens_d={d!r} "
-                               f"p_adjusted={p_adj_text}")
+                    outcome += (f" cohens_d={float(test.effect_size)!r} "
+                                f"p_adjusted={p_adj_text}")
                 lines.append(f"{prefix} comparison=pairwise "
                              f"metric={metric} a={alg_a} b={alg_b} n={n} "
                              f"{outcome}")

@@ -4,7 +4,7 @@ Student-t and F distribution functions are computed via the regularized
 incomplete beta function with a modified-Lentz continued fraction, so the
 package needs no statistics library at runtime; quantiles invert the CDFs by
 bisection. Degenerate inputs (zero variances) map to documented sentinels
-rather than NaNs.
+rather than NaNs; samples a test cannot be run on raise UntestableSamples.
 """
 
 from __future__ import annotations
@@ -24,36 +24,24 @@ P_SENTINEL = "<1e-300"
 # =====================================================================
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
+    """Continued fraction for the incomplete beta (modified Lentz): each
+    iteration takes the even, then the odd step of the fraction."""
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / (tiny if abs(d) < tiny else d)
     h = d
     for m in range(1, 501):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (tiny if abs(d) < tiny else d)
+            c = 1.0 + aa / c
+            c = tiny if abs(c) < tiny else c
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise RuntimeError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
@@ -124,6 +112,24 @@ def t_quantile(p: float, df: float) -> float:
 # Estimates and tests
 # =====================================================================
 
+class UntestableSamples(ValueError):
+    """Raised by paired_t_test, one_way_anova and cohens_d: reason is
+    non_finite_samples (a NaN or an infinity among the samples) or
+    statistic_overflow (their differences, sums or squares overflow)."""
+
+    def __init__(self, test: str, reason: str):
+        super().__init__(f"{test}: {reason.replace('_', ' ')}")
+        self.reason = reason
+
+
+def _check(test: str, samples, *values):
+    """Refuse samples with a NaN or an infinity, or whose values overflowed."""
+    if not all(np.isfinite(x).all() for x in samples):
+        raise UntestableSamples(test, "non_finite_samples")
+    if not np.isfinite(values).all():
+        raise UntestableSamples(test, "statistic_overflow")
+
+
 @dataclass
 class StatTestResult:
     """One hypothesis test outcome.
@@ -158,8 +164,8 @@ def mean_ci(samples, confidence: float = 0.95):
     """Sample mean with a two-sided t confidence interval.
 
     Returns:
-        (mean, ci_low, ci_high) tuple. A single sample yields an infinite
-        interval; zero samples raise.
+        (mean, ci_low, ci_high) tuple. A single sample, or a spread that
+        overflows, yields an infinite interval; zero samples raise.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -169,7 +175,8 @@ def mean_ci(samples, confidence: float = 0.95):
     m = float(x.mean())
     if x.size == 1:
         return m, -np.inf, np.inf
-    se = float(x.std(ddof=1) / np.sqrt(x.size))
+    with np.errstate(over="ignore"):
+        se = float(x.std(ddof=1) / np.sqrt(x.size))
     if se == 0.0:
         return m, m, m
     tq = t_quantile(0.5 + confidence / 2.0, x.size - 1)
@@ -186,9 +193,11 @@ def cohens_d(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least two samples per group")
-    diff = float(a.mean() - b.mean())
-    pooled_var = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) \
-        / (a.size + b.size - 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = float(a.mean() - b.mean())
+        pooled_var = ((a.size - 1) * a.var(ddof=1)
+                      + (b.size - 1) * b.var(ddof=1)) / (a.size + b.size - 2)
+    _check("Cohen's d", (a, b), diff, pooled_var)
     if pooled_var <= 0.0:
         if diff == 0.0:
             return 0.0
@@ -215,10 +224,12 @@ def paired_t_test(a, b, confidence: float = 0.95) -> StatTestResult:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.size < 2:
         raise ValueError("paired test needs two equal-length samples, n >= 2")
-    d = a - b
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = a - b
+        md = float(d.mean())
+        sd = float(d.std(ddof=1))
+    _check("paired t test", (a, b), md, sd)
     n = d.size
-    md = float(d.mean())
-    sd = float(d.std(ddof=1))
     df = float(n - 1)
     if sd == 0.0:
         if md == 0.0:
@@ -246,9 +257,12 @@ def one_way_anova(groups, confidence: float = 0.95) -> StatTestResult:
         raise ValueError("ANOVA needs >= 2 groups with >= 2 samples each")
     n_total = sum(g.size for g in gs)
     k = len(gs)
-    grand = sum(g.sum() for g in gs) / n_total
-    ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in gs)
-    ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in gs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = sum(g.sum() for g in gs) / n_total
+        ss_between = sum(g.size * (g.mean() - grand) ** 2 for g in gs)
+        ss_within = sum(float(((g - g.mean()) ** 2).sum()) for g in gs)
+        ss_total = ss_between + ss_within
+    _check("one-way ANOVA", gs, ss_total)
     df1, df2 = float(k - 1), float(n_total - k)
     if ss_within == 0.0:
         if ss_between == 0.0:
@@ -262,7 +276,7 @@ def one_way_anova(groups, confidence: float = 0.95) -> StatTestResult:
     # directly, not 1 - CDF, which is 0 below about 1e-16
     p = min(1.0, regularized_incomplete_beta(0.5 * df2, 0.5 * df1,
                                              df2 / (df2 + df1 * stat)))
-    eta_sq = float(ss_between / (ss_between + ss_within))
+    eta_sq = float(ss_between / ss_total)
     return StatTestResult("anova_f", stat, df1, p, eta_sq,
                          np.nan, np.nan, confidence, df2=df2)
 

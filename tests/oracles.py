@@ -8,8 +8,10 @@ transmit covariance and echo matrices with the traces taken directly, and
 the objective components one scalar at a time, so the tests compare the
 kernel against computations it does not share. The paper's closed-form
 rails that the pipeline does not run, and the block-by-block and
-search-based solver steps that the package replaced, and the per-user
-filters and per-stream solves of the E-WMMSE sweep, live here too, as do
+search-based solver steps that the package replaced, the M-space stream
+gains and evaluation that span coordinates replaced, and the per-user
+filters and per-stream M-space solves of the E-WMMSE sweep, live here too,
+as do
 the gather forms of the stream pricing and gradients that the product
 tables of rates.StreamLayout replaced, the field-by-field record codec that
 the one-pass template and regex of holo_isac.records replaced, the trial
@@ -477,13 +479,33 @@ def m_space_beam_gradient(ctx, p, shares, aux):
 
 
 # =====================================================================
+# Stream gains and evaluation in M space
+# =====================================================================
+
+def m_space_gains(instance, w) -> dict:
+    """The user and target gains of every stream of the M-wide beams w:
+    v = h_k^H w_s, g2 = |v|^2, va = a_l^H w_s and m2 = |va|^2, from one
+    M-wide product each. The package forms them from span coordinates
+    (_EvalContext.span_gains)."""
+    v = instance.h.conj() @ w.T           # (K, S)
+    va = instance.scene.steer_c @ w.T     # (L, S)
+    return {"v": v, "g2": np.abs(v) ** 2, "va": va, "m2": np.abs(va) ** 2}
+
+
+def m_space_evaluate(ctx, w, p, rho):
+    """ctx.evaluate at the M-wide beams w: their m_space_gains priced at p
+    and rho by ctx.price_powers."""
+    return ctx.price_powers(m_space_gains(ctx.instance, w), p, ctx.shares(rho))
+
+
+# =====================================================================
 # Power and split blocks, every candidate priced in full
 # =====================================================================
 
 def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
                            frozen_streams=None):
     """The power block with every backtracking candidate priced by
-    ctx.evaluate, which forms the gains of w again each time.
+    m_space_evaluate, which forms the gains of w again each time.
 
     optimizers._power_block prices them over the gains of aux0; this is
     the loop it replaced, kept to show both give the same iterate."""
@@ -508,7 +530,7 @@ def sequential_power_block(ctx, w, p, rho, f0, aux0, config,
                                    ctx.limits.p_max)
             if frozen_streams is not None:
                 cand[frozen_streams] = 0.0
-            f_c, aux_c = ctx.evaluate(w, cand, rho)
+            f_c, aux_c = m_space_evaluate(ctx, w, cand, rho)
             if f_c > best_f:
                 best_p, best_f, best_aux = cand, f_c, aux_c
                 eta = min(eta * 1.5, 1.0)
@@ -586,11 +608,12 @@ def e_wmmse_mse_weight(u, h, v) -> float:
     return float(1.0 / mse)
 
 
-def loop_e_wmmse_sweep(ctx, v_all, gram):
-    """One sweep of optimizers._e_wmmse_sweep made user by user and stream
-    by stream: each stage's interference as the total received power less
-    the own term, its filter and weight from the two scalar helpers above,
-    and one _loaded_solve per communication stream."""
+def loop_e_wmmse_sweep(ctx, v_all):
+    """One sweep of optimizers._e_wmmse_sweep made in M space, on the
+    M-wide aggregates v_all, user by user and stream by stream: each
+    stage's interference as the total received power less the own term, its
+    filter and weight from the two scalar helpers above, and one
+    _loaded_solve per communication stream over the M-wide channels."""
     from holo_isac.geometry import vector_norm
     from holo_isac.optimizers import _LAMBDA_SENSING, _loaded_solve
     from holo_isac.sensing import echo_sinrs
@@ -600,7 +623,8 @@ def loop_e_wmmse_sweep(ctx, v_all, gram):
     sigma_n2, p_max = ctx.sigma_n2, ctx.limits.p_max
     hear_p = lay.stages[2:].any(axis=0)
     heard = [np.flatnonzero(row) for row in hear_p]
-    pow_rx = np.abs(ctx.hc @ v_all.T) ** 2
+    gram = h.conj() @ h.T
+    pow_rx = np.abs(h.conj() @ v_all.T) ** 2
 
     u = np.zeros((k_n, 2), dtype=complex)      # columns: common, private
     om = np.ones((k_n, 2))

@@ -303,6 +303,50 @@ def test_stats_skips_the_tests_of_a_non_finite_metric(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_stats_skips_a_test_whose_samples_overflow(tmp_path, capsys):
+    # finite objectives that alternate +-1e308 between fp and conv_noma, so
+    # every test with either overflows; hao_sca and e_wmmse stay small
+    rows = []
+    for row in stats_rows():
+        sign = 1.0 if (row.trial_index + (row.algorithm == "fp")) % 2 else -1.0
+        rows.append(replace(row, objective=sign * 1e308))
+        t = row.trial_index
+        if row.algorithm == "fp":
+            rows += [replace(row, algorithm="e_wmmse", objective=10.0 + t),
+                     replace(row, algorithm="hao_sca",
+                             objective=10.0 + t + 0.1 * t * t)]
+    rec = tmp_path / "results.records"
+    write_records(rows, rec)
+    kept = tmp_path / "kept.records"
+    write_records([r for r in rows if r.algorithm in ("e_wmmse", "hao_sca")],
+                  kept)
+    reports = {}
+    for name, path, metrics in (("both", rec, "objective,sum_rate"),
+                                ("sum_rate", rec, "sum_rate"),
+                                ("kept", kept, "objective")):
+        reports[name] = tmp_path / f"{name}.txt"
+        assert main(["stats", str(path), "--metrics", metrics,
+                     "--out", str(reports[name])]) == 0
+    both, sum_rate, kept = (reports[name].read_text().splitlines()
+                            for name in ("both", "sum_rate", "kept"))
+    objective = [line for line in both if "metric=objective" in line]
+    assert [line for line in both if line not in objective] == sum_rate
+    skipped = [line for line in objective
+               if line.endswith(" skipped=statistic_overflow")]
+    # the ANOVA and the five pairs with fp or conv_noma
+    assert len(skipped) == 6
+    assert "comparison=across_algorithms" in skipped[0]
+    ran = [line for line in objective if "comparison=pairwise" in line
+           and line not in skipped]
+    # the one test run is corrected as the only one, as it is where the
+    # other tests do not exist
+    assert len(ran) == 1 and ran[0] == kept[-1]
+    assert "p_adjusted=1.0" not in ran[0]
+    assert "metric=objective algorithm=fp n=4 mean=0.0 ci95_low=-inf " \
+        "ci95_high=inf" in "\n".join(objective)
+    capsys.readouterr()
+
+
 def test_stats_rejects_unknown_metric(tiny_cfg_path, tmp_path, capsys):
     out_dir = tmp_path / "m"
     main(["run", "--config", tiny_cfg_path, "--out", str(out_dir),

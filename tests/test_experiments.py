@@ -494,7 +494,7 @@ def instance_digest(instance) -> str:
     digest = hashlib.sha256()
     for a in (start.w_common, start.w_private, start.w_sensing,
               start.p_common, start.p_private, np.float64(start.p_sensing),
-              start.rho, start.grouping.assignment, instance.start_beams,
+              start.rho, start.grouping.assignment,
               *instance.start_span, *instance.span):
         digest.update(np.ascontiguousarray(a).tobytes())
     digest.update(repr(start.grouping.sic_order).encode())
@@ -538,8 +538,10 @@ def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
     """Four desk_tiny trials (master seed 7, all four algorithms) build one
     start and one span basis each and enter the span 8 times: the start's
     coordinates and the warm hao_sca leg's, once per trial. They form
-    M-wide stream gains 104 times, all in e_wmmse's evaluations; no
-    block-ascent solve forms them."""
+    M-wide beams 20 times, once per solve (the shared NOMA solve, the warm
+    and cold hao_sca legs, fp and e_wmmse), and price through evaluate 120
+    times: 104 in e_wmmse's entries and traces, and the 16 entries of the
+    block-ascent solves."""
     counts = {}
 
     def counted(name, real):
@@ -551,13 +553,14 @@ def test_a_task_builds_one_start_and_one_span_basis(monkeypatch):
 
     for owner, name in ((optimizers, "init_hao_sca"), (np.linalg, "qr"),
                         (optimizers, "_span_coordinates"),
-                        (optimizers.SolveInstance, "gains")):
+                        (optimizers, "_span_beams"),
+                        (optimizers._EvalContext, "evaluate")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     rows = run_experiment(make_plan(preset_config("desk_tiny"),
                                     num_trials=4, master_seed=7))
     assert len(rows) == 16 and not any(r.failed for r in rows)
     assert counts == {"init_hao_sca": 4, "qr": 4, "_span_coordinates": 8,
-                      "gains": 104}
+                      "_span_beams": 20, "evaluate": 120}
 
 
 def test_result_sort_key():

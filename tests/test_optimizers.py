@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import holo_isac.experiments as experiments
 import holo_isac.optimizers as optimizers
 from holo_isac.channel import SensingTarget
 from holo_isac.config import preset_config
@@ -36,7 +37,7 @@ from oracles import (GatherTables, e_wmmse_mse_weight,
                      gather_group_sums, gather_power_gradient_rates,
                      gather_stream_rates, golden_rho_block,
                      loop_e_wmmse_sweep, m_space_beam_gradient,
-                     sequential_power_block)
+                     m_space_evaluate, m_space_gains, sequential_power_block)
 
 SIGMA_N2 = 1e-12
 SIGMA_S2 = 10.0 ** (-11.5)
@@ -214,12 +215,13 @@ def test_reprice_equals_evaluate_bit_for_bit():
     channels, targets, geom, weights, _ = build_problem(seed=54)
     limits = QosLimits(p_max=P_MAX, r_min=2.0, p_d_min=0.9, crlb_max=1e-6)
     ctx, w, p, rho = start_entry(channels, targets, geom, weights, limits)
-    _, aux = ctx.evaluate(w, p, rho)
+    x = ctx.instance.start_span[0]
+    _, aux = ctx.evaluate(x, p, rho)
     rng = np.random.default_rng(55)
     for _ in range(50):
         cand = rng.uniform(0.0, 1.0, ctx.k_total)
         cand[rng.uniform(size=ctx.k_total) < 0.2] = 0.0
-        f_full, aux_full = ctx.evaluate(w, p, cand)
+        f_full, aux_full = ctx.evaluate(x, p, cand)
         f_cheap, aux_cheap = ctx.reprice(aux, ctx.shares(cand))
         assert f_cheap == f_full
         assert aux_cheap["penalty"] == aux_full["penalty"]
@@ -253,7 +255,8 @@ def test_other_group_commons_do_not_cancel_against_the_own_common():
     ctx = _EvalContext(SolveInstance(channels, SensingScene([], two), grouping),
                        ObjectiveWeights(), QosLimits(p_max=1e19), 1.0, 1.0,
                        10.0)
-    _, aux = ctx.evaluate(sol.stacked_beams(), sol.stacked_powers(), sol.rho)
+    _, aux = m_space_evaluate(ctx, sol.stacked_beams(), sol.stacked_powers(),
+                              sol.rho)
     assert aux["gam_p"][0] == pytest.approx(expected, rel=1e-12)
     assert aux["gam_c"][1] == pytest.approx(bd.common_sinr[1], rel=1e-12)
 
@@ -470,7 +473,7 @@ def test_every_priced_beam_candidate_has_the_gains_of_its_beams(monkeypatch):
             x, t = step.x, step.tang
             cand = optimizers._normalize_rows(x + c * t, x)
             cand[step.held] = x[step.held]
-            want = ctx.instance.gains(span_beams(ctx, cand))
+            want = m_space_gains(ctx.instance, span_beams(ctx, cand))
             assert close(gains["v"], want["v"])
             assert close(gains["va"], want["va"])
     assert count >= 20
@@ -546,7 +549,7 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
             aux = step.entry
             if i:
                 # a moved iterate: the gains of its beams, priced
-                fresh = ctx.instance.gains(beams)
+                fresh = m_space_gains(ctx.instance, beams)
                 for key in ("v", "va"):
                     scale = np.abs(fresh[key]).max(axis=0, initial=0.0)
                     assert within(aux[key], fresh[key], scale), key
@@ -571,14 +574,14 @@ def test_every_accepted_beam_step_follows_the_gradient_at_its_own_iterate(
 
 def test_a_beam_block_that_accepts_no_step_prices_one_ladder(monkeypatch):
     """At most max_backtracks candidates, and the entry returned. No block
-    forms M-wide gains or calls evaluate, and one that moves prices at most
+    forms M-wide beams or calls evaluate, and one that moves prices at most
     one ladder per step."""
     idle = 0
     for ctx, x, p, rho, f0, aux0, config, frozen in \
             block_entries("_beam_block"):
         with monkeypatch.context() as patch:
             accepted = calls_to(patch, optimizers._Retraction, "iterate")
-            formed = calls_to(patch, ctx.instance, "gains")
+            formed = calls_to(patch, optimizers, "_span_beams")
             evaluated = calls_to(patch, ctx, "evaluate")
             priced = calls_to(patch, ctx, "price_powers")
             x_out, f_out, aux_out = optimizers._beam_block(
@@ -647,11 +650,11 @@ def test_the_beam_block_in_span_coordinates_at_an_edge_case(case):
                    if edge_case(entry[0]) == case]
     moved = 0
     for ctx, x, p, rho, f0, aux0, config, frozen in entries:
-        start = ctx.instance.start_beams
+        start = ctx.instance.start.stacked_beams()
         norms = np.linalg.norm(start, axis=1)
         assert np.all(np.abs(span_beams(ctx, *ctx.instance.start_span) - start)
                       <= 1e-13 * norms[:, None])
-        gains = ctx.instance.gains(span_beams(ctx, x))
+        gains = m_space_gains(ctx.instance, span_beams(ctx, x))
         for key in ("v", "va"):
             scale = np.abs(gains[key]).max(axis=0, initial=0.0)
             assert within(aux0[key], gains[key], scale), key
@@ -679,7 +682,7 @@ def unequal_groups_entry():
     limits = QosLimits(p_max=P_MAX, r_min=1.0, p_d_min=0.9)
     ctx, w, p, rho = start_entry(channels, targets, geom, weights, limits)
     assert sorted(map(len, ctx.grouping.sic_order)) == [2, 3]
-    return (ctx, p, rho, *ctx.evaluate(w, p, rho))
+    return (ctx, p, rho, *m_space_evaluate(ctx, w, p, rho))
 
 
 def kernel_entries():
@@ -750,14 +753,14 @@ def test_gradients_match_the_gather_forms():
 
 def test_power_steps_priced_over_the_entry_gains_match_full_evaluations():
     """From each entry's powers and split at the start's beams, priced by
-    evaluate, the block reaches the iterate of the loop that prices every
-    candidate by evaluate, bit for bit."""
+    m_space_evaluate, the block reaches the iterate of the loop that prices
+    every candidate by m_space_evaluate, bit for bit."""
     entries = block_entries("_power_block")
     assert len(entries) >= 10
     moved = 0
     for ctx, p, rho, _, _, config, frozen in entries:
-        w = ctx.instance.start_beams
-        args = (p, rho, *ctx.evaluate(w, p, rho), config, frozen)
+        w = ctx.instance.start.stacked_beams()
+        args = (p, rho, *m_space_evaluate(ctx, w, p, rho), config, frozen)
         got = optimizers._power_block(ctx, *args)
         assert_same_result(got, sequential_power_block(ctx, w, *args))
         moved += got[0] is not p
@@ -768,7 +771,7 @@ def test_a_power_block_forms_no_gains(monkeypatch):
     priced = 0
     for ctx, *args in block_entries("_power_block"):
         with monkeypatch.context() as patch:
-            formed = calls_to(patch, ctx.instance, "gains")
+            formed = calls_to(patch, ctx, "span_gains")
             evaluated = calls_to(patch, ctx, "evaluate")
             candidates = calls_to(patch, ctx, "price_powers")
             optimizers._power_block(ctx, *args)
@@ -836,7 +839,7 @@ def test_a_split_block_prices_once_and_forms_no_gains(monkeypatch):
     for ctx, *args in block_entries("_rho_block"):
         with monkeypatch.context() as patch:
             streams = calls_to(patch, optimizers, "price_streams")
-            formed = calls_to(patch, ctx.instance, "gains")
+            formed = calls_to(patch, ctx, "span_gains")
             full = calls_to(patch, ctx, "reprice")
             optimizers._rho_block(ctx, *args)
         assert not streams and not formed and len(full) <= 1
@@ -864,7 +867,7 @@ def split_instance(sizes, cap, p_rate, rho, r_min=0.0, seed=60):
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     p = np.full(s, P_MAX / s)
     rho = np.asarray(rho, dtype=float)
-    _, aux = ctx.evaluate(w, p, rho)
+    _, aux = m_space_evaluate(ctx, w, p, rho)
     aux = dict(aux, group_c=np.asarray(cap, dtype=float),
                p_rate=np.asarray(p_rate, dtype=float))
     f0, aux0 = ctx.reprice(aux, ctx.shares(rho))
@@ -1025,33 +1028,42 @@ def test_warm_start_resumes_upward():
 
 
 def test_every_block_ascent_solve_enters_the_span_at_most_once(monkeypatch):
-    """Every block-ascent solve of two desk_tiny trials (the three hao_sca
-    legs and fp, on the trial's instance) enters the span coordinates at
-    most once: a solve from the start takes the instance's, formed on the
+    """Every solve of two desk_tiny trials (the three hao_sca legs, fp and
+    e_wmmse, on the trial's instance) enters the span coordinates at most
+    once: a solve from the start takes the instance's, formed on the
     trial's first, and the warm hao_sca leg enters with the NOMA solution's
-    beams. No solve forms M-wide gains or calls evaluate."""
+    beams. Every solve forms M-wide beams once, for its result, and prices
+    through evaluate only its entry and, for e_wmmse, each sweep's trace."""
     cfg = preset_config("desk_tiny")
     entered = calls_to(monkeypatch, optimizers, "_span_coordinates")
-    formed = calls_to(monkeypatch, SolveInstance, "gains")
+    formed = calls_to(monkeypatch, optimizers, "_span_beams")
     evaluated = calls_to(monkeypatch, _EvalContext, "evaluate")
     solves = []
-    real = optimizers._block_ascent
 
-    def solve(*args, **kwargs):
-        before = len(entered), len(formed), len(evaluated)
-        out = real(*args, **kwargs)
-        solves.append((len(entered) - before[0], len(formed) - before[1],
-                       len(evaluated) - before[2]))
-        return out
+    def counted(real):
+        def solve(*args, **kwargs):
+            before = len(entered), len(formed), len(evaluated)
+            out = real(*args, **kwargs)
+            priced = len(evaluated) - before[2]
+            if real is optimizers.run_e_wmmse:
+                priced -= out[1].iterations_used
+            solves.append((len(entered) - before[0], len(formed) - before[1],
+                           priced))
+            return out
+        return solve
 
-    monkeypatch.setattr(optimizers, "_block_ascent", solve)
+    monkeypatch.setattr(optimizers, "_block_ascent",
+                        counted(optimizers._block_ascent))
+    monkeypatch.setattr(experiments, "run_e_wmmse",
+                        counted(optimizers.run_e_wmmse))
     for seed in range(2):
         data = generate_trial_data(cfg, np.random.default_rng(seed))
         trial = (data.channels_est, data.targets, cfg)
         instance = trial_instance(*trial)
-        for algorithm in ("hao_sca", "fp"):
+        for algorithm in ("hao_sca", "fp", "e_wmmse"):
             solve_instance(algorithm, *trial, instance=instance)
-    assert solves == [(1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0)] * 2
+    assert solves == [(1, 1, 1), (1, 1, 1), (0, 1, 1), (0, 1, 1),
+                      (0, 1, 1)] * 2
 
 
 def test_solves_from_the_start_share_its_gains(monkeypatch):
@@ -1066,10 +1078,14 @@ def test_solves_from_the_start_share_its_gains(monkeypatch):
     trial = (data.channels_est, data.targets, cfg)
     instance = trial_instance(*trial)
     alone = [run_hao_sca(*args, num_groups=cfg.population.num_groups),
-             run_fp(trial_instance(*trial), *args[4:])]
+             run_fp(trial_instance(*trial), *args[4:]),
+             run_e_wmmse(trial_instance(*trial), *args[3:])]
     entered = calls_to(monkeypatch, optimizers, "_span_coordinates")
-    shared = [run_hao_sca(*args, instance=instance), run_fp(instance, *args[4:])]
-    assert [a[1] is instance.start_beams for a, _ in entered] == [True]
+    shared = [run_hao_sca(*args, instance=instance), run_fp(instance, *args[4:]),
+              run_e_wmmse(instance, *args[3:])]
+    assert len(entered) == 1
+    assert entered[0][0][1].tobytes() == \
+        instance.start.stacked_beams().tobytes()
     assert not any(a.flags.writeable for a in instance.start_span)
     for (sol, trace), (want, want_trace) in zip(shared, alone):
         assert sol.stacked_beams().tobytes() == want.stacked_beams().tobytes()
@@ -1120,27 +1136,33 @@ def solved_systems(sweep, *args) -> tuple:
 
 
 def test_one_e_wmmse_sweep_matches_the_per_user_loop():
-    """The stacked sweep builds the systems of the per-user filter and
-    weight loop with one solve per stream, in one solve, to 1e-12, and
-    gives its aggregates to 1e-12 of each row's norm. Where the channels
-    are rank-deficient (more users than antennas, a duplicated user) the
-    K x K push-through solve is so ill-conditioned that a 1e-15 nudge of
-    its input moves the loop's own aggregates by up to 3e-2, so there only
-    the systems are compared."""
+    """The stacked sweep in span coordinates builds the systems of the
+    per-user filter and weight loop in M space, with one solve per stream,
+    in one solve, to 1e-12, and gives its aggregates, mapped back through
+    the basis, to 1e-12 of each row's norm. Where the channels are
+    rank-deficient (more users than antennas, a duplicated user) the K x K
+    push-through solve is so ill-conditioned that a 1e-15 nudge of its
+    input moves the loop's own aggregates by up to 3e-2, so there only the
+    systems are compared."""
     entries = block_entries("_e_wmmse_sweep", ("e_wmmse",))
     cases = {edge_case(ctx) for ctx, *_ in entries}
     assert cases == {None, "wide", "duplicate", "no_targets"}
     assert {ctx.m_total for ctx, *_ in entries} >= {16, 64, 1024}
     sensed = 0
-    for ctx, v_all, gram in entries + detection_floor_entries():
-        args = (ctx, v_all, gram)
-        got, coefs, mu, x, calls = solved_systems(optimizers._e_wmmse_sweep,
-                                                  *args)
-        want, coefs0, mu0, x0, _ = solved_systems(loop_e_wmmse_sweep, *args)
+    for ctx, x, gram in entries + detection_floor_entries():
+        # a solve's aggregates keep the start's out-of-span directions
+        q, u = ctx.span[0], ctx.instance.start_span[1]
+        v_all = optimizers._span_beams(q, x, u)
+        got, coefs, mu, rhs, calls = solved_systems(optimizers._e_wmmse_sweep,
+                                                    ctx, x, gram)
+        got = optimizers._span_beams(q, got, u)
+        want, coefs0, mu0, rhs0, _ = solved_systems(loop_e_wmmse_sweep, ctx,
+                                                    v_all)
         assert calls == 1 and len(coefs0) == len(v_all) - 1
         assert np.all(np.abs(coefs - coefs0) <= 1e-12 * coefs0)
         assert np.all(np.abs(mu - mu0) <= 1e-12 * mu0)
-        assert np.all(np.abs(x - x0) <= 1e-12 * np.abs(x0).max(axis=1)[:, None])
+        assert np.all(np.abs(rhs - rhs0)
+                      <= 1e-12 * np.abs(rhs0).max(axis=1)[:, None])
         scale = np.linalg.norm(want, axis=1)
         if np.linalg.matrix_rank(ctx.h) == ctx.k_total:
             assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)

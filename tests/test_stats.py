@@ -174,6 +174,20 @@ def test_anova_degenerate_groups():
         one_way_anova([[1.0, 2.0]])
 
 
+def test_overflowing_samples_raise_a_value_error_that_names_the_overflow():
+    # finite samples whose differences, sums or squares overflow float64
+    big = [1e308, -1e308, 1e308, -1e308]
+    for call in (lambda: paired_t_test(big, [-x for x in big]),
+                 lambda: one_way_anova([big, [0.0, 1.0, 2.0, 3.0]]),
+                 lambda: cohens_d([1e200, -1e200], [0.0, 1.0])):
+        with pytest.raises(ValueError, match="statistic overflow") as err:
+            call()
+        assert err.value.reason == "statistic_overflow"
+    with pytest.raises(ValueError, match="non finite samples") as err:
+        paired_t_test([1.0, np.inf], [0.0, 1.0])
+    assert err.value.reason == "non_finite_samples"
+
+
 # =====================================================================
 # Result container and corrections
 # =====================================================================
